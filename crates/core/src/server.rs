@@ -79,6 +79,10 @@ use crate::sweep::Sweep;
 /// it; responses (including long-lived streams) are not bounded.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Largest request body the server accepts; larger ones are refused with
+/// 413 before any of the body is read.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// Server deployment knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -573,7 +577,10 @@ struct Request {
     body: Value,
 }
 
-fn read_request(conn: &TcpStream) -> Result<Request, CoreError> {
+/// Read one request. `Ok(None)` means the request was refused and already
+/// answered: 400 for an unparsable `Content-Length`, 413 for a body over
+/// [`MAX_BODY_BYTES`].
+fn read_request(conn: &mut TcpStream) -> Result<Option<Request>, CoreError> {
     conn.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut line = String::new();
@@ -595,16 +602,28 @@ fn read_request(conn: &TcpStream) -> Result<Request, CoreError> {
             .strip_prefix("content-length:")
             .map(str::trim)
         {
-            content_length = v.parse().unwrap_or(0);
+            let Ok(n) = v.parse() else {
+                respond_json(conn, 400, &json!({ "error": "invalid Content-Length" }));
+                return Ok(None);
+            };
+            content_length = n;
         }
     }
-    let mut body = vec![0u8; content_length.min(1 << 20)];
+    if content_length > MAX_BODY_BYTES {
+        respond_json(
+            conn,
+            413,
+            &json!({ "error": format!("request body over {MAX_BODY_BYTES} bytes") }),
+        );
+        return Ok(None);
+    }
+    let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     let body = match std::str::from_utf8(&body) {
         Ok(text) if !text.is_empty() => serde_json::from_str(text).unwrap_or(Value::Null),
         _ => Value::Null,
     };
-    Ok(Request { method, path, body })
+    Ok(Some(Request { method, path, body }))
 }
 
 fn respond(conn: &mut TcpStream, status: u16, content_type: &str, body: &str) {
@@ -614,6 +633,7 @@ fn respond(conn: &mut TcpStream, status: u16, content_type: &str, body: &str) {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Payload Too Large",
         _ => "Internal Server Error",
     };
     let _ = write!(
@@ -635,7 +655,9 @@ fn respond_json(conn: &mut TcpStream, status: u16, body: &Value) {
 }
 
 fn handle_connection(mut conn: TcpStream, state: &Arc<ServerState>) -> Result<(), CoreError> {
-    let req = read_request(&conn)?;
+    let Some(req) = read_request(&mut conn)? else {
+        return Ok(());
+    };
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => respond(&mut conn, 200, "text/plain", "ok\n"),

@@ -30,8 +30,8 @@ const LOC_NONE: u64 = u64::MAX;
 ///
 /// All field vectors share the same length (`num_slots`). The engine
 /// accesses fields directly so disjoint borrows stay visible to the borrow
-/// checker (the parallel re-rate workers read `pf`/`remaining` while the
-/// caller holds other fields mutably).
+/// checker (a rate change banks into `acc_since` and `moved_acc` through
+/// two simultaneous `&mut` borrows).
 #[derive(Debug, Default)]
 pub struct FlowArena {
     /// Work remaining, in route-work units (bytes × multiplier).
@@ -47,7 +47,7 @@ pub struct FlowArena {
     /// `load_epoch` at which `rate` was computed (staleness check).
     pub rate_epoch: Vec<u64>,
     /// Predicted completion time key currently in the calendar.
-    pub heap_key: Vec<f64>,
+    pub cal_key: Vec<f64>,
     /// Packed calendar location of this flow's entry (`LOC_NONE` if absent).
     pub cal_loc: Vec<u64>,
     /// Position of this flow in each route link's membership list.
@@ -88,7 +88,7 @@ impl FlowArena {
         self.acc_since.push(0.0);
         self.moved_acc.push(0.0);
         self.rate_epoch.push(0);
-        self.heap_key.push(f64::INFINITY);
+        self.cal_key.push(f64::INFINITY);
         self.cal_loc.push(LOC_NONE);
         self.link_pos.push([0; MAX_ROUTE_LINKS]);
         self.coll.push(0);
@@ -137,7 +137,7 @@ impl FlowArena {
         self.acc_since.clear();
         self.moved_acc.clear();
         self.rate_epoch.clear();
-        self.heap_key.clear();
+        self.cal_key.clear();
         self.cal_loc.clear();
         self.link_pos.clear();
         self.coll.clear();

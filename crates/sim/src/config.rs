@@ -44,23 +44,16 @@ pub struct SimConfig {
     /// cost of the paper's part-to-part spread.
     pub uniform_variability: bool,
     /// Live-entity count (in-flight flows + computing ranks) above which
-    /// the scheduler switches from a contiguous linear fold to the indexed
-    /// completion heap. Both paths produce bit-identical timesteps; the
-    /// scan wins below the crossover (cache-friendly, no heap churn), the
-    /// heap wins above it (O(log n) per event instead of O(n)). The default
-    /// sits under the measured crossover (the heap pulls ahead between ~384
-    /// and ~512 live entities on the `sim_engine_hotpath` bench machine,
-    /// a population reached around 512 GPUs).
-    /// `0` forces the heap everywhere; `usize::MAX` forces the scan.
+    /// the scheduler switches from a contiguous linear fold to the bucketed
+    /// completion calendar. Both paths produce bit-identical timesteps; the
+    /// scan wins below the crossover (cache-friendly, no calendar upkeep),
+    /// the calendar wins above it (each event drains only the buckets near
+    /// the next completion instead of visiting every live entity). The
+    /// default sits under the measured crossover (the calendar pulls ahead
+    /// between ~384 and ~512 live entities on the `sim_engine_hotpath`
+    /// bench machine, a population reached around 512 GPUs).
+    /// `0` forces the calendar everywhere; `usize::MAX` forces the scan.
     pub sched_heap_threshold: usize,
-    /// Worker threads for re-rating dirty flow batches in the heap
-    /// scheduler. Re-rating is embarrassingly parallel — each flow's
-    /// bottleneck rate is a pure min over its route links' fair shares
-    /// given frozen loads — and results are written back in index order,
-    /// so any worker count produces bit-identical simulations (pinned by
-    /// the golden suites). `1` (the default) keeps the serial path;
-    /// values above 1 fan small batches out over scoped threads.
-    pub rerate_workers: usize,
 }
 
 impl Default for SimConfig {
@@ -79,7 +72,6 @@ impl Default for SimConfig {
             gpu_power_cap_w: None,
             uniform_variability: false,
             sched_heap_threshold: 256,
-            rerate_workers: 1,
         }
     }
 }

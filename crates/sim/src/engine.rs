@@ -585,10 +585,7 @@ struct PlanRange {
 }
 
 /// The bottleneck fair-share rate of the flow in `slot`: the min over its
-/// route hops of `health × bw / load`. A pure function of frozen loads and
-/// link health — free of `&mut` state — so dirty batches can be rated on
-/// any worker in any order and still produce the exact bits the serial
-/// path produces (write-back order is what stays serial).
+/// route hops of `health × bw / load`.
 #[inline]
 fn flow_rate(
     slot: usize,
@@ -620,23 +617,23 @@ fn flow_rate(
 /// never affects results: `next_dt` takes an order-independent `f64::min`
 /// over the exact candidates of every drained live entry.
 #[derive(Debug, Clone, Copy)]
-struct HeapEntry {
+struct CalEntry {
     key: f64,
     meta: u64,
 }
 
 const ENTRY_COMPUTE: u64 = 1 << 63;
 
-impl HeapEntry {
+impl CalEntry {
     fn flow(key: f64, slot: u32, epoch: u32) -> Self {
-        HeapEntry {
+        CalEntry {
             key,
             meta: (u64::from(slot) << 32) | u64::from(epoch),
         }
     }
 
     fn compute(key: f64, rank: u32, epoch: u32) -> Self {
-        HeapEntry {
+        CalEntry {
             key,
             meta: ENTRY_COMPUTE | (u64::from(rank) << 32) | u64::from(epoch),
         }
@@ -654,11 +651,6 @@ impl HeapEntry {
         self.meta as u32
     }
 }
-
-/// Smallest dirty-flow batch worth fanning out over the scoped worker
-/// pool: below this, thread spawn/join overhead dwarfs the pure rate
-/// computations (and the serial path is identical bit-for-bit anyway).
-const PAR_RERATE_MIN: usize = 64;
 
 /// Global re-key cadence: every this-many events the calendar is rebuilt
 /// from live state, re-basing the wheel at the current time and resetting
@@ -700,8 +692,8 @@ struct CalendarQueue {
     base: f64,
     width: f64,
     inv_width: f64,
-    buckets: Vec<Vec<HeapEntry>>,
-    overflow: Vec<HeapEntry>,
+    buckets: Vec<Vec<CalEntry>>,
+    overflow: Vec<CalEntry>,
     /// First bucket that may hold entries (all earlier ones are empty).
     cursor: usize,
     len: usize,
@@ -771,7 +763,7 @@ impl CalendarQueue {
     /// Insert an entry; returns its packed location. Keys are always
     /// ≥ `base` (they are `t + positive` and the wheel is based at a past
     /// `t`), so only the far side can miss the wheel.
-    fn push(&mut self, e: HeapEntry) -> u64 {
+    fn push(&mut self, e: CalEntry) -> u64 {
         self.len += 1;
         let d = (e.key - self.base) * self.inv_width;
         if d >= CAL_BUCKETS as f64 {
@@ -887,21 +879,23 @@ pub struct EngineStats {
     /// High-water mark of live collective state entries.
     pub peak_live_colls: u64,
     /// High-water mark of schedulable entities (in-flight flows plus
-    /// computing ranks) — the population the scan/heap crossover
+    /// computing ranks) — the population the scan/calendar crossover
     /// ([`SimConfig::sched_heap_threshold`]) is judged against.
     pub peak_live: u64,
-    /// Entries pushed onto the completion heap (re-keys included).
+    /// Entries pushed onto the completion calendar (re-keys included).
+    /// This and the next two counters keep their `heap_` names from the
+    /// binary heap the calendar replaced; they count calendar entries.
     pub heap_pushes: u64,
-    /// Live entries popped and evaluated by `next_dt`.
+    /// Live calendar entries drained and evaluated by `next_dt`.
     pub heap_pops: u64,
-    /// Stale entries (epoch mismatch) discarded on pop.
+    /// Stale calendar entries (epoch mismatch) discarded on drain.
     pub heap_skips: u64,
     /// Collective launches served from a cross-run shared plan set
     /// (zero unless the simulator was built with [`SharedPlans`]).
     pub shared_plan_hits: u64,
     /// Calendar-wheel rebuilds: `rekey_all` rebases, whether periodic
     /// (every `REKEY_INTERVAL` = 8192 events), drift-forced (the current
-    /// time passed half the wheel horizon), or a scan→heap mode crossing.
+    /// time passed half the wheel horizon), or a scan→calendar mode crossing.
     pub cal_rekeys: u64,
     /// Calendar buckets drained by `next_dt` (the overflow list counts as
     /// one bucket per drain). Each drain hands every entry in the bucket
@@ -917,14 +911,36 @@ pub struct EngineStats {
     /// Flow-arena slots reused from the free list (launches minus arena
     /// growth): how often the steady-state launch path ran allocation-free.
     pub arena_slot_reuses: u64,
-    /// Dirty-flow re-rate batches fanned out over the scoped worker pool
-    /// (zero when [`SimConfig::rerate_workers`] ≤ 1 or batches stayed under
-    /// the parallel threshold).
-    pub parallel_rerate_batches: u64,
     /// Calendar entries removed by exact location at a retire site (flow
-    /// retirement or compute completion) — pops the drain loop never had
-    /// to evaluate or skip.
+    /// retirement or compute completion) — the one path by which a
+    /// completing entity's entry leaves the calendar.
     pub cal_exact_removals: u64,
+}
+
+impl EngineStats {
+    /// Every counter with its field name, each listed once: the table the
+    /// metrics export is derived from (one `sim_<name>` gauge per entry).
+    pub fn fields(&self) -> [(&'static str, u64); 17] {
+        [
+            ("events", self.events),
+            ("plan_builds", self.plan_builds),
+            ("plan_reuses", self.plan_reuses),
+            ("flows_launched", self.flows_launched),
+            ("wakes", self.wakes),
+            ("colls_retired", self.colls_retired),
+            ("peak_live_colls", self.peak_live_colls),
+            ("peak_live", self.peak_live),
+            ("heap_pushes", self.heap_pushes),
+            ("heap_pops", self.heap_pops),
+            ("heap_skips", self.heap_skips),
+            ("shared_plan_hits", self.shared_plan_hits),
+            ("cal_rekeys", self.cal_rekeys),
+            ("cal_bucket_drains", self.cal_bucket_drains),
+            ("cal_overflow_peak", self.cal_overflow_peak),
+            ("arena_slot_reuses", self.arena_slot_reuses),
+            ("cal_exact_removals", self.cal_exact_removals),
+        ]
+    }
 }
 
 /// Engine-side configuration of a symmetry-folded run, prepared by
@@ -1010,15 +1026,15 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     calq: CalendarQueue,
     /// Buffer for live entries drained in a `next_dt` round (re-inserted
     /// after the drain loop so they cannot be drained twice in one round).
-    repush: Vec<HeapEntry>,
-    /// Whether the scheduler is currently in heap mode (live-entity count
-    /// above [`SimConfig::sched_heap_threshold`]). In scan mode the
+    repush: Vec<CalEntry>,
+    /// Whether the scheduler is currently in calendar mode (live-entity
+    /// count above [`SimConfig::sched_heap_threshold`]). In scan mode the
     /// calendar is empty and no entries are maintained.
-    heap_mode: bool,
+    cal_mode: bool,
     /// Key of each computing rank's live calendar entry (`INFINITY` =
     /// none). Lets `push_compute_key` skip the push when the stored entry
-    /// is still a valid lower bound, mirroring `rekey_rated_flow`'s `heap_key`
-    /// test.
+    /// is still a valid lower bound, mirroring `rekey_flow`'s
+    /// `FlowArena::cal_key` test.
     rank_key: Vec<f64>,
     /// Location of each rank's live calendar entry ([`LOC_NONE`] = none).
     rank_loc: Vec<u64>,
@@ -1038,11 +1054,6 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     ranks_of_gpu: Vec<Vec<u32>>,
     /// Events since the last full re-key (see [`REKEY_INTERVAL`]).
     events_since_rekey: u64,
-    /// Gather buffer for the dirty-flow re-rate pass (slots, gather order).
-    rerate_slots: Vec<u32>,
-    /// Rates computed for `rerate_slots`, index-aligned; filled serially or
-    /// by the scoped worker pool, always written back in gather order.
-    rerate_rates: Vec<f64>,
 
     /// One installed plan per `CollectiveId`, interned lazily at first
     /// launch (or at construction for fold-injected plans).
@@ -1160,25 +1171,14 @@ struct EngineMetrics {
     last_wall: Instant,
     /// `stats.events` at the last publication.
     last_events: u64,
+    /// One `sim_<name>` gauge per [`EngineStats::fields`] entry, in table
+    /// order.
+    counters: Vec<Gauge>,
     sim_time_s: Gauge,
-    events: Gauge,
     event_rate_per_s: Gauge,
     live_flows: Gauge,
     live_computing: Gauge,
-    flows_launched: Gauge,
-    plan_builds: Gauge,
-    plan_reuses: Gauge,
-    shared_plan_hits: Gauge,
-    cal_rekeys: Gauge,
-    cal_bucket_drains: Gauge,
     cal_overflow_len: Gauge,
-    cal_overflow_peak: Gauge,
-    heap_pushes: Gauge,
-    heap_pops: Gauge,
-    heap_skips: Gauge,
-    arena_slot_reuses: Gauge,
-    parallel_rerate_batches: Gauge,
-    cal_exact_removals: Gauge,
     fault_downtime_s: Gauge,
     fault_restarts: Gauge,
     fault_energy_wasted_j: Gauge,
@@ -1192,25 +1192,16 @@ impl EngineMetrics {
         EngineMetrics {
             last_wall: Instant::now(),
             last_events: 0,
+            counters: EngineStats::default()
+                .fields()
+                .iter()
+                .map(|(name, _)| g(&format!("sim_{name}")))
+                .collect(),
             sim_time_s: g("sim_time_s"),
-            events: g("sim_events"),
             event_rate_per_s: g("sim_event_rate_per_s"),
             live_flows: g("sim_live_flows"),
             live_computing: g("sim_live_computing"),
-            flows_launched: g("sim_flows_launched"),
-            plan_builds: g("sim_plan_builds"),
-            plan_reuses: g("sim_plan_reuses"),
-            shared_plan_hits: g("sim_shared_plan_hits"),
-            cal_rekeys: g("sim_cal_rekeys"),
-            cal_bucket_drains: g("sim_cal_bucket_drains"),
             cal_overflow_len: g("sim_cal_overflow_len"),
-            cal_overflow_peak: g("sim_cal_overflow_peak"),
-            heap_pushes: g("sim_heap_pushes"),
-            heap_pops: g("sim_heap_pops"),
-            heap_skips: g("sim_heap_skips"),
-            arena_slot_reuses: g("sim_arena_slot_reuses"),
-            parallel_rerate_batches: g("sim_parallel_rerate_batches"),
-            cal_exact_removals: g("sim_cal_exact_removals"),
             fault_downtime_s: g("sim_fault_downtime_s"),
             fault_restarts: g("sim_fault_restarts"),
             fault_energy_wasted_j: g("sim_fault_energy_wasted_j"),
@@ -1415,7 +1406,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             link_flows: vec![Vec::new(); cluster.num_links()],
             calq: CalendarQueue::new(),
             repush: Vec::new(),
-            heap_mode: false,
+            cal_mode: false,
             rank_key: vec![f64::INFINITY; trace.world()],
             rank_loc: vec![LOC_NONE; trace.world()],
             rank_epoch: vec![0; trace.world()],
@@ -1424,8 +1415,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             rank_dirty: vec![false; trace.world()],
             ranks_of_gpu,
             events_since_rekey: 0,
-            rerate_slots: Vec::new(),
-            rerate_rates: Vec::new(),
             plan_cache: (0..num_colls).map(|_| None).collect(),
             shared_plans: None,
             coll_class,
@@ -1713,8 +1702,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.obs.fault_begin(ev.fault, "link-degrade", link, self.t);
                 self.link_health.set_scale(link as usize, factor);
                 self.mark_link_dirty(link as usize);
-                // Rates on this link must be recomputed even in heap mode:
-                // `next_dt`'s dirty-link pass keys off a stale epoch.
+                // Rates on this link must be recomputed even in calendar
+                // mode: `next_dt`'s dirty-link pass keys off a stale epoch.
                 self.load_epoch += 1;
             }
             FaultAction::LinkUp { link } => {
@@ -1911,15 +1900,16 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 });
             }
         }
-        self.stats.cal_overflow_peak = self.calq.overflow_peak as u64;
         self.publish_metrics();
         Ok(())
     }
 
-    /// Push the current engine counters and live quantities into the
-    /// attached metrics shard (no-op without one). Called at control
-    /// boundaries and once at run end; never on the per-event path.
+    /// Bring `stats.cal_overflow_peak` current, then push the engine
+    /// counters and live quantities into the attached metrics shard (no-op
+    /// without one). Called at control boundaries and once at run end;
+    /// never on the per-event path.
     fn publish_metrics(&mut self) {
+        self.stats.cal_overflow_peak = self.calq.overflow_peak as u64;
         let Some(m) = self.metrics.as_deref_mut() else {
             return;
         };
@@ -1931,26 +1921,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         m.last_wall = now;
         m.last_events = self.stats.events;
+        for (gauge, (_, value)) in m.counters.iter().zip(self.stats.fields()) {
+            gauge.set(value as f64);
+        }
         m.sim_time_s.set(self.t);
-        m.events.set(self.stats.events as f64);
         m.live_flows.set(self.flow_order.len() as f64);
         m.live_computing.set(self.computing_ranks.len() as f64);
-        m.flows_launched.set(self.stats.flows_launched as f64);
-        m.plan_builds.set(self.stats.plan_builds as f64);
-        m.plan_reuses.set(self.stats.plan_reuses as f64);
-        m.shared_plan_hits.set(self.stats.shared_plan_hits as f64);
-        m.cal_rekeys.set(self.stats.cal_rekeys as f64);
-        m.cal_bucket_drains.set(self.stats.cal_bucket_drains as f64);
         m.cal_overflow_len.set(self.calq.overflow.len() as f64);
-        m.cal_overflow_peak.set(self.calq.overflow_peak as f64);
-        m.heap_pushes.set(self.stats.heap_pushes as f64);
-        m.heap_pops.set(self.stats.heap_pops as f64);
-        m.heap_skips.set(self.stats.heap_skips as f64);
-        m.arena_slot_reuses.set(self.stats.arena_slot_reuses as f64);
-        m.parallel_rerate_batches
-            .set(self.stats.parallel_rerate_batches as f64);
-        m.cal_exact_removals
-            .set(self.stats.cal_exact_removals as f64);
         if let Some(rt) = &self.fault {
             m.fault_downtime_s.set(rt.downtime_s);
             m.fault_restarts.set(rt.restarts as f64);
@@ -2171,7 +2148,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 let id = hop.link as usize;
                 self.link_load[id] += u32::from(hop.mult);
                 self.mark_link_dirty(id);
-                if self.heap_mode {
+                if self.cal_mode {
                     self.fa.link_pos[slot][l] = self.link_flows[id].len() as u32;
                     self.link_flows[id].push((slot as u32, l as u8));
                 }
@@ -2181,7 +2158,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.fa.acc_since[slot] = self.t;
             self.fa.moved_acc[slot] = 0.0;
             self.fa.rate_epoch[slot] = 0;
-            self.fa.heap_key[slot] = f64::INFINITY;
+            self.fa.cal_key[slot] = f64::INFINITY;
             self.fa.cal_loc[slot] = LOC_NONE;
             self.fa.coll[slot] = coll;
             self.fa.iteration[slot] = iter;
@@ -2373,18 +2350,18 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// Queue a computing rank for heap re-keying. A no-op in scan mode:
+    /// Queue a computing rank for calendar re-keying. A no-op in scan mode:
     /// the scan derives compute rates fresh every event, and an upward mode
     /// crossing re-keys every computing rank via `rekey_all` regardless.
     fn mark_rank_dirty(&mut self, rank: usize) {
-        if self.heap_mode && !self.rank_dirty[rank] {
+        if self.cal_mode && !self.rank_dirty[rank] {
             self.rank_dirty[rank] = true;
             self.dirty_ranks.push(rank as u32);
         }
     }
 
     fn mark_gpu_ranks_dirty(&mut self, gpu: usize) {
-        if !self.heap_mode {
+        if !self.cal_mode {
             return;
         }
         for k in 0..self.ranks_of_gpu[gpu].len() {
@@ -2395,7 +2372,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
 
     /// Push a fresh completion entry for a computing rank — but only when
     /// the fresh prediction undercuts the stored key (same lower-bound
-    /// reasoning as [`Self::rekey_rated_flow`]). The superseded entry is removed
+    /// reasoning as [`Self::rekey_flow`]). The superseded entry is removed
     /// *here*, at the push site, via the rank's stored location — not left
     /// to be popped and skipped later. `force` pushes unconditionally
     /// after the calendar was rebuilt.
@@ -2405,7 +2382,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             remaining_flops,
         } = self.ranks[rank].mode
         {
-            if !self.heap_mode {
+            if !self.cal_mode {
                 return;
             }
             let key = self.t + remaining_flops / self.compute_rate(rank, kind);
@@ -2420,7 +2397,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.rank_epoch[rank] = self.rank_epoch[rank].wrapping_add(1);
             self.rank_loc[rank] =
                 self.calq
-                    .push(HeapEntry::compute(key, rank as u32, self.rank_epoch[rank]));
+                    .push(CalEntry::compute(key, rank as u32, self.rank_epoch[rank]));
             self.stats.heap_pushes += 1;
         }
     }
@@ -2438,9 +2415,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// Install a freshly computed bottleneck `rate` for the flow in `slot`
-    /// and re-key its calendar entry if the new prediction undercuts the
-    /// stored key.
+    /// Recompute the flow's bottleneck rate from current link loads, stamp
+    /// it with the current `load_epoch`, and re-key its calendar entry if
+    /// the new prediction undercuts the stored key. `force` pushes
+    /// unconditionally after the calendar was rebuilt (`rekey_all`), when
+    /// every flow needs an entry regardless of the old key.
     ///
     /// Queue keys only need to stay *lower bounds* on true completion
     /// times. A rate decrease (the launch-storm common case) moves the
@@ -2450,37 +2429,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// fresh prediction is *earlier* than the stored key (a rate increase)
     /// does the old entry get removed — at this push site, via its stored
     /// location — and a re-keyed one inserted.
-    fn rekey_rated_flow(&mut self, slot: usize, rate: f64) {
-        if rate.to_bits() != self.fa.rate[slot].to_bits() {
-            accrual::bank_flow_segment(
-                self.fa.rate[slot],
-                self.t,
-                &mut self.fa.acc_since[slot],
-                &mut self.fa.moved_acc[slot],
-            );
-            self.fa.rate[slot] = rate;
-        }
-        let key = self.t + self.fa.remaining[slot] / rate;
-        if key >= self.fa.heap_key[slot] {
-            return;
-        }
-        self.fa.heap_key[slot] = key;
-        let old = self.fa.cal_loc[slot];
-        if old != LOC_NONE {
-            self.calq_remove(old);
-        }
-        self.fa.cal_loc[slot] = self.calq.push(HeapEntry::flow(
-            key,
-            slot as u32,
-            self.fa.generation(slot as u32),
-        ));
-        self.stats.heap_pushes += 1;
-    }
-
-    /// Recompute the flow's rate fresh and push an entry unconditionally —
-    /// the calendar was just rebuilt (`rekey_all`) and every flow needs an
-    /// entry regardless of the old key.
-    fn rekey_flow_forced(&mut self, slot: usize) {
+    fn rekey_flow(&mut self, slot: usize, force: bool) {
         let rate = flow_rate(
             slot,
             &self.fa.pf,
@@ -2500,12 +2449,15 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         self.fa.rate_epoch[slot] = self.load_epoch;
         let key = self.t + self.fa.remaining[slot] / rate;
-        self.fa.heap_key[slot] = key;
+        if !force && key >= self.fa.cal_key[slot] {
+            return;
+        }
+        self.fa.cal_key[slot] = key;
         let old = self.fa.cal_loc[slot];
         if old != LOC_NONE {
             self.calq_remove(old);
         }
-        self.fa.cal_loc[slot] = self.calq.push(HeapEntry::flow(
+        self.fa.cal_loc[slot] = self.calq.push(CalEntry::flow(
             key,
             slot as u32,
             self.fa.generation(slot as u32),
@@ -2515,11 +2467,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
 
     /// Scan-mode timestep: the reference engine's exact fold over computing
     /// ranks and in-flight flows — an order-independent `min` over positive
-    /// candidates, so it produces bit-identical `dt` to the heap path. Flow
-    /// rates refresh lazily off the dirty-link flags (a flow re-derives its
+    /// candidates, so it produces bit-identical `dt` to the calendar path.
+    /// Flow rates refresh lazily off the dirty-link flags (a flow re-derives its
     /// bottleneck only when a route link's load changed since last event);
     /// compute rates are always derived fresh. Clears both dirty lists:
-    /// nothing else consumes them while the heap is down.
+    /// nothing else consumes them while the calendar is down.
     fn scan_dt(&mut self) -> f64 {
         let mut dt = self.next_control.min(self.next_fault_t) - self.t;
         for idx in 0..self.computing_ranks.len() {
@@ -2616,7 +2568,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.rank_loc[self.computing_ranks[idx]] = LOC_NONE;
         }
         for oi in 0..self.flow_order.len() {
-            self.rekey_flow_forced(self.flow_order[oi] as usize);
+            self.rekey_flow(self.flow_order[oi] as usize, true);
         }
         for idx in 0..self.computing_ranks.len() {
             let rank = self.computing_ranks[idx];
@@ -2633,13 +2585,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// reduction over positive finite candidates, so the identical `dt` bits
     /// emerge from *any* evaluation order as long as the same candidate set
     /// is covered. This implementation only evaluates candidates that can
-    /// matter: it pops the completion heap while an entry's conservative key
-    /// can still undercut the running `dt` (plus a drift margin), evaluates
-    /// the popped entry's exact candidate from current state, and re-pushes
-    /// it. Keys are lower bounds on true completion times (rates only
-    /// *decrease* between re-keys: every rate increase — a link load
-    /// dropping, a GPU's overlap penalty clearing, a frequency step —
-    /// dirties and re-keys its entries first), so no candidate that could
+    /// matter: it drains completion-calendar buckets while an entry's
+    /// conservative key can still undercut the running `dt` (plus a drift
+    /// margin), evaluates each drained entry's exact candidate from current
+    /// state, and re-pushes it. Keys are lower bounds on true completion
+    /// times (rates only *decrease* between re-keys: every rate increase —
+    /// a link load dropping, a GPU's overlap penalty clearing, a frequency
+    /// step — dirties and re-keys its entries first), so no candidate that could
     /// lower `dt` is ever missed; spurious pops are harmless because the
     /// candidate itself is always recomputed exactly.
     ///
@@ -2657,11 +2609,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         let live = self.flow_order.len() + self.computing_ranks.len();
         self.stats.peak_live = self.stats.peak_live.max(live as u64);
-        if self.heap_mode {
+        if self.cal_mode {
             if 2 * live < self.cfg.sched_heap_threshold {
                 // Crossing down (with hysteresis): the scan reads live
                 // state directly; drop the now-unmaintained entries.
-                self.heap_mode = false;
+                self.cal_mode = false;
                 self.calq.clear();
                 for oi in 0..self.flow_order.len() {
                     self.fa.cal_loc[self.flow_order[oi] as usize] = LOC_NONE;
@@ -2675,88 +2627,33 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         } else if live > self.cfg.sched_heap_threshold {
             // Crossing up: rebuild the link→flow membership lists (not
             // maintained in scan mode) and the calendar from live state.
-            self.heap_mode = true;
+            self.cal_mode = true;
             self.rebuild_link_membership();
             self.rekey_all();
         }
 
-        if !self.heap_mode {
+        if !self.cal_mode {
             return Some(self.scan_dt());
         }
         self.events_since_rekey += 1;
 
-        // Re-rate + re-key flows touched by link-load changes, in three
-        // stages: gather the dirty set (deduplicated by stamping
-        // `rate_epoch` at gather time), compute every gathered flow's rate
-        // — a pure function of frozen loads, fanned out over scoped
-        // workers when the batch is big enough — then write back and
-        // re-key serially in gather order. The serial pass visits the
-        // exact flows in the exact order the all-serial path would, so
-        // any worker count produces bit-identical simulations.
+        // Re-rate + re-key flows touched by link-load changes: dirty links
+        // in order, then the flows on each link. `rekey_flow` stamps
+        // `rate_epoch`, so a flow on several dirty links is re-rated once.
         let mut dirty = std::mem::take(&mut self.dirty_links);
-        let mut batch = std::mem::take(&mut self.rerate_slots);
         let epoch = self.load_epoch;
         for &link in &dirty {
             let link = link as usize;
             self.link_dirty[link] = false;
             for k in 0..self.link_flows[link].len() {
-                let (slot, _) = self.link_flows[link][k];
-                if self.fa.rate_epoch[slot as usize] != epoch {
-                    self.fa.rate_epoch[slot as usize] = epoch;
-                    batch.push(slot);
+                let slot = self.link_flows[link][k].0 as usize;
+                if self.fa.rate_epoch[slot] != epoch {
+                    self.rekey_flow(slot, false);
                 }
             }
         }
         dirty.clear();
         self.dirty_links = dirty;
-        if !batch.is_empty() {
-            let mut rates = std::mem::take(&mut self.rerate_rates);
-            rates.clear();
-            rates.resize(batch.len(), 0.0);
-            let workers = self.cfg.rerate_workers;
-            if workers > 1 && batch.len() >= PAR_RERATE_MIN {
-                self.stats.parallel_rerate_batches += 1;
-                let chunk = batch.len().div_ceil(workers);
-                let pf_of = &self.fa.pf;
-                let plan_flows = &self.plan_flows;
-                let route_arena = &self.route_arena;
-                let link_load = &self.link_load;
-                let link_health = &self.link_health;
-                std::thread::scope(|s| {
-                    for (bs, rs) in batch.chunks(chunk).zip(rates.chunks_mut(chunk)) {
-                        s.spawn(move || {
-                            for (r, &slot) in rs.iter_mut().zip(bs) {
-                                *r = flow_rate(
-                                    slot as usize,
-                                    pf_of,
-                                    plan_flows,
-                                    route_arena,
-                                    link_load,
-                                    link_health,
-                                );
-                            }
-                        });
-                    }
-                });
-            } else {
-                for (r, &slot) in rates.iter_mut().zip(&batch) {
-                    *r = flow_rate(
-                        slot as usize,
-                        &self.fa.pf,
-                        &self.plan_flows,
-                        &self.route_arena,
-                        &self.link_load,
-                        &self.link_health,
-                    );
-                }
-            }
-            for (k, &slot) in batch.iter().enumerate() {
-                self.rekey_rated_flow(slot as usize, rates[k]);
-            }
-            self.rerate_rates = rates;
-        }
-        batch.clear();
-        self.rerate_slots = batch;
 
         // Re-key computes whose rate inputs changed.
         let mut dirty = std::mem::take(&mut self.dirty_ranks);
@@ -2838,7 +2735,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 if e.is_compute() {
                     self.rank_key[e.id()] = e.key;
                 } else {
-                    self.fa.heap_key[e.id()] = e.key;
+                    self.fa.cal_key[e.id()] = e.key;
                 }
                 repush.push(e);
             }
@@ -2851,30 +2748,17 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             }
         }
         let dt = dt.max(1e-9);
-        // Entries whose work completes during this event's `advance` are
-        // dropped instead of re-inserted (`advance` removes retiring
-        // entries by location, so nothing is left behind either way). The
-        // predicates replicate `advance`'s completion tests bit-for-bit
-        // (same operands, same operation order).
+        // Every drained live entry goes back in, including those whose
+        // work completes in this event: `advance` removes a completing
+        // entity's entry at its retire site, the one path that drops
+        // completing entries (it must, since a completing entity's
+        // lower-bound key can lie past the drain bound and stay undrained).
         for e in repush.drain(..) {
-            let completes = if e.is_compute() {
-                match self.ranks[e.id()].mode {
-                    RankMode::Computing {
-                        kind,
-                        remaining_flops,
-                    } => remaining_flops - self.compute_rate(e.id(), kind) * dt <= 1.0,
-                    _ => true,
-                }
+            let loc = self.calq.push(e);
+            if e.is_compute() {
+                self.rank_loc[e.id()] = loc;
             } else {
-                self.fa.remaining[e.id()] - self.fa.rate[e.id()] * dt <= 1.0
-            };
-            if !completes {
-                let loc = self.calq.push(e);
-                if e.is_compute() {
-                    self.rank_loc[e.id()] = loc;
-                } else {
-                    self.fa.cal_loc[e.id()] = loc;
-                }
+                self.fa.cal_loc[e.id()] = loc;
             }
         }
         self.repush = repush;
@@ -2928,7 +2812,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         assert_eq!(
             expect.to_bits(),
             dt.to_bits(),
-            "heap dt {dt} != scan dt {expect} at t={}",
+            "calendar dt {dt} != scan dt {expect} at t={}",
             self.t
         );
     }
@@ -2978,8 +2862,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.remove_computing(rank);
             self.rank_epoch[rank] = self.rank_epoch[rank].wrapping_add(1);
             self.rank_key[rank] = f64::INFINITY;
-            // Retire-site removal: drop the rank's calendar entry (if
-            // `next_dt` didn't already).
+            // Retire-site removal: drop the rank's calendar entry (the
+            // only place a completing entry leaves the calendar).
             let loc = self.rank_loc[rank];
             if loc != LOC_NONE {
                 self.rank_loc[rank] = LOC_NONE;
@@ -3048,10 +2932,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                     self.link_load[id] -= u32::from(hop.mult);
                     self.mark_link_dirty(id);
                 }
-                if self.heap_mode {
+                if self.cal_mode {
                     // Retire-site removal: drop the retiring flow's
-                    // calendar entry (if `next_dt` didn't already) and its
-                    // link-membership records.
+                    // calendar entry (the only place a completing entry
+                    // leaves the calendar) and its link-membership records.
                     let loc = self.fa.cal_loc[slot];
                     if loc != LOC_NONE {
                         self.fa.cal_loc[slot] = LOC_NONE;
@@ -3111,7 +2995,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// its ranks' completion keys go stale and are dirtied for re-keying on
     /// the next `next_dt`; in steady state (or with feedback disabled) the
     /// ratio is unchanged and the live keys stay exact. (The control tick
-    /// itself needs no heap entry: `next_dt` seeds `dt` with
+    /// itself needs no calendar entry: `next_dt` seeds `dt` with
     /// `next_control - t`, which is value-equivalent to an always-live
     /// entry at the control boundary.)
     fn control_update(&mut self) {

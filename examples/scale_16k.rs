@@ -118,9 +118,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.cal_overflow_peak,
         );
         println!(
-            "            arena: {} slot reuses | {} exact calendar removals | \
-             {} parallel re-rate batches",
-            stats.arena_slot_reuses, stats.cal_exact_removals, stats.parallel_rerate_batches,
+            "            arena: {} slot reuses | {} exact calendar removals",
+            stats.arena_slot_reuses, stats.cal_exact_removals,
         );
     }
 

@@ -212,14 +212,13 @@ fn golden_equality_on_every_collective_kind() {
 }
 
 #[test]
-fn parallel_rerate_is_deterministic_at_512_gpus_under_faults() {
-    // 512-GPU unfolded run (tp4 pp8 dp16), forced into heap mode, with a
-    // fault plan that degrades a hot link and slows a straggler rank —
-    // exactly the workload whose dirty-flow re-rate batches fan out over
-    // scoped workers. The index-ordered write-back must make any worker
-    // count produce byte-identical results; this pins workers=4 against
-    // the all-serial workers=1 run and checks the parallel path actually
-    // fired (batches ≥ the fan-out threshold exist at this scale).
+fn retire_site_removal_is_exact_at_512_gpus_under_faults() {
+    // 512-GPU unfolded run (tp4 pp8 dp16) with a fault plan that degrades
+    // a hot link and slows a straggler rank, so dirty-flow re-rates and
+    // compute re-keys churn the calendar. A completing entity's entry
+    // leaves the calendar only at its retire site in `advance`; this pins
+    // that the path fires and that the forced-calendar run serializes
+    // identically to the default threshold's scan/calendar crossings.
     use charllm_sim::FaultPlan;
 
     let cluster = presets::hgx_h200_with_nodes(64);
@@ -234,12 +233,11 @@ fn parallel_rerate_is_deterministic_at_512_gpus_under_faults() {
     let plan = FaultPlan::none()
         .link_degrade(0, 0.05, 0.4, 0.25)
         .straggler(17, 0.02, 0.5, 1.7);
-    let run = |workers: usize| {
+    let run = |threshold: usize| {
         let mut cfg = SimConfig::fast();
         cfg.iterations = 1;
         cfg.warmup_iterations = 0;
-        cfg.sched_heap_threshold = 0;
-        cfg.rerate_workers = workers;
+        cfg.sched_heap_threshold = threshold;
         let (r, stats) = Simulator::new(&cluster, &placement, &trace, cfg)
             .unwrap()
             .with_faults(&plan)
@@ -248,21 +246,20 @@ fn parallel_rerate_is_deterministic_at_512_gpus_under_faults() {
             .unwrap();
         (serde_json::to_string(&r).unwrap(), stats)
     };
-    let (serial, serial_stats) = run(1);
-    let (parallel, parallel_stats) = run(4);
-    assert_eq!(
-        serial_stats.parallel_rerate_batches, 0,
-        "workers=1 must never fan out"
+    let (forced, stats) = run(0);
+    let (adaptive, _) = run(SimConfig::default().sched_heap_threshold);
+    assert!(
+        stats.cal_exact_removals > 0,
+        "completing entries must leave the calendar at their retire site"
     );
     assert!(
-        parallel_stats.parallel_rerate_batches > 0,
-        "512-GPU dirty-flow batches should exceed the fan-out threshold"
-    );
-    assert!(
-        parallel_stats.arena_slot_reuses > 0,
+        stats.arena_slot_reuses > 0,
         "steady-state launches should recycle arena slots"
     );
-    assert_eq!(serial, parallel, "worker count changed simulation results");
+    assert_eq!(
+        forced, adaptive,
+        "forced calendar diverged from the default scheduler threshold"
+    );
 }
 
 #[test]

@@ -5,6 +5,8 @@
 //! Perfetto trace download served off the shared cache.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -197,6 +199,15 @@ fn bad_submissions_are_rejected_and_cancel_is_cooperative() {
         let (status, resp) = http_request(addr, "POST", "/jobs", Some(bad)).unwrap();
         assert_eq!(status, 400, "{bad} must be rejected: {resp}");
     }
+
+    // A body over the 1 MiB limit is refused from its header alone, not
+    // read in truncated.
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(b"POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n")
+        .unwrap();
+    let mut resp = String::new();
+    conn.read_to_string(&mut resp).unwrap();
+    assert!(resp.starts_with("HTTP/1.1 413 "), "{resp}");
 
     // Cancel lands on a many-point job; whatever was still pending is
     // skipped with the cancel reason, and every point stays accounted.
