@@ -455,11 +455,7 @@ fn job_worker(state: &Arc<ServerState>) {
         };
         let Some(job) = state.job(id) else { continue };
         *job.state.lock().expect("job poisoned") = JobState::Running;
-        let result = run_job(state, &job);
-        let (final_state, doc) = match result {
-            Ok(doc) => (JobState::Done, doc),
-            Err(e) => (JobState::Failed, json!({ "error": e.to_string() })),
-        };
+        let (final_state, doc) = settle_job(|| run_job(state, &job));
         *job.result.lock().expect("job poisoned") = Some(doc);
         *job.state.lock().expect("job poisoned") = final_state;
         job.sink.finish();
@@ -471,6 +467,28 @@ fn job_worker(state: &Arc<ServerState>) {
                 &[("state", final_state.label())],
             )
             .inc();
+    }
+}
+
+/// Run a job body to its final state and result document. A panic inside
+/// the body becomes a `failed` job carrying the panic message, so the job
+/// never stays `running` and the worker thread survives to serve the
+/// queue.
+fn settle_job(body: impl FnOnce() -> Result<Value, CoreError>) -> (JobState, Value) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+        Ok(Ok(doc)) => (JobState::Done, doc),
+        Ok(Err(e)) => (JobState::Failed, json!({ "error": e.to_string() })),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            (
+                JobState::Failed,
+                json!({ "error": format!("job panicked: {msg}") }),
+            )
+        }
     }
 }
 
@@ -868,6 +886,32 @@ pub fn http_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panicking_job_settles_as_failed_and_the_worker_survives() {
+        // Drive the worker's guard on its own thread, as the pool does: a
+        // panicking body must settle as `failed` with the message, and the
+        // thread must go on to run the next job.
+        let worker = std::thread::spawn(|| {
+            let first = settle_job(|| panic!("point 3 exploded"));
+            let second = settle_job(|| Ok(json!({ "kind": "sweep" })));
+            (first, second)
+        });
+        let ((state, doc), (next_state, next_doc)) = worker.join().expect("worker survives");
+        assert_eq!(state, JobState::Failed);
+        assert_eq!(
+            doc.get("error").and_then(Value::as_str),
+            Some("job panicked: point 3 exploded")
+        );
+        assert_eq!(next_state, JobState::Done);
+        assert_eq!(next_doc.get("kind").and_then(Value::as_str), Some("sweep"));
+        let (state, doc) = settle_job(|| panic!("{} of {}", 2, 7));
+        assert_eq!(state, JobState::Failed);
+        assert_eq!(
+            doc.get("error").and_then(Value::as_str),
+            Some("job panicked: 2 of 7")
+        );
+    }
 
     #[test]
     fn job_request_defaults_and_validation() {

@@ -1,33 +1,40 @@
-//! Segment-based lazy accounting accrual, shared by both engines.
+//! Segment-based lazy accrual of accounting *and* progress, shared by
+//! both engines.
 //!
-//! Accounting (kernel-class busy time, GPU activity/utilization/occupancy,
-//! flow traffic) used to be accrued per event: every `advance(dt)` touched
-//! every active rank and live flow just to add `coeff * dt` into a handful
-//! of accumulators, even though the coefficients only change at *mode
-//! transitions* — a rank starting/finishing a kernel, a wait completing, a
-//! GPU's flow presence flipping between zero and nonzero, a flow's
-//! bottleneck rate moving. At 512 GPUs that pure bookkeeping was the
-//! majority of the hot loop.
+//! Between the instants where one of its inputs changes, a rank or a flow
+//! evolves linearly: a computing rank burns flops at a fixed rate and
+//! charges fixed kernel/activity/occupancy coefficients, and a flow moves
+//! bytes at its cached bottleneck rate. So neither engine steps state per
+//! event. Each rank and flow remembers the time its state was last
+//! brought current (`acc_since`, the segment start) together with the
+//! work left *at that instant*; the work left at any later time `T` is
+//! [`left_after`]`(remaining, rate, T - acc_since)`, evaluated on demand.
 //!
-//! The engines now accrue in **segments**: each rank and flow remembers the
-//! time its accounting was last brought current (`acc_since`), and a flush
-//! adds `coeff * (now - acc_since)` in one shot. Flushes happen at every
-//! point where a coefficient input changes, plus every control boundary
-//! (the accumulators are read there) and once at `finish`:
+//! A segment is closed — its accounting accrued and its `remaining`
+//! materialized — only where an input changes or an accumulator is read:
 //!
 //! - rank mode transitions (compute start/end, wait block/wake);
-//! - a GPU's flow count crossing 0 ↔ 1 (the overlap-activity bonus and the
-//!   idle-comm accrual key off flow *presence*);
-//! - a flow's cached rate changing **bit-wise** (pending movement is banked
-//!   into `moved_acc` so traffic charges stay a pure per-flow function);
-//! - control boundaries, telemetry samples, and run end.
+//! - a GPU's flow count crossing 0 ↔ 1 (the overlap-activity bonus, the
+//!   idle-comm accrual and the compute overlap slowdown key off flow
+//!   *presence*), and a straggler fault changing a rank's speed;
+//! - a flow's cached rate changing **bit-wise** ([`bank_flow_segment`]
+//!   moves the segment's movement into `moved_acc` and out of
+//!   `remaining`, so traffic charges stay a pure per-flow function);
+//! - the **rank flush** at every control tick (the thermal step reads the
+//!   activity accumulators, and it is also where frequency steps land);
+//! - the **flow flush** ([`take_flow_pending`]) only where flow traffic is
+//!   read: the telemetry sample boundary (`pcie_window_bytes`), the start
+//!   of a fail-stop outage, and run end;
+//! - completions: a retiring flow charges `moved_acc + remaining`, the
+//!   whole of its unflushed movement including the sub-unit residual.
 //!
-//! Work *progress* (`remaining -= rate * dt`, completion predicates, `dt`
-//! selection) stays strictly per-event and untouched, so the event stream
-//! is bit-identical to the per-event-accounting engines. Both engines call
-//! the helpers below with identically ordered flush sites, which keeps the
-//! golden byte-equality between them intact: the segment sums replace the
-//! per-event sums *in both engines at the same boundaries*.
+//! Completion predicates read the lazy form: an entity completes in an
+//! event of length `dt` when
+//! `left_after(remaining, rate, (t - acc_since) + dt) <= 1.0`. Both
+//! engines evaluate the same expressions at the same instants and close
+//! segments at identically ordered sites, which keeps their results
+//! byte-identical; the production engine just evaluates them for far
+//! fewer entities (only the completion-calendar candidates).
 
 use charllm_trace::{ComputeKind, KernelClass};
 
@@ -92,28 +99,45 @@ pub(crate) fn accrue_idle(len: f64, activity: &mut f64) {
     *activity += 0.38 * len;
 }
 
-/// Bank a flow's pending movement at its *old* rate into `moved_acc` and
-/// restart the segment at `now`. Called exactly when the cached rate is
-/// about to change bit-wise — both engines compare bits, so they bank at
-/// the same instants and the banked sums match.
+/// Work left `elapsed` seconds into a segment that started with
+/// `remaining` units at `rate` units/s. The one progress formula both
+/// engines use for time-step candidates, completion tests and
+/// materialization.
 #[inline]
-pub(crate) fn bank_flow_segment(rate: f64, now: f64, acc_since: &mut f64, moved_acc: &mut f64) {
-    *moved_acc += rate * (now - *acc_since);
+pub(crate) fn left_after(remaining: f64, rate: f64, elapsed: f64) -> f64 {
+    remaining - rate * elapsed
+}
+
+/// Close a flow's open segment at its *current* rate: its movement goes
+/// into `moved_acc` and out of `remaining`, and the segment restarts at
+/// `now`. Called exactly when the cached rate is about to change bit-wise
+/// — both engines compare bits, so they bank at the same instants and the
+/// banked sums match.
+#[inline]
+pub(crate) fn bank_flow_segment(
+    rate: f64,
+    now: f64,
+    acc_since: &mut f64,
+    moved_acc: &mut f64,
+    remaining: &mut f64,
+) {
+    let seg = rate * (now - *acc_since);
+    *moved_acc += seg;
+    *remaining -= seg;
     *acc_since = now;
 }
 
-/// Drain a flow's accumulated movement (banked + the open segment at the
-/// current rate) and restart accrual at `now`. The caller converts the
-/// returned work units into payload charges.
+/// Close a flow's open segment at `now` and drain its accumulated
+/// movement (banked + the open segment). The caller converts the returned
+/// work units into payload charges.
 #[inline]
 pub(crate) fn take_flow_pending(
     rate: f64,
     now: f64,
     acc_since: &mut f64,
     moved_acc: &mut f64,
+    remaining: &mut f64,
 ) -> f64 {
-    let pending = *moved_acc + rate * (now - *acc_since);
-    *acc_since = now;
-    *moved_acc = 0.0;
-    pending
+    bank_flow_segment(rate, now, acc_since, moved_acc, remaining);
+    std::mem::take(moved_acc)
 }

@@ -34,12 +34,13 @@ const LOC_NONE: u64 = u64::MAX;
 /// two simultaneous `&mut` borrows).
 #[derive(Debug, Default)]
 pub struct FlowArena {
-    /// Work remaining, in route-work units (bytes × multiplier).
+    /// Work remaining as of `acc_since`, in route-work units (bytes ×
+    /// multiplier); see `crate::accrual::left_after` for the current value.
     pub remaining: Vec<f64>,
     /// Last computed bottleneck rate (units/s).
     pub rate: Vec<f64>,
-    /// Time the flow's traffic accounting was last brought current
-    /// (segment start for lazy accrual).
+    /// Time the flow's progress and traffic accounting were last brought
+    /// current (segment start for lazy accrual).
     pub acc_since: Vec<f64>,
     /// Movement banked at superseded rates since the last traffic flush,
     /// in route-work units (see `crate::accrual::bank_flow_segment`).
@@ -60,6 +61,8 @@ pub struct FlowArena {
     pub measured: Vec<bool>,
     /// Index of this flow's interned plan entry (`PlanFlowRef`).
     pub pf: Vec<u32>,
+    /// Position of this flow in the engine's `flow_order`.
+    pub order_pos: Vec<u32>,
     /// Generation stamp; bumped when the slot is freed.
     pub gen: Vec<u32>,
     free: Vec<u32>,
@@ -95,6 +98,7 @@ impl FlowArena {
         self.iteration.push(0);
         self.measured.push(false);
         self.pf.push(0);
+        self.order_pos.push(0);
         self.gen.push(0);
         slot
     }
@@ -144,6 +148,7 @@ impl FlowArena {
         self.iteration.clear();
         self.measured.clear();
         self.pf.clear();
+        self.order_pos.clear();
         self.gen.clear();
         self.free.clear();
         self.live = 0;

@@ -604,6 +604,17 @@ fn flow_rate(
     rate
 }
 
+/// Calendar key of an entity with `left` work units at `rate` at time `t`:
+/// the instant its work reaches the 1-unit completion threshold `advance`
+/// tests (`left <= 1.0`), a lower bound on the event that retires it. The
+/// unit of slack matters for slow flows, whose last unit can take longer
+/// than an event: keyed at zero work, they would complete in an event that
+/// never drained them.
+#[inline]
+fn completion_key(t: f64, left: f64, rate: f64) -> f64 {
+    t + (left - 1.0) / rate
+}
+
 /// One entry of the scheduler's completion calendar, packed to 16 bytes:
 /// `key` is a conservative (lower-bound) absolute completion time computed
 /// when the entry was pushed; `meta` packs the entry kind (bit 63: 1 =
@@ -653,9 +664,8 @@ impl CalEntry {
 }
 
 /// Global re-key cadence: every this-many events the calendar is rebuilt
-/// from live state, re-basing the wheel at the current time and resetting
-/// the floating-point drift of conservative keys (see `next_dt`'s margin
-/// derivation).
+/// from live state, re-basing the wheel at the current time, re-sizing its
+/// buckets to the recent event spacing and re-tightening loose keys.
 const REKEY_INTERVAL: u64 = 8192;
 
 /// Buckets in the calendar wheel. With the bucket width sized to ~1 mean
@@ -760,12 +770,12 @@ impl CalendarQueue {
         t - self.base > 0.5 * CAL_BUCKETS as f64 * self.width
     }
 
-    /// Insert an entry; returns its packed location. Keys are always
-    /// ≥ `base` (they are `t + positive` and the wheel is based at a past
-    /// `t`), so only the far side can miss the wheel.
+    /// Insert an entry; returns its packed location. Keys below `base`
+    /// (an entity already within its completion threshold) land in the
+    /// first bucket, so only the far side can miss the wheel.
     fn push(&mut self, e: CalEntry) -> u64 {
         self.len += 1;
-        let d = (e.key - self.base) * self.inv_width;
+        let d = ((e.key - self.base) * self.inv_width).max(0.0);
         if d >= CAL_BUCKETS as f64 {
             self.overflow.push(e);
             self.overflow_peak = self.overflow_peak.max(self.overflow.len());
@@ -1086,11 +1096,22 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// Scratch: ranks whose compute completed this event, processed in
     /// ascending rank order to preserve the world-scan completion order.
     completed_scratch: Vec<u32>,
+    /// The computing ranks and flow slots whose completion `advance` tests
+    /// this event: every live one in scan mode, the drained calendar
+    /// entries in calendar mode. Filled by `next_dt`, consumed by
+    /// `advance`.
+    cand_ranks: Vec<u32>,
+    cand_flows: Vec<u32>,
+    /// Scratch: candidate flows completing this event.
+    retiring: Vec<u32>,
     finished_ranks: usize,
 
     thermals: Vec<GpuThermal>,
     freq_ratio: Vec<f64>,
     last_power_w: Vec<f64>,
+    /// Scratch: one node's GPU powers in slot order, refilled per node at
+    /// every control tick.
+    node_powers: Vec<f64>,
     /// Cached `cluster.gpu().peak_fp16_flops`, read per computing rank per
     /// event in `compute_rate`.
     peak_flops: f64,
@@ -1100,14 +1121,16 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     util_acc: Vec<f64>,
     pcie_window_bytes: Vec<f64>,
 
-    /// Time each rank's accounting was last brought current (segment start
-    /// for lazy accrual; see `crate::accrual`).
+    /// Time each rank's progress and accounting were last brought current
+    /// (segment start for lazy accrual; see `crate::accrual`). A computing
+    /// rank's `remaining_flops` is its work left at this instant.
     rank_acc_since: Vec<f64>,
     /// Whether each rank participates in accounting (`active_ranks` as a
     /// bitmap: every rank unfolded, representatives only when folded).
     rank_active: Vec<bool>,
     /// During a fail-stop outage the clock advances with no rank or flow
-    /// progress: flushes only rebase `acc_since` instead of accruing.
+    /// progress: control ticks skip their flushes, and `rebase_accruals`
+    /// restarts every segment past the outage when it ends.
     accrual_frozen: bool,
 
     kernel_time: Vec<KernelBreakdown>,
@@ -1426,10 +1449,14 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             computing_ranks: Vec::new(),
             computing_pos: vec![u32::MAX; trace.world()],
             completed_scratch: Vec::new(),
+            cand_ranks: Vec::new(),
+            cand_flows: Vec::new(),
+            retiring: Vec::new(),
             finished_ranks: 0,
             thermals,
             freq_ratio,
             last_power_w,
+            node_powers: Vec::new(),
             peak_flops: cluster.gpu().peak_fp16_flops,
             activity_acc: vec![0.0; num_gpus],
             util_acc: vec![0.0; num_gpus],
@@ -1714,10 +1741,14 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             }
             FaultAction::SlowRank { rank, speed } => {
                 self.obs.fault_begin(ev.fault, "straggler", rank, self.t);
+                // A speed change changes the compute rate: close the
+                // rank's segment at the old one first.
+                self.accrue_rank(rank as usize, self.t);
                 self.rank_speed[rank as usize] = speed;
                 self.mark_rank_dirty(rank as usize);
             }
             FaultAction::RestoreRank { rank } => {
+                self.accrue_rank(rank as usize, self.t);
                 self.rank_speed[rank as usize] = 1.0;
                 self.mark_rank_dirty(rank as usize);
                 self.obs.fault_end(ev.fault, self.t);
@@ -1793,12 +1824,14 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             return;
         }
         let redo_from = start + idle_s.max(0.0);
-        // Close every open segment at the outage start, then freeze
-        // accrual: ranks and flows hold their work during the stall, so a
-        // lazy segment spanning it would charge kernel/traffic time that
-        // never ran. Frozen flushes only rebase `acc_since` (the control
-        // updates below still read the synthetic redo activity).
-        self.flush_accruals(start);
+        // Close every open segment at the outage start, then freeze:
+        // ranks and flows hold their work during the stall, so a lazy
+        // segment spanning it would progress work and charge kernel/traffic
+        // time that never ran. Frozen control ticks skip their flushes (the
+        // thermal steps below still read the synthetic redo activity), and
+        // `rebase_accruals` restarts every segment at the outage end.
+        self.flush_ranks(start);
+        self.flush_flows(start);
         self.accrual_frozen = true;
         let energy_before: f64 = self.thermals.iter().map(GpuThermal::energy_j).sum();
         while end - self.t > 1e-9 {
@@ -2164,6 +2197,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.fa.iteration[slot] = iter;
             self.fa.measured[slot] = measured;
             self.fa.pf[slot] = pfi;
+            self.fa.order_pos[slot] = self.flow_order.len() as u32;
             self.flow_order.push(slot as u32);
         }
         self.stats.arena_slot_reuses = self.fa.slot_reuses();
@@ -2213,22 +2247,36 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.stats.wakes += waiters.len() as u64;
     }
 
-    /// Close `rank`'s open accounting segment at `t_end`: accrue its
-    /// current mode's coefficients over `[acc_since, t_end]` and restart
-    /// the segment. No-op for zero-length segments and inactive (folded-
-    /// away) ranks. During a fail-stop outage (`accrual_frozen`) the
-    /// segment is dropped instead of accrued — the outage loop injects its
-    /// own activity directly.
+    /// Close `rank`'s open segment at `t_end`: materialize a computing
+    /// rank's progress, accrue its current mode's accounting coefficients
+    /// over `[acc_since, t_end]` and restart the segment. No-op for
+    /// zero-length segments; inactive (folded-away) ranks skip the
+    /// accounting.
     fn accrue_rank(&mut self, rank: usize, t_end: f64) {
+        debug_assert!(!self.accrual_frozen, "no segment closes during an outage");
         let t0 = self.rank_acc_since[rank];
         if t_end <= t0 {
             return;
         }
         self.rank_acc_since[rank] = t_end;
-        if !self.rank_active[rank] || self.accrual_frozen {
+        let len = t_end - t0;
+        if let RankMode::Computing {
+            kind,
+            remaining_flops,
+        } = self.ranks[rank].mode
+        {
+            self.ranks[rank].mode = RankMode::Computing {
+                kind,
+                remaining_flops: accrual::left_after(
+                    remaining_flops,
+                    self.compute_rate(rank, kind),
+                    len,
+                ),
+            };
+        }
+        if !self.rank_active[rank] {
             return;
         }
-        let len = t_end - t0;
         let gpu = self.ranks[rank].gpu.index();
         let flows_present = self.gpu_flow_count[gpu] > 0;
         match self.ranks[rank].mode {
@@ -2259,9 +2307,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// Close the accounting segments of every rank placed on `gpu` at
-    /// `now`. Called exactly when the GPU's flow count crosses 0 ↔ 1 (its
-    /// ranks' activity/occupancy coefficients change).
+    /// Close the segments of every rank placed on `gpu` at `now`. Called
+    /// exactly when the GPU's flow count crosses 0 ↔ 1 (its ranks'
+    /// activity/occupancy coefficients and compute rates change).
     fn flush_gpu_ranks(&mut self, gpu: usize, now: f64) {
         for k in 0..self.ranks_of_gpu[gpu].len() {
             let rank = self.ranks_of_gpu[gpu][k] as usize;
@@ -2269,22 +2317,34 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// Drain a flow's accumulated movement and charge it to its telemetry
-    /// owners. `extra` is movement already computed outside the segment
-    /// accrual (the retirement event's final `moved`, residual included).
-    fn flush_flow(&mut self, slot: usize, now: f64, extra: f64) {
-        if self.accrual_frozen {
-            // No work moves during an outage: restart the segment without
-            // charging the stalled span.
-            self.fa.acc_since[slot] = now;
-            return;
-        }
-        let pending = accrual::take_flow_pending(
+    /// Work the flow in `slot` has left `extra` seconds after the current
+    /// time.
+    fn flow_left(&self, slot: usize, extra: f64) -> f64 {
+        accrual::left_after(
+            self.fa.remaining[slot],
             self.fa.rate[slot],
-            now,
-            &mut self.fa.acc_since[slot],
-            &mut self.fa.moved_acc[slot],
-        ) + extra;
+            (self.t - self.fa.acc_since[slot]) + extra,
+        )
+    }
+
+    /// Work a computing rank has left `extra` seconds after the current
+    /// time, and its compute rate (`None` unless the rank is computing).
+    fn compute_left(&self, rank: usize, extra: f64) -> Option<(f64, f64)> {
+        let RankMode::Computing {
+            kind,
+            remaining_flops,
+        } = self.ranks[rank].mode
+        else {
+            return None;
+        };
+        let rate = self.compute_rate(rank, kind);
+        let elapsed = (self.t - self.rank_acc_since[rank]) + extra;
+        Some((accrual::left_after(remaining_flops, rate, elapsed), rate))
+    }
+
+    /// Charge `pending` work units of a flow's movement to its telemetry
+    /// owners.
+    fn charge_flow(&mut self, slot: usize, pending: f64) {
         if pending == 0.0 {
             return;
         }
@@ -2303,24 +2363,35 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// Bring every accounting accumulator current at `now`: active ranks
-    /// in ascending order, then live flows in `flow_order` order — the
-    /// exact sequences the reference engine's world scan and dense flow
-    /// loop would have accrued in.
-    fn flush_accruals(&mut self, now: f64) {
+    /// The rank flush: close every active rank's segment at `now`, in
+    /// ascending order — the reference engine's world-scan order.
+    fn flush_ranks(&mut self, now: f64) {
         for ri in 0..self.active_ranks.len() {
             self.accrue_rank(self.active_ranks[ri] as usize, now);
         }
+    }
+
+    /// The flow flush: close every live flow's segment at `now` and charge
+    /// its movement since the last flush, in `flow_order` order — the
+    /// reference engine's dense-loop order.
+    fn flush_flows(&mut self, now: f64) {
         for oi in 0..self.flow_order.len() {
             let slot = self.flow_order[oi] as usize;
-            self.flush_flow(slot, now, 0.0);
+            let pending = accrual::take_flow_pending(
+                self.fa.rate[slot],
+                now,
+                &mut self.fa.acc_since[slot],
+                &mut self.fa.moved_acc[slot],
+                &mut self.fa.remaining[slot],
+            );
+            self.charge_flow(slot, pending);
         }
     }
 
     /// Restart every segment at `now` without accruing anything — used at
-    /// the end of a fail-stop outage, whose span must contribute no rank,
-    /// flow, or idle accounting (the stall loop injects recovery activity
-    /// itself).
+    /// the end of a fail-stop outage, whose span must contribute no
+    /// progress and no rank, flow, or idle accounting (the stall loop
+    /// injects recovery activity itself).
     fn rebase_accruals(&mut self, now: f64) {
         for ri in 0..self.active_ranks.len() {
             self.rank_acc_since[self.active_ranks[ri] as usize] = now;
@@ -2377,15 +2448,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// to be popped and skipped later. `force` pushes unconditionally
     /// after the calendar was rebuilt.
     fn push_compute_key(&mut self, rank: usize, force: bool) {
-        if let RankMode::Computing {
-            kind,
-            remaining_flops,
-        } = self.ranks[rank].mode
-        {
-            if !self.cal_mode {
-                return;
-            }
-            let key = self.t + remaining_flops / self.compute_rate(rank, kind);
+        if !self.cal_mode {
+            return;
+        }
+        if let Some((left, rate)) = self.compute_left(rank, 0.0) {
+            let key = completion_key(self.t, left, rate);
             if !force && key >= self.rank_key[rank] {
                 return;
             }
@@ -2444,11 +2511,12 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.t,
                 &mut self.fa.acc_since[slot],
                 &mut self.fa.moved_acc[slot],
+                &mut self.fa.remaining[slot],
             );
             self.fa.rate[slot] = rate;
         }
         self.fa.rate_epoch[slot] = self.load_epoch;
-        let key = self.t + self.fa.remaining[slot] / rate;
+        let key = completion_key(self.t, self.flow_left(slot, 0.0), rate);
         if !force && key >= self.fa.cal_key[slot] {
             return;
         }
@@ -2476,12 +2544,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         let mut dt = self.next_control.min(self.next_fault_t) - self.t;
         for idx in 0..self.computing_ranks.len() {
             let rank = self.computing_ranks[idx];
-            if let RankMode::Computing {
-                kind,
-                remaining_flops,
-            } = self.ranks[rank].mode
-            {
-                dt = dt.min(remaining_flops / self.compute_rate(rank, kind));
+            if let Some((left, rate)) = self.compute_left(rank, 0.0) {
+                dt = dt.min(left / rate);
+                self.cand_ranks.push(rank as u32);
             }
         }
         let epoch = self.load_epoch;
@@ -2507,13 +2572,15 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                         self.t,
                         &mut self.fa.acc_since[slot],
                         &mut self.fa.moved_acc[slot],
+                        &mut self.fa.remaining[slot],
                     );
                     self.fa.rate[slot] = rate;
                 }
                 self.fa.rate_epoch[slot] = epoch;
             }
-            dt = dt.min(self.fa.remaining[slot] / self.fa.rate[slot]);
+            dt = dt.min(self.flow_left(slot, 0.0) / self.fa.rate[slot]);
         }
+        self.cand_flows.extend_from_slice(&self.flow_order);
         let mut dirty = std::mem::take(&mut self.dirty_links);
         for &link in &dirty {
             self.link_dirty[link as usize] = false;
@@ -2554,9 +2621,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// Rebuild the completion calendar from live state: re-base the wheel
     /// at the current time with a bucket width of ~1 mean event spacing,
     /// then refresh every flow rate and push one fresh entry per flow and
-    /// computing rank. Runs every [`REKEY_INTERVAL`] events (resetting
-    /// conservative-key drift) and whenever simulated time drifts past
-    /// half the wheel horizon.
+    /// computing rank. Runs every [`REKEY_INTERVAL`] events and whenever
+    /// simulated time drifts past half the wheel horizon.
     fn rekey_all(&mut self) {
         self.stats.cal_rekeys += 1;
         let width = self.avg_dt.max(1e-12);
@@ -2580,8 +2646,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// Choose the next time step: the earliest completion, capped by the
     /// control period. `None` when nothing is in flight.
     ///
-    /// The reference engine evaluates `remaining / rate` for every compute
-    /// and flow and folds them with `f64::min` — an order-independent
+    /// The reference engine evaluates `left / rate` for every compute and
+    /// flow (`left` from the lazy segment state, see [`crate::accrual`])
+    /// and folds them with `f64::min` — an order-independent
     /// reduction over positive finite candidates, so the identical `dt` bits
     /// emerge from *any* evaluation order as long as the same candidate set
     /// is covered. This implementation only evaluates candidates that can
@@ -2595,6 +2662,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// lower `dt` is ever missed; spurious pops are harmless because the
     /// candidate itself is always recomputed exactly.
     ///
+    /// The drained entities are this event's candidates: `advance` tests
+    /// only them for completion. A key bounds the instant an entity's work
+    /// reaches the 1-unit completion threshold (see [`completion_key`]),
+    /// not the instant it reaches zero, so every entity that completes
+    /// within `dt` lies under the drain bound. In scan mode every live
+    /// entity is a candidate.
+    ///
     /// Rates are refreshed (and entries re-keyed) in batch for exactly the
     /// flows whose route-link loads changed, via the dirty-link lists;
     /// `advance` then reuses those exact rates, matching the reference
@@ -2604,6 +2678,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// bits. In debug builds `debug_check_dt` re-derives `dt` with the
     /// reference's full scan and asserts bit-equality.
     fn next_dt(&mut self) -> Option<f64> {
+        debug_assert!(self.cand_ranks.is_empty() && self.cand_flows.is_empty());
         if self.computing_ranks.is_empty() && self.flow_order.is_empty() {
             return None;
         }
@@ -2673,11 +2748,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // bound covers every key that could matter. Whole buckets drain at
         // once — the extra candidates are recomputed exactly and folded
         // with `min`, which cannot perturb the result. The margin absorbs
-        // the floating-point drift a conservative key accumulates while
-        // its entry survives (`remaining -= rate·dt` plus `t += dt`
-        // roundings, ≤ ~3ε·(t+dt) per event over at most REKEY_INTERVAL
-        // events, i.e. < 1e-11·(t+dt) — four orders under the 1e-8
-        // margin).
+        // the rounding between a key and the completion test it bounds:
+        // both evaluate the same lazy segment state, at different instants
+        // and through rounded absolute times, a few ε·(t+dt) apart — orders
+        // of magnitude under the 1e-8 margin.
         let mut repush = std::mem::take(&mut self.repush);
         let mut scratch = Vec::new();
         loop {
@@ -2706,16 +2780,12 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                         continue;
                     }
                     self.rank_loc[rank] = LOC_NONE;
-                    match self.ranks[rank].mode {
-                        RankMode::Computing {
-                            kind,
-                            remaining_flops,
-                        } => remaining_flops / self.compute_rate(rank, kind),
-                        _ => {
-                            self.stats.heap_skips += 1;
-                            continue;
-                        }
-                    }
+                    let Some(candidate) = self.compute_left(rank, 0.0) else {
+                        self.stats.heap_skips += 1;
+                        continue;
+                    };
+                    self.cand_ranks.push(rank as u32);
+                    candidate
                 } else {
                     let slot = e.id();
                     if slot >= self.fa.num_slots() || self.fa.gen[slot] != e.epoch() {
@@ -2723,15 +2793,18 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                         continue;
                     }
                     self.fa.cal_loc[slot] = LOC_NONE;
-                    self.fa.remaining[slot] / self.fa.rate[slot]
+                    self.cand_flows.push(slot as u32);
+                    (self.flow_left(slot, 0.0), self.fa.rate[slot])
                 };
-                dt = dt.min(candidate);
+                let (left, rate) = candidate;
+                dt = dt.min(left / rate);
                 self.stats.heap_pops += 1;
-                // Re-tighten on the way out: the exact candidate just
-                // computed is the entry's current true completion, so a
-                // loose key (left behind by a rate decrease) is refreshed
-                // here instead of draining spuriously again next event.
-                e.key = self.t + candidate;
+                // Re-tighten on the way out: the key just computed from
+                // current state is the entry's current true completion
+                // bound, so a loose key (left behind by a rate decrease) is
+                // refreshed here instead of draining spuriously again next
+                // event.
+                e.key = completion_key(self.t, left, rate);
                 if e.is_compute() {
                     self.rank_key[e.id()] = e.key;
                 } else {
@@ -2769,8 +2842,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
 
     /// Debug cross-check: re-derive `dt` with the reference engine's full
     /// scan (and every flow rate from the link loads) and demand
-    /// bit-equality. Makes every debug-mode test a scheduler audit. The
-    /// full scan is O(live) per event, so beyond ~1k live entities the
+    /// bit-equality, and demand that no computing rank or flow outside
+    /// this event's candidate set would complete in `dt` (`advance` tests
+    /// candidates only). Makes every debug-mode test a scheduler audit.
+    /// The full scan is O(live) per event, so beyond ~1k live entities the
     /// audit samples every 64th event — large-scale debug suites stay
     /// tractable while the run is still audited throughout.
     #[cfg(debug_assertions)]
@@ -2779,14 +2854,25 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         if live > 1024 && !self.stats.events.is_multiple_of(64) {
             return;
         }
+        let mut rank_cand = vec![false; self.ranks.len()];
+        for &rank in &self.cand_ranks {
+            rank_cand[rank as usize] = true;
+        }
+        let mut flow_cand = vec![false; self.fa.num_slots()];
+        for &slot in &self.cand_flows {
+            flow_cand[slot as usize] = true;
+        }
         let mut expect = self.next_control.min(self.next_fault_t) - self.t;
         for &rank in &self.computing_ranks {
-            if let RankMode::Computing {
-                kind,
-                remaining_flops,
-            } = self.ranks[rank].mode
+            if let (Some((left, rate)), Some((after, _))) =
+                (self.compute_left(rank, 0.0), self.compute_left(rank, dt))
             {
-                expect = expect.min(remaining_flops / self.compute_rate(rank, kind));
+                expect = expect.min(left / rate);
+                assert!(
+                    rank_cand[rank] || after > 1.0,
+                    "rank {rank} completes in dt={dt} at t={} but was not a candidate",
+                    self.t
+                );
             }
         }
         for &slot in &self.flow_order {
@@ -2806,7 +2892,12 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.fa.rate[slot],
                 self.t
             );
-            expect = expect.min(self.fa.remaining[slot] / self.fa.rate[slot]);
+            expect = expect.min(self.flow_left(slot, 0.0) / rate);
+            assert!(
+                flow_cand[slot] || self.flow_left(slot, dt) > 1.0,
+                "flow slot {slot} completes in dt={dt} at t={} but was not a candidate",
+                self.t
+            );
         }
         let expect = expect.max(1e-9);
         assert_eq!(
@@ -2817,40 +2908,27 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         );
     }
 
-    /// Advance all in-flight work by `dt` and process completions.
+    /// Advance in-flight work by `dt` and process completions.
     ///
-    /// Only *progress* is per-event: computing ranks step their remaining
-    /// flops (over `computing_ranks`, an order-independent set — each
-    /// rank's progress touches only its own state) and flows their
-    /// remaining work. All accounting accrues lazily in segments (see
-    /// [`crate::accrual`]), closed by [`Self::accrue_rank`] /
-    /// [`Self::flush_flow`] at mode transitions and boundaries — so the
-    /// old per-event world scan and waiting/idle accounting passes are
-    /// gone entirely, for folded and unfolded runs alike. Completions are
-    /// collected and processed in ascending rank order, preserving the
-    /// reference scan's observer-call and wake order.
+    /// Progress is lazy (see [`crate::accrual`]): nothing is stepped here.
+    /// Only this event's candidates — the computing ranks and flows
+    /// `next_dt` evaluated — are tested for completion, each against its
+    /// segment-start work and rate; everyone else provably cannot finish
+    /// within `dt` (their calendar keys lie past the drain bound, which
+    /// `debug_check_dt` audits). Compute completions are processed in
+    /// ascending rank order, preserving the reference scan's observer-call
+    /// and wake order.
     fn advance(&mut self, dt: f64) {
         let mut completed = std::mem::take(&mut self.completed_scratch);
-        for ci in 0..self.computing_ranks.len() {
-            let rank = self.computing_ranks[ci];
-            let RankMode::Computing {
-                kind,
-                remaining_flops,
-            } = self.ranks[rank].mode
-            else {
-                continue;
-            };
-            let rate = self.compute_rate(rank, kind);
-            let left = remaining_flops - rate * dt;
-            if left <= 1.0 {
-                completed.push(rank as u32);
-            } else {
-                self.ranks[rank].mode = RankMode::Computing {
-                    kind,
-                    remaining_flops: left,
-                };
+        for &rank in &self.cand_ranks {
+            if self
+                .compute_left(rank as usize, dt)
+                .is_some_and(|(left, _)| left <= 1.0)
+            {
+                completed.push(rank);
             }
         }
+        self.cand_ranks.clear();
         completed.sort_unstable();
         for &done in &completed {
             let rank = done as usize;
@@ -2877,93 +2955,110 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.advance_flows(dt);
     }
 
-    /// Flow progress, using the rates `next_dt` just cached (the reference
-    /// engine recomputes them from the same link loads, yielding the same
-    /// values). Visits live flows through `flow_order` — launches append
-    /// and retirement `swap_remove`s, so the visit sequence matches the
-    /// reference engine's dense loop while arena slots (and their calendar
-    /// entries) stay put. Traffic is *not* charged here per event: a
-    /// surviving flow accrues movement lazily (`acc_since`/`moved_acc`)
-    /// and only a retiring flow flushes, charging its whole pending
-    /// movement in one shot.
+    /// Retire the candidate flows that complete within `dt`, then move the
+    /// clock.
+    ///
+    /// The reference engine retires flows from a dense `Vec` with
+    /// `swap_remove`, so its retirement order — which fixes traffic
+    /// summation, observer and wake order — is: ascending position, with a
+    /// position re-checked after the tail is swapped into it. `flow_order`
+    /// replicates that vector; the completing flows, sorted by position,
+    /// reproduce the same order without visiting the rest. A swapped-in
+    /// tail completes iff it is the highest-position completer still
+    /// pending, since every other completer still sits where the sort
+    /// found it.
     fn advance_flows(&mut self, dt: f64) {
-        let mut loads_changed = false;
-        let mut i = 0;
-        while i < self.flow_order.len() {
-            let slot = self.flow_order[i] as usize;
-            let mut moved = (self.fa.rate[slot] * dt).min(self.fa.remaining[slot]);
-            let after = self.fa.remaining[slot] - moved;
-            let done = after <= 1.0;
-            if done {
-                // Credit the sub-unit residual so every lowered payload
-                // byte lands in the traffic accounting.
-                moved += after;
-            }
-            self.fa.remaining[slot] = if done { 0.0 } else { after };
-            if done {
-                // One retirement-time charge: movement banked at
-                // superseded rates, the open segment at the current rate,
-                // and this final event's movement (residual included).
-                self.flush_flow(slot, self.t, moved);
-                let pf = self.plan_flows[self.fa.pf[slot] as usize];
-                let key = (self.fa.iteration[slot], self.fa.coll[slot]);
-                self.obs.flow_retire(slot as u32, self.t + dt);
-                // Close rank segments on a GPU about to lose its last flow
-                // *before* the decrement, so the closing segment still
-                // carries the flows-present coefficients.
-                if self.gpu_flow_count[pf.src as usize] == 1 {
-                    self.flush_gpu_ranks(pf.src as usize, self.t + dt);
-                }
-                self.gpu_flow_count[pf.src as usize] -= 1;
-                if self.gpu_flow_count[pf.src as usize] == 0 {
-                    self.mark_gpu_ranks_dirty(pf.src as usize);
-                }
-                if self.gpu_flow_count[pf.dst as usize] == 1 {
-                    self.flush_gpu_ranks(pf.dst as usize, self.t + dt);
-                }
-                self.gpu_flow_count[pf.dst as usize] -= 1;
-                if self.gpu_flow_count[pf.dst as usize] == 0 {
-                    self.mark_gpu_ranks_dirty(pf.dst as usize);
-                }
-                loads_changed = true;
-                for li in pf.route.indices() {
-                    let hop = self.route_arena.item(li);
-                    let id = hop.link as usize;
-                    self.link_load[id] -= u32::from(hop.mult);
-                    self.mark_link_dirty(id);
-                }
-                if self.cal_mode {
-                    // Retire-site removal: drop the retiring flow's
-                    // calendar entry (the only place a completing entry
-                    // leaves the calendar) and its link-membership records.
-                    let loc = self.fa.cal_loc[slot];
-                    if loc != LOC_NONE {
-                        self.fa.cal_loc[slot] = LOC_NONE;
-                        self.calq_remove(loc);
-                        self.stats.cal_exact_removals += 1;
-                    }
-                    self.detach_flow_links(slot);
-                }
-                let cs = &mut self.colls[key.1 as usize][(key.0 & 1) as usize];
-                debug_assert!(cs.live && cs.iter == key.0, "flow has state");
-                cs.state.flows_remaining -= 1;
-                if cs.state.flows_remaining == 0 {
-                    self.complete_coll(key, None, self.t + dt);
-                }
-                // Stable slots: recycling the arena slot (with a fresh
-                // generation stamp) is all the bookkeeping retirement
-                // needs — no entry relabeling, no link back-pointer
-                // fix-ups for a moved flow.
-                self.flow_order.swap_remove(i);
-                self.fa.free(slot as u32);
-            } else {
-                i += 1;
+        let mut retiring = std::mem::take(&mut self.retiring);
+        for &slot in &self.cand_flows {
+            if self.flow_left(slot as usize, dt) <= 1.0 {
+                retiring.push(slot);
             }
         }
-        if loads_changed {
+        self.cand_flows.clear();
+        retiring.sort_unstable_by_key(|&slot| self.fa.order_pos[slot as usize]);
+        let (mut lo, mut hi) = (0, retiring.len());
+        while lo < hi {
+            let mut slot = retiring[lo] as usize;
+            lo += 1;
+            let pos = self.fa.order_pos[slot] as usize;
+            loop {
+                self.retire_flow(slot, pos, dt);
+                if lo < hi && self.flow_order.get(pos) == Some(&retiring[hi - 1]) {
+                    hi -= 1;
+                    slot = retiring[hi] as usize;
+                } else {
+                    break;
+                }
+            }
+        }
+        if !retiring.is_empty() {
             self.load_epoch += 1;
         }
+        retiring.clear();
+        self.retiring = retiring;
         self.t += dt;
+    }
+
+    /// Retire the completed flow in `slot`, at position `pos` of
+    /// `flow_order`, at time `t + dt`.
+    fn retire_flow(&mut self, slot: usize, pos: usize, dt: f64) {
+        // One retirement-time charge: everything not yet flushed — banked
+        // movement plus all the work left at the segment start, the
+        // sub-unit residual included, so every lowered payload byte lands
+        // in the traffic accounting.
+        self.charge_flow(slot, self.fa.moved_acc[slot] + self.fa.remaining[slot]);
+        let pf = self.plan_flows[self.fa.pf[slot] as usize];
+        let key = (self.fa.iteration[slot], self.fa.coll[slot]);
+        self.obs.flow_retire(slot as u32, self.t + dt);
+        // Close rank segments on a GPU about to lose its last flow
+        // *before* the decrement, so the closing segment still carries the
+        // flows-present coefficients.
+        if self.gpu_flow_count[pf.src as usize] == 1 {
+            self.flush_gpu_ranks(pf.src as usize, self.t + dt);
+        }
+        self.gpu_flow_count[pf.src as usize] -= 1;
+        if self.gpu_flow_count[pf.src as usize] == 0 {
+            self.mark_gpu_ranks_dirty(pf.src as usize);
+        }
+        if self.gpu_flow_count[pf.dst as usize] == 1 {
+            self.flush_gpu_ranks(pf.dst as usize, self.t + dt);
+        }
+        self.gpu_flow_count[pf.dst as usize] -= 1;
+        if self.gpu_flow_count[pf.dst as usize] == 0 {
+            self.mark_gpu_ranks_dirty(pf.dst as usize);
+        }
+        for li in pf.route.indices() {
+            let hop = self.route_arena.item(li);
+            let id = hop.link as usize;
+            self.link_load[id] -= u32::from(hop.mult);
+            self.mark_link_dirty(id);
+        }
+        if self.cal_mode {
+            // Retire-site removal: drop the retiring flow's calendar entry
+            // (the only place a completing entry leaves the calendar) and
+            // its link-membership records.
+            let loc = self.fa.cal_loc[slot];
+            if loc != LOC_NONE {
+                self.fa.cal_loc[slot] = LOC_NONE;
+                self.calq_remove(loc);
+                self.stats.cal_exact_removals += 1;
+            }
+            self.detach_flow_links(slot);
+        }
+        let cs = &mut self.colls[key.1 as usize][(key.0 & 1) as usize];
+        debug_assert!(cs.live && cs.iter == key.0, "flow has state");
+        cs.state.flows_remaining -= 1;
+        if cs.state.flows_remaining == 0 {
+            self.complete_coll(key, None, self.t + dt);
+        }
+        // Stable slots: recycling the arena slot (with a fresh generation
+        // stamp) and re-pointing the swapped-in tail's position is all the
+        // bookkeeping retirement needs.
+        self.flow_order.swap_remove(pos);
+        if let Some(&moved) = self.flow_order.get(pos) {
+            self.fa.order_pos[moved as usize] = pos as u32;
+        }
+        self.fa.free(slot as u32);
     }
 
     /// Remove the flow's membership entries from its route links' flow
@@ -2999,31 +3094,32 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// `next_control - t`, which is value-equivalent to an always-live
     /// entry at the control boundary.)
     fn control_update(&mut self) {
-        // The thermal step and telemetry sample below read the activity /
-        // util / PCIe accumulators, so every open accrual segment must be
-        // closed first.
-        self.flush_accruals(self.t);
+        // The thermal step reads the rank-side activity accumulators (and
+        // the sample below the util ones), so the rank flush runs every
+        // tick. Flow segments stay open: only the sample's PCIe window
+        // reads them. During an outage every segment is frozen at its start
+        // and restarted at its end, so there is nothing to flush.
+        if !self.accrual_frozen {
+            self.flush_ranks(self.t);
+        }
         let period = self.cfg.control_period_s;
-        let airflow = &self.cluster.node_layout().airflow;
+        let cluster = self.cluster;
+        let airflow = &cluster.node_layout().airflow;
         let slots = airflow.num_slots();
         let measuring = self.measure_start.is_some();
 
         for ni in 0..self.active_nodes.len() {
-            let node = self.active_nodes[ni] as usize;
-            let node_powers: Vec<f64> = (0..slots)
-                .map(|s| {
-                    let gpu = self
-                        .cluster
-                        .gpu_at(charllm_hw::NodeId(node as u32), s)
-                        .index();
-                    self.last_power_w[gpu]
-                })
-                .collect();
+            let node = charllm_hw::NodeId(self.active_nodes[ni]);
+            self.node_powers.clear();
+            for s in 0..slots {
+                self.node_powers
+                    .push(self.last_power_w[cluster.gpu_at(node, s).index()]);
+            }
             for slot in 0..slots {
-                let gpu_id = self.cluster.gpu_at(charllm_hw::NodeId(node as u32), slot);
-                let gpu = gpu_id.index();
+                let gpu = cluster.gpu_at(node, slot).index();
                 let activity = (self.activity_acc[gpu] / period).min(1.0);
-                let inlet = airflow.inlet_temp_c(slot, &node_powers) + self.inlet_offset_c[gpu];
+                let inlet =
+                    airflow.inlet_temp_c(slot, &self.node_powers) + self.inlet_offset_c[gpu];
                 let sample = self.thermals[gpu].step(activity, inlet, period);
                 // With feedback disabled the physics still run (for power
                 // and temperature telemetry) but clocks stay pinned.
@@ -3047,6 +3143,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
 
         if self.t >= self.next_sample - 1e-12 {
+            if !self.accrual_frozen {
+                self.flush_flows(self.t);
+            }
             for gi in 0..self.active_gpus.len() {
                 let gpu = self.active_gpus[gi] as usize;
                 let window = self.cfg.sample_period_s;
@@ -3086,7 +3185,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     fn finish(mut self) -> (SimResult, O) {
         // Close every open accrual segment so the final partial control
         // window's busy time and traffic land in the result.
-        self.flush_accruals(self.t);
+        self.flush_ranks(self.t);
+        self.flush_flows(self.t);
         let obs = self.obs;
         let cfg = &self.cfg;
         let mut iteration_times = Vec::with_capacity(cfg.iterations);

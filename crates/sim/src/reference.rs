@@ -21,11 +21,13 @@
 //!   now credited to the final payload charge so measured traffic equals
 //!   the sum of lowered flow payloads instead of silently dropping up to
 //!   one byte-equivalent per flow;
-//! - accounting (kernel time, activity, occupancy, traffic) accrues in
-//!   lazy segments closed at mode transitions instead of per event (see
-//!   the `accrual` module). Work *progress* is still stepped per event, so
-//!   the event stream is unchanged; both engines flush at identically
-//!   ordered boundaries, so their results stay byte-identical.
+//! - accounting (kernel time, activity, occupancy, traffic) and work
+//!   progress accrue in lazy segments closed at mode transitions, rate
+//!   changes and the flush points instead of per event (see the `accrual`
+//!   module). This engine still *tests* every rank and flow for completion
+//!   every event, against the same lazy expressions the production engine
+//!   evaluates for its candidates only; both engines close segments at
+//!   identically ordered sites, so their results stay byte-identical.
 
 use std::collections::HashMap;
 
@@ -76,11 +78,12 @@ struct CollState {
 
 #[derive(Debug)]
 struct FlowState {
+    /// Work left as of `acc_since`.
     work_remaining: f64,
     payload_ratio: f64,
     /// Rate computed by the last `next_dt` (banked on bit-change).
     rate: f64,
-    /// Segment start for lazy traffic accrual.
+    /// Segment start for lazy progress and traffic accrual.
     acc_since: f64,
     /// Movement banked at superseded rates since the last traffic flush.
     moved_acc: f64,
@@ -119,7 +122,8 @@ pub struct ReferenceSimulator<'a, O: SimObserver = NoopObserver> {
     /// Ranks placed on each GPU, ascending (flush order at flow-presence
     /// transitions).
     ranks_of_gpu: Vec<Vec<u32>>,
-    /// Segment start for each rank's lazy accounting accrual.
+    /// Segment start for each rank's lazy progress and accounting accrual
+    /// (a computing rank's `remaining_flops` is as of this instant).
     rank_acc_since: Vec<f64>,
     /// Scratch: flow load per link.
     link_load: Vec<u32>,
@@ -127,6 +131,8 @@ pub struct ReferenceSimulator<'a, O: SimObserver = NoopObserver> {
     thermals: Vec<GpuThermal>,
     freq_ratio: Vec<f64>,
     last_power_w: Vec<f64>,
+    /// Scratch: one node's GPU powers in slot order.
+    node_powers: Vec<f64>,
 
     /// Time-weighted activity accumulation since the last control boundary.
     activity_acc: Vec<f64>,
@@ -257,6 +263,7 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             thermals,
             freq_ratio,
             last_power_w,
+            node_powers: Vec::new(),
             activity_acc: vec![0.0; num_gpus],
             util_acc: vec![0.0; num_gpus],
             pcie_window_bytes: vec![0.0; num_gpus],
@@ -568,7 +575,8 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             {
                 any = true;
                 let rate = self.compute_rate(rank, kind);
-                dt = dt.min(remaining_flops / rate);
+                let elapsed = self.t - self.rank_acc_since[rank];
+                dt = dt.min(accrual::left_after(remaining_flops, rate, elapsed) / rate);
             }
         }
         for i in 0..self.flows.len() {
@@ -583,10 +591,13 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
                     self.t,
                     &mut flow.acc_since,
                     &mut flow.moved_acc,
+                    &mut flow.work_remaining,
                 );
                 flow.rate = rate;
             }
-            dt = dt.min(self.flows[i].work_remaining / rate);
+            let flow = &self.flows[i];
+            let left = accrual::left_after(flow.work_remaining, rate, self.t - flow.acc_since);
+            dt = dt.min(left / rate);
         }
         if !any {
             return None;
@@ -594,12 +605,12 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         Some(dt.max(1e-9))
     }
 
-    /// Advance all in-flight work by `dt` and process completions. Only
-    /// *progress* is per-event; accounting accrues lazily in segments
-    /// closed by [`Self::accrue_rank`] / [`Self::flush_flow`] at the same
-    /// boundaries the production engine flushes at.
+    /// Test every computing rank and flow for completion within `dt` and
+    /// process completions. Progress itself is lazy: a rank or flow that
+    /// does not complete is left untouched, its work materialized only
+    /// when its segment closes (see [`Self::accrue_rank`] /
+    /// [`Self::flush_flow`]).
     fn advance(&mut self, dt: f64) {
-        // Compute progress.
         for rank in 0..self.ranks.len() {
             let RankMode::Computing {
                 kind,
@@ -609,41 +620,30 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
                 continue;
             };
             let rate = self.compute_rate(rank, kind);
-            let left = remaining_flops - rate * dt;
-            if left <= 1.0 {
+            let elapsed = (self.t - self.rank_acc_since[rank]) + dt;
+            if accrual::left_after(remaining_flops, rate, elapsed) <= 1.0 {
                 // Close the computing segment at completion time, before
                 // the mode flips.
                 self.accrue_rank(rank, self.t + dt);
                 self.obs.task_end(rank, self.t + dt);
                 self.ranks[rank].mode = RankMode::Ready;
-            } else {
-                self.ranks[rank].mode = RankMode::Computing {
-                    kind,
-                    remaining_flops: left,
-                };
             }
         }
 
-        // Flow progress, at the rates `next_dt` just cached from the same
-        // link loads. Traffic is charged only when a flow retires (or at a
-        // control boundary), covering its whole accrued movement.
+        // Flow completions, at the rates `next_dt` just cached from the
+        // same link loads. Traffic is charged only when a flow retires (or
+        // at a flow flush), covering its whole accrued movement.
         let mut i = 0;
         while i < self.flows.len() {
-            let rate = self.flows[i].rate;
-            let mut moved = (rate * dt).min(self.flows[i].work_remaining);
-            let after = self.flows[i].work_remaining - moved;
-            let done = after <= 1.0;
-            if done {
-                // Credit the sub-unit residual so every lowered payload
-                // byte lands in the traffic accounting.
-                moved += after;
-            }
-            self.flows[i].work_remaining = if done { 0.0 } else { after };
-            if done {
-                // One retirement-time charge: movement banked at
-                // superseded rates, the open segment at the current rate,
-                // and this final event's movement (residual included).
-                self.flush_flow(i, self.t, moved);
+            let flow = &self.flows[i];
+            let elapsed = (self.t - flow.acc_since) + dt;
+            if accrual::left_after(flow.work_remaining, flow.rate, elapsed) <= 1.0 {
+                // One retirement-time charge: banked movement plus all the
+                // work left at the segment start, the sub-unit residual
+                // included, so every lowered payload byte lands in the
+                // traffic accounting.
+                let pending = flow.moved_acc + flow.work_remaining;
+                self.charge_flow(i, pending);
                 let obs_id = self.flows[i].obs_id;
                 let src = self.flows[i].src;
                 let dst = self.flows[i].dst;
@@ -675,9 +675,10 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         self.t += dt;
     }
 
-    /// Close a rank's open accounting segment at `t_end` with the
-    /// coefficients of its *current* mode (flushes run before transitions,
-    /// so the mode describes the whole segment).
+    /// Close a rank's open segment at `t_end`: materialize a computing
+    /// rank's progress and accrue the accounting coefficients of its
+    /// *current* mode (flushes run before transitions and rate changes, so
+    /// the mode and rate describe the whole segment).
     fn accrue_rank(&mut self, rank: usize, t_end: f64) {
         let t0 = self.rank_acc_since[rank];
         if t_end <= t0 {
@@ -685,6 +686,20 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
         self.rank_acc_since[rank] = t_end;
         let len = t_end - t0;
+        if let RankMode::Computing {
+            kind,
+            remaining_flops,
+        } = self.ranks[rank].mode
+        {
+            self.ranks[rank].mode = RankMode::Computing {
+                kind,
+                remaining_flops: accrual::left_after(
+                    remaining_flops,
+                    self.compute_rate(rank, kind),
+                    len,
+                ),
+            };
+        }
         let gpu = self.ranks[rank].gpu.index();
         let flows_present = self.gpu_flow_count[gpu] > 0;
         let measured = self.ranks[rank].iteration >= self.cfg.warmup_iterations;
@@ -724,8 +739,8 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
     }
 
-    /// Close the accounting segments of every rank placed on `gpu` at
-    /// `now`. Called exactly when the GPU's flow count crosses 0 ↔ 1.
+    /// Close the segments of every rank placed on `gpu` at `now`. Called
+    /// exactly when the GPU's flow count crosses 0 ↔ 1.
     fn flush_gpu_ranks(&mut self, gpu: usize, now: f64) {
         for k in 0..self.ranks_of_gpu[gpu].len() {
             let rank = self.ranks_of_gpu[gpu][k] as usize;
@@ -733,17 +748,27 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
     }
 
-    /// Drain a flow's accumulated movement and charge it to its telemetry
-    /// owners. `extra` is movement already computed outside the segment
-    /// accrual (the retirement event's final `moved`, residual included).
-    fn flush_flow(&mut self, i: usize, now: f64, extra: f64) {
+    /// Close a live flow's segment at `now` and charge its movement since
+    /// the last flush.
+    fn flush_flow(&mut self, i: usize, now: f64) {
         let flow = &mut self.flows[i];
-        let pending =
-            accrual::take_flow_pending(flow.rate, now, &mut flow.acc_since, &mut flow.moved_acc)
-                + extra;
+        let pending = accrual::take_flow_pending(
+            flow.rate,
+            now,
+            &mut flow.acc_since,
+            &mut flow.moved_acc,
+            &mut flow.work_remaining,
+        );
+        self.charge_flow(i, pending);
+    }
+
+    /// Charge `pending` work units of flow `i`'s movement to its telemetry
+    /// owners.
+    fn charge_flow(&mut self, i: usize, pending: f64) {
         if pending == 0.0 {
             return;
         }
+        let flow = &self.flows[i];
         let payload = pending * flow.payload_ratio;
         let src = flow.src;
         let dst = flow.dst;
@@ -776,44 +801,45 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
     }
 
-    /// Close every open accrual segment at `now`: ranks in ascending
-    /// order, then live flows in dense order — the same sequences the
-    /// production engine flushes in.
-    fn flush_accruals(&mut self, now: f64) {
+    /// The rank flush: close every rank's segment at `now` in ascending
+    /// order — the order the production engine flushes in.
+    fn flush_ranks(&mut self, now: f64) {
         for rank in 0..self.ranks.len() {
             self.accrue_rank(rank, now);
         }
+    }
+
+    /// The flow flush: close every live flow's segment at `now` in dense
+    /// order — the order the production engine flushes in.
+    fn flush_flows(&mut self, now: f64) {
         for i in 0..self.flows.len() {
-            self.flush_flow(i, now, 0.0);
+            self.flush_flow(i, now);
         }
     }
 
     /// Thermal/governor update + telemetry sampling at a control boundary.
     fn control_update(&mut self) {
-        // The thermal step and telemetry sample below read the activity /
-        // util / PCIe accumulators, so every open accrual segment must be
-        // closed first.
-        self.flush_accruals(self.t);
+        // The thermal step reads the rank-side activity accumulators (and
+        // the sample below the util ones): the rank flush runs every tick.
+        // Flow segments stay open until a sample reads the PCIe window.
+        self.flush_ranks(self.t);
         let period = self.cfg.control_period_s;
-        let airflow = &self.cluster.node_layout().airflow;
+        let cluster = self.cluster;
+        let airflow = &cluster.node_layout().airflow;
         let slots = airflow.num_slots();
         let measuring = self.measure_start.is_some();
 
-        for node in 0..self.cluster.num_nodes() {
-            let node_powers: Vec<f64> = (0..slots)
-                .map(|s| {
-                    let gpu = self
-                        .cluster
-                        .gpu_at(charllm_hw::NodeId(node as u32), s)
-                        .index();
-                    self.last_power_w[gpu]
-                })
-                .collect();
+        for node in 0..cluster.num_nodes() {
+            let node = charllm_hw::NodeId(node as u32);
+            self.node_powers.clear();
+            for s in 0..slots {
+                self.node_powers
+                    .push(self.last_power_w[cluster.gpu_at(node, s).index()]);
+            }
             for slot in 0..slots {
-                let gpu_id = self.cluster.gpu_at(charllm_hw::NodeId(node as u32), slot);
-                let gpu = gpu_id.index();
+                let gpu = cluster.gpu_at(node, slot).index();
                 let activity = (self.activity_acc[gpu] / period).min(1.0);
-                let inlet = airflow.inlet_temp_c(slot, &node_powers);
+                let inlet = airflow.inlet_temp_c(slot, &self.node_powers);
                 let sample = self.thermals[gpu].step(activity, inlet, period);
                 // With feedback disabled the physics still run (for power
                 // and temperature telemetry) but clocks stay pinned.
@@ -833,6 +859,7 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
 
         if self.t >= self.next_sample - 1e-12 {
+            self.flush_flows(self.t);
             for gpu in 0..self.cluster.num_gpus() {
                 let window = self.cfg.sample_period_s;
                 let sample = GpuSample {
@@ -869,7 +896,8 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
     fn finish(mut self) -> (SimResult, O) {
         // Close every open accrual segment so the final partial control
         // window's busy time and traffic land in the result.
-        self.flush_accruals(self.t);
+        self.flush_ranks(self.t);
+        self.flush_flows(self.t);
         let obs = self.obs;
         let cfg = &self.cfg;
         let mut iteration_times = Vec::with_capacity(cfg.iterations);

@@ -474,3 +474,224 @@ fn shared_plans_reject_foreign_traces() {
         "differently sized plan set must be rejected, got {err:?}"
     );
 }
+
+/// Two HGX nodes running tp4·pp2·dp2: pipeline sends cross nodes over
+/// PCIe + NIC while tensor-parallel collectives stay on NVLink. Thermal
+/// feedback is on and the telemetry sample period (12.3 ms) is not a
+/// multiple of the control period (5 ms), so sample boundaries — where
+/// flow traffic is flushed — fall between control ticks' phases.
+fn inter_node_thermal_case() -> (Cluster, Placement, ExecutionTrace, SimConfig) {
+    let cluster = presets::hgx_h200_with_nodes(2);
+    let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
+    let spec = ParallelismSpec::infer_dp(4, 2, 1, cluster.num_gpus(), false).unwrap();
+    let partition = StagePartition::even(40, 2).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let trace = lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
+        .unwrap()
+        .trace;
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 2;
+    cfg.warmup_iterations = 1;
+    cfg.control_period_s = 0.005;
+    cfg.sample_period_s = 0.0123;
+    assert!(cfg.thermal_feedback);
+    (cluster, placement, trace, cfg)
+}
+
+#[test]
+fn golden_equality_inter_node_with_offset_sample_period() {
+    let (cluster, placement, trace, cfg) = inter_node_thermal_case();
+    let reference = ReferenceSimulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .run()
+        .unwrap();
+    // Default threshold (scan at this size) and the forced calendar, whose
+    // completion tests visit drained candidates only.
+    for threshold in [cfg.sched_heap_threshold, 0] {
+        let cfg = SimConfig {
+            sched_heap_threshold: threshold,
+            ..cfg
+        };
+        let new = Simulator::new(&cluster, &placement, &trace, cfg)
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_same_traffic_and_bytes(&cluster, &new, &reference);
+    }
+}
+
+fn assert_same_traffic_and_bytes(
+    cluster: &Cluster,
+    new: &charllm_sim::SimResult,
+    reference: &charllm_sim::SimResult,
+) {
+    // The case must exercise what it claims: PCIe traffic in the matrix
+    // and in the sampled per-window series, over many sample windows.
+    let gpus = cluster.num_gpus();
+    assert!((0..gpus).any(|g| new.traffic.pcie(g) > 0.0));
+    assert!((0..gpus).any(|g| new.telemetry.pcie(g).values().iter().any(|&v| v > 0.0)));
+    assert!(new.telemetry.pcie(0).len() > 10, "too few sample windows");
+    for g in 0..gpus {
+        let (a, b) = (new.telemetry.pcie(g), reference.telemetry.pcie(g));
+        assert_eq!(a.len(), b.len(), "gpu {g}: sample count");
+        for ((ta, va), (tb, vb)) in a.iter().zip(b.iter()) {
+            assert_eq!(ta.to_bits(), tb.to_bits(), "gpu {g}: sample time");
+            assert_eq!(va.to_bits(), vb.to_bits(), "gpu {g}: pcie_gbps at t={ta}");
+        }
+        for (x, y) in [
+            (new.traffic.pcie(g), reference.traffic.pcie(g)),
+            (new.traffic.fabric(g), reference.traffic.fabric(g)),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "gpu {g}: traffic matrix");
+        }
+    }
+    assert_eq!(
+        serde_json::to_string(new).unwrap(),
+        serde_json::to_string(reference).unwrap(),
+        "event-driven engine diverged from reference on the inter-node case"
+    );
+}
+
+#[test]
+fn inter_node_traffic_conserves_lowered_payload() {
+    // Every measured byte a flow moves lands exactly once per owning
+    // (GPU, link) pair, however its movement was split between sample
+    // flushes, rate-change banks and its retirement charge.
+    use charllm_hw::LinkClass;
+
+    let (cluster, placement, trace, cfg) = inter_node_thermal_case();
+    let r = Simulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .run()
+        .unwrap();
+    let (mut pcie, mut fabric) = (0.0, 0.0);
+    for inst in trace.collectives() {
+        let gpus: Vec<GpuId> = inst.group.iter().map(|&r| placement.gpu(r)).collect();
+        let plan = lower_collective(
+            inst.kind,
+            inst.bytes_per_rank,
+            &gpus,
+            &cluster,
+            inst.chunking,
+        )
+        .unwrap();
+        for f in &plan.flows {
+            let route = f.route(&cluster).unwrap();
+            if route.is_empty() || f.work_bytes(&cluster, &route) <= 0.0 {
+                continue;
+            }
+            for &id in &route {
+                for gpu in [f.src, f.dst] {
+                    match cluster.link(id).class {
+                        LinkClass::Pcie if cluster.pcie(gpu) == id => pcie += f.bytes as f64,
+                        LinkClass::NvLink if cluster.fabric_port(gpu) == id => {
+                            fabric += f.bytes as f64
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    // One measured iteration: each collective instance launches once.
+    let measured_pcie: f64 = (0..cluster.num_gpus()).map(|g| r.traffic.pcie(g)).sum();
+    let measured_fabric: f64 = (0..cluster.num_gpus()).map(|g| r.traffic.fabric(g)).sum();
+    assert!(pcie > 0.0 && fabric > 0.0, "case crosses nodes and NVLink");
+    for (what, measured, expected) in [
+        ("pcie", measured_pcie, pcie),
+        ("fabric", measured_fabric, fabric),
+    ] {
+        let rel = (measured - expected).abs() / expected;
+        assert!(
+            rel < 1e-9,
+            "{what} traffic {measured} vs lowered payload {expected} (rel err {rel:e})"
+        );
+    }
+}
+
+#[test]
+fn slow_flows_retire_on_the_same_event_in_every_scheduler_mode() {
+    // An inter-node send runs at full rate until ~50 work units are left,
+    // when its bottleneck link degrades to 25 units/s: the last unit then
+    // takes 40 ms, eight control periods, so control ticks land after the
+    // flow crossed the 1-unit completion threshold but well before its
+    // work reaches zero. The calendar must hand it to `advance` on the
+    // first such tick, exactly as the scan does.
+    use charllm_sim::FaultPlan;
+
+    let cluster = presets::single_gpu_per_node_cluster(2);
+    let bytes = 1 << 20;
+    let mut b = TraceBuilder::new(2);
+    let id = b.collective(
+        CollKey {
+            site: "p2p",
+            mb: 0,
+            layer: 0,
+            aux: 0,
+            group_lead: 0,
+        },
+        CollectiveKind::SendRecv,
+        bytes,
+        vec![0, 1],
+        ChunkingPolicy::Unchunked,
+        true,
+    );
+    b.start(0, id);
+    b.wait(1, id);
+    let trace = b.build(TraceMeta {
+        tokens_per_iteration: 1,
+        ..Default::default()
+    });
+    let placement = Placement::identity(&cluster, 2).unwrap();
+    let gpus = [GpuId(0), GpuId(1)];
+    let plan = lower_collective(
+        CollectiveKind::SendRecv,
+        bytes,
+        &gpus,
+        &cluster,
+        ChunkingPolicy::Unchunked,
+    )
+    .unwrap();
+    assert_eq!(plan.flows.len(), 1);
+    let route = plan.flows[0].route(&cluster).unwrap();
+    let work = plan.flows[0].work_bytes(&cluster, &route);
+    let bottleneck = *route
+        .iter()
+        .min_by(|a, b| {
+            cluster
+                .link(**a)
+                .bw_gbps
+                .total_cmp(&cluster.link(**b).bw_gbps)
+        })
+        .unwrap();
+    let bw = cluster.link(bottleneck).bw_gbps * 1e9;
+    let faults = FaultPlan::none().link_degrade(
+        bottleneck.index() as u32,
+        (work - 50.0) / bw,
+        1e3,
+        25.0 / bw,
+    );
+    let run = |threshold: usize| {
+        let mut cfg = SimConfig::fast();
+        cfg.thermal_feedback = false;
+        cfg.sched_heap_threshold = threshold;
+        let r = Simulator::new(&cluster, &placement, &trace, cfg)
+            .unwrap()
+            .with_faults(&faults)
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(
+            (1.0..3.0).contains(&r.sim_time_s),
+            "the degraded tail dominates the run: {}",
+            r.sim_time_s
+        );
+        serde_json::to_string(&r).unwrap()
+    };
+    assert_eq!(
+        run(usize::MAX),
+        run(0),
+        "calendar retired the slow flow late"
+    );
+}
