@@ -9,6 +9,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q (crate unit tests)"
+cargo test --workspace -q
+
 echo "==> cargo test (perfbench, its own workspace)"
 cargo test --offline --manifest-path perfbench/Cargo.toml
 

@@ -53,7 +53,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -82,6 +82,13 @@ const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// Largest request body the server accepts; larger ones are refused with
 /// 413 before any of the body is read.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest request or header line the server reads, terminator included;
+/// a longer one is refused with 431 once the cap is reached.
+const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines one request may carry; one more is refused with 431.
+const MAX_HEADERS: usize = 100;
 
 /// Server deployment knobs.
 #[derive(Debug, Clone)]
@@ -595,25 +602,44 @@ struct Request {
     body: Value,
 }
 
+/// Read one line of at most [`MAX_LINE_BYTES`]. `Ok(None)` when the cap
+/// is reached before the line ends: nothing past the cap is read.
+fn read_capped_line(reader: &mut impl BufRead) -> Result<Option<String>, CoreError> {
+    let mut line = String::new();
+    reader.take(MAX_LINE_BYTES as u64).read_line(&mut line)?;
+    Ok((line.len() < MAX_LINE_BYTES || line.ends_with('\n')).then_some(line))
+}
+
 /// Read one request. `Ok(None)` means the request was refused and already
 /// answered: 400 for an unparsable `Content-Length`, 413 for a body over
-/// [`MAX_BODY_BYTES`].
+/// [`MAX_BODY_BYTES`], 431 for a line over [`MAX_LINE_BYTES`] or more than
+/// [`MAX_HEADERS`] headers.
 fn read_request(conn: &mut TcpStream) -> Result<Option<Request>, CoreError> {
     conn.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut reader = BufReader::new(conn.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let too_large = || {
+        format!("request line or header over {MAX_LINE_BYTES} bytes, or over {MAX_HEADERS} headers")
+    };
+    let Some(line) = read_capped_line(&mut reader)? else {
+        return refuse(conn, 431, &too_large());
+    };
     let mut parts = line.split_whitespace();
     let bad = || CoreError::Incomplete("malformed request line".into());
     let method = parts.next().ok_or_else(bad)?.to_string();
     let path = parts.next().ok_or_else(bad)?.to_string();
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let Some(header) = read_capped_line(&mut reader)? else {
+            return refuse(conn, 431, &too_large());
+        };
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return refuse(conn, 431, &too_large());
         }
         if let Some(v) = header
             .to_ascii_lowercase()
@@ -621,19 +647,17 @@ fn read_request(conn: &mut TcpStream) -> Result<Option<Request>, CoreError> {
             .map(str::trim)
         {
             let Ok(n) = v.parse() else {
-                respond_json(conn, 400, &json!({ "error": "invalid Content-Length" }));
-                return Ok(None);
+                return refuse(conn, 400, "invalid Content-Length");
             };
             content_length = n;
         }
     }
     if content_length > MAX_BODY_BYTES {
-        respond_json(
+        return refuse(
             conn,
             413,
-            &json!({ "error": format!("request body over {MAX_BODY_BYTES} bytes") }),
+            &format!("request body over {MAX_BODY_BYTES} bytes"),
         );
-        return Ok(None);
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -644,6 +668,15 @@ fn read_request(conn: &mut TcpStream) -> Result<Option<Request>, CoreError> {
     Ok(Some(Request { method, path, body }))
 }
 
+/// Answer a refused request and close the write side: a client still
+/// sending the rest of its request then reads the answer and end-of-stream,
+/// not a reset, when the connection drops with that rest unread.
+fn refuse(conn: &mut TcpStream, status: u16, error: &str) -> Result<Option<Request>, CoreError> {
+    respond_json(conn, status, &json!({ "error": error }));
+    let _ = conn.shutdown(Shutdown::Write);
+    Ok(None)
+}
+
 fn respond(conn: &mut TcpStream, status: u16, content_type: &str, body: &str) {
     let reason = match status {
         200 => "OK",
@@ -652,6 +685,7 @@ fn respond(conn: &mut TcpStream, status: u16, content_type: &str, body: &str) {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     let _ = write!(

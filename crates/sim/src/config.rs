@@ -43,17 +43,6 @@ pub struct SimConfig {
     /// bit-identically — the precondition for symmetry folding — at the
     /// cost of the paper's part-to-part spread.
     pub uniform_variability: bool,
-    /// Live-entity count (in-flight flows + computing ranks) above which
-    /// the scheduler switches from a contiguous linear fold to the bucketed
-    /// completion calendar. Both paths produce bit-identical timesteps; the
-    /// scan wins below the crossover (cache-friendly, no calendar upkeep),
-    /// the calendar wins above it (each event drains only the buckets near
-    /// the next completion instead of visiting every live entity). The
-    /// default sits under the measured crossover (the calendar pulls ahead
-    /// between ~384 and ~512 live entities on the `sim_engine_hotpath`
-    /// bench machine, a population reached around 512 GPUs).
-    /// `0` forces the calendar everywhere; `usize::MAX` forces the scan.
-    pub sched_heap_threshold: usize,
 }
 
 impl Default for SimConfig {
@@ -71,7 +60,6 @@ impl Default for SimConfig {
             node_power_cap: None,
             gpu_power_cap_w: None,
             uniform_variability: false,
-            sched_heap_threshold: 256,
         }
     }
 }

@@ -675,6 +675,12 @@ const REKEY_INTERVAL: u64 = 8192;
 /// instead of the ~4 a coarser wheel would.
 const CAL_BUCKETS: usize = 8192;
 
+/// Largest buffer a drained bucket keeps for its next entries. Buckets
+/// keep their allocations so steady-state drains allocate nothing, but one
+/// that held a burst (a collective's flows keyed together) gives it back
+/// instead of pinning that memory for the rest of the run.
+const CAL_BUCKET_KEEP: usize = 64;
+
 /// Bucket index encoding the overflow list in a packed location.
 const CAL_OVERFLOW: u32 = u32::MAX;
 
@@ -706,22 +712,21 @@ struct CalendarQueue {
     overflow: Vec<CalEntry>,
     /// First bucket that may hold entries (all earlier ones are empty).
     cursor: usize,
-    len: usize,
     /// Run-wide high-water mark of the overflow list (survives rebases:
     /// an [`EngineStats`] counter, not wheel state).
     overflow_peak: usize,
 }
 
 impl CalendarQueue {
-    fn new() -> Self {
+    /// An empty wheel based at t = 0 with the given bucket `width`.
+    fn new(width: f64) -> Self {
         CalendarQueue {
             base: 0.0,
-            width: 1.0,
-            inv_width: 1.0,
-            buckets: Vec::new(),
+            width,
+            inv_width: 1.0 / width,
+            buckets: vec![Vec::new(); CAL_BUCKETS],
             overflow: Vec::new(),
-            cursor: CAL_BUCKETS,
-            len: 0,
+            cursor: 0,
             overflow_peak: 0,
         }
     }
@@ -732,26 +737,11 @@ impl CalendarQueue {
         self.base = base;
         self.width = width;
         self.inv_width = 1.0 / width;
-        if self.buckets.is_empty() {
-            self.buckets = vec![Vec::new(); CAL_BUCKETS];
-        }
         for b in &mut self.buckets {
             b.clear();
         }
         self.overflow.clear();
         self.cursor = 0;
-        self.len = 0;
-    }
-
-    /// Drop every entry (mode crossing down; owners' locations are cleared
-    /// by the caller).
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.overflow.clear();
-        self.cursor = CAL_BUCKETS;
-        self.len = 0;
     }
 
     /// Absolute start time of bucket `i`.
@@ -774,7 +764,6 @@ impl CalendarQueue {
     /// (an entity already within its completion threshold) land in the
     /// first bucket, so only the far side can miss the wheel.
     fn push(&mut self, e: CalEntry) -> u64 {
-        self.len += 1;
         let d = ((e.key - self.base) * self.inv_width).max(0.0);
         if d >= CAL_BUCKETS as f64 {
             self.overflow.push(e);
@@ -799,7 +788,6 @@ impl CalendarQueue {
             &mut self.buckets[bucket as usize]
         };
         v.swap_remove(idx);
-        self.len -= 1;
         v.get(idx).map(|e| e.meta)
     }
 }
@@ -889,8 +877,8 @@ pub struct EngineStats {
     /// High-water mark of live collective state entries.
     pub peak_live_colls: u64,
     /// High-water mark of schedulable entities (in-flight flows plus
-    /// computing ranks) — the population the scan/calendar crossover
-    /// ([`SimConfig::sched_heap_threshold`]) is judged against.
+    /// computing ranks): the population the completion calendar holds one
+    /// entry each for.
     pub peak_live: u64,
     /// Entries pushed onto the completion calendar (re-keys included).
     /// This and the next two counters keep their `heap_` names from the
@@ -905,7 +893,8 @@ pub struct EngineStats {
     pub shared_plan_hits: u64,
     /// Calendar-wheel rebuilds: `rekey_all` rebases, whether periodic
     /// (every `REKEY_INTERVAL` = 8192 events), drift-forced (the current
-    /// time passed half the wheel horizon), or a scan→calendar mode crossing.
+    /// time passed half the wheel horizon). The wheel built at construction
+    /// is not counted.
     pub cal_rekeys: u64,
     /// Calendar buckets drained by `next_dt` (the overflow list counts as
     /// one bucket per drain). Each drain hands every entry in the bucket
@@ -1037,10 +1026,10 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// Buffer for live entries drained in a `next_dt` round (re-inserted
     /// after the drain loop so they cannot be drained twice in one round).
     repush: Vec<CalEntry>,
-    /// Whether the scheduler is currently in calendar mode (live-entity
-    /// count above [`SimConfig::sched_heap_threshold`]). In scan mode the
-    /// calendar is empty and no entries are maintained.
-    cal_mode: bool,
+    /// Entries moved out of the buckets `next_dt` drains, evaluated from
+    /// here. Buckets keep their own allocations, so steady-state drains
+    /// allocate nothing.
+    drained: Vec<CalEntry>,
     /// Key of each computing rank's live calendar entry (`INFINITY` =
     /// none). Lets `push_compute_key` skip the push when the stored entry
     /// is still a valid lower bound, mirroring `rekey_flow`'s
@@ -1097,9 +1086,8 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// ascending rank order to preserve the world-scan completion order.
     completed_scratch: Vec<u32>,
     /// The computing ranks and flow slots whose completion `advance` tests
-    /// this event: every live one in scan mode, the drained calendar
-    /// entries in calendar mode. Filled by `next_dt`, consumed by
-    /// `advance`.
+    /// this event: the owners of the calendar entries `next_dt` drained.
+    /// Filled by `next_dt`, consumed by `advance`.
     cand_ranks: Vec<u32>,
     cand_flows: Vec<u32>,
     /// Scratch: candidate flows completing this event.
@@ -1407,6 +1395,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             rank_active[r as usize] = true;
         }
 
+        // Event-spacing seed: the calendar's first bucket width, and the
+        // EWMA's starting point for later rebuilds.
+        let avg_dt = cfg.control_period_s / 256.0;
         let mut sim = Simulator {
             obs,
             cluster,
@@ -1427,13 +1418,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             dirty_links: Vec::new(),
             link_dirty: vec![false; cluster.num_links()],
             link_flows: vec![Vec::new(); cluster.num_links()],
-            calq: CalendarQueue::new(),
+            calq: CalendarQueue::new(avg_dt.max(1e-12)),
             repush: Vec::new(),
-            cal_mode: false,
+            drained: Vec::new(),
             rank_key: vec![f64::INFINITY; trace.world()],
             rank_loc: vec![LOC_NONE; trace.world()],
             rank_epoch: vec![0; trace.world()],
-            avg_dt: cfg.control_period_s / 256.0,
+            avg_dt,
             dirty_ranks: Vec::new(),
             rank_dirty: vec![false; trace.world()],
             ranks_of_gpu,
@@ -1729,8 +1720,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.obs.fault_begin(ev.fault, "link-degrade", link, self.t);
                 self.link_health.set_scale(link as usize, factor);
                 self.mark_link_dirty(link as usize);
-                // Rates on this link must be recomputed even in calendar
-                // mode: `next_dt`'s dirty-link pass keys off a stale epoch.
+                // A new epoch makes `next_dt`'s dirty-link pass re-rate
+                // this link's flows: it skips flows stamped with the current
+                // one.
                 self.load_epoch += 1;
             }
             FaultAction::LinkUp { link } => {
@@ -2181,10 +2173,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 let id = hop.link as usize;
                 self.link_load[id] += u32::from(hop.mult);
                 self.mark_link_dirty(id);
-                if self.cal_mode {
-                    self.fa.link_pos[slot][l] = self.link_flows[id].len() as u32;
-                    self.link_flows[id].push((slot as u32, l as u8));
-                }
+                self.fa.link_pos[slot][l] = self.link_flows[id].len() as u32;
+                self.link_flows[id].push((slot as u32, l as u8));
             }
             self.fa.remaining[slot] = pf.work;
             self.fa.rate[slot] = 0.0;
@@ -2421,20 +2411,15 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// Queue a computing rank for calendar re-keying. A no-op in scan mode:
-    /// the scan derives compute rates fresh every event, and an upward mode
-    /// crossing re-keys every computing rank via `rekey_all` regardless.
+    /// Queue a computing rank for calendar re-keying by the next `next_dt`.
     fn mark_rank_dirty(&mut self, rank: usize) {
-        if self.cal_mode && !self.rank_dirty[rank] {
+        if !self.rank_dirty[rank] {
             self.rank_dirty[rank] = true;
             self.dirty_ranks.push(rank as u32);
         }
     }
 
     fn mark_gpu_ranks_dirty(&mut self, gpu: usize) {
-        if !self.cal_mode {
-            return;
-        }
         for k in 0..self.ranks_of_gpu[gpu].len() {
             let rank = self.ranks_of_gpu[gpu][k] as usize;
             self.mark_rank_dirty(rank);
@@ -2448,9 +2433,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// to be popped and skipped later. `force` pushes unconditionally
     /// after the calendar was rebuilt.
     fn push_compute_key(&mut self, rank: usize, force: bool) {
-        if !self.cal_mode {
-            return;
-        }
         if let Some((left, rate)) = self.compute_left(rank, 0.0) {
             let key = completion_key(self.t, left, rate);
             if !force && key >= self.rank_key[rank] {
@@ -2533,91 +2515,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.stats.heap_pushes += 1;
     }
 
-    /// Scan-mode timestep: the reference engine's exact fold over computing
-    /// ranks and in-flight flows — an order-independent `min` over positive
-    /// candidates, so it produces bit-identical `dt` to the calendar path.
-    /// Flow rates refresh lazily off the dirty-link flags (a flow re-derives its
-    /// bottleneck only when a route link's load changed since last event);
-    /// compute rates are always derived fresh. Clears both dirty lists:
-    /// nothing else consumes them while the calendar is down.
-    fn scan_dt(&mut self) -> f64 {
-        let mut dt = self.next_control.min(self.next_fault_t) - self.t;
-        for idx in 0..self.computing_ranks.len() {
-            let rank = self.computing_ranks[idx];
-            if let Some((left, rate)) = self.compute_left(rank, 0.0) {
-                dt = dt.min(left / rate);
-                self.cand_ranks.push(rank as u32);
-            }
-        }
-        let epoch = self.load_epoch;
-        for oi in 0..self.flow_order.len() {
-            let slot = self.flow_order[oi] as usize;
-            let pf = self.plan_flows[self.fa.pf[slot] as usize];
-            let mut stale = false;
-            for li in pf.route.indices() {
-                stale |= self.link_dirty[self.route_arena.item(li).link as usize];
-            }
-            if stale {
-                let rate = flow_rate(
-                    slot,
-                    &self.fa.pf,
-                    &self.plan_flows,
-                    &self.route_arena,
-                    &self.link_load,
-                    &self.link_health,
-                );
-                if rate.to_bits() != self.fa.rate[slot].to_bits() {
-                    accrual::bank_flow_segment(
-                        self.fa.rate[slot],
-                        self.t,
-                        &mut self.fa.acc_since[slot],
-                        &mut self.fa.moved_acc[slot],
-                        &mut self.fa.remaining[slot],
-                    );
-                    self.fa.rate[slot] = rate;
-                }
-                self.fa.rate_epoch[slot] = epoch;
-            }
-            dt = dt.min(self.flow_left(slot, 0.0) / self.fa.rate[slot]);
-        }
-        self.cand_flows.extend_from_slice(&self.flow_order);
-        let mut dirty = std::mem::take(&mut self.dirty_links);
-        for &link in &dirty {
-            self.link_dirty[link as usize] = false;
-        }
-        dirty.clear();
-        self.dirty_links = dirty;
-        let mut dirty = std::mem::take(&mut self.dirty_ranks);
-        for &rank in &dirty {
-            self.rank_dirty[rank as usize] = false;
-        }
-        dirty.clear();
-        self.dirty_ranks = dirty;
-        let dt = dt.max(1e-9);
-        #[cfg(debug_assertions)]
-        self.debug_check_dt(dt);
-        dt
-    }
-
-    /// Rebuild the link→flow membership lists from live flows after a stint
-    /// in scan mode (which doesn't maintain them). Runs once per upward
-    /// mode crossing.
-    fn rebuild_link_membership(&mut self) {
-        for v in &mut self.link_flows {
-            v.clear();
-        }
-        for oi in 0..self.flow_order.len() {
-            let slot = self.flow_order[oi] as usize;
-            let pf = self.plan_flows[self.fa.pf[slot] as usize];
-            for (l, li) in pf.route.indices().enumerate() {
-                let id = self.route_arena.item(li).link as usize;
-                let pos = self.link_flows[id].len() as u32;
-                self.fa.link_pos[slot][l] = pos;
-                self.link_flows[id].push((slot as u32, l as u8));
-            }
-        }
-    }
-
     /// Rebuild the completion calendar from live state: re-base the wheel
     /// at the current time with a bucket width of ~1 mean event spacing,
     /// then refresh every flow rate and push one fresh entry per flow and
@@ -2666,8 +2563,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// only them for completion. A key bounds the instant an entity's work
     /// reaches the 1-unit completion threshold (see [`completion_key`]),
     /// not the instant it reaches zero, so every entity that completes
-    /// within `dt` lies under the drain bound. In scan mode every live
-    /// entity is a candidate.
+    /// within `dt` lies under the drain bound.
     ///
     /// Rates are refreshed (and entries re-keyed) in batch for exactly the
     /// flows whose route-link loads changed, via the dirty-link lists;
@@ -2684,31 +2580,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         let live = self.flow_order.len() + self.computing_ranks.len();
         self.stats.peak_live = self.stats.peak_live.max(live as u64);
-        if self.cal_mode {
-            if 2 * live < self.cfg.sched_heap_threshold {
-                // Crossing down (with hysteresis): the scan reads live
-                // state directly; drop the now-unmaintained entries.
-                self.cal_mode = false;
-                self.calq.clear();
-                for oi in 0..self.flow_order.len() {
-                    self.fa.cal_loc[self.flow_order[oi] as usize] = LOC_NONE;
-                }
-                for idx in 0..self.computing_ranks.len() {
-                    self.rank_loc[self.computing_ranks[idx]] = LOC_NONE;
-                }
-            } else if self.events_since_rekey >= REKEY_INTERVAL || self.calq.needs_rebase(self.t) {
-                self.rekey_all();
-            }
-        } else if live > self.cfg.sched_heap_threshold {
-            // Crossing up: rebuild the link→flow membership lists (not
-            // maintained in scan mode) and the calendar from live state.
-            self.cal_mode = true;
-            self.rebuild_link_membership();
+        if self.events_since_rekey >= REKEY_INTERVAL || self.calq.needs_rebase(self.t) {
             self.rekey_all();
-        }
-
-        if !self.cal_mode {
-            return Some(self.scan_dt());
         }
         self.events_since_rekey += 1;
 
@@ -2753,7 +2626,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // and through rounded absolute times, a few ε·(t+dt) apart — orders
         // of magnitude under the 1e-8 margin.
         let mut repush = std::mem::take(&mut self.repush);
-        let mut scratch = Vec::new();
+        let mut drained = std::mem::take(&mut self.drained);
         loop {
             let margin = (self.t + dt) * 1e-8 + 1e-15;
             let bound = self.t + dt + margin;
@@ -2761,18 +2634,20 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 if self.calq.start_of(self.calq.cursor) > bound {
                     break;
                 }
-                let c = self.calq.cursor;
-                self.calq.cursor = c + 1;
-                std::mem::replace(&mut self.calq.buckets[c], std::mem::take(&mut scratch))
+                self.calq.cursor += 1;
+                &mut self.calq.buckets[self.calq.cursor - 1]
             } else if !self.calq.overflow.is_empty() && self.calq.horizon() <= bound {
-                std::mem::take(&mut self.calq.overflow)
+                &mut self.calq.overflow
             } else {
                 break;
             };
-            self.calq.len -= bucket.len();
+            drained.append(bucket);
+            if bucket.capacity() > CAL_BUCKET_KEEP {
+                *bucket = Vec::new();
+            }
             self.stats.cal_bucket_drains += 1;
             let drained_overflow = self.calq.cursor >= CAL_BUCKETS && self.calq.overflow.is_empty();
-            for mut e in bucket.iter().copied() {
+            for mut e in drained.drain(..) {
                 let candidate = if e.is_compute() {
                     let rank = e.id();
                     if self.rank_epoch[rank] != e.epoch() {
@@ -2812,14 +2687,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 }
                 repush.push(e);
             }
-            // Recycle the drained bucket's allocation for the next one.
-            let mut bucket = bucket;
-            bucket.clear();
-            scratch = bucket;
             if drained_overflow {
                 break;
             }
         }
+        self.drained = drained;
         let dt = dt.max(1e-9);
         // Every drained live entry goes back in, including those whose
         // work completes in this event: `advance` removes a completing
@@ -3033,18 +2905,16 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.link_load[id] -= u32::from(hop.mult);
             self.mark_link_dirty(id);
         }
-        if self.cal_mode {
-            // Retire-site removal: drop the retiring flow's calendar entry
-            // (the only place a completing entry leaves the calendar) and
-            // its link-membership records.
-            let loc = self.fa.cal_loc[slot];
-            if loc != LOC_NONE {
-                self.fa.cal_loc[slot] = LOC_NONE;
-                self.calq_remove(loc);
-                self.stats.cal_exact_removals += 1;
-            }
-            self.detach_flow_links(slot);
+        // Retire-site removal: drop the retiring flow's calendar entry (the
+        // only place a completing entry leaves the calendar) and its
+        // link-membership records.
+        let loc = self.fa.cal_loc[slot];
+        if loc != LOC_NONE {
+            self.fa.cal_loc[slot] = LOC_NONE;
+            self.calq_remove(loc);
+            self.stats.cal_exact_removals += 1;
         }
+        self.detach_flow_links(slot);
         let cs = &mut self.colls[key.1 as usize][(key.0 & 1) as usize];
         debug_assert!(cs.live && cs.iter == key.0, "flow has state");
         cs.state.flows_remaining -= 1;

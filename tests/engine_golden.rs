@@ -59,6 +59,9 @@ fn both_engines_json(
 fn golden_equality_on_lowered_training_step() {
     // Multi-iteration so the plan cache serves hits and CollState pruning
     // fires; warmup so the measured/unmeasured traffic split is exercised.
+    // Thermal feedback is on, so frequency steps force compute re-keys of
+    // the completion calendar mid-run: conservative lower-bound keys,
+    // epoch checks and the re-tighten-on-drain path are all under test.
     let cluster = one_node_cluster();
     let trace = gpt3_trace(&cluster, 16);
     let mut cfg = SimConfig::fast();
@@ -93,50 +96,6 @@ fn golden_equality_on_moe_expert_parallel_workload() {
         new, reference,
         "event-driven engine diverged from reference on MoE/EP workload"
     );
-}
-
-#[test]
-fn golden_equality_with_forced_heap_scheduler() {
-    // `sched_heap_threshold: 0` pins the event-driven engine to the
-    // completion heap for every event (the default keeps small worlds on
-    // the linear scan). The heap must reproduce the reference bit-for-bit:
-    // conservative lower-bound keys, epoch invalidation, and the
-    // re-tighten-on-pop path all under test, with thermal feedback on so
-    // frequency steps force compute re-keys mid-run.
-    let cluster = one_node_cluster();
-    let trace = gpt3_trace(&cluster, 16);
-    let mut cfg = SimConfig::fast();
-    cfg.iterations = 3;
-    cfg.warmup_iterations = 1;
-    cfg.sched_heap_threshold = 0;
-    let (new, reference) = both_engines_json(&cluster, &trace, cfg);
-    assert_eq!(new, reference, "heap scheduler diverged from reference");
-}
-
-#[test]
-fn scheduler_modes_agree_across_crossings() {
-    // A mid-range threshold makes the live-entity count cross it both ways
-    // during a pipelined step, exercising heap↔scan transitions (including
-    // the link-membership rebuild on each upward crossing). Forced-scan,
-    // forced-heap, and the crossing run must all serialize identically.
-    let cluster = one_node_cluster();
-    let trace = gpt3_trace(&cluster, 16);
-    let placement = Placement::identity(&cluster, trace.world()).unwrap();
-    let run = |threshold: usize| {
-        let mut cfg = SimConfig::fast();
-        cfg.iterations = 2;
-        cfg.sched_heap_threshold = threshold;
-        let r = Simulator::new(&cluster, &placement, &trace, cfg)
-            .unwrap()
-            .run()
-            .unwrap();
-        serde_json::to_string(&r).unwrap()
-    };
-    let scan = run(usize::MAX);
-    let crossing = run(6);
-    let heap = run(0);
-    assert_eq!(scan, crossing, "mode crossings perturbed results");
-    assert_eq!(scan, heap, "forced heap diverged from forced scan");
 }
 
 #[test]
@@ -217,8 +176,7 @@ fn retire_site_removal_is_exact_at_512_gpus_under_faults() {
     // a hot link and slows a straggler rank, so dirty-flow re-rates and
     // compute re-keys churn the calendar. A completing entity's entry
     // leaves the calendar only at its retire site in `advance`; this pins
-    // that the path fires and that the forced-calendar run serializes
-    // identically to the default threshold's scan/calendar crossings.
+    // that the path fires.
     use charllm_sim::FaultPlan;
 
     let cluster = presets::hgx_h200_with_nodes(64);
@@ -233,21 +191,15 @@ fn retire_site_removal_is_exact_at_512_gpus_under_faults() {
     let plan = FaultPlan::none()
         .link_degrade(0, 0.05, 0.4, 0.25)
         .straggler(17, 0.02, 0.5, 1.7);
-    let run = |threshold: usize| {
-        let mut cfg = SimConfig::fast();
-        cfg.iterations = 1;
-        cfg.warmup_iterations = 0;
-        cfg.sched_heap_threshold = threshold;
-        let (r, stats) = Simulator::new(&cluster, &placement, &trace, cfg)
-            .unwrap()
-            .with_faults(&plan)
-            .unwrap()
-            .run_stats()
-            .unwrap();
-        (serde_json::to_string(&r).unwrap(), stats)
-    };
-    let (forced, stats) = run(0);
-    let (adaptive, _) = run(SimConfig::default().sched_heap_threshold);
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 1;
+    cfg.warmup_iterations = 0;
+    let (_, stats) = Simulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .with_faults(&plan)
+        .unwrap()
+        .run_stats()
+        .unwrap();
     assert!(
         stats.cal_exact_removals > 0,
         "completing entries must leave the calendar at their retire site"
@@ -255,10 +207,6 @@ fn retire_site_removal_is_exact_at_512_gpus_under_faults() {
     assert!(
         stats.arena_slot_reuses > 0,
         "steady-state launches should recycle arena slots"
-    );
-    assert_eq!(
-        forced, adaptive,
-        "forced calendar diverged from the default scheduler threshold"
     );
 }
 
@@ -506,19 +454,12 @@ fn golden_equality_inter_node_with_offset_sample_period() {
         .unwrap()
         .run()
         .unwrap();
-    // Default threshold (scan at this size) and the forced calendar, whose
-    // completion tests visit drained candidates only.
-    for threshold in [cfg.sched_heap_threshold, 0] {
-        let cfg = SimConfig {
-            sched_heap_threshold: threshold,
-            ..cfg
-        };
-        let new = Simulator::new(&cluster, &placement, &trace, cfg)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_same_traffic_and_bytes(&cluster, &new, &reference);
-    }
+    // The calendar's completion tests visit drained candidates only.
+    let new = Simulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_same_traffic_and_bytes(&cluster, &new, &reference);
 }
 
 fn assert_same_traffic_and_bytes(
@@ -611,14 +552,23 @@ fn inter_node_traffic_conserves_lowered_payload() {
 }
 
 #[test]
-fn slow_flows_retire_on_the_same_event_in_every_scheduler_mode() {
+fn slow_flows_retire_within_one_control_period_of_the_threshold() {
     // An inter-node send runs at full rate until ~50 work units are left,
     // when its bottleneck link degrades to 25 units/s: the last unit then
     // takes 40 ms, eight control periods, so control ticks land after the
     // flow crossed the 1-unit completion threshold but well before its
     // work reaches zero. The calendar must hand it to `advance` on the
-    // first such tick, exactly as the scan does.
-    use charllm_sim::FaultPlan;
+    // first such tick; a key at zero work would retire it ~40 ms late.
+    use charllm_sim::{FaultPlan, SimObserver};
+
+    /// Records every flow retirement time.
+    #[derive(Default)]
+    struct Retirements(Vec<f64>);
+    impl SimObserver for Retirements {
+        fn flow_retire(&mut self, _flow: u32, t_s: f64) {
+            self.0.push(t_s);
+        }
+    }
 
     let cluster = presets::single_gpu_per_node_cluster(2);
     let bytes = 1 << 20;
@@ -666,32 +616,31 @@ fn slow_flows_retire_on_the_same_event_in_every_scheduler_mode() {
         })
         .unwrap();
     let bw = cluster.link(bottleneck).bw_gbps * 1e9;
-    let faults = FaultPlan::none().link_degrade(
-        bottleneck.index() as u32,
-        (work - 50.0) / bw,
-        1e3,
-        25.0 / bw,
-    );
-    let run = |threshold: usize| {
-        let mut cfg = SimConfig::fast();
-        cfg.thermal_feedback = false;
-        cfg.sched_heap_threshold = threshold;
-        let r = Simulator::new(&cluster, &placement, &trace, cfg)
+    let degrade_at = (work - 50.0) / bw;
+    let faults =
+        FaultPlan::none().link_degrade(bottleneck.index() as u32, degrade_at, 1e3, 25.0 / bw);
+    let mut cfg = SimConfig::fast();
+    cfg.thermal_feedback = false;
+    let (r, retired) =
+        Simulator::with_observer(&cluster, &placement, &trace, cfg, Retirements::default())
             .unwrap()
             .with_faults(&faults)
             .unwrap()
-            .run()
+            .run_observed()
             .unwrap();
-        assert!(
-            (1.0..3.0).contains(&r.sim_time_s),
-            "the degraded tail dominates the run: {}",
-            r.sim_time_s
-        );
-        serde_json::to_string(&r).unwrap()
-    };
-    assert_eq!(
-        run(usize::MAX),
-        run(0),
-        "calendar retired the slow flow late"
+    assert!(
+        (1.0..3.0).contains(&r.sim_time_s),
+        "the degraded tail dominates the run: {}",
+        r.sim_time_s
+    );
+    // 50 units left at the degrade; the 1-unit threshold is 49 units on.
+    let crossed = degrade_at + 49.0 / 25.0;
+    assert_eq!(retired.0.len(), 1);
+    let late = retired.0[0] - crossed;
+    assert!(
+        (-1e-9..=cfg.control_period_s + 1e-9).contains(&late),
+        "slow flow retired {late} s after crossing its completion threshold \
+         (bound: one {} s control period)",
+        cfg.control_period_s
     );
 }

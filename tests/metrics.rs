@@ -162,15 +162,12 @@ fn engine_is_byte_identical_with_hub_disabled_and_enabled() {
 #[test]
 fn engine_gauges_populate_under_enabled_hub() {
     let hub = MetricsHub::new(1);
-    // Force the calendar path so the satellite counters are exercised.
-    let mut cfg = SimConfig::fast();
-    cfg.sched_heap_threshold = 1;
     let report = Experiment::builder()
         .cluster(single_hgx_node())
         .job(TrainJob::pretrain(gpt3_13b()).with_global_batch(4))
         .parallelism("TP2-PP2")
         .unwrap()
-        .sim_config(cfg)
+        .sim_config(SimConfig::fast())
         .metrics(hub.shard(0))
         .run()
         .unwrap();

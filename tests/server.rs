@@ -200,14 +200,43 @@ fn bad_submissions_are_rejected_and_cancel_is_cooperative() {
         assert_eq!(status, 400, "{bad} must be rejected: {resp}");
     }
 
-    // A body over the 1 MiB limit is refused from its header alone, not
-    // read in truncated.
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(b"POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n")
-        .unwrap();
-    let mut resp = String::new();
-    conn.read_to_string(&mut resp).unwrap();
-    assert!(resp.starts_with("HTTP/1.1 413 "), "{resp}");
+    // Oversized requests are refused once a cap is reached, not read in
+    // truncated: a body over 1 MiB from its header alone (413), a 16 KiB
+    // header line at the 8 KiB line cap and a 101st header (431). A
+    // request exactly at both caps is served.
+    let headers = |n: usize| (0..n).map(|i| format!("X-H{i}: 1\r\n")).collect::<String>();
+    let padding = |len: usize| format!("X-Padding: {}\r\n", "a".repeat(len));
+    for (request, status) in [
+        (
+            "POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n".to_string(),
+            413,
+        ),
+        (
+            format!("GET /healthz HTTP/1.1\r\n{}\r\n", padding(16 << 10)),
+            431,
+        ),
+        (
+            format!("GET /healthz HTTP/1.1\r\n{}\r\n", headers(101)),
+            431,
+        ),
+        (
+            format!(
+                "GET /healthz HTTP/1.1\r\n{}{}\r\n",
+                padding((8 << 10) - "X-Padding: \r\n".len()),
+                headers(99)
+            ),
+            200,
+        ),
+    ] {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(request.as_bytes()).unwrap();
+        let mut resp = String::new();
+        conn.read_to_string(&mut resp).unwrap();
+        assert!(
+            resp.starts_with(&format!("HTTP/1.1 {status} ")),
+            "{status}: {resp}"
+        );
+    }
 
     // Cancel lands on a many-point job; whatever was still pending is
     // skipped with the cancel reason, and every point stays accounted.
