@@ -59,9 +59,6 @@ fn both_engines_json(
 fn golden_equality_on_lowered_training_step() {
     // Multi-iteration so the plan cache serves hits and CollState pruning
     // fires; warmup so the measured/unmeasured traffic split is exercised.
-    // Thermal feedback is on, so frequency steps force compute re-keys of
-    // the completion calendar mid-run: conservative lower-bound keys,
-    // epoch checks and the re-tighten-on-drain path are all under test.
     let cluster = one_node_cluster();
     let trace = gpt3_trace(&cluster, 16);
     let mut cfg = SimConfig::fast();
@@ -95,6 +92,43 @@ fn golden_equality_on_moe_expert_parallel_workload() {
     assert_eq!(
         new, reference,
         "event-driven engine diverged from reference on MoE/EP workload"
+    );
+}
+
+#[test]
+fn golden_equality_with_forced_heap_scheduler() {
+    // The completion calendar is the engine's only scheduler, so this
+    // 8-GPU world (once kept on a linear scan) must run every event
+    // through it and still reproduce the reference bit-for-bit:
+    // conservative lower-bound keys, epoch invalidation, and the
+    // re-tighten-on-drain path all under test, with thermal feedback on so
+    // frequency steps force compute re-keys mid-run.
+    let cluster = one_node_cluster();
+    let trace = gpt3_trace(&cluster, 16);
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 3;
+    cfg.warmup_iterations = 1;
+    let (new, stats) = Simulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .run_stats()
+        .unwrap();
+    let reference = ReferenceSimulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .run()
+        .unwrap();
+    assert!(
+        stats.heap_pushes > 0 && stats.heap_pops > 0 && stats.cal_bucket_drains > 0,
+        "small worlds must schedule through the completion calendar: {stats:?}"
+    );
+    assert!(
+        stats.cal_exact_removals > 0,
+        "completing entries must leave the calendar at their retire site"
+    );
+    assert_eq!(
+        serde_json::to_string(&new).unwrap(),
+        serde_json::to_string(&reference).unwrap(),
+        "calendar scheduler diverged from reference"
     );
 }
 
