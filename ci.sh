@@ -18,8 +18,14 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo fmt --check (perfbench, its own workspace)"
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy -- -D warnings (perfbench, its own workspace)"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run

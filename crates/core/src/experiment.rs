@@ -2,18 +2,30 @@
 
 use std::sync::Arc;
 
-use charllm_hw::Cluster;
+use serde_json::Value;
+
+use charllm_hw::{Cluster, GpuId};
 use charllm_models::TrainJob;
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
-use charllm_sim::{FaultPlan, SimConfig, SimResult, Simulator};
+use charllm_sim::{FaultPlan, NoopObserver, SimConfig, SimObserver, SimResult, Simulator};
 use charllm_telemetry::aggregate::group_mean;
 use charllm_telemetry::metrics::MetricsShard;
-use charllm_telemetry::StageTimer;
-use charllm_trace::{lower_inference, lower_train, DeviceHints, InferenceConfig};
+use charllm_telemetry::{chrome_trace, phase, SpanRecorder, StageTimer};
+use charllm_trace::lower::LoweredJob;
+use charllm_trace::{lower_inference, lower_train, DeviceHints, ExecutionTrace, InferenceConfig};
 
 use crate::cache::{CacheHit, CacheStats, SimCache};
 use crate::error::CoreError;
 use crate::report::RunReport;
+
+/// What [`Experiment::lower`] resolved for a run.
+pub(crate) struct Lowering {
+    pub(crate) placement: Placement,
+    pub(crate) lowered: Arc<LoweredJob>,
+    /// With a cache attached: the cache, the trace's content key and
+    /// where the trace was served from.
+    cached: Option<(Arc<SimCache>, String, CacheHit)>,
+}
 
 /// One fully specified run: cluster × job × parallelism × schedule ×
 /// placement × simulator configuration.
@@ -50,12 +62,40 @@ impl Experiment {
     ///
     /// Propagates configuration, lowering and simulation errors.
     pub fn run(&self) -> Result<RunReport, CoreError> {
-        let shard = self.metrics.as_ref().filter(|s| s.enabled());
-        // Host-side self-profiling: four `Instant::now` calls per run, so
-        // the timer runs whenever anything will read it (`self_profile`
-        // puts the timings on the report; an attached shard feeds the
-        // `sim_stage_seconds` histogram).
-        let mut timer = (self.self_profile || shard.is_some()).then(StageTimer::start);
+        let (report, ()) = if self.profiled {
+            let iterations = self.sim.iterations;
+            self.run_observed(
+                |trace| SpanRecorder::for_trace(trace, iterations),
+                |result, recorder| {
+                    result.profile =
+                        Some(phase::attribute(&recorder, result.sim_time_s, iterations));
+                },
+            )?
+        } else {
+            self.run_observed(|_| NoopObserver, |_, _| ())?
+        };
+        Ok(report)
+    }
+
+    /// Run with a fresh [`SpanRecorder`] attached and export the Chrome
+    /// `traceEvents` JSON ([`chrome_trace::export`]) of every span.
+    pub(crate) fn chrome_trace(&self) -> Result<Value, CoreError> {
+        let (_, recorder) = self.run_observed(|_| SpanRecorder::new(), |_, recorder| recorder)?;
+        let node_of_gpu: Vec<usize> = (0..self.cluster.num_gpus())
+            .map(|g| self.cluster.node_of(GpuId(g as u32)).index())
+            .collect();
+        Ok(chrome_trace::export(&recorder, &node_of_gpu))
+    }
+
+    /// Resolve partition, placement and device hints, then fetch the
+    /// lowered trace: by content key from the attached cache, else lowered
+    /// directly. No plan lookup, so an analytic screen that only needs the
+    /// trace leaves the plan counters alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates partition, placement and lowering errors.
+    pub(crate) fn lower(&self) -> Result<Lowering, CoreError> {
         let partition = match &self.partition {
             Some(p) => p.clone(),
             None => StagePartition::even(self.job.arch.num_layers, self.spec.pp)?,
@@ -71,31 +111,69 @@ impl Experiment {
             Some(cfg) => lower_inference(&self.job, &self.spec, &partition, &hints, *cfg)
                 .map_err(CoreError::from),
         };
+        let Some(cache) = &self.cache else {
+            return Ok(Lowering {
+                placement,
+                lowered: Arc::new(lower()?),
+                cached: None,
+            });
+        };
+        let mut key = SimCache::lowered_key(
+            &self.job,
+            &self.spec,
+            self.schedule,
+            &partition,
+            &hints,
+            self.inference.as_ref(),
+        );
+        // The fault plan participates in the cache key. This is
+        // conservative — faults perturb neither the lowered trace nor the
+        // collective plans — but it keeps the key an exact content hash of
+        // everything that shapes the run, and repeated points of an MTBF
+        // sweep (same plan) still hit.
+        if let Some(plan) = &self.faults {
+            key.push('|');
+            key.push_str(&serde_json::to_string(plan).expect("fault plan serializes"));
+        }
+        let (lowered, hit) = cache.lowered(&key, lower)?;
+        Ok(Lowering {
+            placement,
+            lowered,
+            cached: Some((Arc::clone(cache), key, hit)),
+        })
+    }
+
+    /// The one run path: lower, fetch plans, build the engine with the
+    /// observer `observe` makes for the trace, run it, let `finish` fold
+    /// the observer into the result, and report — timing each stage.
+    fn run_observed<O: SimObserver, T>(
+        &self,
+        observe: impl FnOnce(&ExecutionTrace) -> O,
+        finish: impl FnOnce(&mut SimResult, O) -> T,
+    ) -> Result<(RunReport, T), CoreError> {
+        let shard = self.metrics.as_ref().filter(|s| s.enabled());
+        // Host-side self-profiling: four `Instant::now` calls per run, so
+        // the timer runs whenever anything will read it (`self_profile`
+        // puts the timings on the report; an attached shard feeds the
+        // `sim_stage_seconds` histogram).
+        let mut timer = (self.self_profile || shard.is_some()).then(StageTimer::start);
+        let mut mark = |stage: &str| {
+            if let Some(t) = &mut timer {
+                t.mark(stage);
+            }
+        };
+        let Lowering {
+            placement,
+            lowered,
+            cached,
+        } = self.lower()?;
         // With a cache attached, lowering and collective-plan construction
         // are served by content key; results are byte-identical either way
         // (the trace is the same artifact, and shared plans are pure
         // functions of cluster × placement × trace).
-        let (lowered, shared, mut cache_stats) = match &self.cache {
-            None => (Arc::new(lower()?), None, None),
-            Some(cache) => {
-                let mut key = SimCache::lowered_key(
-                    &self.job,
-                    &self.spec,
-                    self.schedule,
-                    &partition,
-                    &hints,
-                    self.inference.as_ref(),
-                );
-                // The fault plan participates in the cache key. This is
-                // conservative — faults perturb neither the lowered trace
-                // nor the collective plans — but it keeps the key an exact
-                // content hash of everything that shapes the run, and
-                // repeated points of an MTBF sweep (same plan) still hit.
-                if let Some(plan) = &self.faults {
-                    key.push('|');
-                    key.push_str(&serde_json::to_string(plan).expect("fault plan serializes"));
-                }
-                let (lowered, lowered_hit) = cache.lowered(&key, lower)?;
+        let (shared, mut cache_stats) = match cached {
+            None => (None, None),
+            Some((cache, key, lowered_hit)) => {
                 let (shared, plan_hit) =
                     cache.plans(&self.cluster, &placement, &key, &lowered.trace, 1);
                 let disk = cache.has_disk_tier();
@@ -110,50 +188,31 @@ impl Experiment {
                     plan_disk_misses: u64::from(disk && plan_hit == CacheHit::Miss),
                     ..CacheStats::default()
                 };
-                (lowered, Some(shared), Some(stats))
+                (Some(shared), Some(stats))
             }
         };
-        if let Some(t) = &mut timer {
-            t.mark("lower");
+        mark("lower");
+        let observer = observe(&lowered.trace);
+        let mut sim = Simulator::with_observer(
+            &self.cluster,
+            &placement,
+            &lowered.trace,
+            self.sim,
+            observer,
+        )?;
+        if let Some(shared) = shared {
+            sim = sim.with_shared_plans(shared)?;
         }
-        let sim = if self.profiled {
-            let mut sim = Simulator::profiled(&self.cluster, &placement, &lowered.trace, self.sim)?;
-            if let Some(shared) = &shared {
-                sim = sim
-                    .with_shared_plans(Arc::clone(shared))
-                    .map_err(CoreError::from)?;
-            }
-            if let Some(plan) = &self.faults {
-                sim = sim.with_faults(plan).map_err(CoreError::from)?;
-            }
-            if let Some(s) = shard {
-                sim = sim.with_metrics(s);
-            }
-            if let Some(t) = &mut timer {
-                t.mark("plan_setup");
-            }
-            sim.run_profiled()?
-        } else {
-            let mut sim = Simulator::new(&self.cluster, &placement, &lowered.trace, self.sim)?;
-            if let Some(shared) = &shared {
-                sim = sim
-                    .with_shared_plans(Arc::clone(shared))
-                    .map_err(CoreError::from)?;
-            }
-            if let Some(plan) = &self.faults {
-                sim = sim.with_faults(plan).map_err(CoreError::from)?;
-            }
-            if let Some(s) = shard {
-                sim = sim.with_metrics(s);
-            }
-            if let Some(t) = &mut timer {
-                t.mark("plan_setup");
-            }
-            sim.run()?
-        };
-        if let Some(t) = &mut timer {
-            t.mark("event_loop");
+        if let Some(plan) = &self.faults {
+            sim = sim.with_faults(plan)?;
         }
+        if let Some(s) = shard {
+            sim = sim.with_metrics(s);
+        }
+        mark("plan_setup");
+        let (mut result, observer) = sim.run_observed()?;
+        let finished = finish(&mut result, observer);
+        mark("event_loop");
         // Persist what this run added to the cache only now: the shared
         // plan set filled lazily *during* the simulation, so syncing any
         // earlier would write an empty set.
@@ -163,26 +222,19 @@ impl Experiment {
                 stats.bytes_written = written;
             }
         }
-        let mut report = self.report(sim, &placement);
+        let mut report = self.report(result, &placement);
         report.cache = cache_stats;
-        if let Some(mut t) = timer {
-            t.mark("report");
+        mark("report");
+        if let Some(t) = timer {
             let timings = t.finish();
             if let Some(s) = shard {
-                for st in &timings.stages {
-                    s.histogram(
-                        "sim_stage_seconds",
-                        &[("stage", &st.stage)],
-                        charllm_sim::fold::STAGE_SECONDS_BOUNDS,
-                    )
-                    .observe(st.seconds);
-                }
+                timings.publish(s);
             }
             if self.self_profile {
                 report.stages = Some(timings);
             }
         }
-        Ok(report)
+        Ok((report, finished))
     }
 
     fn report(&self, sim: SimResult, placement: &Placement) -> RunReport {

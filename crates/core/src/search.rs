@@ -15,10 +15,9 @@ use serde::{Deserialize, Serialize};
 use charllm_hw::Cluster;
 use charllm_models::TrainJob;
 use charllm_parallel::enumerate::{valid_configs, EnumerateOptions};
-use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
+use charllm_parallel::ParallelismSpec;
 use charllm_sim::analytic::{estimate, AnalyticEstimate};
 use charllm_sim::SimConfig;
-use charllm_trace::{lower_train, DeviceHints};
 
 use crate::cache::SimCache;
 use crate::error::CoreError;
@@ -119,30 +118,19 @@ pub fn search_configs_with_cache(
     cache: Arc<SimCache>,
 ) -> Result<Vec<Candidate>, CoreError> {
     let specs = valid_configs(job, cluster, EnumerateOptions::default());
-    let hints = DeviceHints::for_spec(cluster.gpu());
+    // Screening and finalists build their runs from one base experiment,
+    // so both look the lowering up under the same key.
+    let base = Experiment::builder()
+        .cluster(cluster.clone())
+        .job(job.clone())
+        .sim_config(opts.sim)
+        .cache(cache);
     let mut screened: Vec<Candidate> = Vec::new();
     for spec in specs {
-        let Ok(partition) = StagePartition::even(job.arch.num_layers, spec.pp) else {
+        let Ok(lowering) = base.clone().spec(spec).build().and_then(|e| e.lower()) else {
             continue;
         };
-        let key = SimCache::lowered_key(
-            job,
-            &spec,
-            PipelineSchedule::OneFOneB,
-            &partition,
-            &hints,
-            None,
-        );
-        let Ok((lowered, _)) = cache.lowered(&key, || {
-            lower_train(job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
-                .map_err(CoreError::from)
-        }) else {
-            continue;
-        };
-        let Ok(placement) = Placement::identity(cluster, spec.world()) else {
-            continue;
-        };
-        let Ok(analytic) = estimate(cluster, &placement, &lowered.trace) else {
+        let Ok(analytic) = estimate(cluster, &lowering.placement, &lowering.lowered.trace) else {
             continue;
         };
         screened.push(Candidate {
@@ -157,17 +145,9 @@ pub fn search_configs_with_cache(
     screened.sort_by(|a, b| rank_desc(a.analytic.tokens_per_s, b.analytic.tokens_per_s));
 
     let n = opts.finalists.min(screened.len());
-    let cluster = Arc::new(cluster.clone());
     let finalists: Vec<ParallelismSpec> = screened[..n].iter().map(|c| c.spec).collect();
-    let reports = Executor::with_workers(opts.workers).run(&finalists, |_, spec| {
-        Experiment::builder()
-            .cluster(Arc::clone(&cluster))
-            .job(job.clone())
-            .spec(*spec)
-            .sim_config(opts.sim)
-            .cache(Arc::clone(&cache))
-            .run()
-    });
+    let reports = Executor::with_workers(opts.workers)
+        .run(&finalists, |_, spec| base.clone().spec(*spec).run());
     for (candidate, report) in screened.iter_mut().zip(reports) {
         candidate.report = Some(report?);
     }

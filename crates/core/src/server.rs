@@ -39,7 +39,8 @@
 //!
 //! `"kind": "search"` instead takes `"finalists"` and `"objective"`
 //! (`"throughput"` / `"efficiency"`) and runs
-//! [`search_configs_with_cache`] over the same shared cache.
+//! [`search_configs_with_cache`] over the same shared cache. A job may ask
+//! for at most 64 `"workers"`; more is refused with 400.
 //!
 //! # Concurrency
 //!
@@ -61,16 +62,15 @@ use std::time::Duration;
 
 use serde_json::{json, Value};
 
-use charllm_hw::{Cluster, GpuId};
+use charllm_hw::Cluster;
 use charllm_models::TrainJob;
-use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
-use charllm_sim::{SimConfig, Simulator};
+use charllm_parallel::ParallelismSpec;
+use charllm_sim::SimConfig;
 use charllm_telemetry::metrics::MetricsHub;
-use charllm_telemetry::{chrome_trace, SpanRecorder};
-use charllm_trace::{lower_train, DeviceHints};
 
 use crate::cache::{CacheStats, SimCache};
 use crate::error::CoreError;
+use crate::experiment::Experiment;
 use crate::search::{search_configs_with_cache, Objective, SearchOptions};
 use crate::stream::ProgressStream;
 use crate::sweep::Sweep;
@@ -89,6 +89,11 @@ const MAX_LINE_BYTES: usize = 8 << 10;
 
 /// Most header lines one request may carry; one more is refused with 431.
 const MAX_HEADERS: usize = 100;
+
+/// Most worker threads one job may ask for; more is refused with 400 at
+/// submit. Each worker gets a metrics shard, so an unchecked count could
+/// abort the process on allocation.
+const MAX_JOB_WORKERS: usize = 64;
 
 /// Server deployment knobs.
 #[derive(Debug, Clone)]
@@ -187,6 +192,10 @@ impl JobRequest {
             })
             .filter(|v: &Vec<usize>| !v.is_empty())
             .unwrap_or_else(|| vec![1]);
+        let workers = get_usize("workers", defaults.sweep_workers);
+        if workers > MAX_JOB_WORKERS {
+            return Err(format!("\"workers\" over {MAX_JOB_WORKERS}"));
+        }
         let req = JobRequest {
             kind,
             cluster: get_str("cluster", "hgx_h200"),
@@ -195,7 +204,7 @@ impl JobRequest {
             specs,
             microbatches,
             fast: body.get("fast").and_then(Value::as_bool).unwrap_or(true),
-            workers: get_usize("workers", defaults.sweep_workers),
+            workers,
             finalists: get_usize("finalists", 3),
             objective: match get_str("objective", "throughput").as_str() {
                 "throughput" => Objective::Throughput,
@@ -513,8 +522,8 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) -> Result<Value, CoreError>
         };
         let ranked =
             search_configs_with_cache(&train_job, &cluster, opts, Arc::clone(&state.cache))?;
-        // The screen phase lowers outside Experiment::run; persist its
-        // publications too.
+        // The screen phase lowers without running, so nothing has synced
+        // its publications yet; persist them too.
         state.cache.sync_disk()?;
         let candidates: Vec<Value> = ranked
             .iter()
@@ -825,10 +834,10 @@ fn stream_job(conn: &mut TcpStream, job: &Arc<Job>) {
     }
 }
 
-/// Re-run one sweep point with a span recorder attached and export the
-/// Chrome `traceEvents` JSON ([`chrome_trace::export`]). The lowering and
-/// plan set come from the shared cache, so a trace download after a sweep
-/// costs one extra (observed) simulation, not a cold rebuild.
+/// Re-run one sweep point with a span recorder attached and export its
+/// Chrome `traceEvents` JSON. The point runs as an [`Experiment`] on the
+/// shared cache, so a trace download after a sweep costs one extra
+/// (observed) simulation, not a cold rebuild.
 fn perfetto_for_point(
     state: &Arc<ServerState>,
     req: &JobRequest,
@@ -841,40 +850,14 @@ fn perfetto_for_point(
             "point {index} outside the job's grid"
         )));
     }
-    let spec = specs[index / per_spec];
-    let job = job.with_microbatch(req.microbatches[index % per_spec]);
-    let partition = StagePartition::even(job.arch.num_layers, spec.pp)?;
-    let placement = Placement::identity(&cluster, spec.world())?;
-    let hints = DeviceHints::for_spec(cluster.gpu());
-    let key = SimCache::lowered_key(
-        &job,
-        &spec,
-        PipelineSchedule::OneFOneB,
-        &partition,
-        &hints,
-        None,
-    );
-    let (lowered, _) = state.cache.lowered(&key, || {
-        lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
-            .map_err(CoreError::from)
-    })?;
-    let (shared, _) = state
-        .cache
-        .plans(&cluster, &placement, &key, &lowered.trace, 1);
-    let sim = Simulator::with_observer(
-        &cluster,
-        &placement,
-        &lowered.trace,
-        req.sim_config(),
-        SpanRecorder::new(),
-    )?
-    .with_shared_plans(shared)?;
-    let (_, recorder) = sim.run_observed()?;
-    state.cache.sync_disk()?;
-    let node_of_gpu: Vec<usize> = (0..cluster.num_gpus())
-        .map(|g| cluster.node_of(GpuId(g as u32)).index())
-        .collect();
-    let events = chrome_trace::export(&recorder, &node_of_gpu);
+    let events = Experiment::builder()
+        .cluster(cluster)
+        .job(job.with_microbatch(req.microbatches[index % per_spec]))
+        .spec(specs[index / per_spec])
+        .sim_config(req.sim_config())
+        .cache(Arc::clone(&state.cache))
+        .build()?
+        .chrome_trace()?;
     Ok(serde_json::to_string(&events).expect("trace serializes"))
 }
 
@@ -984,6 +967,14 @@ mod tests {
             )
             .is_err(),
             "unparsable spec rejected at submit time"
+        );
+        assert!(
+            JobRequest::parse(
+                &json!({ "specs": ["TP2-PP2"], "cluster": "single_hgx_node", "workers": 65 }),
+                &cfg
+            )
+            .is_err(),
+            "worker count over the cap rejected at submit time"
         );
     }
 

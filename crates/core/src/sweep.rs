@@ -224,7 +224,6 @@ pub struct Sweep {
     workers: usize,
     progress: Option<Arc<ProgressFn>>,
     cache: Option<Arc<SimCache>>,
-    use_cache: bool,
     faults: Option<FaultPlan>,
     metrics: Option<Arc<MetricsHub>>,
     stream: Option<Arc<ProgressStream>>,
@@ -244,7 +243,7 @@ impl fmt::Debug for Sweep {
             .field("skip_failures", &self.skip_failures)
             .field("workers", &self.workers)
             .field("progress", &self.progress.is_some())
-            .field("cache", &self.use_cache)
+            .field("cache", &self.cache.is_some())
             .field("faults", &self.faults.is_some())
             .field("metrics", &self.metrics.is_some())
             .field("stream", &self.stream.is_some())
@@ -272,7 +271,6 @@ impl Sweep {
             workers: 0,
             progress: None,
             cache: None,
-            use_cache: true,
             faults: None,
             metrics: None,
             stream: None,
@@ -329,16 +327,6 @@ impl Sweep {
     /// same plan still hit a shared cache.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Disable cross-point memoization: every point lowers its trace and
-    /// builds its collective plans from scratch. On by default — results
-    /// are byte-identical either way, so this exists for benchmarking the
-    /// cache itself and for memory-constrained giant sweeps.
-    pub fn no_cache(mut self) -> Self {
-        self.cache = None;
-        self.use_cache = false;
         self
     }
 
@@ -446,13 +434,12 @@ impl Sweep {
         // One cache for the whole pool: workers publish lowered traces and
         // plan sets as they build them, so points sharing a workload (or a
         // later sweep via `with_cache`) skip that work entirely.
-        let cache = match (&self.cache, self.use_cache) {
-            (Some(external), _) => Some(Arc::clone(external)),
-            (None, true) => Some(Arc::new(match hub {
+        let cache = match &self.cache {
+            Some(external) => Arc::clone(external),
+            None => Arc::new(match hub {
                 Some(h) => SimCache::with_metrics(&h.shard(0)),
                 None => SimCache::new(),
-            })),
-            (None, false) => None,
+            }),
         };
         let counters = hub.map(SweepCounters::new);
         if let Some(c) = &counters {
@@ -492,10 +479,8 @@ impl Sweep {
                 .job(job.clone())
                 .spec(point.spec)
                 .sim_config(self.sim)
+                .cache(Arc::clone(&cache))
                 .self_profile(self.self_profile);
-            if let Some(cache) = &cache {
-                builder = builder.cache(Arc::clone(cache));
-            }
             if let Some(plan) = &self.faults {
                 builder = builder.faults(plan.clone());
             }
@@ -812,11 +797,23 @@ mod tests {
             ParallelismSpec::parse("TP2-PP2", 8).unwrap(),
             ParallelismSpec::parse("TP4-PP2", 8).unwrap(),
         ];
-        let cold = small_sweep(specs.clone()).no_cache().run().unwrap();
+        let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(4);
+        let cold: Vec<RunReport> = specs
+            .iter()
+            .map(|spec| {
+                Experiment::builder()
+                    .cluster(single_hgx_node())
+                    .job(job.clone())
+                    .spec(*spec)
+                    .sim_config(SimConfig::fast())
+                    .run()
+                    .unwrap()
+            })
+            .collect();
         let cached = small_sweep(specs).run().unwrap();
         assert_eq!(cold.len(), cached.len());
         for (a, b) in cold.iter().zip(&cached) {
-            assert!(a.cache.is_none(), "no_cache leaves no counters");
+            assert!(a.cache.is_none(), "an uncached run leaves no counters");
             let stats = b.cache.expect("cached run records counters");
             assert_eq!(stats.lookups(), 2, "one lowered + one plan lookup");
             assert_eq!(

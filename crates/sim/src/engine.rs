@@ -36,7 +36,7 @@ use charllm_hw::{Cluster, GpuId, LinkClass};
 use charllm_net::{lower_collective, ArenaItem, LinkHealth, SliceArena, SliceRef};
 use charllm_parallel::Placement;
 use charllm_telemetry::metrics::{Gauge, MetricsShard};
-use charllm_telemetry::{phase, GpuSample, SpanRecorder, TelemetryStore};
+use charllm_telemetry::{GpuSample, TelemetryStore};
 use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, ThermalSpec};
 use charllm_trace::{ExecutionTrace, KernelClass, Step};
 
@@ -1234,39 +1234,6 @@ impl<'a> Simulator<'a> {
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
         Self::with_observer(cluster, placement, trace, cfg, NoopObserver)
-    }
-}
-
-impl<'a> Simulator<'a, SpanRecorder> {
-    /// Build a profiling simulator: records span streams and attaches a
-    /// [`phase::attribute`] profile to the result of
-    /// [`Simulator::run_profiled`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::new`].
-    pub fn profiled(
-        cluster: &'a Cluster,
-        placement: &Placement,
-        trace: &'a ExecutionTrace,
-        cfg: SimConfig,
-    ) -> Result<Self, SimError> {
-        let recorder = SpanRecorder::for_trace(trace, cfg.iterations);
-        Self::with_observer(cluster, placement, trace, cfg, recorder)
-    }
-
-    /// Run to completion and attach the span-level [`phase`] attribution as
-    /// `result.profile` (all other result fields stay byte-identical to an
-    /// unobserved run).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run`].
-    pub fn run_profiled(self) -> Result<SimResult, SimError> {
-        let iterations = self.cfg.iterations;
-        let (mut result, recorder) = self.run_observed()?;
-        result.profile = Some(phase::attribute(&recorder, result.sim_time_s, iterations));
-        Ok(result)
     }
 }
 

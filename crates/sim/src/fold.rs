@@ -37,7 +37,6 @@
 //! falls back automatically.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use charllm_hw::{Cluster, GpuId};
 use charllm_models::TrainJob;
@@ -45,6 +44,7 @@ use charllm_net::folding::translated_copy;
 use charllm_net::lower_collective;
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, RankGrid, StagePartition};
 use charllm_telemetry::metrics::MetricsShard;
+use charllm_telemetry::StageTimer;
 use charllm_trace::{lower_train, lower_train_folded, DeviceHints, FoldedJob, TraceError};
 
 use crate::config::SimConfig;
@@ -81,9 +81,6 @@ impl Default for FoldOptions {
         }
     }
 }
-
-/// Histogram bounds (seconds) shared by every `sim_stage_seconds` series.
-pub const STAGE_SECONDS_BOUNDS: &[f64] = &[0.001, 0.01, 0.1, 1.0, 10.0, 100.0];
 
 /// The rank/GPU correspondence a successful [`detect`] proves.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -283,24 +280,7 @@ pub fn run_folded(
     })?;
 
     let shard = opts.metrics.as_ref().filter(|s| s.enabled());
-    let stage_hist = |stage: &str| {
-        shard.map(|s| {
-            s.histogram(
-                "sim_stage_seconds",
-                &[("stage", stage)],
-                STAGE_SECONDS_BOUNDS,
-            )
-        })
-    };
-    let mut stage_start = Instant::now();
-    let mut mark_stage = |hist: Option<charllm_telemetry::metrics::Histogram>| {
-        let now = Instant::now();
-        let secs = now.duration_since(stage_start).as_secs_f64();
-        stage_start = now;
-        if let Some(h) = hist {
-            h.observe(secs);
-        }
-    };
+    let mut timer = StageTimer::start();
 
     // Rebuild the full cross-replica rings and seed them into the plan
     // cache with multiplier 1: they exist exactly once in the unfolded run.
@@ -331,11 +311,14 @@ pub fn run_folded(
     if let Some(s) = shard {
         sim = sim.with_metrics(s);
     }
-    mark_stage(stage_hist("plan_build"));
+    timer.mark("plan_build");
     let (mut result, stats) = sim.run_stats()?;
-    mark_stage(stage_hist("event_loop"));
+    timer.mark("event_loop");
     expand(&mut result, &map, opts);
-    mark_stage(stage_hist("fold_expand"));
+    timer.mark("fold_expand");
+    if let Some(s) = shard {
+        timer.finish().publish(s);
+    }
     Ok((result, stats))
 }
 

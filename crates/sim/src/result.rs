@@ -199,7 +199,8 @@ pub struct SimResult {
     /// Total simulated time lost to fault outages, seconds.
     pub fault_downtime_s: f64,
     /// Span-level phase/energy attribution; `None` unless the run was
-    /// profiled (e.g. via `Simulator::profiled`).
+    /// profiled (`ExperimentBuilder::profiled` in the `charllm` crate, or
+    /// [`charllm_telemetry::phase::attribute`] over a recorded run).
     pub profile: Option<Profile>,
 }
 

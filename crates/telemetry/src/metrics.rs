@@ -847,7 +847,24 @@ impl StageTimings {
     pub fn total_seconds(&self) -> f64 {
         self.stages.iter().map(|s| s.seconds).sum()
     }
+
+    /// Observe every stage into `shard`'s `sim_stage_seconds` histogram,
+    /// one series per stage name.
+    pub fn publish(&self, shard: &MetricsShard) {
+        for st in &self.stages {
+            shard
+                .histogram(
+                    "sim_stage_seconds",
+                    &[("stage", &st.stage)],
+                    STAGE_SECONDS_BOUNDS,
+                )
+                .observe(st.seconds);
+        }
+    }
 }
+
+/// Histogram bounds (seconds) shared by every `sim_stage_seconds` series.
+pub const STAGE_SECONDS_BOUNDS: &[f64] = &[0.001, 0.01, 0.1, 1.0, 10.0, 100.0];
 
 /// Wall-clock stage timer: call [`StageTimer::mark`] at each stage
 /// boundary; each mark closes the stage that began at the previous one.

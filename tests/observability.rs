@@ -162,11 +162,12 @@ fn phase_attribution_tiles_every_ranks_wall_time() {
     cfg.iterations = 3;
     cfg.warmup_iterations = 1;
     let placement = Placement::identity(&cluster, trace.world()).unwrap();
-    let result = Simulator::profiled(&cluster, &placement, &trace, cfg)
-        .unwrap()
-        .run_profiled()
-        .unwrap();
-    let profile = result.profile.as_ref().expect("profiled run");
+    let (result, recorder) =
+        Simulator::with_observer(&cluster, &placement, &trace, cfg, SpanRecorder::new())
+            .unwrap()
+            .run_observed()
+            .unwrap();
+    let profile = phase::attribute(&recorder, result.sim_time_s, cfg.iterations);
     assert_eq!(profile.world(), trace.world());
     assert!(profile.makespan_s > 0.0);
     for (rank, phases) in profile.rank_phases.iter().enumerate() {

@@ -1,8 +1,9 @@
 //! The sim server end-to-end, over real sockets: concurrent sweep jobs
 //! sharing one `SimCache`, live JSONL progress streams whose per-point
 //! metric deltas sum exactly to each job's terminal snapshot, result
-//! documents that agree with the streams, cooperative cancel, and a
-//! Perfetto trace download served off the shared cache.
+//! documents that agree with the streams, cooperative cancel, refused
+//! oversized requests, and Perfetto trace downloads served off the shared
+//! cache, byte-equal to an in-process export.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -14,6 +15,11 @@ use serde_json::{Number, Value};
 
 use charllm::prelude::*;
 use charllm::server::http_request;
+use charllm_hw::GpuId;
+use charllm_parallel::{Placement, StagePartition};
+use charllm_sim::Simulator;
+use charllm_telemetry::{chrome_trace, SpanRecorder};
+use charllm_trace::{lower_train, DeviceHints};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let nanos = std::time::SystemTime::now()
@@ -52,6 +58,35 @@ fn counters_of(metrics: &Value) -> BTreeMap<String, u64> {
         *out.entry(format!("{name}{labels}")).or_insert(0) += value;
     }
     out
+}
+
+/// The Chrome trace JSON of one point of the test sweep (GPT3-13B, global
+/// batch 4, one HGX node, fast config), recorded and exported in process
+/// with no cache involved.
+fn in_process_trace(label: &str, microbatch: usize) -> String {
+    let cluster = single_hgx_node();
+    let job = TrainJob::pretrain(gpt3_13b())
+        .with_global_batch(4)
+        .with_microbatch(microbatch);
+    let spec = ParallelismSpec::parse(label, cluster.num_gpus()).unwrap();
+    let partition = StagePartition::even(job.arch.num_layers, spec.pp).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let lowered = lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+    let placement = Placement::identity(&cluster, spec.world()).unwrap();
+    let (_, recorder) = Simulator::with_observer(
+        &cluster,
+        &placement,
+        &lowered.trace,
+        SimConfig::fast(),
+        SpanRecorder::new(),
+    )
+    .unwrap()
+    .run_observed()
+    .unwrap();
+    let node_of_gpu: Vec<usize> = (0..cluster.num_gpus())
+        .map(|g| cluster.node_of(GpuId(g as u32)).index())
+        .collect();
+    serde_json::to_string(&chrome_trace::export(&recorder, &node_of_gpu)).unwrap()
 }
 
 #[test]
@@ -155,18 +190,38 @@ fn concurrent_jobs_share_one_cache_and_their_streams_reconcile() {
         "finished jobs synced their artifacts to the disk tier"
     );
 
-    // A Perfetto trace for a sweep point, served off the now-warm cache.
-    let (status, trace) =
-        http_request(addr, "GET", &format!("/jobs/{}/trace/0", ids[0]), None).unwrap();
-    assert_eq!(status, 200);
-    let trace: Value = serde_json::from_str(&trace).unwrap();
-    assert!(
-        trace
-            .get("traceEvents")
-            .and_then(Value::as_array)
-            .is_some_and(|a| !a.is_empty()),
-        "trace export carries events"
-    );
+    // A Perfetto trace for every sweep point, served off the now-warm
+    // cache, byte-equal to an in-process export of the same point.
+    for (index, (label, microbatch)) in [
+        ("TP2-PP2", 1),
+        ("TP2-PP2", 2),
+        ("TP4-PP2", 1),
+        ("TP4-PP2", 2),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (status, trace) = http_request(
+            addr,
+            "GET",
+            &format!("/jobs/{}/trace/{index}", ids[0]),
+            None,
+        )
+        .unwrap();
+        assert_eq!(status, 200);
+        assert!(
+            trace == in_process_trace(label, microbatch),
+            "trace download for point {index} differs from the in-process export"
+        );
+        let trace: Value = serde_json::from_str(&trace).unwrap();
+        assert!(
+            trace
+                .get("traceEvents")
+                .and_then(Value::as_array)
+                .is_some_and(|a| !a.is_empty()),
+            "trace export carries events"
+        );
+    }
 
     // /metrics exposes the server's own counters.
     let (status, metrics) = http_request(addr, "GET", "/metrics", None).unwrap();
@@ -199,6 +254,14 @@ fn bad_submissions_are_rejected_and_cancel_is_cooperative() {
         let (status, resp) = http_request(addr, "POST", "/jobs", Some(bad)).unwrap();
         assert_eq!(status, 400, "{bad} must be rejected: {resp}");
     }
+
+    // A worker count no job can use is refused at submit, and the server
+    // is still up afterwards.
+    let huge = r#"{"specs": ["TP2-PP2"], "cluster": "single_hgx_node", "workers": 1000000000000}"#;
+    let (status, resp) = http_request(addr, "POST", "/jobs", Some(huge)).unwrap();
+    assert_eq!(status, 400, "oversized workers must be rejected: {resp}");
+    let (status, _) = http_request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
 
     // Oversized requests are refused once a cap is reached, not read in
     // truncated: a body over 1 MiB from its header alone (413), a 16 KiB

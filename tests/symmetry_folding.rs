@@ -24,6 +24,7 @@ use charllm_models::{presets as models, TrainJob};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, RankGrid, StagePartition};
 use charllm_sim::fold::{self, FoldOptions};
 use charllm_sim::{SimConfig, SimError, SimResult, Simulator};
+use charllm_telemetry::{MetricValue, MetricsHub};
 use charllm_trace::{lower_train, lower_train_folded, DeviceHints};
 
 fn fold_cfg() -> SimConfig {
@@ -475,4 +476,41 @@ fn telemetry_expansion_is_optional_but_aggregates_agree() {
     let phantom = (8..16).find(|&g| !compact.telemetry.power(g).is_empty());
     assert_eq!(phantom, None, "phantom node series must stay empty");
     assert!(!expanded.telemetry.power(8).is_empty());
+}
+
+#[test]
+fn folded_runs_time_their_three_stages() {
+    let cluster = presets::hgx_h100_with_nodes(2);
+    let s = spec(8, 1, 1, 16); // dp = 2
+    let placement = Placement::identity(&cluster, s.world()).unwrap();
+    let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(8);
+    let hub = MetricsHub::new(1);
+    run_folded(
+        &cluster,
+        &placement,
+        &job,
+        &s,
+        fold_cfg(),
+        &FoldOptions {
+            metrics: Some(hub.shard(0)),
+            ..FoldOptions::default()
+        },
+    );
+    // One observation per stage, under exactly these names (perfbench's
+    // folded workload reads them back by name).
+    let snap = hub.snapshot();
+    let stages: Vec<(&str, u64)> = snap
+        .iter()
+        .filter(|(id, _)| id.name == "sim_stage_seconds")
+        .map(|(id, v)| {
+            let MetricValue::Histogram { count, .. } = v else {
+                panic!("sim_stage_seconds is a histogram, got {v:?}");
+            };
+            (id.labels[0].1.as_str(), *count)
+        })
+        .collect();
+    assert_eq!(
+        stages,
+        [("event_loop", 1), ("fold_expand", 1), ("plan_build", 1)]
+    );
 }
