@@ -10,7 +10,7 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo test --workspace -q (crate unit tests)"
-cargo test --workspace -q
+cargo test --workspace --exclude charllm-ppt -q
 
 echo "==> cargo test (perfbench, its own workspace)"
 cargo test --offline --manifest-path perfbench/Cargo.toml

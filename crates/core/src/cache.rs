@@ -59,6 +59,7 @@
 //! [`SimConfig`]: charllm_sim::SimConfig
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -69,7 +70,7 @@ use serde_json::Value;
 use charllm_hw::Cluster;
 use charllm_models::TrainJob;
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
-use charllm_sim::{PlanSetSnapshot, SharedPlans};
+use charllm_sim::SharedPlans;
 use charllm_telemetry::metrics::{Counter, Gauge, MetricsShard};
 use charllm_trace::lower::LoweredJob;
 use charllm_trace::{DeviceHints, ExecutionTrace, InferenceConfig};
@@ -77,7 +78,7 @@ use charllm_trace::{DeviceHints, ExecutionTrace, InferenceConfig};
 use crate::error::CoreError;
 
 /// Version tag written into every persisted entry. Bump whenever the
-/// serialized shape of [`LoweredJob`] or [`PlanSetSnapshot`] (or the key
+/// serialized shape of [`LoweredJob`] or [`SharedPlans`] (or the key
 /// derivation) changes: readers treat any other tag as a miss, so stale
 /// caches age out by rebuild instead of by misdeserialization.
 pub const DISK_FORMAT_VERSION: u64 = 1;
@@ -100,64 +101,106 @@ impl CacheHit {
     }
 }
 
-/// Live-metrics handles of a [`SimCache`] (see [`SimCache::with_metrics`]).
-/// All handles are inert when the hub is disabled. Every family is an
-/// integer [`Counter`], so [`MetricsSnapshot::diff`] / [`add`] compose the
-/// disk-tier counters as exactly as the memory-tier ones.
+/// The two cached families, in the order of the per-family hub arrays.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Family {
+    Lowered,
+    Plans,
+}
+
+impl Family {
+    const ALL: [Family; 2] = [Family::Lowered, Family::Plans];
+
+    /// The family's disk subdirectory and hub label.
+    fn name(self) -> &'static str {
+        match self {
+            Family::Lowered => "lowered",
+            Family::Plans => "plans",
+        }
+    }
+}
+
+/// A cached artifact: its family, how much persistable content it holds
+/// (1 for a lowered trace; built slots for a plan set, which fill lazily
+/// during simulation and so grow across syncs) and, through its serde
+/// impls, its disk payload.
+trait Artifact: Serialize + Deserialize + Sized {
+    const FAMILY: Family;
+    fn content(&self) -> u64;
+    /// The memory tier holding this family.
+    fn tier(cache: &SimCache) -> &Mutex<Tier<Self>>;
+}
+
+impl Artifact for LoweredJob {
+    const FAMILY: Family = Family::Lowered;
+    fn content(&self) -> u64 {
+        1
+    }
+    fn tier(cache: &SimCache) -> &Mutex<Tier<Self>> {
+        &cache.lowered
+    }
+}
+
+impl Artifact for SharedPlans {
+    const FAMILY: Family = Family::Plans;
+    fn content(&self) -> u64 {
+        self.num_built() as u64
+    }
+    fn tier(cache: &SimCache) -> &Mutex<Tier<Self>> {
+        &cache.plans
+    }
+}
+
+/// Live-metrics handles of a [`SimCache`] (see [`SimCache::with_metrics`]),
+/// indexed by [`Family`]. All handles are inert when the hub is disabled.
+/// Every family is an integer [`Counter`], so [`MetricsSnapshot::diff`] /
+/// [`add`] compose the disk-tier counters as exactly as the memory-tier
+/// ones.
 ///
 /// [`MetricsSnapshot::diff`]: charllm_telemetry::MetricsSnapshot::diff
 /// [`add`]: charllm_telemetry::MetricsSnapshot::add
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CacheMetrics {
-    lowered_hits: Counter,
-    lowered_misses: Counter,
-    plan_hits: Counter,
-    plan_misses: Counter,
-    lowered_disk_hits: Counter,
-    lowered_disk_misses: Counter,
-    plan_disk_hits: Counter,
-    plan_disk_misses: Counter,
-    lowered_evictions: Counter,
-    plan_evictions: Counter,
+    /// `cache_lookups_total{family, result}`, as `[hit, miss]`.
+    lookups: [[Counter; 2]; 2],
+    /// `cache_disk_lookups_total{family, result}`, as `[hit, miss]`.
+    disk_lookups: [[Counter; 2]; 2],
+    evictions: [Counter; 2],
+    key_bytes: [Counter; 2],
+    entries: [Gauge; 2],
     disk_bytes_written: Counter,
-    lowered_key_bytes: Counter,
-    plan_key_bytes: Counter,
-    lowered_entries: Gauge,
-    plan_entries: Gauge,
 }
 
 impl CacheMetrics {
     fn new(shard: &MetricsShard) -> Self {
-        let c = |family: &str, result: &str| {
-            shard.counter(
-                "cache_lookups_total",
-                &[("family", family), ("result", result)],
-            )
+        let results = |name: &str, family: Family| {
+            ["hit", "miss"]
+                .map(|result| shard.counter(name, &[("family", family.name()), ("result", result)]))
         };
-        let d = |family: &str, result: &str| {
-            shard.counter(
-                "cache_disk_lookups_total",
-                &[("family", family), ("result", result)],
-            )
-        };
+        let per_family =
+            |name: &str| Family::ALL.map(|f| shard.counter(name, &[("family", f.name())]));
         CacheMetrics {
-            lowered_hits: c("lowered", "hit"),
-            lowered_misses: c("lowered", "miss"),
-            plan_hits: c("plans", "hit"),
-            plan_misses: c("plans", "miss"),
-            lowered_disk_hits: d("lowered", "hit"),
-            lowered_disk_misses: d("lowered", "miss"),
-            plan_disk_hits: d("plans", "hit"),
-            plan_disk_misses: d("plans", "miss"),
-            lowered_evictions: shard.counter("cache_evictions_total", &[("family", "lowered")]),
-            plan_evictions: shard.counter("cache_evictions_total", &[("family", "plans")]),
+            lookups: Family::ALL.map(|f| results("cache_lookups_total", f)),
+            disk_lookups: Family::ALL.map(|f| results("cache_disk_lookups_total", f)),
+            evictions: per_family("cache_evictions_total"),
+            key_bytes: per_family("cache_inserted_key_bytes_total"),
+            entries: Family::ALL.map(|f| shard.gauge("cache_entries", &[("family", f.name())])),
             disk_bytes_written: shard.counter("cache_disk_bytes_written_total", &[]),
-            lowered_key_bytes: shard
-                .counter("cache_inserted_key_bytes_total", &[("family", "lowered")]),
-            plan_key_bytes: shard.counter("cache_inserted_key_bytes_total", &[("family", "plans")]),
-            lowered_entries: shard.gauge("cache_entries", &[("family", "lowered")]),
-            plan_entries: shard.gauge("cache_entries", &[("family", "plans")]),
         }
+    }
+
+    /// Mirror a [`CacheStats`] delta into the counters.
+    fn add(&self, mut delta: CacheStats) {
+        for f in Family::ALL {
+            let [hits, misses, disk_hits, disk_misses, evictions] = delta.family_mut(f).map(|n| *n);
+            let i = f as usize;
+            self.lookups[i][0].add(hits);
+            self.lookups[i][1].add(misses);
+            self.disk_lookups[i][0].add(disk_hits);
+            self.disk_lookups[i][1].add(disk_misses);
+            self.evictions[i].add(evictions);
+        }
+        self.disk_bytes_written.add(delta.bytes_written);
     }
 }
 
@@ -167,9 +210,8 @@ struct Slot<T> {
     value: Arc<T>,
     /// Recency tick for LRU eviction (monotonic per tier).
     last_used: u64,
-    /// How much of this entry the disk tier already holds: 0/1 for lowered
-    /// traces, the number of persisted built plans for plan sets (plan
-    /// sets fill lazily during simulation, so this grows across syncs).
+    /// How much of this entry's [`Artifact::content`] the disk tier
+    /// already holds.
     persisted: u64,
 }
 
@@ -246,8 +288,9 @@ struct DiskTier {
 
 impl DiskTier {
     fn new(dir: &Path) -> Result<Self, CoreError> {
-        std::fs::create_dir_all(dir.join("lowered"))?;
-        std::fs::create_dir_all(dir.join("plans"))?;
+        for family in Family::ALL {
+            std::fs::create_dir_all(dir.join(family.name()))?;
+        }
         Ok(DiskTier {
             dir: dir.to_path_buf(),
             nonce: AtomicU64::new(0),
@@ -274,11 +317,12 @@ impl DiskTier {
             .join(format!("{:016x}.json", DiskTier::address(key)))
     }
 
-    /// The persisted payload for `key`, or `None` when the entry is
+    /// The persisted artifact for `key`, or `None` when the entry is
     /// absent, truncated, corrupt, from another format version, or a hash
     /// collision — every failure mode is a miss, never an error: the disk
     /// tier is an accelerator, and a bad file just means rebuilding.
-    fn load(&self, family: &str, key: &str) -> Option<Value> {
+    fn load<A: Artifact>(&self, key: &str) -> Option<A> {
+        let family = A::FAMILY.name();
         let text = std::fs::read_to_string(self.path(family, key)).ok()?;
         let mut entry: Value = serde_json::from_str(&text).ok()?;
         let tag = entry
@@ -294,19 +338,21 @@ impl DiskTier {
         // Take the payload by value: entries run to megabytes and the doc
         // is discarded here anyway, so a clone would only burn load time.
         match &mut entry {
-            Value::Object(map) => map.remove("payload"),
+            Value::Object(map) => serde_json::from_value(map.remove("payload")?).ok(),
             _ => None,
         }
     }
 
-    /// Persist `payload` under `key` atomically (temp file + rename into
-    /// place), returning the bytes written.
-    fn store(&self, family: &str, key: &str, payload: Value) -> Result<u64, CoreError> {
+    /// Persist `value` under `key` atomically (temp file + rename into
+    /// place), returning the bytes written. A failed write or rename
+    /// removes its temp file before returning the error.
+    fn store<A: Artifact>(&self, key: &str, value: &A) -> Result<u64, CoreError> {
+        let family = A::FAMILY.name();
         let entry = serde_json::json!({
             "v": DISK_FORMAT_VERSION,
             "family": family,
             "key": key,
-            "payload": payload,
+            "payload": serde_json::to_value(value).expect("cache artifact serializes"),
         });
         let text = serde_json::to_string(&entry).expect("cache entry serializes");
         let path = self.path(family, key);
@@ -315,8 +361,12 @@ impl DiskTier {
             std::process::id(),
             self.nonce.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, text.as_bytes())?;
-        std::fs::rename(&tmp, &path)?;
+        if let Err(err) =
+            std::fs::write(&tmp, text.as_bytes()).and_then(|()| std::fs::rename(&tmp, &path))
+        {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(err.into());
+        }
         Ok(text.len() as u64)
     }
 }
@@ -330,17 +380,8 @@ pub struct SimCache {
     plans: Mutex<Tier<SharedPlans>>,
     disk: Option<DiskTier>,
     max_entries: Option<usize>,
-    lowered_hits: AtomicU64,
-    lowered_misses: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    lowered_disk_hits: AtomicU64,
-    lowered_disk_misses: AtomicU64,
-    plan_disk_hits: AtomicU64,
-    plan_disk_misses: AtomicU64,
-    lowered_evictions: AtomicU64,
-    plan_evictions: AtomicU64,
-    disk_bytes_written: AtomicU64,
+    /// Cumulative counters; every change goes through [`SimCache::bump`].
+    total: Mutex<CacheStats>,
     metrics: Option<CacheMetrics>,
 }
 
@@ -403,18 +444,49 @@ impl CacheStats {
     /// Field-wise sum: per-run deltas add to the cumulative counters
     /// exactly (everything is an integer).
     pub fn add(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            lowered_hits: self.lowered_hits + other.lowered_hits,
-            lowered_misses: self.lowered_misses + other.lowered_misses,
-            plan_hits: self.plan_hits + other.plan_hits,
-            plan_misses: self.plan_misses + other.plan_misses,
-            lowered_disk_hits: self.lowered_disk_hits + other.lowered_disk_hits,
-            lowered_disk_misses: self.lowered_disk_misses + other.lowered_disk_misses,
-            plan_disk_hits: self.plan_disk_hits + other.plan_disk_hits,
-            plan_disk_misses: self.plan_disk_misses + other.plan_disk_misses,
-            lowered_evictions: self.lowered_evictions + other.lowered_evictions,
-            plan_evictions: self.plan_evictions + other.plan_evictions,
-            bytes_written: self.bytes_written + other.bytes_written,
+        let (mut sum, mut other) = (*self, *other);
+        for f in Family::ALL {
+            for (a, b) in sum.family_mut(f).into_iter().zip(other.family_mut(f)) {
+                *a += *b;
+            }
+        }
+        sum.bytes_written += other.bytes_written;
+        sum
+    }
+
+    /// The counting rule: what one lookup of `family` served from `hit`
+    /// adds. A disk hit is also a hit; a miss is also a disk miss when a
+    /// disk tier was probed. [`SimCache`]'s totals and each run's
+    /// [`RunReport::cache`](crate::RunReport::cache) both count by it.
+    pub(crate) fn lookup(family: Family, hit: CacheHit, disk_tier: bool) -> CacheStats {
+        let mut stats = CacheStats::default();
+        let [hits, misses, disk_hits, disk_misses, _] = stats.family_mut(family);
+        match hit {
+            CacheHit::Memory => *hits = 1,
+            CacheHit::Disk => (*hits, *disk_hits) = (1, 1),
+            CacheHit::Miss => (*misses, *disk_misses) = (1, u64::from(disk_tier)),
+        }
+        stats
+    }
+
+    /// `family`'s counters: hits, misses, disk hits, disk misses,
+    /// evictions.
+    fn family_mut(&mut self, family: Family) -> [&mut u64; 5] {
+        match family {
+            Family::Lowered => [
+                &mut self.lowered_hits,
+                &mut self.lowered_misses,
+                &mut self.lowered_disk_hits,
+                &mut self.lowered_disk_misses,
+                &mut self.lowered_evictions,
+            ],
+            Family::Plans => [
+                &mut self.plan_hits,
+                &mut self.plan_misses,
+                &mut self.plan_disk_hits,
+                &mut self.plan_disk_misses,
+                &mut self.plan_evictions,
+            ],
         }
     }
 }
@@ -518,40 +590,7 @@ impl SimCache {
         key: &str,
         build: impl FnOnce() -> Result<LoweredJob, CoreError>,
     ) -> Result<(Arc<LoweredJob>, CacheHit), CoreError> {
-        if let Some(hit) = self.lowered.lock().expect("cache poisoned").touch(key) {
-            self.lowered_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.lowered_hits.inc();
-            }
-            return Ok((hit, CacheHit::Memory));
-        }
-        // Disk probe and build both happen outside the lock: loading or
-        // lowering can take milliseconds and other points must not
-        // serialize behind it. A concurrent builder of the same key
-        // produces identical bits; first insert wins.
-        if let Some(job) = self.load_lowered(key) {
-            self.lowered_hits.fetch_add(1, Ordering::Relaxed);
-            self.lowered_disk_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.lowered_hits.inc();
-                m.lowered_disk_hits.inc();
-            }
-            let entry = self.insert_lowered(key, Arc::new(job), 1);
-            return Ok((entry, CacheHit::Disk));
-        }
-        if self.disk.is_some() {
-            self.lowered_disk_misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.lowered_disk_misses.inc();
-            }
-        }
-        let built = Arc::new(build()?);
-        self.lowered_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.lowered_misses.inc();
-        }
-        let entry = self.insert_lowered(key, built, 0);
-        Ok((entry, CacheHit::Miss))
+        self.fetch(key, |_| true, build)
     }
 
     /// The shared plan set for
@@ -570,37 +609,97 @@ impl SimCache {
         fold_multiplicity: u32,
     ) -> (Arc<SharedPlans>, CacheHit) {
         let key = SimCache::plan_key(cluster, placement, lowered_key, fold_multiplicity);
-        if let Some(hit) = self.plans.lock().expect("cache poisoned").touch(&key) {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
+        // A persisted set sized for a different trace would misroute
+        // flows; treat it like any other unusable entry.
+        let Ok(found) = self.fetch(
+            &key,
+            |set: &SharedPlans| set.num_collectives() == trace.num_collectives(),
+            || Ok::<_, Infallible>(SharedPlans::for_trace(trace)),
+        );
+        found
+    }
+
+    /// The one lookup path: the memory tier, then a disk entry `usable`
+    /// accepts, then `build` (published on success).
+    fn fetch<A: Artifact, E>(
+        &self,
+        key: &str,
+        usable: impl FnOnce(&A) -> bool,
+        build: impl FnOnce() -> Result<A, E>,
+    ) -> Result<(Arc<A>, CacheHit), E> {
+        let disk_tier = self.disk.is_some();
+        if let Some(hit) = A::tier(self).lock().expect("cache poisoned").touch(key) {
+            self.bump(CacheStats::lookup(A::FAMILY, CacheHit::Memory, disk_tier));
+            return Ok((hit, CacheHit::Memory));
+        }
+        // Disk probe and build both happen outside the lock: loading or
+        // building can take milliseconds and other points must not
+        // serialize behind it. A concurrent builder of the same key
+        // produces identical bits; first insert wins.
+        let loaded = self.disk.as_ref().and_then(|d| d.load::<A>(key));
+        if let Some(value) = loaded.filter(usable) {
+            self.bump(CacheStats::lookup(A::FAMILY, CacheHit::Disk, disk_tier));
+            let persisted = value.content();
+            return Ok((self.insert(key, Arc::new(value), persisted), CacheHit::Disk));
+        }
+        // The disk probe counts before the build runs, so a failed build
+        // still leaves its disk miss; the miss itself counts only once the
+        // build succeeds.
+        let miss = CacheStats::lookup(A::FAMILY, CacheHit::Miss, disk_tier);
+        self.bump(CacheStats {
+            lowered_misses: 0,
+            plan_misses: 0,
+            ..miss
+        });
+        let built = Arc::new(build()?);
+        self.bump(CacheStats {
+            lowered_disk_misses: 0,
+            plan_disk_misses: 0,
+            ..miss
+        });
+        Ok((self.insert(key, built, 0), CacheHit::Miss))
+    }
+
+    /// Publish `value` under `key` (first insert wins), then evict past
+    /// the cap, writing evictees with unpersisted content back to disk.
+    fn insert<A: Artifact>(&self, key: &str, value: Arc<A>, persisted: u64) -> Arc<A> {
+        let (entry, evicted) = {
+            let mut tier = A::tier(self).lock().expect("cache poisoned");
+            let (entry, inserted) = tier.insert(key, value, persisted);
+            let evicted = self.overflow(&mut tier);
             if let Some(m) = &self.metrics {
-                m.plan_hits.inc();
+                let i = A::FAMILY as usize;
+                if inserted {
+                    m.key_bytes[i].add(key.len() as u64);
+                }
+                m.entries[i].set(tier.map.len() as f64);
             }
-            return (hit, CacheHit::Memory);
+            (entry, evicted)
+        };
+        if !evicted.is_empty() {
+            let mut delta = CacheStats::default();
+            let [.., evictions] = delta.family_mut(A::FAMILY);
+            *evictions = evicted.len() as u64;
+            self.bump(delta);
         }
-        if let Some(set) = self.load_plans(&key, trace) {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            self.plan_disk_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.plan_hits.inc();
-                m.plan_disk_hits.inc();
+        // Write evictees back outside the lock. A racing lookup for an
+        // evicted key may rebuild before the write lands; harmless, the
+        // bits are identical. Best-effort: an I/O failure here only costs
+        // a future rebuild, it must not fail the lookup that evicted.
+        if let Some(disk) = &self.disk {
+            for (ekey, slot) in evicted
+                .iter()
+                .filter(|(_, s)| s.value.content() > s.persisted)
+            {
+                if let Ok(bytes) = disk.store(ekey, &*slot.value) {
+                    self.bump(CacheStats {
+                        bytes_written: bytes,
+                        ..CacheStats::default()
+                    });
+                }
             }
-            let persisted = set.num_built() as u64;
-            let entry = self.insert_plans(&key, Arc::new(set), persisted);
-            return (entry, CacheHit::Disk);
         }
-        if self.disk.is_some() {
-            self.plan_disk_misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.plan_disk_misses.inc();
-            }
-        }
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.plan_misses.inc();
-        }
-        let set = Arc::new(SharedPlans::for_trace(trace));
-        let entry = self.insert_plans(&key, set, 0);
-        (entry, CacheHit::Miss)
+        entry
     }
 
     /// Persist everything the memory tiers hold that the disk tier does
@@ -621,133 +720,40 @@ impl SimCache {
         let Some(disk) = &self.disk else {
             return Ok(0);
         };
-        let mut written = 0u64;
-        // Collect dirty entries under the lock, write outside it (writes
-        // are the slow part), then mark them persisted. A concurrent sync
-        // may duplicate a write; both produce identical bits.
-        let dirty: Vec<(String, Arc<LoweredJob>)> = {
-            let tier = self.lowered.lock().expect("cache poisoned");
-            tier.map
-                .iter()
-                .filter(|(_, slot)| slot.persisted == 0)
-                .map(|(k, slot)| (k.clone(), Arc::clone(&slot.value)))
-                .collect()
-        };
-        for (key, job) in dirty {
-            let payload = serde_json::to_value(&*job).expect("lowered job serializes");
-            written += disk.store("lowered", &key, payload)?;
-            if let Some(slot) = self
-                .lowered
+        let written = self.sync_tier::<LoweredJob>(disk)? + self.sync_tier::<SharedPlans>(disk)?;
+        self.bump(CacheStats {
+            bytes_written: written,
+            ..CacheStats::default()
+        });
+        Ok(written)
+    }
+
+    /// Write every entry of `A`'s tier with more content than its disk
+    /// copy. Dirty entries are collected under the lock, written outside
+    /// it (writes are the slow part), then marked persisted. A concurrent
+    /// sync may duplicate a write; both produce identical bits.
+    fn sync_tier<A: Artifact>(&self, disk: &DiskTier) -> Result<u64, CoreError> {
+        let dirty: Vec<(String, Arc<A>, u64)> = A::tier(self)
+            .lock()
+            .expect("cache poisoned")
+            .map
+            .iter()
+            .filter(|(_, slot)| slot.value.content() > slot.persisted)
+            .map(|(k, slot)| (k.clone(), Arc::clone(&slot.value), slot.value.content()))
+            .collect();
+        let mut written = 0;
+        for (key, value, content) in dirty {
+            written += disk.store(&key, &*value)?;
+            if let Some(slot) = A::tier(self)
                 .lock()
                 .expect("cache poisoned")
                 .map
                 .get_mut(&key)
             {
-                slot.persisted = 1;
-            }
-        }
-        let dirty: Vec<(String, Arc<SharedPlans>, u64)> = {
-            let tier = self.plans.lock().expect("cache poisoned");
-            tier.map
-                .iter()
-                .filter(|(_, slot)| (slot.value.num_built() as u64) > slot.persisted)
-                .map(|(k, slot)| {
-                    (
-                        k.clone(),
-                        Arc::clone(&slot.value),
-                        slot.value.num_built() as u64,
-                    )
-                })
-                .collect()
-        };
-        for (key, set, built) in dirty {
-            let payload = serde_json::to_value(set.snapshot()).expect("plan snapshot serializes");
-            written += disk.store("plans", &key, payload)?;
-            if let Some(slot) = self.plans.lock().expect("cache poisoned").map.get_mut(&key) {
-                slot.persisted = slot.persisted.max(built);
-            }
-        }
-        if written > 0 {
-            self.disk_bytes_written
-                .fetch_add(written, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.disk_bytes_written.add(written);
+                slot.persisted = slot.persisted.max(content);
             }
         }
         Ok(written)
-    }
-
-    fn load_lowered(&self, key: &str) -> Option<LoweredJob> {
-        let payload = self.disk.as_ref()?.load("lowered", key)?;
-        serde_json::from_value(payload).ok()
-    }
-
-    fn load_plans(&self, key: &str, trace: &ExecutionTrace) -> Option<SharedPlans> {
-        let payload = self.disk.as_ref()?.load("plans", key)?;
-        let snap: PlanSetSnapshot = serde_json::from_value(payload).ok()?;
-        // A snapshot sized for a different trace would misroute flows;
-        // treat it like any other unusable entry.
-        (snap.num_collectives() == trace.num_collectives())
-            .then(|| SharedPlans::from_snapshot(&snap))
-    }
-
-    fn insert_lowered(&self, key: &str, value: Arc<LoweredJob>, persisted: u64) -> Arc<LoweredJob> {
-        let (entry, evicted) = {
-            let mut tier = self.lowered.lock().expect("cache poisoned");
-            let (entry, inserted) = tier.insert(key, value, persisted);
-            if let Some(m) = &self.metrics {
-                if inserted {
-                    m.lowered_key_bytes.add(key.len() as u64);
-                }
-            }
-            let evicted = self.overflow(&mut tier);
-            if let Some(m) = &self.metrics {
-                m.lowered_entries.set(tier.map.len() as f64);
-                m.lowered_evictions.add(evicted.len() as u64);
-            }
-            self.lowered_evictions
-                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-            (entry, evicted)
-        };
-        // Write dirty evictees back outside the lock. A racing lookup for
-        // an evicted key may rebuild before the write lands; harmless, the
-        // bits are identical.
-        for (ekey, slot) in evicted {
-            if slot.persisted == 0 {
-                self.write_back("lowered", &ekey, || {
-                    serde_json::to_value(&*slot.value).expect("lowered job serializes")
-                });
-            }
-        }
-        entry
-    }
-
-    fn insert_plans(&self, key: &str, value: Arc<SharedPlans>, persisted: u64) -> Arc<SharedPlans> {
-        let (entry, evicted) = {
-            let mut tier = self.plans.lock().expect("cache poisoned");
-            let (entry, inserted) = tier.insert(key, value, persisted);
-            if let Some(m) = &self.metrics {
-                if inserted {
-                    m.plan_key_bytes.add(key.len() as u64);
-                }
-            }
-            let evicted = self.overflow(&mut tier);
-            if let Some(m) = &self.metrics {
-                m.plan_entries.set(tier.map.len() as f64);
-                m.plan_evictions.add(evicted.len() as u64);
-            }
-            self.plan_evictions
-                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-            (entry, evicted)
-        };
-        for (ekey, slot) in evicted {
-            if (slot.value.num_built() as u64) > slot.persisted {
-                self.write_back("plans", &ekey, || {
-                    serde_json::to_value(slot.value.snapshot()).expect("plan snapshot serializes")
-                });
-            }
-        }
-        entry
     }
 
     /// Evict LRU entries until the tier respects `max_entries`.
@@ -765,34 +771,18 @@ impl SimCache {
         evicted
     }
 
-    /// Best-effort eviction write-back: an I/O failure here only costs a
-    /// future rebuild, it must not fail the lookup that triggered the
-    /// eviction.
-    fn write_back(&self, family: &str, key: &str, payload: impl FnOnce() -> Value) {
-        let Some(disk) = &self.disk else { return };
-        if let Ok(bytes) = disk.store(family, key, payload()) {
-            self.disk_bytes_written.fetch_add(bytes, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.disk_bytes_written.add(bytes);
-            }
+    /// Add `delta` to the cumulative counters and mirror it into the hub.
+    fn bump(&self, delta: CacheStats) {
+        let mut total = self.total.lock().expect("cache poisoned");
+        *total = total.add(&delta);
+        if let Some(m) = &self.metrics {
+            m.add(delta);
         }
     }
 
     /// Cumulative counters across every worker sharing the cache.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            lowered_hits: self.lowered_hits.load(Ordering::Relaxed),
-            lowered_misses: self.lowered_misses.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            lowered_disk_hits: self.lowered_disk_hits.load(Ordering::Relaxed),
-            lowered_disk_misses: self.lowered_disk_misses.load(Ordering::Relaxed),
-            plan_disk_hits: self.plan_disk_hits.load(Ordering::Relaxed),
-            plan_disk_misses: self.plan_disk_misses.load(Ordering::Relaxed),
-            lowered_evictions: self.lowered_evictions.load(Ordering::Relaxed),
-            plan_evictions: self.plan_evictions.load(Ordering::Relaxed),
-            bytes_written: self.disk_bytes_written.load(Ordering::Relaxed),
-        }
+        *self.total.lock().expect("cache poisoned")
     }
 }
 
@@ -929,6 +919,22 @@ mod tests {
             })
             .unwrap();
         assert_eq!(hit, CacheHit::Miss, "key stays buildable after a failure");
+
+        // With a disk tier the probe ran before the build failed, so it
+        // counts; the miss itself does not.
+        let dir = scratch_dir("failed-build");
+        let cache = SimCache::new().with_disk_tier(&dir).unwrap();
+        assert!(cache
+            .lowered("k", || Err(CoreError::Incomplete("nope".into())))
+            .is_err());
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                lowered_disk_misses: 1,
+                ..CacheStats::default()
+            }
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1109,6 +1115,134 @@ mod tests {
         assert!(set.num_built() > 0, "built slots came back published");
         assert_eq!(set.num_collectives(), lowered.trace.num_collectives());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pins the exact bytes `sync_disk` writes for one lowered trace and
+    /// one filled plan set. A change to either encoding (or to the entry
+    /// envelope) fails here, and must bump `DISK_FORMAT_VERSION` on purpose.
+    #[test]
+    fn disk_entry_bytes_are_pinned() {
+        let dir = scratch_dir("pinned");
+        let cluster = charllm_hw::presets::hgx_h200_cluster();
+        let (job, spec, partition, hints) = inputs();
+        let key = SimCache::lowered_key(
+            &job,
+            &spec,
+            PipelineSchedule::OneFOneB,
+            &partition,
+            &hints,
+            None,
+        );
+        let cache = SimCache::new().with_disk_tier(&dir).unwrap();
+        let (lowered, _) = cache
+            .lowered(&key, || {
+                lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
+                    .map_err(CoreError::from)
+            })
+            .unwrap();
+        let placement = Placement::identity(&cluster, lowered.trace.world()).unwrap();
+        let (set, _) = cache.plans(&cluster, &placement, &key, &lowered.trace, 1);
+        charllm_sim::Simulator::new(
+            &cluster,
+            &placement,
+            &lowered.trace,
+            charllm_sim::SimConfig::fast(),
+        )
+        .unwrap()
+        .with_shared_plans(set)
+        .unwrap()
+        .run()
+        .unwrap();
+        let written = cache.sync_disk().unwrap();
+        let mut files = Vec::new();
+        for family in ["lowered", "plans"] {
+            for entry in std::fs::read_dir(dir.join(family)).unwrap() {
+                let path = entry.unwrap().path();
+                let text = std::fs::read_to_string(&path).unwrap();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                files.push((family, name, text.len(), DiskTier::address(&text)));
+            }
+        }
+        files.sort();
+        assert_eq!(
+            written,
+            files.iter().map(|f| f.2 as u64).sum::<u64>(),
+            "sync reports exactly the bytes it wrote"
+        );
+        let pinned = [
+            (
+                "lowered",
+                "8e14abb418ad7183.json",
+                93_310,
+                0xfe37_63ad_3202_c7b4,
+            ),
+            (
+                "plans",
+                "9dd2e6e84d885469.json",
+                115_837,
+                0x8ebd_eff8_3c0b_f71b,
+            ),
+        ];
+        let pinned: Vec<_> = pinned
+            .iter()
+            .map(|&(family, name, len, hash)| (family, name.to_string(), len, hash))
+            .collect();
+        assert_eq!(files, pinned);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_disk_write_leaves_no_temp_file() {
+        let dir = scratch_dir("squat");
+        let (job, spec, partition, hints) = inputs();
+        let lowered =
+            lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+        let cache = SimCache::new().with_disk_tier(&dir).unwrap();
+        cache.lowered("k", || Ok(lowered)).unwrap();
+        // A directory squatting on the entry's path makes the rename fail.
+        let entry = dir
+            .join("lowered")
+            .join(format!("{:016x}.json", DiskTier::address("k")));
+        std::fs::create_dir_all(entry.join("occupied")).unwrap();
+        assert!(cache.sync_disk().is_err());
+        assert!(cache.sync_disk().is_err(), "the entry stays dirty");
+        for entry in std::fs::read_dir(dir.join("lowered")).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            assert!(!name.contains("tmp."), "leaked temp file {name}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Other programs read these forms: `GET /cache` clients parse the
+    /// JSON field names (a renamed field would silently read as zero) and
+    /// `ci.sh` greps the `Display` line.
+    #[test]
+    fn stats_json_and_display_forms_are_pinned() {
+        let stats = CacheStats {
+            lowered_hits: 1,
+            lowered_misses: 2,
+            plan_hits: 3,
+            plan_misses: 4,
+            lowered_disk_hits: 5,
+            lowered_disk_misses: 6,
+            plan_disk_hits: 7,
+            plan_disk_misses: 8,
+            lowered_evictions: 9,
+            plan_evictions: 10,
+            bytes_written: 11,
+        };
+        assert_eq!(
+            serde_json::to_string(&stats).unwrap(),
+            "{\"lowered_hits\":1,\"lowered_misses\":2,\"plan_hits\":3,\"plan_misses\":4,\
+             \"lowered_disk_hits\":5,\"lowered_disk_misses\":6,\"plan_disk_hits\":7,\
+             \"plan_disk_misses\":8,\"lowered_evictions\":9,\"plan_evictions\":10,\
+             \"bytes_written\":11}"
+        );
+        assert_eq!(
+            stats.to_string(),
+            "lowered 1 hits / 2 misses, plans 3 hits / 4 misses, \
+             disk 12 hits / 14 misses / 11 B written, 19 evictions"
+        );
     }
 
     #[test]

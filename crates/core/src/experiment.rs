@@ -14,7 +14,7 @@ use charllm_telemetry::{chrome_trace, phase, SpanRecorder, StageTimer};
 use charllm_trace::lower::LoweredJob;
 use charllm_trace::{lower_inference, lower_train, DeviceHints, ExecutionTrace, InferenceConfig};
 
-use crate::cache::{CacheHit, CacheStats, SimCache};
+use crate::cache::{CacheHit, CacheStats, Family, SimCache};
 use crate::error::CoreError;
 use crate::report::RunReport;
 
@@ -177,17 +177,8 @@ impl Experiment {
                 let (shared, plan_hit) =
                     cache.plans(&self.cluster, &placement, &key, &lowered.trace, 1);
                 let disk = cache.has_disk_tier();
-                let stats = CacheStats {
-                    lowered_hits: u64::from(lowered_hit.is_hit()),
-                    lowered_misses: u64::from(!lowered_hit.is_hit()),
-                    plan_hits: u64::from(plan_hit.is_hit()),
-                    plan_misses: u64::from(!plan_hit.is_hit()),
-                    lowered_disk_hits: u64::from(lowered_hit == CacheHit::Disk),
-                    lowered_disk_misses: u64::from(disk && lowered_hit == CacheHit::Miss),
-                    plan_disk_hits: u64::from(plan_hit == CacheHit::Disk),
-                    plan_disk_misses: u64::from(disk && plan_hit == CacheHit::Miss),
-                    ..CacheStats::default()
-                };
+                let stats = CacheStats::lookup(Family::Lowered, lowered_hit, disk)
+                    .add(&CacheStats::lookup(Family::Plans, plan_hit, disk));
                 (Some(shared), Some(stats))
             }
         };

@@ -384,10 +384,11 @@ impl SimServer {
     /// Bind `addr` (use port 0 for an ephemeral port) and start serving
     /// `cache` — typically persistent and/or bounded; the server adds no
     /// tiers of its own. The server registers its own counters
-    /// (`server_jobs_*`) on a private hub served at `/metrics`; build the
-    /// cache [`with metrics`](SimCache::with_metrics) on that hub via
-    /// [`SimServer::bind`]'s sibling pattern if cache series are wanted
-    /// there too.
+    /// (`server_jobs_*`) on a private hub served at `/metrics`. That hub
+    /// is not reachable from outside the server, so cache series never
+    /// appear at `/metrics`, even for a cache built
+    /// [`with metrics`](SimCache::with_metrics); read the shared cache's
+    /// [`CacheStats`] from `GET /cache` instead.
     ///
     /// # Errors
     ///

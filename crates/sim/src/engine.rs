@@ -38,7 +38,7 @@ use charllm_parallel::Placement;
 use charllm_telemetry::metrics::{Gauge, MetricsShard};
 use charllm_telemetry::{GpuSample, TelemetryStore};
 use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, ThermalSpec};
-use charllm_trace::{ExecutionTrace, KernelClass, Step};
+use charllm_trace::{ExecutionTrace, FloatTable, KernelClass, Step};
 
 use crate::accrual;
 use crate::arena::{FlowArena, MAX_ROUTE_LINKS};
@@ -114,9 +114,9 @@ struct CollSlot {
 /// inline arrays sized by [`MAX_ROUTE_LINKS`] (the longest route any preset
 /// topology produces: pcie → nic → leaf → spine → leaf → nic → pcie on a
 /// rail-fabric cluster). This is the cross-process representation —
-/// persisted through the packed [`PlanSetSnapshot`] encoding (every field
-/// an integer or an `f64` printed shortest-roundtrip, so a snapshot reloads
-/// bit-exact) and shared through [`SharedPlans`]. At install time each
+/// shared through [`SharedPlans`] and persisted in its packed encoding
+/// (every field an integer or an interned `f64`, so a set reloads
+/// bit-exact). At install time each
 /// `PlanFlow` is interned into the engine's route/charge arenas as a
 /// [`PlanFlowRef`], which is what the hot loops read.
 #[derive(Debug, Clone, Copy)]
@@ -206,70 +206,94 @@ impl SharedPlans {
     fn put(&self, ci: usize, plan: &CollPlan) {
         let _ = self.plans[ci].set(plan.clone());
     }
-
-    /// A serializable copy of the set's current contents: built slots carry
-    /// their flows, unbuilt slots are `None`. Plans are pure functions of
-    /// `(cluster, placement, trace)`, so a snapshot taken after a run can
-    /// seed any later process replaying the same triple (see
-    /// `charllm-core`'s persistent `SimCache` tier).
-    pub fn snapshot(&self) -> PlanSetSnapshot {
-        PlanSetSnapshot {
-            plans: self
-                .plans
-                .iter()
-                .map(|slot| {
-                    slot.get().map(|p| PlanEntry {
-                        flows: p.flows.to_vec(),
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuild a plan set from a [`snapshot`](SharedPlans::snapshot):
-    /// `Some` slots come back published, `None` slots come back empty (a
-    /// simulator replaying the triple builds and republishes them).
-    pub fn from_snapshot(snap: &PlanSetSnapshot) -> Self {
-        SharedPlans {
-            plans: snap
-                .plans
-                .iter()
-                .map(|entry| {
-                    let slot = OnceLock::new();
-                    if let Some(e) = entry {
-                        let _ = slot.set(CollPlan {
-                            flows: e.flows.clone().into_boxed_slice(),
-                        });
-                    }
-                    slot
-                })
-                .collect(),
-        }
-    }
 }
 
-/// The disk form of a [`SharedPlans`] set: built slots in collective-id
-/// order, `None` where no simulator has lowered the collective yet. See
-/// [`SharedPlans::snapshot`] / [`SharedPlans::from_snapshot`].
+/// The disk form of a plan set (see `charllm-core`'s persistent
+/// `SimCache` tier): plans are pure functions of
+/// `(cluster, placement, trace)`, so a set filled by one run can seed any
+/// later process replaying the same triple. Built slots come back
+/// published; unbuilt ones come back empty, for a replaying simulator to
+/// build and publish.
 ///
-/// Serialized by hand into a packed form — `{"n": slots, "built":
-/// [[slot, "flows"], ...]}` where each built slot's flows are one
-/// whitespace/`;`-delimited numeric string — instead of the derived
-/// object-per-flow layout. A 32-GPU MoE plan set is tens of thousands of
-/// flows; packing them into strings shrinks the file ~10x and lets the
-/// JSON layer move each plan as a single bulk string instead of building
-/// a `Value` node per field, which is what makes a disk-tier load cheap
-/// enough to beat re-lowering. Floats print shortest-roundtrip, so the
-/// packed form is still bit-exact.
-#[derive(Debug, Clone)]
-pub struct PlanSetSnapshot {
-    plans: Vec<Option<PlanEntry>>,
+/// Serialized by hand into a packed form — `{"n": slots, "floats": table,
+/// "built": [[slot, "flows"], ...]}` where each built slot's flows are one
+/// whitespace/`;`-delimited numeric string over a shared [`FloatTable`] —
+/// instead of the derived object-per-flow layout. A 32-GPU MoE plan set is
+/// tens of thousands of flows; packing them into strings shrinks the file
+/// ~10x and lets the JSON layer move each plan as a single bulk string
+/// instead of building a `Value` node per field, which is what makes a
+/// disk-tier load cheap enough to beat re-lowering. The packed form is
+/// bit-exact.
+impl serde::Serialize for SharedPlans {
+    fn serialize_value(&self) -> serde::Value {
+        let mut map = serde::Map::new();
+        map.insert(
+            "n",
+            serde::Value::Number(serde::Number::from_u64(self.plans.len() as u64)),
+        );
+        let mut floats = FloatTable::default();
+        let built: Vec<serde::Value> = self
+            .plans
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.get().map(|plan| (i, plan)))
+            .map(|(i, plan)| {
+                serde::Value::Array(vec![
+                    serde::Value::Number(serde::Number::from_u64(i as u64)),
+                    serde::Value::String(pack_flows(&plan.flows, &mut floats)),
+                ])
+            })
+            .collect();
+        map.insert("floats", serde::Value::String(floats.to_text()));
+        map.insert("built", serde::Value::Array(built));
+        serde::Value::Object(map)
+    }
 }
 
-/// One built slot of a [`PlanSetSnapshot`].
-#[derive(Debug, Clone)]
-struct PlanEntry {
-    flows: Vec<PlanFlow>,
+impl serde::Deserialize for SharedPlans {
+    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let n = v
+            .get("n")
+            .and_then(serde::Value::as_number)
+            .and_then(serde::Number::to_u64)
+            .ok_or_else(|| serde::Error::custom("plan set: missing slot count"))?
+            as usize;
+        let built = v
+            .get("built")
+            .and_then(serde::Value::as_array)
+            .ok_or_else(|| serde::Error::custom("plan set: missing built list"))?;
+        let floats = v
+            .get("floats")
+            .and_then(serde::Value::as_str)
+            .ok_or_else(|| serde::Error::custom("plan set: missing float table"))
+            .and_then(FloatTable::parse)?;
+        let set = SharedPlans {
+            plans: (0..n).map(|_| OnceLock::new()).collect(),
+        };
+        for slot in built {
+            let pair = slot
+                .as_array()
+                .filter(|p| p.len() == 2)
+                .ok_or_else(|| serde::Error::custom("plan set: bad built entry"))?;
+            let idx = pair[0]
+                .as_number()
+                .and_then(serde::Number::to_u64)
+                .ok_or_else(|| serde::Error::custom("plan set: bad slot index"))?
+                as usize;
+            let text = pair[1]
+                .as_str()
+                .ok_or_else(|| serde::Error::custom("plan set: bad flow string"))?;
+            let plan = CollPlan {
+                flows: unpack_flows(text, &floats)?.into_boxed_slice(),
+            };
+            set.plans
+                .get(idx)
+                .ok_or_else(|| serde::Error::custom("plan set: slot out of range"))?
+                .set(plan)
+                .map_err(|_| serde::Error::custom("plan set: duplicate slot"))?;
+        }
+        Ok(set)
+    }
 }
 
 /// `LinkClass` codes for the packed flow encoding (stable on disk; extend
@@ -297,31 +321,11 @@ fn link_class_of(code: u64) -> Result<LinkClass, serde::Error> {
     })
 }
 
-/// Shared float dictionary for the packed encoding: flows carry u32
-/// indices into it instead of printed floats. Distinct float values in a
-/// plan set number in the hundreds (collective sizes × link bandwidths)
-/// against tens of thousands of flows, and integer tokens both shrink
-/// the file and parse several times faster than `f64` text.
-#[derive(Default)]
-struct FloatDict {
-    values: Vec<f64>,
-    index: std::collections::HashMap<u64, u32>,
-}
-
-impl FloatDict {
-    fn intern(&mut self, v: f64) -> u32 {
-        *self.index.entry(v.to_bits()).or_insert_with(|| {
-            self.values.push(v);
-            (self.values.len() - 1) as u32
-        })
-    }
-}
-
 /// Pack one plan's flows:
 /// `work pr src dst rl links*rl bw*rl mult*rl cl gpu*cl class*cl` per
-/// flow (`work`/`pr`/`bw` as [`FloatDict`] indices), flows joined with
+/// flow (`work`/`pr`/`bw` as [`FloatTable`] indices), flows joined with
 /// `;`.
-fn pack_flows(flows: &[PlanFlow], dict: &mut FloatDict) -> String {
+fn pack_flows(flows: &[PlanFlow], floats: &mut FloatTable) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for (i, f) in flows.iter().enumerate() {
@@ -332,8 +336,8 @@ fn pack_flows(flows: &[PlanFlow], dict: &mut FloatDict) -> String {
         let _ = write!(
             out,
             "{} {} {} {} {rl}",
-            dict.intern(f.work),
-            dict.intern(f.payload_ratio),
+            floats.intern(f.work),
+            floats.intern(f.payload_ratio),
             f.src.0,
             f.dst.0
         );
@@ -341,7 +345,7 @@ fn pack_flows(flows: &[PlanFlow], dict: &mut FloatDict) -> String {
             let _ = write!(out, " {}", f.links[l]);
         }
         for l in 0..rl {
-            let _ = write!(out, " {}", dict.intern(f.bw1e9[l]));
+            let _ = write!(out, " {}", floats.intern(f.bw1e9[l]));
         }
         for l in 0..rl {
             let _ = write!(out, " {}", f.mult[l]);
@@ -422,97 +426,6 @@ fn unpack_flows(text: &str, floats: &[f64]) -> Result<Vec<PlanFlow>, serde::Erro
         flows.push(flow);
     }
     Ok(flows)
-}
-
-impl serde::Serialize for PlanSetSnapshot {
-    fn serialize_value(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert(
-            "n",
-            serde::Value::Number(serde::Number::from_u64(self.plans.len() as u64)),
-        );
-        let mut dict = FloatDict::default();
-        let built: Vec<serde::Value> = self
-            .plans
-            .iter()
-            .enumerate()
-            .filter_map(|(i, entry)| entry.as_ref().map(|e| (i, e)))
-            .map(|(i, e)| {
-                serde::Value::Array(vec![
-                    serde::Value::Number(serde::Number::from_u64(i as u64)),
-                    serde::Value::String(pack_flows(&e.flows, &mut dict)),
-                ])
-            })
-            .collect();
-        let floats = dict
-            .values
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join(" ");
-        map.insert("floats", serde::Value::String(floats));
-        map.insert("built", serde::Value::Array(built));
-        serde::Value::Object(map)
-    }
-}
-
-impl serde::Deserialize for PlanSetSnapshot {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let n = v
-            .get("n")
-            .and_then(serde::Value::as_number)
-            .and_then(serde::Number::to_u64)
-            .ok_or_else(|| serde::Error::custom("plan snapshot: missing slot count"))?
-            as usize;
-        let built = v
-            .get("built")
-            .and_then(serde::Value::as_array)
-            .ok_or_else(|| serde::Error::custom("plan snapshot: missing built list"))?;
-        let floats = v
-            .get("floats")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| serde::Error::custom("plan snapshot: missing float table"))?
-            .split_ascii_whitespace()
-            .map(|tok| {
-                tok.parse::<f64>()
-                    .map_err(|_| serde::Error::custom(format!("plan snapshot: bad float {tok:?}")))
-            })
-            .collect::<Result<Vec<f64>, serde::Error>>()?;
-        let mut plans: Vec<Option<PlanEntry>> = vec![None; n];
-        for slot in built {
-            let pair = slot
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| serde::Error::custom("plan snapshot: bad built entry"))?;
-            let idx = pair[0]
-                .as_number()
-                .and_then(serde::Number::to_u64)
-                .ok_or_else(|| serde::Error::custom("plan snapshot: bad slot index"))?
-                as usize;
-            let text = pair[1]
-                .as_str()
-                .ok_or_else(|| serde::Error::custom("plan snapshot: bad flow string"))?;
-            let entry = plans
-                .get_mut(idx)
-                .ok_or_else(|| serde::Error::custom("plan snapshot: slot out of range"))?;
-            *entry = Some(PlanEntry {
-                flows: unpack_flows(text, &floats)?,
-            });
-        }
-        Ok(PlanSetSnapshot { plans })
-    }
-}
-
-impl PlanSetSnapshot {
-    /// Slots in the snapshot (the trace's collective count).
-    pub fn num_collectives(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Slots carrying a built plan.
-    pub fn num_built(&self) -> usize {
-        self.plans.iter().filter(|p| p.is_some()).count()
-    }
 }
 
 /// One hop of an interned route: the link index, its fair-share bandwidth

@@ -39,7 +39,7 @@ pub mod result;
 
 pub use arena::FlowArena;
 pub use config::SimConfig;
-pub use engine::{EngineStats, PlanSetSnapshot, SharedPlans, Simulator};
+pub use engine::{EngineStats, SharedPlans, Simulator};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan, RecoveryPolicy};
 pub use fold::{

@@ -29,7 +29,7 @@ pub mod trace;
 
 pub use builder::TraceBuilder;
 pub use task::{CollectiveInstance, ComputeKind, KernelClass, Step};
-pub use trace::ExecutionTrace;
+pub use trace::{ExecutionTrace, FloatTable};
 
 pub use lower::{
     lower_inference, lower_train, lower_train_folded, DeviceHints, FoldedCollective, FoldedJob,

@@ -36,20 +36,48 @@ pub struct ExecutionTrace {
     meta: TraceMeta,
 }
 
-/// Intern table mapping distinct `f64`s to dense indices for the packed
-/// trace encoding.
-#[derive(Default)]
-struct FloatTable {
+/// Intern table mapping distinct `f64`s to dense `u32` indices: the float
+/// codec of the packed encodings (this crate's [`ExecutionTrace`] and
+/// `charllm-sim`'s shared plan sets). Records carry indices — distinct
+/// values number in the hundreds against up to hundreds of thousands of
+/// records, and integer tokens both shrink the text and parse several
+/// times faster than `f64` text. The table itself prints once, in a form
+/// that reloads bit-exact.
+#[derive(Debug, Default)]
+pub struct FloatTable {
     values: Vec<f64>,
     index: HashMap<u64, u32>,
 }
 
 impl FloatTable {
-    fn intern(&mut self, v: f64) -> u32 {
+    /// The index of `v`, interned on first sight (by bit pattern).
+    pub fn intern(&mut self, v: f64) -> u32 {
         *self.index.entry(v.to_bits()).or_insert_with(|| {
             self.values.push(v);
             (self.values.len() - 1) as u32
         })
+    }
+
+    /// The table as text, values in index order. `f64` prints
+    /// shortest-roundtrip, so [`FloatTable::parse`] restores every bit.
+    pub fn to_text(&self) -> String {
+        let text: Vec<String> = self.values.iter().map(f64::to_string).collect();
+        text.join(" ")
+    }
+
+    /// The values of a table printed by [`FloatTable::to_text`], in index
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the first token that is not a float.
+    pub fn parse(text: &str) -> Result<Vec<f64>, serde::Error> {
+        text.split_ascii_whitespace()
+            .map(|tok| {
+                tok.parse()
+                    .map_err(|_| serde::Error::custom(format!("bad float {tok:?}")))
+            })
+            .collect()
     }
 }
 
@@ -253,14 +281,8 @@ impl Serialize for ExecutionTrace {
             .iter()
             .map(|rank| serde::Value::String(pack_steps(rank, &mut floats)))
             .collect();
-        let float_text = floats
-            .values
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join(" ");
         let mut map = serde::Map::new();
-        map.insert("floats", serde::Value::String(float_text));
+        map.insert("floats", serde::Value::String(floats.to_text()));
         map.insert("steps", serde::Value::Array(steps));
         map.insert(
             "colls",
@@ -276,13 +298,8 @@ impl Deserialize for ExecutionTrace {
         let floats = v
             .get("floats")
             .and_then(serde::Value::as_str)
-            .ok_or_else(|| serde::Error::custom("trace: missing float table"))?
-            .split_ascii_whitespace()
-            .map(|tok| {
-                tok.parse::<f64>()
-                    .map_err(|_| serde::Error::custom(format!("trace: bad float {tok:?}")))
-            })
-            .collect::<Result<Vec<f64>, serde::Error>>()?;
+            .ok_or_else(|| serde::Error::custom("trace: missing float table"))
+            .and_then(FloatTable::parse)?;
         let steps = v
             .get("steps")
             .and_then(serde::Value::as_array)

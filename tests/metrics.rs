@@ -390,6 +390,72 @@ fn streamed_sweep_reconciles_exactly_with_summed_reports() {
     assert!((0.0..=1.5).contains(&util), "utilization ratio, got {util}");
 }
 
+/// The three read paths of a disk-tier cache's counters — cumulative
+/// `SimCache::stats`, the summed per-run `RunReport::cache`, and the hub
+/// series — agree field by field, cold and warm.
+#[test]
+fn disk_tier_counters_reconcile_across_all_three_read_paths() {
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .unwrap()
+        .subsec_nanos();
+    let dir = std::env::temp_dir().join(format!(
+        "charllm_it_reconcile_{}_{nanos}",
+        std::process::id()
+    ));
+    let pass = || {
+        let hub = MetricsHub::new(2);
+        let cache = Arc::new(
+            SimCache::with_metrics(&hub.shard(0))
+                .with_disk_tier(&dir)
+                .unwrap(),
+        );
+        let outcomes = small_sweep(vec![spec("TP2-PP2"), spec("TP4-PP2")])
+            .with_microbatches(vec![1, 2])
+            .workers(2)
+            .with_cache(Arc::clone(&cache))
+            .run_outcomes();
+        assert_eq!(outcomes.len(), 4);
+        let summed = outcomes
+            .iter()
+            .map(|o| o.report().expect("every point completes").cache.unwrap())
+            .fold(CacheStats::default(), |acc, s| acc.add(&s));
+        assert_eq!(cache.stats(), summed, "cumulative == summed per-run");
+        let snap = hub.snapshot();
+        let series = |name: &str, family: &str, result: &str| {
+            snap.counter(name, &[("family", family), ("result", result)])
+        };
+        let from_hub = CacheStats {
+            lowered_hits: series("cache_lookups_total", "lowered", "hit"),
+            lowered_misses: series("cache_lookups_total", "lowered", "miss"),
+            plan_hits: series("cache_lookups_total", "plans", "hit"),
+            plan_misses: series("cache_lookups_total", "plans", "miss"),
+            lowered_disk_hits: series("cache_disk_lookups_total", "lowered", "hit"),
+            lowered_disk_misses: series("cache_disk_lookups_total", "lowered", "miss"),
+            plan_disk_hits: series("cache_disk_lookups_total", "plans", "hit"),
+            plan_disk_misses: series("cache_disk_lookups_total", "plans", "miss"),
+            lowered_evictions: 0,
+            plan_evictions: 0,
+            bytes_written: snap.counter("cache_disk_bytes_written_total", &[]),
+        };
+        assert_eq!(from_hub, summed, "hub series == summed per-run");
+        summed
+    };
+    let cold = pass();
+    assert_eq!(cold.disk_hits(), 0);
+    assert!(
+        cold.lowered_disk_misses > 0 && cold.bytes_written > 0,
+        "{cold}"
+    );
+    let warm = pass();
+    assert!(
+        warm.lowered_disk_hits > 0 && warm.plan_disk_hits > 0,
+        "{warm}"
+    );
+    assert_eq!(warm.lowered_misses + warm.plan_misses, 0, "{warm}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn disabled_hub_snapshot_is_empty_and_stream_carries_null_metrics() {
     let hub = MetricsHub::disabled();
