@@ -405,6 +405,11 @@ impl ExperimentBuilder {
         self
     }
 
+    /// Whether a cache is attached.
+    pub(crate) fn has_cache(&self) -> bool {
+        self.cache.is_some()
+    }
+
     /// Inject a [`FaultPlan`] into the run: scheduled failures plus the
     /// recovery cost model, reported as goodput / wasted energy / restarts
     /// on the result. An empty plan is equivalent to not calling this.

@@ -1,8 +1,8 @@
 //! Sim-as-a-service: a std-only HTTP job server over the simulation stack.
 //!
-//! ROADMAP item 5 frames the simulator as shared infrastructure queried
-//! repeatedly by many users. [`SimServer`] is that deployment shape: a
-//! long-running process owning one [`SimCache`] (optionally persistent,
+//! The simulator as shared infrastructure, queried repeatedly by many
+//! users. [`SimServer`] is that deployment shape: a long-running process
+//! owning one [`SimCache`] (optionally persistent,
 //! see [`SimCache::with_disk_tier`]) that serves concurrent sweep and
 //! configuration-search jobs, so every warm-path win — memoized lowering,
 //! shared collective plans, the disk tier — compounds across clients
@@ -39,8 +39,15 @@
 //!
 //! `"kind": "search"` instead takes `"finalists"` and `"objective"`
 //! (`"throughput"` / `"efficiency"`) and runs
-//! [`search_configs_with_cache`] over the same shared cache. A job may ask
-//! for at most 64 `"workers"`; more is refused with 400.
+//! [`search_configs_with_cache`] over the same shared cache. An absent
+//! field takes its default; a field of the wrong type, an unknown preset
+//! or spec label, a `"global_batch"` outside 1..=1024, a microbatch
+//! outside that range, more than 64 `"workers"` or more than 1024 grid
+//! points is refused with 400.
+//!
+//! A submission is resolved once, at submit, into the [`Sweep`] (or the
+//! search inputs) the job runs; the trace download builds its point
+//! through that sweep's own point function.
 //!
 //! # Concurrency
 //!
@@ -60,7 +67,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
 
 use charllm_hw::Cluster;
 use charllm_models::TrainJob;
@@ -70,9 +77,8 @@ use charllm_telemetry::metrics::MetricsHub;
 
 use crate::cache::{CacheStats, SimCache};
 use crate::error::CoreError;
-use crate::experiment::Experiment;
 use crate::search::{search_configs_with_cache, Objective, SearchOptions};
-use crate::stream::ProgressStream;
+use crate::stream::{PointSummary, ProgressStream};
 use crate::sweep::Sweep;
 
 /// How long a connection may dribble its request before the server drops
@@ -94,6 +100,19 @@ const MAX_HEADERS: usize = 100;
 /// submit. Each worker gets a metrics shard, so an unchecked count could
 /// abort the process on allocation.
 const MAX_JOB_WORKERS: usize = 64;
+
+/// Largest `"global_batch"` (and microbatch) a job may ask for; more is
+/// refused with 400 at submit. At one GPU of data parallelism and
+/// microbatch 1 the global batch is the microbatch count, which sizes every
+/// rank's op list during lowering on a job worker. The cap is 8× the
+/// paper's global batch of 128; a microbatch above it divides no
+/// accepted global batch.
+const MAX_GLOBAL_BATCH: usize = 1024;
+
+/// Most points one sweep job may hold (specs × microbatches); more is
+/// refused with 400 at submit. The sweep keeps every point's experiment and
+/// outcome in memory while it runs.
+const MAX_JOB_POINTS: usize = 1024;
 
 /// Server deployment knobs.
 #[derive(Debug, Clone)]
@@ -134,100 +153,46 @@ impl JobState {
     }
 }
 
-/// A parsed, validated job submission.
+/// A validated submission, resolved into what the job runs.
 #[derive(Debug, Clone)]
-struct JobRequest {
-    kind: String,
-    cluster: String,
-    model: String,
-    global_batch: usize,
-    specs: Vec<String>,
-    microbatches: Vec<usize>,
-    fast: bool,
-    workers: usize,
-    finalists: usize,
-    objective: Objective,
+enum JobRequest {
+    /// A grid sweep. Submit attaches the shared cache, the job's stream and
+    /// its cancel flag; the run adds the job's metrics hub.
+    Sweep(Box<Sweep>),
+    /// A configuration search over every valid spec of the cluster.
+    Search {
+        cluster: Arc<Cluster>,
+        job: Box<TrainJob>,
+        opts: SearchOptions,
+    },
 }
 
 impl JobRequest {
-    /// Parse a submission body. Absent fields default; unknown presets
-    /// and empty grids are rejected here so the queue only ever holds
-    /// runnable jobs.
+    /// Parse and resolve a submission body. An absent field takes its
+    /// default; a field of the wrong type, an unknown preset or spec, a
+    /// value past a cap and an empty grid are rejected here, so the queue
+    /// only ever holds runnable jobs.
     fn parse(body: &Value, defaults: &ServerConfig) -> Result<JobRequest, String> {
-        let get_str = |k: &str, d: &str| -> String {
-            body.get(k).and_then(Value::as_str).unwrap_or(d).into()
-        };
-        let get_usize = |k: &str, d: usize| -> usize {
-            body.get(k)
-                .and_then(Value::as_number)
-                .and_then(serde::Number::to_u64)
-                .map_or(d, |v| v as usize)
-        };
-        let kind = get_str("kind", "sweep");
-        if kind != "sweep" && kind != "search" {
-            return Err(format!("unknown job kind {kind:?}"));
-        }
-        let specs: Vec<String> = body
-            .get("specs")
-            .and_then(Value::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Value::as_str)
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if kind == "sweep" && specs.is_empty() {
-            return Err("sweep jobs need a non-empty \"specs\" list".into());
-        }
-        let microbatches: Vec<usize> = body
-            .get("microbatches")
-            .and_then(Value::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Value::as_number)
-                    .filter_map(serde::Number::to_u64)
-                    .map(|v| v as usize)
-                    .collect()
-            })
-            .filter(|v: &Vec<usize>| !v.is_empty())
-            .unwrap_or_else(|| vec![1]);
-        let workers = get_usize("workers", defaults.sweep_workers);
-        if workers > MAX_JOB_WORKERS {
-            return Err(format!("\"workers\" over {MAX_JOB_WORKERS}"));
-        }
-        let req = JobRequest {
-            kind,
-            cluster: get_str("cluster", "hgx_h200"),
-            model: get_str("model", "gpt3_13b"),
-            global_batch: get_usize("global_batch", 8),
-            specs,
-            microbatches,
-            fast: body.get("fast").and_then(Value::as_bool).unwrap_or(true),
-            workers,
-            finalists: get_usize("finalists", 3),
-            objective: match get_str("objective", "throughput").as_str() {
-                "throughput" => Objective::Throughput,
-                "efficiency" => Objective::Efficiency,
-                other => return Err(format!("unknown objective {other:?}")),
-            },
-        };
-        req.resolve()?; // fail fast on bad presets / specs
-        Ok(req)
-    }
-
-    /// Materialize presets into the concrete cluster, job and spec grid.
-    fn resolve(&self) -> Result<(Arc<Cluster>, TrainJob, Vec<ParallelismSpec>), String> {
         use charllm_hw::presets as hw;
         use charllm_models::presets as models;
-        let cluster = match self.cluster.as_str() {
+        let Some(fields) = body.as_object() else {
+            return Err("a job is a JSON object".into());
+        };
+        let string = |key: &str, default: &str| -> Result<String, String> {
+            let value = field(fields, key, "a string", |v| v.as_str().map(str::to_string))?;
+            Ok(value.unwrap_or_else(|| default.to_string()))
+        };
+        let size_range = format!("an integer in 1..={MAX_GLOBAL_BATCH}");
+
+        let kind = string("kind", "sweep")?;
+        let cluster = Arc::new(match string("cluster", "hgx_h200")?.as_str() {
             "hgx_h200" => hw::hgx_h200_cluster(),
             "hgx_h100" => hw::hgx_h100_cluster(),
             "mi250" => hw::mi250_cluster(),
             "single_hgx_node" => crate::presets::single_hgx_node(),
             other => return Err(format!("unknown cluster preset {other:?}")),
-        };
-        let arch = match self.model.as_str() {
+        });
+        let arch = match string("model", "gpt3_13b")?.as_str() {
             "gpt3_13b" => models::gpt3_13b(),
             "gpt3_30b" => models::gpt3_30b(),
             "gpt3_175b" => models::gpt3_175b(),
@@ -238,25 +203,100 @@ impl JobRequest {
             "mixtral_8x22b" => models::mixtral_8x22b(),
             other => return Err(format!("unknown model preset {other:?}")),
         };
-        let job = TrainJob::pretrain(arch).with_global_batch(self.global_batch);
-        let world = cluster.num_gpus();
-        let specs = self
-            .specs
+        let global_batch = field(fields, "global_batch", &size_range, size)?.unwrap_or(8);
+        let job = TrainJob::pretrain(arch).with_global_batch(global_batch);
+        let labels = field(fields, "specs", "a list of strings", |v| {
+            list(v, |label| label.as_str().map(str::to_string))
+        })?
+        .unwrap_or_default();
+        let specs = labels
             .iter()
             .map(|label| {
-                ParallelismSpec::parse(label, world).map_err(|e| format!("bad spec {label:?}: {e}"))
+                ParallelismSpec::parse(label, cluster.num_gpus())
+                    .map_err(|e| format!("bad spec {label:?}: {e}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok((Arc::new(cluster), job, specs))
-    }
-
-    fn sim_config(&self) -> SimConfig {
-        if self.fast {
+        let microbatches = field(
+            fields,
+            "microbatches",
+            &format!("a non-empty list of integers in 1..={MAX_GLOBAL_BATCH}"),
+            |v| list(v, size).filter(|mbs| !mbs.is_empty()),
+        )?
+        .unwrap_or_else(|| vec![1]);
+        let sim = if field(fields, "fast", "a boolean", Value::as_bool)?.unwrap_or(true) {
             SimConfig::fast()
         } else {
             SimConfig::default()
+        };
+        let workers = field(fields, "workers", "a non-negative integer", count)?
+            .unwrap_or(defaults.sweep_workers);
+        if workers > MAX_JOB_WORKERS {
+            return Err(format!("\"workers\" over {MAX_JOB_WORKERS}"));
+        }
+        let finalists = field(fields, "finalists", "a non-negative integer", count)?.unwrap_or(3);
+        let objective = match string("objective", "throughput")?.as_str() {
+            "throughput" => Objective::Throughput,
+            "efficiency" => Objective::Efficiency,
+            other => return Err(format!("unknown objective {other:?}")),
+        };
+        match kind.as_str() {
+            "sweep" => {
+                if specs.is_empty() {
+                    return Err("sweep jobs need a non-empty \"specs\" list".into());
+                }
+                let sweep = Sweep::new(cluster, job, specs)
+                    .with_microbatches(microbatches)
+                    .with_sim_config(sim)
+                    .workers(workers);
+                if sweep.len() > MAX_JOB_POINTS {
+                    return Err(format!("sweep grid over {MAX_JOB_POINTS} points"));
+                }
+                Ok(JobRequest::Sweep(Box::new(sweep)))
+            }
+            "search" => Ok(JobRequest::Search {
+                cluster,
+                job: Box::new(job),
+                opts: SearchOptions {
+                    objective,
+                    finalists,
+                    sim,
+                    workers,
+                },
+            }),
+            other => Err(format!("unknown job kind {other:?}")),
         }
     }
+}
+
+/// An optional field of a job body: `None` when absent, an error naming
+/// the field and what it `expected` when `read` cannot take its value.
+fn field<T>(
+    fields: &Map,
+    key: &str,
+    expected: &str,
+    read: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    fields
+        .get(key)
+        .map(|v| read(v).ok_or_else(|| format!("{key:?} must be {expected}")))
+        .transpose()
+}
+
+/// A non-negative integer that fits a `usize`.
+fn count(v: &Value) -> Option<usize> {
+    v.as_number()
+        .and_then(serde::Number::to_u64)
+        .and_then(|n| usize::try_from(n).ok())
+}
+
+/// A global batch or microbatch size: an integer in 1..=[`MAX_GLOBAL_BATCH`].
+fn size(v: &Value) -> Option<usize> {
+    count(v).filter(|n| (1..=MAX_GLOBAL_BATCH).contains(n))
+}
+
+/// A list whose every item `item` can take.
+fn list<T>(v: &Value, item: impl Fn(&Value) -> Option<T>) -> Option<Vec<T>> {
+    v.as_array()?.iter().map(item).collect()
 }
 
 /// The append-only byte log a job's JSONL stream writes into, shared
@@ -326,19 +366,21 @@ struct Job {
     sink: Arc<JobSink>,
     /// The final result document (or `{"error": ...}` on failure).
     result: Mutex<Option<Value>>,
-    /// Total sweep points (0 for search jobs, whose grid is enumerated
-    /// inside the search).
-    total_points: usize,
 }
 
 impl Job {
     fn status(&self) -> Value {
+        // A search enumerates its grid inside the search: 0 points here.
+        let (kind, points) = match &self.request {
+            JobRequest::Sweep(sweep) => ("sweep", sweep.len()),
+            JobRequest::Search { .. } => ("search", 0),
+        };
         json!({
             "job": self.id,
-            "kind": self.request.kind,
+            "kind": kind,
             "state": self.state.lock().expect("job poisoned").label(),
             "canceled": self.cancel.load(Ordering::Relaxed),
-            "points": self.total_points,
+            "points": points,
         })
     }
 }
@@ -512,80 +554,51 @@ fn settle_job(body: impl FnOnce() -> Result<Value, CoreError>) -> (JobState, Val
 /// Execute one job against the shared cache and produce its result
 /// document.
 fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) -> Result<Value, CoreError> {
-    let req = &job.request;
-    let (cluster, train_job, specs) = req.resolve().map_err(CoreError::Incomplete)?;
-    if req.kind == "search" {
-        let opts = SearchOptions {
-            objective: req.objective,
-            finalists: req.finalists,
-            sim: req.sim_config(),
-            workers: req.workers,
-        };
-        let ranked =
-            search_configs_with_cache(&train_job, &cluster, opts, Arc::clone(&state.cache))?;
-        // The screen phase lowers without running, so nothing has synced
-        // its publications yet; persist them too.
-        state.cache.sync_disk()?;
-        let candidates: Vec<Value> = ranked
-            .iter()
-            .map(|c| {
-                json!({
-                    "spec": c.spec.label(),
-                    "analytic_tokens_per_s": c.analytic.tokens_per_s,
-                    "tokens_per_s": c.report.as_ref().map_or(0.0, |r| r.tokens_per_s),
-                    "tokens_per_joule": c.report.as_ref().map_or(0.0, |r| r.tokens_per_joule),
-                    "simulated": c.report.is_some(),
+    let sweep = match &job.request {
+        JobRequest::Sweep(sweep) => sweep,
+        JobRequest::Search {
+            cluster,
+            job: train_job,
+            opts,
+        } => {
+            let ranked =
+                search_configs_with_cache(train_job, cluster, *opts, Arc::clone(&state.cache))?;
+            // The screen phase lowers without running, so nothing has
+            // synced its publications yet; persist them too.
+            state.cache.sync_disk()?;
+            let candidates: Vec<Value> = ranked
+                .iter()
+                .map(|c| {
+                    json!({
+                        "spec": c.spec.label(),
+                        "analytic_tokens_per_s": c.analytic.tokens_per_s,
+                        "tokens_per_s": c.report.as_ref().map_or(0.0, |r| r.tokens_per_s),
+                        "tokens_per_joule": c.report.as_ref().map_or(0.0, |r| r.tokens_per_joule),
+                        "simulated": c.report.is_some(),
+                    })
                 })
-            })
-            .collect();
-        return Ok(json!({ "kind": "search", "candidates": candidates }));
-    }
-    // Per-job hub: streamed deltas reconcile against this job's own final
-    // snapshot, independent of concurrent neighbors.
-    let hub = MetricsHub::new(req.workers.max(1) + 1);
-    let stream = Arc::new(ProgressStream::new(SinkWriter(Arc::clone(&job.sink))));
-    let sweep = Sweep::new(Arc::clone(&cluster), train_job, specs)
-        .with_microbatches(req.microbatches.clone())
-        .with_sim_config(req.sim_config())
-        .workers(req.workers)
-        .with_cache(Arc::clone(&state.cache))
-        .with_metrics(Arc::clone(&hub))
-        .stream(stream)
-        .cancel_flag(Arc::clone(&job.cancel));
-    let outcomes = sweep.run_outcomes();
-    let mut cache_total = CacheStats::default();
-    let points: Vec<Value> = outcomes
+                .collect();
+            return Ok(json!({ "kind": "search", "candidates": candidates }));
+        }
+    };
+    // Per-job hub, made per run so a finished job keeps no registry:
+    // streamed deltas reconcile against this job's own final snapshot,
+    // independent of concurrent neighbors.
+    let hub = MetricsHub::new(sweep.worker_count().max(1) + 1);
+    let outcomes = sweep.clone().with_metrics(hub).run_outcomes();
+    let cache = outcomes
         .iter()
-        .map(|o| {
-            let point = o.point();
-            let (outcome, reason) = match o {
-                crate::sweep::SweepOutcome::Completed { .. } => ("completed", String::new()),
-                crate::sweep::SweepOutcome::Skipped { reason, .. } => ("skipped", reason.clone()),
-                crate::sweep::SweepOutcome::Failed { error, .. } => ("failed", error.to_string()),
-            };
-            if let Some(stats) = o.report().and_then(|r| r.cache) {
-                cache_total = cache_total.add(&stats);
-            }
-            json!({
-                "index": point.index,
-                "point": point.to_string(),
-                "outcome": outcome,
-                "reason": reason,
-                "step_time_s": o.report().map_or(0.0, |r| r.step_time_s),
-                "tokens_per_s": o.report().map_or(0.0, |r| r.tokens_per_s),
-                "energy_per_step_j": o.report().map_or(0.0, |r| r.energy_per_step_j),
-            })
-        })
-        .collect();
-    let completed = outcomes.iter().filter(|o| o.report().is_some()).count();
-    let skipped = outcomes.iter().filter(|o| o.is_skipped()).count();
+        .filter_map(|o| o.report()?.cache)
+        .fold(CacheStats::default(), |total, stats| total.add(&stats));
+    let points: Vec<PointSummary> = outcomes.iter().map(PointSummary::of).collect();
+    let count = |outcome: &str| points.iter().filter(|p| p.outcome == outcome).count();
     Ok(json!({
         "kind": "sweep",
-        "total": outcomes.len(),
-        "completed": completed,
-        "skipped": skipped,
-        "failed": outcomes.len() - completed - skipped,
-        "cache": serde_json::to_value(cache_total).expect("stats serialize"),
+        "total": points.len(),
+        "completed": count("completed"),
+        "skipped": count("skipped"),
+        "failed": count("failed"),
+        "cache": cache,
         "points": points,
     }))
 }
@@ -767,7 +780,7 @@ fn handle_connection(mut conn: TcpStream, state: &Arc<ServerState>) -> Result<()
                 }
                 ("GET", ["stream"]) => stream_job(&mut conn, &job),
                 ("GET", ["trace", point]) => match point.parse::<usize>() {
-                    Ok(index) => match perfetto_for_point(state, &job.request, index) {
+                    Ok(index) => match perfetto_for_point(&job.request, index) {
                         Ok(text) => respond(&mut conn, 200, "application/json", &text),
                         Err(e) => {
                             respond_json(&mut conn, 400, &json!({ "error": e.to_string() }));
@@ -783,23 +796,29 @@ fn handle_connection(mut conn: TcpStream, state: &Arc<ServerState>) -> Result<()
     Ok(())
 }
 
-/// Validate, register and enqueue a submission; returns the job id.
+/// Validate, resolve, register and enqueue a submission; returns the job
+/// id. A sweep gets the shared cache, the job's stream and its cancel flag
+/// here, once.
 fn submit(state: &Arc<ServerState>, body: &Value) -> Result<u64, String> {
-    let request = JobRequest::parse(body, &state.cfg)?;
-    let total_points = if request.kind == "sweep" {
-        request.specs.len() * request.microbatches.len()
-    } else {
-        0
+    let cancel = Arc::new(AtomicBool::new(false));
+    let sink = Arc::new(JobSink::default());
+    let request = match JobRequest::parse(body, &state.cfg)? {
+        JobRequest::Sweep(sweep) => JobRequest::Sweep(Box::new(
+            sweep
+                .with_cache(Arc::clone(&state.cache))
+                .stream(Arc::new(ProgressStream::new(SinkWriter(Arc::clone(&sink)))))
+                .cancel_flag(Arc::clone(&cancel)),
+        )),
+        search => search,
     };
     let id = state.next_id.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(Job {
         id,
         request,
         state: Mutex::new(JobState::Queued),
-        cancel: Arc::new(AtomicBool::new(false)),
-        sink: Arc::new(JobSink::default()),
+        cancel,
+        sink,
         result: Mutex::new(None),
-        total_points,
     });
     state.jobs.lock().expect("jobs poisoned").insert(id, job);
     state.queue.lock().expect("queue poisoned").push_back(id);
@@ -836,29 +855,20 @@ fn stream_job(conn: &mut TcpStream, job: &Arc<Job>) {
 }
 
 /// Re-run one sweep point with a span recorder attached and export its
-/// Chrome `traceEvents` JSON. The point runs as an [`Experiment`] on the
-/// shared cache, so a trace download after a sweep costs one extra
+/// Chrome `traceEvents` JSON. The point comes from the job's own sweep, on
+/// the shared cache, so a trace download after a sweep costs one extra
 /// (observed) simulation, not a cold rebuild.
-fn perfetto_for_point(
-    state: &Arc<ServerState>,
-    req: &JobRequest,
-    index: usize,
-) -> Result<String, CoreError> {
-    let (cluster, job, specs) = req.resolve().map_err(CoreError::Incomplete)?;
-    let per_spec = req.microbatches.len();
-    if req.kind != "sweep" || index >= specs.len() * per_spec {
+fn perfetto_for_point(req: &JobRequest, index: usize) -> Result<String, CoreError> {
+    let point = match req {
+        JobRequest::Sweep(sweep) => sweep.point(index),
+        JobRequest::Search { .. } => None,
+    };
+    let Some((_, builder)) = point else {
         return Err(CoreError::Incomplete(format!(
             "point {index} outside the job's grid"
         )));
-    }
-    let events = Experiment::builder()
-        .cluster(cluster)
-        .job(job.with_microbatch(req.microbatches[index % per_spec]))
-        .spec(specs[index / per_spec])
-        .sim_config(req.sim_config())
-        .cache(Arc::clone(&state.cache))
-        .build()?
-        .chrome_trace()?;
+    };
+    let events = builder.build()?.chrome_trace()?;
     Ok(serde_json::to_string(&events).expect("trace serializes"))
 }
 
@@ -939,44 +949,222 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert_eq!(req.kind, "sweep");
-        assert_eq!(req.model, "gpt3_13b");
-        assert_eq!(req.microbatches, vec![1]);
-        assert_eq!(req.workers, cfg.sweep_workers);
-        assert!(req.fast);
+        let JobRequest::Sweep(sweep) = req else {
+            panic!("the default kind is a sweep, got {req:?}");
+        };
+        // One spec and the default microbatch list [1]: one point, whose
+        // experiment is the default model and global batch at microbatch 1
+        // on the fast config.
+        assert_eq!(sweep.len(), 1);
+        assert_eq!(sweep.worker_count(), cfg.sweep_workers);
+        let (point, builder) = sweep.point(0).unwrap();
+        assert_eq!(point.microbatch, 1);
+        let cluster = crate::presets::single_hgx_node();
+        let expected = crate::Experiment::builder()
+            .cluster(cluster.clone())
+            .job(
+                TrainJob::pretrain(charllm_models::presets::gpt3_13b())
+                    .with_global_batch(8)
+                    .with_microbatch(1),
+            )
+            .spec(ParallelismSpec::parse("TP2-PP2", cluster.num_gpus()).unwrap())
+            .sim_config(SimConfig::fast());
+        assert_eq!(format!("{builder:?}"), format!("{expected:?}"));
+        assert!(sweep.point(1).is_none(), "no point outside the grid");
 
-        assert!(
-            JobRequest::parse(&json!({ "kind": "sweep" }), &cfg).is_err(),
-            "sweep without specs rejected"
-        );
-        assert!(
-            JobRequest::parse(&json!({ "kind": "teapot", "specs": ["TP2"] }), &cfg).is_err(),
-            "unknown kind rejected"
-        );
-        assert!(
-            JobRequest::parse(
-                &json!({ "specs": ["TP2-PP2"], "cluster": "warehouse" }),
-                &cfg
-            )
-            .is_err(),
-            "unknown cluster rejected at submit time"
-        );
-        assert!(
-            JobRequest::parse(
-                &json!({ "specs": ["TP3-PP5"], "cluster": "single_hgx_node" }),
-                &cfg
-            )
-            .is_err(),
-            "unparsable spec rejected at submit time"
-        );
-        assert!(
-            JobRequest::parse(
-                &json!({ "specs": ["TP2-PP2"], "cluster": "single_hgx_node", "workers": 65 }),
-                &cfg
-            )
-            .is_err(),
-            "worker count over the cap rejected at submit time"
-        );
+        for (bad, why) in [
+            (json!({ "kind": "sweep" }), "sweep without specs"),
+            (
+                json!({ "kind": "teapot", "specs": ["TP2"] }),
+                "unknown kind",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "cluster": "warehouse" }),
+                "unknown cluster",
+            ),
+            (
+                json!({ "specs": ["TP3-PP5"], "cluster": "single_hgx_node" }),
+                "unparsable spec",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "cluster": "single_hgx_node", "workers": 65 }),
+                "worker count over the cap",
+            ),
+            (json!({ "specs": ["TP2-PP2", 7] }), "non-string spec entry"),
+            (json!({ "specs": "TP2-PP2" }), "specs not a list"),
+            (
+                json!({ "specs": ["TP2-PP2"], "microbatches": [-4] }),
+                "negative microbatch",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "microbatches": ["2"] }),
+                "string microbatch",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "microbatches": [1.5] }),
+                "fractional microbatch",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "microbatches": [] }),
+                "empty microbatch list",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "cluster": 5 }),
+                "cluster not a string",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "fast": "no" }),
+                "fast not a boolean",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "workers": -1 }),
+                "negative workers",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "global_batch": 0 }),
+                "zero global batch",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "global_batch": -8 }),
+                "negative global batch",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "global_batch": MAX_GLOBAL_BATCH + 1 }),
+                "global batch over the cap",
+            ),
+            (
+                json!({ "specs": ["TP2-PP2"], "global_batch": 1_000_000_000_000u64 }),
+                "huge global batch",
+            ),
+            (
+                json!({ "specs": vec!["TP8"; 33], "microbatches": (1..=32).collect::<Vec<_>>() }),
+                "grid over the cap",
+            ),
+            (json!(["TP2-PP2"]), "body not an object"),
+        ] {
+            assert!(
+                JobRequest::parse(&bad, &cfg).is_err(),
+                "{why} must be rejected at submit time: {bad:?}"
+            );
+        }
+    }
+
+    /// A job body field: absent, a plausible value, or a value of a wrong
+    /// type, sign or size. `pick` chooses the shape, `n` the number in it
+    /// and `label` the string.
+    fn field_value(key: &str, valid: bool, pick: usize, n: i64, label: usize) -> Option<Value> {
+        const LABELS: [&str; 22] = [
+            "sweep",
+            "search",
+            "teapot",
+            "hgx_h200",
+            "single_hgx_node",
+            "mi250",
+            "warehouse",
+            "gpt3_13b",
+            "mixtral_8x7b",
+            "llama",
+            "TP2-PP2",
+            "TP8",
+            "TP2-PP4",
+            "TP3-PP5",
+            "TP0",
+            "PP0-DP0",
+            "TP18446744073709551617",
+            "EP4-TP2",
+            "",
+            "throughput",
+            "efficiency",
+            "TP2-PP2-DP-1",
+        ];
+        let text = LABELS[label % LABELS.len()];
+        let small = n.rem_euclid(70) as u64;
+        if valid {
+            return match key {
+                "kind" => [None, Some(json!("sweep")), Some(json!("search"))][pick % 3].clone(),
+                "cluster" => Some(json!(["single_hgx_node", "hgx_h200", "mi250"][pick % 3])),
+                "model" => Some(json!("gpt3_13b")),
+                "specs" => Some(json!(["TP2-PP2", "TP8", "TP2-PP4"][..1 + pick % 3])),
+                "microbatches" => Some(json!([1 + small % 4, 1 + n.rem_euclid(1100) as u64])),
+                "fast" => Some(json!(pick.is_multiple_of(2))),
+                "objective" => Some(json!(["throughput", "efficiency"][pick % 2])),
+                _ => Some(json!(small)),
+            };
+        }
+        match pick % 12 {
+            0 => None,
+            1 => Some(json!(n)),
+            2 => Some(json!(n as f64 + 0.5)),
+            3 => Some(json!(u64::MAX)),
+            4 => Some(Value::Null),
+            5 => Some(json!(n % 2 == 0)),
+            6 => Some(json!(text)),
+            7 => Some(json!([text, LABELS[(label + pick) % LABELS.len()]])),
+            8 => Some(json!([n, 1, 2])),
+            9 => Some(json!([small.to_string()])),
+            10 => Some(json!({ "n": n })),
+            _ => Some(json!([])),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 400, ..Default::default() })]
+
+        #[test]
+        fn malformed_job_bodies_never_panic_and_accepted_ones_fit_the_caps(
+            shapes in proptest::collection::vec(
+                (0usize..8, 0usize..12, 0usize..64),
+                10,
+            ),
+            numbers in proptest::collection::vec((0usize..3, 0u64..u64::MAX), 10),
+        ) {
+            const KEYS: [&str; 10] = [
+                "kind", "cluster", "model", "global_batch", "specs", "microbatches", "fast",
+                "workers", "finalists", "objective",
+            ];
+            let mut body = Map::new();
+            for ((key, &(junk, pick, label)), &(scale, raw)) in
+                KEYS.iter().zip(&shapes).zip(&numbers)
+            {
+                // Small, mid-size or any 64-bit number, negative included.
+                let n = match scale {
+                    0 => (raw % 84) as i64 - 4,
+                    1 => (raw % 2_000_000) as i64 - 1_000_000,
+                    _ => raw as i64,
+                };
+                // One field in eight takes a junk shape.
+                if let Some(v) = field_value(key, junk != 0, pick, n, label) {
+                    body.insert(*key, v);
+                }
+            }
+            let body = Value::Object(body);
+            let parsed = std::panic::catch_unwind(|| {
+                JobRequest::parse(&body, &ServerConfig::default())
+            });
+            let Ok(parsed) = parsed else {
+                panic!("JobRequest::parse panicked on {body:?}");
+            };
+            match parsed {
+                Err(msg) => proptest::prop_assert!(!msg.is_empty()),
+                Ok(JobRequest::Sweep(sweep)) => {
+                    proptest::prop_assert!((1..=MAX_JOB_POINTS).contains(&sweep.len()), "{body:?}");
+                    proptest::prop_assert!(sweep.worker_count() <= MAX_JOB_WORKERS, "{body:?}");
+                    for index in 0..sweep.len() {
+                        let (point, builder) = sweep.point(index).expect("index inside the grid");
+                        let experiment = builder.build().expect("a point builds");
+                        let job = experiment.job();
+                        proptest::prop_assert_eq!(point.index, index);
+                        proptest::prop_assert!((1..=MAX_GLOBAL_BATCH).contains(&job.global_batch));
+                        proptest::prop_assert!((1..=MAX_GLOBAL_BATCH).contains(&job.microbatch));
+                    }
+                    proptest::prop_assert!(sweep.point(sweep.len()).is_none());
+                }
+                Ok(JobRequest::Search { job, opts, .. }) => {
+                    proptest::prop_assert!(opts.workers <= MAX_JOB_WORKERS, "{body:?}");
+                    proptest::prop_assert!((1..=MAX_GLOBAL_BATCH).contains(&job.global_batch));
+                }
+            }
+        }
     }
 
     #[test]

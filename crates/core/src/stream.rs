@@ -7,9 +7,10 @@
 //! sweep buffers out-of-order completions from parallel workers), followed
 //! by one `sweep_end` event carrying the final
 //! [`MetricsSnapshot`](charllm_telemetry::MetricsSnapshot). The line
-//! protocol is what the future job server (ROADMAP item 5) will speak: a
-//! consumer needs nothing but a line-buffered reader and a JSON parser —
-//! see `examples/live_dashboard.rs` for a terminal renderer built on it.
+//! protocol is what [`SimServer`](crate::server::SimServer) serves at
+//! `GET /jobs/{id}/stream`: a consumer needs nothing but a line-buffered
+//! reader and a JSON parser — see `examples/live_dashboard.rs` for a
+//! terminal renderer built on it.
 //!
 //! When the sweep also carries a
 //! [`MetricsHub`](charllm_telemetry::MetricsHub), each
@@ -24,13 +25,14 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
+use crate::sweep::SweepOutcome;
+
 /// One line of the sweep progress stream.
 ///
 /// Every field is always present (the vendored serde derives have no
 /// `skip_serializing_if`), with sentinel values where a field does not
-/// apply: empty strings, `0.0` metrics for non-completed points, a
-/// negative `eta_s` when no estimate exists yet, and JSON `null` for
-/// `metrics` when no hub is attached.
+/// apply: empty strings, `0.0` metrics for non-completed points, and JSON
+/// `null` for `metrics` when no hub is attached.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProgressEvent {
     /// `"point"` (one sweep point finished) or `"sweep_end"` (terminal
@@ -67,8 +69,7 @@ pub struct ProgressEvent {
     /// Wall seconds since the sweep started.
     pub elapsed_s: f64,
     /// Estimated wall seconds to finish (linear extrapolation over
-    /// finished points); `-1.0` before the first point, `0.0` on
-    /// `sweep_end`.
+    /// finished points); `0.0` on `sweep_end`.
     pub eta_s: f64,
     /// Metrics-hub snapshot delta since the previous event (full snapshot
     /// on `sweep_end`), in [`MetricsSnapshot::to_json`] shape; `null`
@@ -95,6 +96,42 @@ impl ProgressEvent {
     /// Returns the underlying JSON error for malformed lines.
     pub fn from_json_line(line: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(line)
+    }
+}
+
+/// One finished point as the stream and the server's result document both
+/// report it: a `point` event takes these fields, and the result
+/// document's `points[i]` entry is this record serialized.
+#[derive(Debug, Clone, Serialize)]
+pub(crate) struct PointSummary {
+    pub(crate) index: usize,
+    pub(crate) point: String,
+    pub(crate) outcome: &'static str,
+    pub(crate) reason: String,
+    pub(crate) step_time_s: f64,
+    pub(crate) tokens_per_s: f64,
+    pub(crate) energy_per_step_j: f64,
+}
+
+impl PointSummary {
+    /// Summarize an outcome: the report's figures when it completed, the
+    /// skip or failure reason and zero figures otherwise.
+    pub(crate) fn of(outcome: &SweepOutcome) -> Self {
+        let (label, reason) = match outcome {
+            SweepOutcome::Completed { .. } => ("completed", String::new()),
+            SweepOutcome::Skipped { reason, .. } => ("skipped", reason.clone()),
+            SweepOutcome::Failed { error, .. } => ("failed", error.to_string()),
+        };
+        let report = outcome.report();
+        PointSummary {
+            index: outcome.point().index,
+            point: outcome.point().to_string(),
+            outcome: label,
+            reason,
+            step_time_s: report.map_or(0.0, |r| r.step_time_s),
+            tokens_per_s: report.map_or(0.0, |r| r.tokens_per_s),
+            energy_per_step_j: report.map_or(0.0, |r| r.energy_per_step_j),
+        }
     }
 }
 

@@ -29,9 +29,9 @@ use serde_json::Value;
 use crate::cache::SimCache;
 use crate::error::CoreError;
 use crate::executor::Executor;
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentBuilder};
 use crate::report::RunReport;
-use crate::stream::{ProgressEvent, ProgressStream};
+use crate::stream::{PointSummary, ProgressEvent, ProgressStream};
 
 /// Progress callback: called once per completed point, from whichever
 /// worker thread finished it.
@@ -155,58 +155,17 @@ impl SweepCounters {
     }
 }
 
-/// A finished point's summary, parked until every earlier point has been
-/// emitted to the stream.
-struct PendingPoint {
-    outcome: &'static str,
-    label: String,
-    reason: String,
-    step_time_s: f64,
-    tokens_per_s: f64,
-    energy_per_step_j: f64,
-}
-
-impl PendingPoint {
-    fn of(outcome: &SweepOutcome) -> Self {
-        match outcome {
-            SweepOutcome::Completed { point, report } => PendingPoint {
-                outcome: "completed",
-                label: point.to_string(),
-                reason: String::new(),
-                step_time_s: report.step_time_s,
-                tokens_per_s: report.tokens_per_s,
-                energy_per_step_j: report.energy_per_step_j,
-            },
-            SweepOutcome::Skipped { point, reason } => PendingPoint {
-                outcome: "skipped",
-                label: point.to_string(),
-                reason: reason.clone(),
-                step_time_s: 0.0,
-                tokens_per_s: 0.0,
-                energy_per_step_j: 0.0,
-            },
-            SweepOutcome::Failed { point, error } => PendingPoint {
-                outcome: "failed",
-                label: point.to_string(),
-                reason: error.to_string(),
-                step_time_s: 0.0,
-                tokens_per_s: 0.0,
-                energy_per_step_j: 0.0,
-            },
-        }
-    }
-}
-
 /// Shared finish-side state: outcome tallies, the progress-callback lock,
 /// and the stream's in-order emission buffer.
+#[derive(Default)]
 struct EmitState {
-    finished: usize,
     completed: usize,
     skipped: usize,
     failed: usize,
     seq: u64,
     next_emit: usize,
-    pending: BTreeMap<usize, PendingPoint>,
+    /// Finished points parked until every earlier point has been emitted.
+    pending: BTreeMap<usize, PointSummary>,
     last_snapshot: Option<MetricsSnapshot>,
 }
 
@@ -214,40 +173,32 @@ struct EmitState {
 /// microbatch sizes for one model on one cluster.
 #[derive(Clone)]
 pub struct Sweep {
-    cluster: Arc<Cluster>,
-    base_job: TrainJob,
+    /// What every point shares: cluster, simulator configuration, cache,
+    /// faults and self-profiling. A point adds its job and spec.
+    base: ExperimentBuilder,
     specs: Vec<ParallelismSpec>,
     jobs_per_spec: Vec<TrainJob>,
     microbatches: Vec<usize>,
-    sim: SimConfig,
     skip_failures: bool,
     workers: usize,
     progress: Option<Arc<ProgressFn>>,
-    cache: Option<Arc<SimCache>>,
-    faults: Option<FaultPlan>,
     metrics: Option<Arc<MetricsHub>>,
     stream: Option<Arc<ProgressStream>>,
-    self_profile: bool,
     cancel: Option<Arc<AtomicBool>>,
 }
 
 impl fmt::Debug for Sweep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sweep")
-            .field("cluster", &self.cluster.name())
-            .field("base_job", &self.base_job)
+            .field("base", &self.base)
             .field("specs", &self.specs)
             .field("jobs_per_spec", &self.jobs_per_spec.len())
             .field("microbatches", &self.microbatches)
-            .field("sim", &self.sim)
             .field("skip_failures", &self.skip_failures)
             .field("workers", &self.workers)
             .field("progress", &self.progress.is_some())
-            .field("cache", &self.cache.is_some())
-            .field("faults", &self.faults.is_some())
             .field("metrics", &self.metrics.is_some())
             .field("stream", &self.stream.is_some())
-            .field("self_profile", &self.self_profile)
             .field("cancel", &self.cancel.is_some())
             .finish()
     }
@@ -261,20 +212,15 @@ impl Sweep {
         specs: Vec<ParallelismSpec>,
     ) -> Self {
         Sweep {
-            cluster: cluster.into(),
-            jobs_per_spec: vec![job.clone()],
-            base_job: job,
+            base: Experiment::builder().cluster(cluster),
+            jobs_per_spec: vec![job],
             specs,
             microbatches: vec![1],
-            sim: SimConfig::default(),
             skip_failures: true,
             workers: 0,
             progress: None,
-            cache: None,
-            faults: None,
             metrics: None,
             stream: None,
-            self_profile: false,
             cancel: None,
         }
     }
@@ -293,7 +239,7 @@ impl Sweep {
 
     /// Simulator configuration for every run.
     pub fn with_sim_config(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
+        self.base = self.base.sim_config(sim);
         self
     }
 
@@ -317,7 +263,7 @@ impl Sweep {
     /// sweeps or ablations over the same workloads. Read aggregate hit/miss
     /// counters from the cache afterwards via [`SimCache::stats`].
     pub fn with_cache(mut self, cache: Arc<SimCache>) -> Self {
-        self.cache = Some(cache);
+        self.base = self.base.cache(cache);
         self
     }
 
@@ -326,7 +272,7 @@ impl Sweep {
     /// participates in the memoization key, so repeated points with the
     /// same plan still hit a shared cache.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.base = self.base.faults(plan);
         self
     }
 
@@ -379,7 +325,7 @@ impl Sweep {
     /// ([`RunReport::stages`]); off by default so reports stay comparable
     /// across runs.
     pub fn self_profile(mut self, on: bool) -> Self {
-        self.self_profile = on;
+        self.base = self.base.self_profile(on);
         self
     }
 
@@ -395,30 +341,48 @@ impl Sweep {
         self
     }
 
-    /// The cartesian grid in enumeration order, with the concrete job for
-    /// each point.
-    fn grid(&self) -> Vec<(SweepPoint, TrainJob)> {
-        let mut points = Vec::new();
-        for spec in &self.specs {
-            for job in &self.jobs_per_spec {
-                for &mb in &self.microbatches {
-                    let job = job.clone().with_microbatch(mb);
-                    let point = SweepPoint {
-                        index: points.len(),
-                        spec: *spec,
-                        optimization: job.optim.label(),
-                        microbatch: mb,
-                    };
-                    points.push((point, job));
-                }
-            }
+    /// Number of points: specs × job variants × microbatch sizes.
+    pub(crate) fn len(&self) -> usize {
+        self.specs.len() * self.jobs_per_spec.len() * self.microbatches.len()
+    }
+
+    /// The worker count asked for with [`Sweep::workers`].
+    pub(crate) fn worker_count(&self) -> usize {
+        self.workers
+    }
+
+    /// The point at `index` in enumeration order (spec-major, then job
+    /// variant, then microbatch) and the experiment that runs it: the base
+    /// plus the point's job and spec. `None` outside the grid. The sweep's
+    /// workers and the server's trace download both build points here.
+    pub(crate) fn point(&self, index: usize) -> Option<(SweepPoint, ExperimentBuilder)> {
+        if index >= self.len() {
+            return None;
         }
-        points
+        let per_job = self.microbatches.len();
+        let per_spec = self.jobs_per_spec.len() * per_job;
+        let spec = self.specs[index / per_spec];
+        let microbatch = self.microbatches[index % per_job];
+        let job = self.jobs_per_spec[index % per_spec / per_job]
+            .clone()
+            .with_microbatch(microbatch);
+        let point = SweepPoint {
+            index,
+            spec,
+            optimization: job.optim.label(),
+            microbatch,
+        };
+        Some((point, self.base.clone().job(job).spec(spec)))
+    }
+
+    /// Every point with its experiment, in enumeration order.
+    fn grid(&self) -> impl Iterator<Item = (SweepPoint, ExperimentBuilder)> + '_ {
+        (0..self.len()).filter_map(|index| self.point(index))
     }
 
     /// The points this sweep will execute, in order.
     pub fn points(&self) -> Vec<SweepPoint> {
-        self.grid().into_iter().map(|(point, _)| point).collect()
+        self.grid().map(|(point, _)| point).collect()
     }
 
     /// Execute every point and return one structured [`SweepOutcome`] per
@@ -428,19 +392,18 @@ impl Sweep {
     /// their report, failing points carry a skip reason (default mode) or
     /// the error itself (strict mode). Nothing is printed.
     pub fn run_outcomes(&self) -> Vec<SweepOutcome> {
-        let grid = self.grid();
+        let grid: Vec<(SweepPoint, ExperimentBuilder)> = self.grid().collect();
         let total = grid.len();
         let hub = self.metrics.as_ref().filter(|h| h.enabled());
         // One cache for the whole pool: workers publish lowered traces and
         // plan sets as they build them, so points sharing a workload (or a
         // later sweep via `with_cache`) skip that work entirely.
-        let cache = match &self.cache {
-            Some(external) => Arc::clone(external),
-            None => Arc::new(match hub {
+        let own_cache = (!self.base.has_cache()).then(|| {
+            Arc::new(match hub {
                 Some(h) => SimCache::with_metrics(&h.shard(0)),
                 None => SimCache::new(),
-            }),
-        };
+            })
+        });
         let counters = hub.map(SweepCounters::new);
         if let Some(c) = &counters {
             c.points_total.set(total as f64);
@@ -449,18 +412,9 @@ impl Sweep {
         let pool_width = executor.workers().min(total.max(1));
         let busy_ms: Vec<AtomicU64> = (0..pool_width).map(|_| AtomicU64::new(0)).collect();
         let started = Instant::now();
-        let emit = Mutex::new(EmitState {
-            finished: 0,
-            completed: 0,
-            skipped: 0,
-            failed: 0,
-            seq: 0,
-            next_emit: 0,
-            pending: BTreeMap::new(),
-            last_snapshot: None,
-        });
+        let emit = Mutex::new(EmitState::default());
 
-        let outcomes = executor.run_with_worker(&grid, |worker, _, (point, job)| {
+        let outcomes = executor.run_with_worker(&grid, |worker, _, (point, builder)| {
             if self
                 .cancel
                 .as_ref()
@@ -474,15 +428,9 @@ impl Sweep {
                 return outcome;
             }
             let point_started = Instant::now();
-            let mut builder = Experiment::builder()
-                .cluster(Arc::clone(&self.cluster))
-                .job(job.clone())
-                .spec(point.spec)
-                .sim_config(self.sim)
-                .cache(Arc::clone(&cache))
-                .self_profile(self.self_profile);
-            if let Some(plan) = &self.faults {
-                builder = builder.faults(plan.clone());
+            let mut builder = builder.clone();
+            if let Some(cache) = &own_cache {
+                builder = builder.cache(Arc::clone(cache));
             }
             if let Some(h) = hub {
                 builder = builder.metrics(h.shard(worker));
@@ -568,7 +516,6 @@ impl Sweep {
         outcome: &SweepOutcome,
     ) {
         let mut st = emit.lock().expect("sweep emit state poisoned");
-        st.finished += 1;
         match outcome {
             SweepOutcome::Completed { report, .. } => {
                 st.completed += 1;
@@ -591,26 +538,23 @@ impl Sweep {
                 }
             }
         }
+        let finished = st.completed + st.skipped + st.failed;
         let elapsed = started.elapsed().as_secs_f64();
-        let eta = if st.finished > 0 {
-            elapsed / st.finished as f64 * (total - st.finished) as f64
-        } else {
-            -1.0
-        };
+        let eta = elapsed / finished as f64 * (total - finished) as f64;
         if let Some(c) = counters {
             c.elapsed_s.set(elapsed);
             c.eta_s.set(eta);
         }
         if let Some(callback) = &self.progress {
             callback(&SweepProgress {
-                completed: st.finished,
+                completed: finished,
                 total,
                 outcome,
             });
         }
         let Some(stream) = &self.stream else { return };
         st.pending
-            .insert(outcome.point().index, PendingPoint::of(outcome));
+            .insert(outcome.point().index, PointSummary::of(outcome));
         loop {
             let next = st.next_emit;
             let Some(p) = st.pending.remove(&next) else {
@@ -630,13 +574,13 @@ impl Sweep {
             stream.emit(&ProgressEvent {
                 event: "point".into(),
                 seq: st.seq,
-                index: st.next_emit,
+                index: p.index,
                 total,
                 completed: st.completed,
                 skipped: st.skipped,
                 failed: st.failed,
                 outcome: p.outcome.into(),
-                point: p.label,
+                point: p.point,
                 reason: p.reason,
                 step_time_s: p.step_time_s,
                 tokens_per_s: p.tokens_per_s,
@@ -670,11 +614,6 @@ impl Sweep {
             }
         }
         Ok(reports)
-    }
-
-    /// The base job the sweep was constructed with.
-    pub fn base_job(&self) -> &TrainJob {
-        &self.base_job
     }
 }
 

@@ -10,8 +10,8 @@
 //! hot rate loop walks one shared, cache-resident table.
 //!
 //! The arena is append-only: a [`SliceRef`] handed out once stays valid for
-//! the arena's lifetime, which is what lets the simulator's parallel
-//! re-rate workers read it through a plain shared borrow.
+//! the arena's lifetime, so a flow can keep its `(offset, len)` pair for as
+//! long as the simulator runs.
 
 use std::collections::HashMap;
 

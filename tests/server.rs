@@ -345,3 +345,73 @@ fn bad_submissions_are_rejected_and_cancel_is_cooperative() {
 
     server.shutdown();
 }
+
+#[test]
+fn result_points_match_stream_events_and_traces_stay_inside_the_grid() {
+    let server = SimServer::bind(
+        "127.0.0.1:0",
+        Arc::new(SimCache::new()),
+        ServerConfig {
+            job_workers: 1,
+            sweep_workers: 1,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let submit = |body: &str| {
+        let (status, resp) = http_request(addr, "POST", "/jobs", Some(body)).unwrap();
+        assert_eq!(status, 202, "{resp}");
+        get_u64(&serde_json::from_str(&resp).unwrap(), "job")
+    };
+
+    // TP2-PP2 on one node is dp 2: microbatch 3 does not divide the
+    // per-replica batch of 2, so point 1 is skipped.
+    let id = submit(
+        r#"{"cluster": "single_hgx_node", "global_batch": 4, "specs": ["TP2-PP2"],
+            "microbatches": [1, 3], "workers": 1}"#,
+    );
+    let (_, stream) = http_request(addr, "GET", &format!("/jobs/{id}/stream"), None).unwrap();
+    let events: Vec<Value> = stream
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let (status, result) = http_request(addr, "GET", &format!("/jobs/{id}/result"), None).unwrap();
+    assert_eq!(status, 200);
+    let result: Value = serde_json::from_str(&result).unwrap();
+    let points = result.get("points").and_then(Value::as_array).unwrap();
+    assert_eq!(points.len(), 2);
+    assert_eq!(events.len(), 3, "2 points + sweep_end");
+    let outcome = |v: &Value| v.get("outcome").and_then(Value::as_str).map(str::to_string);
+    assert_eq!(outcome(&points[0]).as_deref(), Some("completed"));
+    assert_eq!(outcome(&points[1]).as_deref(), Some("skipped"));
+    for (i, (point, event)) in points.iter().zip(&events).enumerate() {
+        for key in [
+            "index",
+            "point",
+            "outcome",
+            "reason",
+            "step_time_s",
+            "tokens_per_s",
+            "energy_per_step_j",
+        ] {
+            assert_eq!(
+                point.get(key),
+                event.get(key),
+                "points[{i}].{key} differs from stream event {i}"
+            );
+        }
+    }
+
+    // The grid has two points: index 2 is outside it, and so is every
+    // index of a search job, which has no grid of its own.
+    let (status, body) = http_request(addr, "GET", &format!("/jobs/{id}/trace/2"), None).unwrap();
+    assert_eq!(status, 400, "{body}");
+    let (status, _) = http_request(addr, "GET", &format!("/jobs/{id}/trace/1"), None).unwrap();
+    assert_eq!(status, 400, "a skipped point has no trace");
+    let search = submit(r#"{"kind": "search", "cluster": "single_hgx_node", "finalists": 0}"#);
+    let (status, body) =
+        http_request(addr, "GET", &format!("/jobs/{search}/trace/0"), None).unwrap();
+    assert_eq!(status, 400, "{body}");
+
+    server.shutdown();
+}
