@@ -69,6 +69,12 @@ echo "$out" | grep -Eq "^sweep cache: plans [1-9][0-9]* hits" || {
     echo "FAIL: power-cap sweep did not share the folded plan set" >&2
     exit 1
 }
+builds="$(echo "$out" | sed -En 's/^cap .* plans (hit|miss), ([0-9]+) built.*/\2/p')"
+echo "plan builds per point:" $builds
+[ "$(echo "$builds" | wc -l)" -eq 4 ] && [ "$(echo "$builds" | tail -n 3 | tr '\n' ' ')" = "0 0 0 " ] || {
+    echo "FAIL: a power-cap point after the first built plans outside the shared set" >&2
+    exit 1
+}
 
 echo "==> metrics hub smoke (live_dashboard example, non-TTY JSONL + Prometheus)"
 out="$(cargo run --release --example live_dashboard)"

@@ -38,7 +38,7 @@ use charllm_parallel::Placement;
 use charllm_telemetry::metrics::{Gauge, MetricsShard};
 use charllm_telemetry::{GpuSample, TelemetryStore};
 use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, ThermalSpec};
-use charllm_trace::{ExecutionTrace, FloatTable, KernelClass, Step};
+use charllm_trace::{ExecutionTrace, FloatTable, FoldedCollective, KernelClass, Step};
 
 use crate::accrual;
 use crate::arena::{FlowArena, MAX_ROUTE_LINKS};
@@ -857,21 +857,19 @@ impl EngineStats {
 
 /// Engine-side configuration of a symmetry-folded run, prepared by
 /// [`crate::fold`]: which ranks/nodes stay live, the switch-tier load
-/// multiplier for lazily built (intra-replica) plans, and the pre-built
-/// full-ring plans for cross-replica collectives.
+/// multiplier for intra-replica plans, and the full rank groups of the
+/// trimmed cross-replica collectives.
 #[derive(Debug)]
-pub(crate) struct FoldSetup {
-    /// Replica count: switch-link load multiplier for lazily built plans.
+pub(crate) struct FoldSetup<'a> {
+    /// Replica count: switch-link load multiplier for intra-replica plans.
     pub(crate) switch_mult: u16,
     /// Representative ranks (ascending).
     pub(crate) active_ranks: Vec<u32>,
     /// Nodes hosting representative ranks (ascending).
     pub(crate) active_nodes: Vec<u32>,
-    /// `(collective id, plan)` pairs seeded into the plan cache: the full
-    /// original rings of the trimmed cross-replica collectives, laid onto
-    /// the fabric with multiplier 1 (they exist once in the unfolded run
-    /// too).
-    pub(crate) injected: Vec<(u32, CollPlan)>,
+    /// The trimmed cross-replica collectives, by ascending id (see
+    /// [`build_plan`]).
+    pub(crate) full_groups: &'a [FoldedCollective],
 }
 
 /// Executes a trace on a cluster with thermal/DVFS feedback.
@@ -968,7 +966,7 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     events_since_rekey: u64,
 
     /// One installed plan per `CollectiveId`, interned lazily at first
-    /// launch (or at construction for fold-injected plans).
+    /// launch.
     plan_cache: Vec<Option<PlanRange>>,
     /// Cross-run plan set (same `(cluster, placement, trace)` triple):
     /// consulted before building, fed after (see [`SharedPlans`]).
@@ -1039,9 +1037,12 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     occ_acc: Vec<(f64, f64, f64)>,
     telemetry: TelemetryStore,
 
-    /// Switch-tier load multiplier applied to lazily built plans
+    /// Switch-tier load multiplier applied to intra-replica plans
     /// (1 unfolded; the replica count in a symmetry-folded run).
     fold_switch_mult: u16,
+    /// Trimmed cross-replica collectives of a folded run, whose plans lay
+    /// their full rings (empty unfolded).
+    fold_full_groups: &'a [FoldedCollective],
     /// Ranks advanced and accounted per event: every rank unfolded, the
     /// representative replica's ranks when folded. Ascending, fixed for
     /// the run — keeping the unfolded iteration order bit-exact.
@@ -1175,7 +1176,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         trace: &'a ExecutionTrace,
         cfg: SimConfig,
         obs: O,
-        fold: Option<FoldSetup>,
+        fold: Option<FoldSetup<'a>>,
     ) -> Result<Self, SimError> {
         let problems = trace.validate();
         if !problems.is_empty() {
@@ -1201,15 +1202,19 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             ranks_of_gpu[state.gpu.index()].push(r as u32);
         }
 
-        let (fold_switch_mult, active_ranks, active_nodes, injected) = match fold {
-            Some(f) => (f.switch_mult, f.active_ranks, f.active_nodes, f.injected),
+        let (fold_switch_mult, active_ranks, active_nodes, fold_full_groups) = match fold {
+            Some(f) => (f.switch_mult, f.active_ranks, f.active_nodes, f.full_groups),
             None => (
                 1,
                 (0..trace.world() as u32).collect(),
                 (0..cluster.num_nodes() as u32).collect(),
-                Vec::new(),
+                &[][..],
             ),
         };
+        debug_assert!(
+            fold_full_groups.windows(2).all(|w| w[0].id.0 < w[1].id.0),
+            "full groups must be sorted by collective id"
+        );
         let mut node_active = vec![false; cluster.num_nodes()];
         for &n in &active_nodes {
             node_active[n as usize] = true;
@@ -1278,7 +1283,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // Event-spacing seed: the calendar's first bucket width, and the
         // EWMA's starting point for later rebuilds.
         let avg_dt = cfg.control_period_s / 256.0;
-        let mut sim = Simulator {
+        Ok(Simulator {
             obs,
             cluster,
             trace,
@@ -1340,6 +1345,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             occ_acc: vec![(0.0, 0.0, 0.0); num_gpus],
             telemetry: TelemetryStore::new(num_gpus),
             fold_switch_mult,
+            fold_full_groups,
             active_ranks,
             active_nodes,
             active_gpus,
@@ -1362,11 +1368,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             stats: EngineStats::default(),
             metrics: None,
             cfg,
-        };
-        for (ci, plan) in injected {
-            sim.install_plan(ci as usize, &plan);
-        }
-        Ok(sim)
+        })
     }
 
     /// Intern `plan` into the engine's arenas and record its range in the
@@ -2011,6 +2013,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.trace,
                 &self.ranks,
                 coll,
+                self.fold_full_groups,
                 self.fold_switch_mult,
             );
             if let Some(shared) = &self.shared_plans {
@@ -3037,6 +3040,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
 /// Lower one collective into its iteration-invariant plan: flows with
 /// resolved routes, effective work, payload ratios, and charge lists.
 ///
+/// In a folded run, a collective listed in `full_groups` (a cross-replica
+/// ring trimmed to its representatives) lays its full original ring with
+/// multiplier 1 — it exists once in the unfolded run too. Every other
+/// collective lays its trace group with `switch_mult` on switch-tier links.
+///
 /// Flows with an empty route (on-device) or no work are dropped here once,
 /// instead of being re-filtered at every launch.
 fn build_plan(
@@ -3044,10 +3052,15 @@ fn build_plan(
     trace: &ExecutionTrace,
     ranks: &[RankState],
     coll: u32,
+    full_groups: &[FoldedCollective],
     switch_mult: u16,
 ) -> CollPlan {
     let inst = trace.collective(charllm_trace::task::CollectiveId(coll));
-    let gpus: Vec<GpuId> = inst.group.iter().map(|&r| ranks[r].gpu).collect();
+    let (group, switch_mult) = match full_groups.binary_search_by_key(&coll, |fc| fc.id.0) {
+        Ok(i) => (&full_groups[i].full_group, 1),
+        Err(_) => (&inst.group, switch_mult),
+    };
+    let gpus: Vec<GpuId> = group.iter().map(|&r| ranks[r].gpu).collect();
     let plan = lower_collective(
         inst.kind,
         inst.bytes_per_rank,
@@ -3063,7 +3076,7 @@ fn build_plan(
 /// cached form: inlined routes/bandwidths, charge lists, and the per-link
 /// load multiplier (`switch_mult` on switch-tier links, 1 elsewhere; pass 1
 /// for an unfolded plan).
-pub(crate) fn plan_from_lowered(
+fn plan_from_lowered(
     cluster: &Cluster,
     plan: charllm_net::CollectivePlan,
     switch_mult: u16,

@@ -18,9 +18,9 @@
 //!
 //! * Cross-replica collectives (gradient AllReduce) span all replicas and
 //!   exist only once per (tp, ep, pp) column in the unfolded run too —
-//!   their full rings are rebuilt from
-//!   [`charllm_trace::FoldedCollective::full_group`]
-//!   and injected into the plan cache unchanged.
+//!   the engine builds each one's plan at first launch, like any other,
+//!   from its full ring ([`charllm_trace::FoldedCollective::full_group`])
+//!   with multiplier 1.
 //! * Intra-replica collectives exist `dp` times unfolded; the folded run
 //!   keeps the dp == 0 copy and multiplies its load on shared
 //!   switch-tier links by `dp` ([`charllm_hw::LinkClass::Switch`] only —
@@ -32,23 +32,21 @@
 //!   start nor its finish time.
 //!
 //! Anything that breaks replica symmetry — fault injection, a per-node
-//!   power cap, per-GPU silicon variability — must run unfolded;
-//! [`split_reason`] names the offender and [`simulate_train_folded`]
-//! falls back automatically.
+//! power cap, per-GPU silicon variability — must run unfolded:
+//! [`split_reason`] and [`detect`] name the offender, and a caller falls
+//! back by running the unfolded [`Simulator`] itself.
 
 use std::sync::Arc;
 
 use charllm_hw::{Cluster, GpuId};
-use charllm_models::TrainJob;
 use charllm_net::folding::translated_copy;
-use charllm_net::lower_collective;
-use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, RankGrid, StagePartition};
+use charllm_parallel::{ParallelismSpec, Placement, RankGrid};
 use charllm_telemetry::metrics::MetricsShard;
 use charllm_telemetry::StageTimer;
-use charllm_trace::{lower_train, lower_train_folded, DeviceHints, FoldedJob, TraceError};
+use charllm_trace::FoldedJob;
 
 use crate::config::SimConfig;
-use crate::engine::{plan_from_lowered, EngineStats, FoldSetup, SharedPlans, Simulator};
+use crate::engine::{EngineStats, FoldSetup, SharedPlans, Simulator};
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::observer::NoopObserver;
@@ -60,16 +58,19 @@ pub struct FoldOptions {
     /// Copy the representative replica's telemetry time series onto every
     /// skipped GPU (default). At very large scale the expanded store can
     /// run to hundreds of megabytes; disable to keep series only for the
-    /// GPUs that were actually stepped (aggregates like
-    /// `telemetry.peak_temp_c()` stay correct either way — phantom GPUs
-    /// mirror representatives).
+    /// GPUs that were actually stepped. Phantom GPUs mirror
+    /// representatives, so the store's means and peaks
+    /// (`telemetry.mean_power_w()`, `telemetry.peak_temp_c()`, ...) hold
+    /// either way; `telemetry.total_energy_j()` and
+    /// `telemetry.aggregate_pcie()` then cover the stepped GPUs only.
     pub expand_telemetry: bool,
     /// Metrics shard to attach to the folded run (default `None`). When
     /// set, [`run_folded`] wires the engine's live gauges through
     /// [`Simulator::with_metrics`], publishes the fold multiplicity as
     /// `sim_fold_replicas`, and records per-stage wall time
     /// (`plan_build`, `event_loop`, `fold_expand`) into the
-    /// `sim_stage_seconds` histogram.
+    /// `sim_stage_seconds` histogram. `plan_build` covers engine set-up;
+    /// collective plans are built at first launch, inside `event_loop`.
     pub metrics: Option<MetricsShard>,
 }
 
@@ -97,19 +98,6 @@ pub struct FoldMap {
     pub active_ranks: Vec<u32>,
     /// Nodes hosting representative ranks, ascending.
     pub active_nodes: Vec<u32>,
-}
-
-/// How a run was executed by [`simulate_train_folded`].
-#[derive(Debug, Clone)]
-pub struct FoldReport {
-    /// Whether the folded engine ran (false: unfolded fallback).
-    pub folded: bool,
-    /// Replica count folded over (1 when unfolded).
-    pub multiplicity: u32,
-    /// Why folding was skipped, when it was.
-    pub reason: Option<String>,
-    /// Engine counters of the run that actually executed.
-    pub stats: EngineStats,
 }
 
 /// Check whether `placement` places the replicas of `spec` congruently and
@@ -243,16 +231,18 @@ pub fn split_reason(cfg: &SimConfig, faults: Option<&FaultPlan>) -> Option<Strin
 ///
 /// The trace keeps the original world size; only representative ranks carry
 /// steps, phantom ranks finish instantly. The engine multiplies
-/// intra-replica switch-link loads by `multiplicity` and serves the
-/// cross-replica collectives from injected full-ring plans. The returned
+/// intra-replica switch-link loads by `multiplicity` and lays each trimmed
+/// cross-replica collective's full ring once; all plans go through the
+/// engine's plan cache and, when given, the `shared` set. The returned
 /// [`SimResult`] is shaped exactly like an unfolded run's (per-rank /
 /// per-GPU vectors over the whole cluster, cluster-total energy).
 ///
 /// # Errors
 ///
 /// [`SimError::FoldUnsupported`] when the configuration or placement cannot
-/// fold (callers wanting a fallback use [`simulate_train_folded`]);
-/// otherwise the usual simulator errors.
+/// fold, or `folded` was lowered for another world than `spec` (callers
+/// wanting a fallback run the unfolded [`Simulator`]); otherwise the usual
+/// simulator errors.
 pub fn run_folded(
     cluster: &Cluster,
     placement: &Placement,
@@ -272,6 +262,13 @@ pub fn run_folded(
             folded.multiplicity, map.multiplicity
         )));
     }
+    if folded.trace.world() != spec.world() {
+        return Err(SimError::FoldUnsupported(format!(
+            "trace lowered for world {} but spec has world {}",
+            folded.trace.world(),
+            spec.world()
+        )));
+    }
     let switch_mult = u16::try_from(map.multiplicity).map_err(|_| {
         SimError::FoldUnsupported(format!(
             "dp = {} exceeds the fold multiplier range",
@@ -282,20 +279,11 @@ pub fn run_folded(
     let shard = opts.metrics.as_ref().filter(|s| s.enabled());
     let mut timer = StageTimer::start();
 
-    // Rebuild the full cross-replica rings and seed them into the plan
-    // cache with multiplier 1: they exist exactly once in the unfolded run.
-    let mut injected = Vec::with_capacity(folded.folded.len());
-    for fc in &folded.folded {
-        let gpus: Vec<GpuId> = fc.full_group.iter().map(|&r| placement.gpu(r)).collect();
-        let plan = lower_collective(fc.kind, fc.bytes_per_rank, &gpus, cluster, fc.chunking)?;
-        injected.push((fc.id.0, plan_from_lowered(cluster, plan, 1)));
-    }
-
     let setup = FoldSetup {
         switch_mult,
         active_ranks: map.active_ranks.clone(),
         active_nodes: map.active_nodes.clone(),
-        injected,
+        full_groups: &folded.folded,
     };
     let mut sim = Simulator::with_observer_fold(
         cluster,
@@ -351,75 +339,13 @@ fn expand(result: &mut SimResult, map: &FoldMap, opts: &FoldOptions) {
     result.energy_wasted_j *= d;
 }
 
-/// Lower and simulate a training job, folding over data-parallel replicas
-/// whenever the configuration and placement allow it, and falling back to
-/// the ordinary unfolded engine (same results, more work) when they don't.
-/// The returned [`FoldReport`] says which path ran and why.
-///
-/// # Errors
-///
-/// Propagates lowering errors (as [`SimError::InvalidTrace`]) and simulator
-/// errors; never errors merely because folding was impossible.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_train_folded(
-    cluster: &Cluster,
-    placement: &Placement,
-    job: &TrainJob,
-    spec: &ParallelismSpec,
-    schedule: PipelineSchedule,
-    partition: &StagePartition,
-    cfg: SimConfig,
-    opts: &FoldOptions,
-) -> Result<(SimResult, FoldReport), SimError> {
-    let hints = DeviceHints::for_spec(cluster.gpu());
-    let reason = split_reason(&cfg, None).or_else(|| {
-        detect(cluster, placement, spec).err().map(|e| match e {
-            SimError::FoldUnsupported(s) => s,
-            other => other.to_string(),
-        })
-    });
-    match reason {
-        None => {
-            let folded =
-                lower_train_folded(job, spec, schedule, partition, &hints).map_err(trace_err)?;
-            let multiplicity = folded.multiplicity;
-            let (result, stats) = run_folded(cluster, placement, &folded, spec, cfg, None, opts)?;
-            Ok((
-                result,
-                FoldReport {
-                    folded: true,
-                    multiplicity,
-                    reason: None,
-                    stats,
-                },
-            ))
-        }
-        Some(reason) => {
-            let lowered = lower_train(job, spec, schedule, partition, &hints).map_err(trace_err)?;
-            let (result, stats) =
-                Simulator::new(cluster, placement, &lowered.trace, cfg)?.run_stats()?;
-            Ok((
-                result,
-                FoldReport {
-                    folded: false,
-                    multiplicity: 1,
-                    reason: Some(reason),
-                    stats,
-                },
-            ))
-        }
-    }
-}
-
-fn trace_err(e: TraceError) -> SimError {
-    SimError::InvalidTrace(vec![e.to_string()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use charllm_hw::presets;
-    use charllm_models::presets as models;
+    use charllm_models::{presets as models, TrainJob};
+    use charllm_parallel::{PipelineSchedule, StagePartition};
+    use charllm_trace::{lower_train, lower_train_folded, DeviceHints};
 
     fn spec(tp: usize, pp: usize, world: usize) -> ParallelismSpec {
         ParallelismSpec::infer_dp(tp, pp, 1, world, false).unwrap()
@@ -497,22 +423,24 @@ mod tests {
         let partition = StagePartition::even(job.arch.num_layers, s.pp).unwrap();
         let mut cfg = SimConfig::fast();
         cfg.uniform_variability = true;
+        assert_eq!(split_reason(&cfg, None), None);
+        assert_eq!(detect(&cluster, &placement, &s).unwrap().multiplicity, 4);
 
-        let (folded, report) = simulate_train_folded(
+        let hints = DeviceHints::for_spec(cluster.gpu());
+        let job_folded =
+            lower_train_folded(&job, &s, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+        assert_eq!(job_folded.multiplicity, 4);
+        let (folded, _) = run_folded(
             &cluster,
             &placement,
-            &job,
+            &job_folded,
             &s,
-            PipelineSchedule::OneFOneB,
-            &partition,
             cfg,
+            None,
             &FoldOptions::default(),
         )
         .unwrap();
-        assert!(report.folded, "{:?}", report.reason);
-        assert_eq!(report.multiplicity, 4);
 
-        let hints = DeviceHints::for_spec(cluster.gpu());
         let lowered =
             lower_train(&job, &s, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
         let unfolded = Simulator::new(&cluster, &placement, &lowered.trace, cfg)
@@ -537,18 +465,18 @@ mod tests {
         let partition = StagePartition::even(job.arch.num_layers, s.pp).unwrap();
         let mut cfg = SimConfig::fast();
         cfg.uniform_variability = true;
-        let (_, report) = simulate_train_folded(
-            &cluster,
-            &placement,
-            &job,
-            &s,
-            PipelineSchedule::OneFOneB,
-            &partition,
-            cfg,
-            &FoldOptions::default(),
-        )
-        .unwrap();
-        assert!(!report.folded);
-        assert!(report.reason.unwrap().contains("dp = 1"));
+        assert_eq!(split_reason(&cfg, None), None);
+        let err = detect(&cluster, &placement, &s).unwrap_err();
+        assert!(err.to_string().contains("dp = 1"), "{err}");
+
+        // The caller's fallback: the unfolded engine on the same inputs.
+        let hints = DeviceHints::for_spec(cluster.gpu());
+        let lowered =
+            lower_train(&job, &s, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+        let result = Simulator::new(&cluster, &placement, &lowered.trace, cfg)
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(result.step_time_s > 0.0);
     }
 }

@@ -42,10 +42,7 @@ pub use config::SimConfig;
 pub use engine::{EngineStats, SharedPlans, Simulator};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan, RecoveryPolicy};
-pub use fold::{
-    detect as detect_fold, run_folded, simulate_train_folded, split_reason, FoldMap, FoldOptions,
-    FoldReport,
-};
+pub use fold::{detect as detect_fold, run_folded, split_reason, FoldMap, FoldOptions};
 pub use observer::{NoopObserver, SimObserver, TaskKind};
 pub use reference::ReferenceSimulator;
 pub use result::{KernelBreakdown, OccupancyStats, SimResult, TrafficMatrix};

@@ -108,9 +108,10 @@ impl TelemetryStore {
         self.power_w.iter().map(TimeSeries::integrate).sum()
     }
 
-    /// Cluster-mean of per-GPU average power, watts.
+    /// Mean of per-GPU average power over the GPUs with samples, watts
+    /// (a compact folded store samples only the stepped GPUs).
     pub fn mean_power_w(&self) -> f64 {
-        mean(self.power_w.iter().map(TimeSeries::mean))
+        mean(&self.power_w)
     }
 
     /// Peak instantaneous power of any GPU, watts.
@@ -121,9 +122,9 @@ impl TelemetryStore {
             .fold(0.0, f64::max)
     }
 
-    /// Cluster-mean of per-GPU average temperature, °C.
+    /// Mean of per-GPU average temperature over the GPUs with samples, °C.
     pub fn mean_temp_c(&self) -> f64 {
-        mean(self.temp_c.iter().map(TimeSeries::mean))
+        mean(&self.temp_c)
     }
 
     /// Peak temperature of any GPU, °C.
@@ -131,9 +132,9 @@ impl TelemetryStore {
         self.temp_c.iter().map(TimeSeries::peak).fold(0.0, f64::max)
     }
 
-    /// Cluster-mean of per-GPU average clock, MHz.
+    /// Mean of per-GPU average clock over the GPUs with samples, MHz.
     pub fn mean_freq_mhz(&self) -> f64 {
-        mean(self.freq_mhz.iter().map(TimeSeries::mean))
+        mean(&self.freq_mhz)
     }
 
     /// Aggregate PCIe throughput series: sums samples across GPUs at each
@@ -158,8 +159,13 @@ impl TelemetryStore {
     }
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = values.collect();
+/// Mean of the per-GPU series means, skipping GPUs never sampled.
+fn mean(series: &[TimeSeries]) -> f64 {
+    let v: Vec<f64> = series
+        .iter()
+        .filter(|s| !s.is_empty())
+        .map(TimeSeries::mean)
+        .collect();
     if v.is_empty() {
         0.0
     } else {

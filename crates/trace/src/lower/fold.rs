@@ -10,7 +10,8 @@
 //! original full-group membership is preserved in [`FoldedCollective`] so
 //! the simulator can still lay the complete cross-replica ring onto the
 //! fabric exactly once — those rings span *all* replicas and exist only
-//! once in the unfolded run too.
+//! once in the unfolded run too. Kind, size and chunking stay on the
+//! trace's own collective instance.
 //!
 //! Intra-replica collectives (TP AllReduce, pipeline SendRecv, expert
 //! All-to-All) keep their groups untouched; only the dp == 0 copy of each
@@ -18,7 +19,6 @@
 //! by the replica count.
 
 use charllm_models::TrainJob;
-use charllm_net::{ChunkingPolicy, CollectiveKind};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, RankGrid, StagePartition};
 
 use crate::task::CollectiveId;
@@ -26,20 +26,14 @@ use crate::trace::ExecutionTrace;
 
 use super::{lower_train_parts, DeviceHints, TraceError};
 
-/// A cross-replica collective whose group was trimmed during folding,
-/// together with everything needed to rebuild its *full* transfer plan.
+/// A cross-replica collective whose group was trimmed during folding:
+/// its *full* transfer plan is the trace instance's with this group.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FoldedCollective {
     /// Instance id inside the folded trace.
     pub id: CollectiveId,
-    /// Operation kind.
-    pub kind: CollectiveKind,
-    /// Per-rank buffer bytes.
-    pub bytes_per_rank: u64,
     /// The original (untrimmed) group, in ring order.
     pub full_group: Vec<usize>,
-    /// Message chunking policy.
-    pub chunking: ChunkingPolicy,
 }
 
 /// A folded training workload: the representative-rank trace plus the
@@ -49,13 +43,9 @@ pub struct FoldedJob {
     /// Execution trace with step streams on representative ranks only.
     /// Non-representative ranks exist (world is unchanged) but are empty.
     pub trace: ExecutionTrace,
-    /// Gradient bytes one stage-0 rank contributes to DP synchronization.
-    pub grad_bytes_per_rank: u64,
     /// Replica count the trace was folded over (`spec.dp`).
     pub multiplicity: u32,
-    /// The representative (dp == 0) ranks, ascending.
-    pub rep_ranks: Vec<usize>,
-    /// Cross-replica collectives whose groups were trimmed.
+    /// Cross-replica collectives whose groups were trimmed, by ascending id.
     pub folded: Vec<FoldedCollective>,
 }
 
@@ -76,8 +66,7 @@ pub fn lower_train_folded(
     partition: &StagePartition,
     hints: &DeviceHints,
 ) -> Result<FoldedJob, TraceError> {
-    let (mut b, meta, grad_bytes_per_rank) =
-        lower_train_parts(job, spec, schedule, partition, hints, true)?;
+    let (mut b, meta, _) = lower_train_parts(job, spec, schedule, partition, hints, true)?;
     let grid = RankGrid::new(*spec);
 
     // Trim cross-replica groups to their emitted (dp == 0) members, keeping
@@ -98,21 +87,13 @@ pub fn lower_train_folded(
         debug_assert!(!c.group.is_empty(), "folded collective lost all members");
         folded.push(FoldedCollective {
             id: CollectiveId(i as u32),
-            kind: c.kind,
-            bytes_per_rank: c.bytes_per_rank,
             full_group,
-            chunking: c.chunking,
         });
     }
 
-    let rep_ranks = (0..spec.world())
-        .filter(|&r| grid.coords(r).dp == 0)
-        .collect();
     Ok(FoldedJob {
         trace: b.build(meta),
-        grad_bytes_per_rank,
         multiplicity: spec.dp as u32,
-        rep_ranks,
         folded,
     })
 }
@@ -123,6 +104,7 @@ mod tests {
     use crate::lower::lower_train;
     use charllm_hw::GpuModel;
     use charllm_models::presets;
+    use charllm_net::CollectiveKind;
 
     fn hints() -> DeviceHints {
         DeviceHints::for_spec(&GpuModel::H200.spec())
@@ -140,7 +122,8 @@ mod tests {
         let f = fold(&job, spec, PipelineSchedule::OneFOneB);
         assert_eq!(f.trace.world(), 64);
         assert_eq!(f.multiplicity, 4);
-        assert_eq!(f.rep_ranks.len(), 16);
+        let active = (0..64).filter(|&r| !f.trace.steps(r).is_empty()).count();
+        assert_eq!(active, 16);
         let problems = f.trace.validate();
         assert!(problems.is_empty(), "{problems:?}");
     }

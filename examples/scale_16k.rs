@@ -5,8 +5,10 @@
 //! All 128 data-parallel replicas are congruent, so the folded engine
 //! steps only replica 0 (128 ranks / 16 nodes) and expands the results —
 //! each sweep point finishes in single-digit seconds where the unfolded
-//! engine would grind through 16384 rank streams. The [`SimCache`] shares
-//! one lowered trace and one collective-plan set across every cap.
+//! engine would grind through 16384 rank streams. One folded lowering and
+//! one [`SimCache`] collective-plan set serve every cap: the first point
+//! builds every plan, full cross-replica rings included, and each later
+//! point reports 0 plan builds.
 //!
 //! ```sh
 //! cargo run --release --example scale_16k
@@ -46,11 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let t = Instant::now();
     let folded = lower_train_folded(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)?;
+    let lower_s = t.elapsed().as_secs_f64();
+    let map = fold::detect(&cluster, &placement, &spec)?;
     println!(
-        "folded lowering: ×{} replicas, {} representative ranks, {:.2} s",
+        "folded lowering: ×{} replicas, {} representative ranks, {lower_s:.2} s",
         folded.multiplicity,
-        folded.rep_ranks.len(),
-        t.elapsed().as_secs_f64()
+        map.active_ranks.len(),
     );
 
     // One lowered trace, one plan set, four power-cap points.
@@ -99,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "cap {cap_label:>6} | step {:.2} s | {:.2} Mtokens/s | {:.3} tokens/J | \
              {:.2} MJ/step | wall {wall_s:.2} s | {} events (×{} ≈ {:.1}M events/s-eq) | \
-             plans {}",
+             plans {}, {} built",
             result.step_time_s,
             result.tokens_per_s / 1e6,
             result.tokens_per_joule,
@@ -108,6 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             folded.multiplicity,
             stats.events as f64 * f64::from(folded.multiplicity) / wall_s / 1e6,
             if plan_hit.is_hit() { "hit" } else { "miss" },
+            stats.plan_builds,
         );
         println!(
             "            calendar: {} rekeys | {} bucket drains ({:.1} pops/drain) | \

@@ -13,9 +13,11 @@
 //! [`assert_series_close`]. Folding reproduces replica 0 to that same
 //! noise floor (and is frequently bit-equal, e.g. the switchless 64-GPU
 //! case). Covered here across switchless HGX clusters, the rail-fabric
-//! SuperPod (exercising the switch-link load multiplier and injected
+//! SuperPod (exercising the switch-link load multiplier and full
 //! cross-replica rings), MoE expert parallelism, permuted-but-congruent
-//! placements, and the fallback/rejection paths.
+//! placements, shared plan sets, and the rejection paths.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -23,7 +25,7 @@ use charllm_hw::{presets, Cluster, GpuId};
 use charllm_models::{presets as models, TrainJob};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, RankGrid, StagePartition};
 use charllm_sim::fold::{self, FoldOptions};
-use charllm_sim::{SimConfig, SimError, SimResult, Simulator};
+use charllm_sim::{SharedPlans, SimConfig, SimError, SimResult, Simulator};
 use charllm_telemetry::{MetricValue, MetricsHub};
 use charllm_trace::{lower_train, lower_train_folded, DeviceHints};
 
@@ -237,7 +239,7 @@ fn gpt3_64gpu_switchless_folds_exactly() {
 fn gpt3_64gpu_superpod_rails_fold_exactly() {
     // Rail-fabric SuperPod: cross-node routes traverse shared Switch links,
     // exercising the ×dp load multiplier on intra-replica (pp) traffic and
-    // the injected full-ring plans for the dp AllReduce.
+    // the full-ring plans for the dp AllReduce.
     golden(
         presets::hgx_h100_superpod(8, 4),
         TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16),
@@ -311,37 +313,43 @@ fn permuted_congruent_placement_folds_exactly() {
 
 #[test]
 fn incongruent_placement_falls_back_to_unfolded() {
-    // Swap two GPUs *within* replica 1 only: slots no longer match replica
-    // 0 rank-for-rank, so detection must refuse and the high-level entry
-    // point must fall back (and still agree with the plain engine).
+    // Swap two GPUs *within* replica 2 only: slots no longer match replica
+    // 0 rank-for-rank, so detection must refuse, the folded engine must
+    // refuse with the same reason, and the caller falls back to the plain
+    // engine.
     let cluster = presets::hgx_h100_with_nodes(8);
     let s = spec(8, 2, 1, 64);
     let mut table: Vec<GpuId> = (0..s.world() as u32).map(GpuId).collect();
-    table.swap(16, 17); // ranks 16/17 live in replica 1 (dp stride 8, tp 8)
+    table.swap(16, 17); // ranks 16/17 live in replica 2 (dp stride 8, tp 8)
     let placement = Placement::from_table(&cluster, table).unwrap();
-    assert!(matches!(
-        fold::detect(&cluster, &placement, &s),
-        Err(SimError::FoldUnsupported(_))
-    ));
+    let cfg = fold_cfg();
+    assert_eq!(fold::split_reason(&cfg, None), None);
+    let Err(SimError::FoldUnsupported(reason)) = fold::detect(&cluster, &placement, &s) else {
+        panic!("an incongruent placement must not fold");
+    };
+    assert!(reason.contains("replica 2 is not"), "{reason}");
 
     let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
     let partition = StagePartition::even(job.arch.num_layers, s.pp).unwrap();
-    let cfg = fold_cfg();
-    let (result, report) = fold::simulate_train_folded(
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let folded =
+        lower_train_folded(&job, &s, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+    let err = fold::run_folded(
         &cluster,
         &placement,
-        &job,
+        &folded,
         &s,
-        PipelineSchedule::OneFOneB,
-        &partition,
         cfg,
+        None,
         &FoldOptions::default(),
     )
-    .unwrap();
-    assert!(!report.folded);
-    assert!(report.reason.is_some());
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        SimError::FoldUnsupported(reason).to_string()
+    );
     let unfolded = run_unfolded(&cluster, &placement, &job, &s, cfg);
-    assert_eq!(result.step_time_s, unfolded.step_time_s);
+    assert!(unfolded.step_time_s > 0.0);
 }
 
 #[test]
@@ -388,6 +396,26 @@ fn symmetry_breaking_config_rejects_folding() {
     // A non-empty fault plan splits via the high-level gate.
     let plan = charllm_sim::FaultPlan::none().gpu_fail_stop(0, 0.1);
     assert!(fold::split_reason(&fold_cfg(), Some(&plan)).is_some());
+
+    // A trace folded for a smaller world with the same dp (tp8·pp2 against
+    // a tp8·pp4 spec) is refused, naming both worlds.
+    let cluster = presets::hgx_h100_with_nodes(16);
+    let wide = spec(8, 4, 1, 128); // dp = 4
+    let placement = Placement::identity(&cluster, wide.world()).unwrap();
+    assert!(fold::detect(&cluster, &placement, &wide).is_ok());
+    let err = fold::run_folded(
+        &cluster,
+        &placement,
+        &folded,
+        &wide,
+        fold_cfg(),
+        None,
+        &FoldOptions::default(),
+    )
+    .unwrap_err();
+    assert!(matches!(err, SimError::FoldUnsupported(_)), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("64") && msg.contains("128"), "{msg}");
 }
 
 proptest! {
@@ -472,10 +500,70 @@ fn telemetry_expansion_is_optional_but_aggregates_agree() {
         expanded.telemetry.peak_power_w(),
         compact.telemetry.peak_power_w()
     );
+    // Means average the GPUs with samples, so they survive compaction too.
+    assert_close(
+        compact.telemetry.mean_power_w(),
+        expanded.telemetry.mean_power_w(),
+        "mean power",
+    );
+    assert_close(
+        compact.telemetry.mean_temp_c(),
+        expanded.telemetry.mean_temp_c(),
+        "mean temp",
+    );
+    assert_close(
+        compact.telemetry.mean_freq_mhz(),
+        expanded.telemetry.mean_freq_mhz(),
+        "mean freq",
+    );
     // But the compact store only carries series for stepped GPUs.
     let phantom = (8..16).find(|&g| !compact.telemetry.power(g).is_empty());
     assert_eq!(phantom, None, "phantom node series must stay empty");
     assert!(!expanded.telemetry.power(8).is_empty());
+}
+
+#[test]
+fn folded_runs_build_every_plan_into_a_shared_set() {
+    // Full cross-replica rings take the engine's one plan path: the first
+    // run publishes every collective's plan, trimmed rings included, and a
+    // second run on the same set builds none. Results do not depend on
+    // the set.
+    let cluster = presets::hgx_h100_superpod(8, 4);
+    let s = spec(8, 2, 1, 64); // dp = 4
+    let placement = Placement::identity(&cluster, s.world()).unwrap();
+    let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
+    let partition = StagePartition::even(job.arch.num_layers, s.pp).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let folded =
+        lower_train_folded(&job, &s, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+    assert!(
+        !folded.folded.is_empty(),
+        "workload must trim cross-replica rings"
+    );
+    let run = |shared: Option<Arc<SharedPlans>>| {
+        fold::run_folded(
+            &cluster,
+            &placement,
+            &folded,
+            &s,
+            fold_cfg(),
+            shared,
+            &FoldOptions::default(),
+        )
+        .unwrap()
+    };
+
+    let (alone, _) = run(None);
+    let plans = Arc::new(SharedPlans::for_trace(&folded.trace));
+    let (first, _) = run(Some(Arc::clone(&plans)));
+    assert_eq!(plans.num_built(), folded.trace.num_collectives());
+    let (second, stats) = run(Some(plans));
+    assert_eq!(stats.plan_builds, 0);
+    assert!(stats.shared_plan_hits > 0);
+
+    let alone = serde_json::to_string(&alone).unwrap();
+    assert_eq!(serde_json::to_string(&first).unwrap(), alone);
+    assert_eq!(serde_json::to_string(&second).unwrap(), alone);
 }
 
 #[test]
