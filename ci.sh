@@ -108,6 +108,16 @@ echo "$out" | grep -Eq "^perfetto trace for point 0: [1-9][0-9]* events" || {
     exit 1
 }
 
+echo "==> perfbench output checks (all workloads, 1 s each, untraced)"
+out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 1 --trace 0)"
+last="$(echo "$out" | tail -n 1)"
+echo "$last" | grep -Eo '^\{"correct": [a-z]+, "attempted": [0-9]+, "failed": [0-9]+'
+echo "$last" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' || {
+    echo "FAIL: perfbench reported incorrect results or failed ops" >&2
+    exit 1
+}
+
 echo "==> cargo doc --workspace --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -20,23 +20,23 @@ fn main() {
         };
         // Sum PCIe throughput over node 0's GPUs at each sample.
         let mut agg = TimeSeries::new();
-        let n = r.sim.telemetry.pcie(0).len();
-        for i in 0..n {
-            let t = r.sim.telemetry.pcie(0).times()[i];
-            let total: f64 = (0..8).map(|g| r.sim.telemetry.pcie(g).values()[i]).sum();
+        let telem = &r.sim.telemetry;
+        for (i, &t) in telem.times().iter().enumerate() {
+            let total: f64 = (0..8).map(|g| telem.pcie(g).value(i)).sum();
             agg.push(t, total);
         }
+        let stats = agg.series();
         println!("\n--- {label}: node-0 aggregate PCIe GB/s (sampled) ---");
         println!(
             "samples {:>5}  mean {:>7.3}  peak {:>7.3}  p95 {:>7.3}",
             agg.len(),
-            agg.mean(),
-            agg.peak(),
-            agg.percentile(95.0)
+            stats.mean(),
+            stats.peak(),
+            stats.percentile(95.0)
         );
         // Print a coarse sparkline-style series (every ~20th sample).
         let stride = (agg.len() / 24).max(1);
-        let series: Vec<String> = agg
+        let series: Vec<String> = stats
             .iter()
             .step_by(stride)
             .map(|(t, v)| format!("{t:.1}s:{v:.2}"))
@@ -45,8 +45,8 @@ fn main() {
         json.insert(
             label.to_string(),
             serde_json::json!({
-                "mean_gbps": agg.mean(),
-                "peak_gbps": agg.peak(),
+                "mean_gbps": stats.mean(),
+                "peak_gbps": stats.peak(),
                 "t": agg.times(),
                 "gbps": agg.values(),
             }),

@@ -39,7 +39,7 @@ fn main() {
         let rear: Vec<usize> = (0..cluster.num_gpus())
             .filter(|&g| airflow.is_rear(g % 8))
             .collect();
-        let n = r.sim.telemetry.temp(0).len();
+        let n = r.sim.telemetry.times().len();
         let avg_at = |group: &[usize], i: usize, temp: bool| -> f64 {
             group
                 .iter()
@@ -49,7 +49,7 @@ fn main() {
                     } else {
                         r.sim.telemetry.power(g)
                     };
-                    s.values()[i]
+                    s.value(i)
                 })
                 .sum::<f64>()
                 / group.len() as f64
@@ -62,7 +62,7 @@ fn main() {
         let stride = (n / 10).max(1);
         let mut series = Vec::new();
         for i in (0..n).step_by(stride) {
-            let t = r.sim.telemetry.temp(0).times()[i];
+            let t = r.sim.telemetry.times()[i];
             let ft = avg_at(&front, i, true);
             let rt = avg_at(&rear, i, true);
             let fp = avg_at(&front, i, false);

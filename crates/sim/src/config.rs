@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::SimError;
+
 /// Knobs controlling one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -72,6 +74,24 @@ impl SimConfig {
             warmup_iterations: 0,
             ..SimConfig::default()
         }
+    }
+
+    /// The check both engines run before building: a zero control period
+    /// would never advance the clock, a NaN one would never tick, and a
+    /// sample window of zero or less divides the util and PCIe samples by
+    /// it.
+    pub(crate) fn check_periods(&self) -> Result<(), SimError> {
+        for (name, period) in [
+            ("control_period_s", self.control_period_s),
+            ("sample_period_s", self.sample_period_s),
+        ] {
+            if !(period.is_finite() && period > 0.0) {
+                return Err(SimError::InvalidConfig(format!(
+                    "{name} must be finite and positive, got {period}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Iterations included in measured statistics.

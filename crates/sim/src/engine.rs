@@ -1140,7 +1140,8 @@ impl<'a> Simulator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidTrace`] or [`SimError::PlacementMismatch`].
+    /// Returns [`SimError::InvalidConfig`], [`SimError::InvalidTrace`] or
+    /// [`SimError::PlacementMismatch`].
     pub fn new(
         cluster: &'a Cluster,
         placement: &Placement,
@@ -1156,7 +1157,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidTrace`] or [`SimError::PlacementMismatch`].
+    /// Returns [`SimError::InvalidConfig`], [`SimError::InvalidTrace`] or
+    /// [`SimError::PlacementMismatch`].
     pub fn with_observer(
         cluster: &'a Cluster,
         placement: &Placement,
@@ -1178,6 +1180,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         obs: O,
         fold: Option<FoldSetup<'a>>,
     ) -> Result<Self, SimError> {
+        cfg.check_periods()?;
         let problems = trace.validate();
         if !problems.is_empty() {
             return Err(SimError::InvalidTrace(problems));
@@ -2899,20 +2902,23 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             if !self.accrual_frozen {
                 self.flush_flows(self.t);
             }
-            for gi in 0..self.active_gpus.len() {
-                let gpu = self.active_gpus[gi] as usize;
-                let window = self.cfg.sample_period_s;
+            let window = self.cfg.sample_period_s;
+            let (util_acc, pcie_bytes) = (&mut self.util_acc, &mut self.pcie_window_bytes);
+            let (thermals, last_power_w) = (&self.thermals, &self.last_power_w);
+            let frame = self.active_gpus.iter().map(|&gpu| {
+                let gpu = gpu as usize;
                 let sample = GpuSample {
-                    power_w: self.last_power_w[gpu],
-                    temp_c: self.thermals[gpu].temp_c(),
-                    freq_mhz: self.thermals[gpu].freq_mhz(),
-                    util: (self.util_acc[gpu] / window).min(1.0),
-                    pcie_gbps: self.pcie_window_bytes[gpu] / window / 1e9,
+                    power_w: last_power_w[gpu],
+                    temp_c: thermals[gpu].temp_c(),
+                    freq_mhz: thermals[gpu].freq_mhz(),
+                    util: (util_acc[gpu] / window).min(1.0),
+                    pcie_gbps: pcie_bytes[gpu] / window / 1e9,
                 };
-                self.telemetry.record(gpu, self.t, sample);
-                self.util_acc[gpu] = 0.0;
-                self.pcie_window_bytes[gpu] = 0.0;
-            }
+                util_acc[gpu] = 0.0;
+                pcie_bytes[gpu] = 0.0;
+                (gpu, sample)
+            });
+            self.telemetry.record_frame(self.t, frame);
             self.next_sample += self.cfg.sample_period_s;
         }
 

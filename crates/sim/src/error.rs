@@ -36,6 +36,9 @@ pub enum SimError {
     },
     /// A fault plan referenced out-of-range targets or bad magnitudes.
     InvalidFaultPlan(String),
+    /// A [`crate::SimConfig`] period the engines cannot step with
+    /// (non-finite or non-positive).
+    InvalidConfig(String),
     /// A symmetry-folded run was requested for a configuration the folding
     /// engine cannot reproduce exactly (asymmetric placement, per-node
     /// faults, seeded silicon variability, …).
@@ -77,6 +80,7 @@ impl fmt::Display for SimError {
             SimError::InvalidFaultPlan(detail) => {
                 write!(f, "invalid fault plan: {detail}")
             }
+            SimError::InvalidConfig(detail) => write!(f, "invalid sim config: {detail}"),
             SimError::FoldUnsupported(detail) => {
                 write!(f, "symmetry folding unsupported here: {detail}")
             }

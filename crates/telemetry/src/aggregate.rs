@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::timeseries::TimeSeries;
+use crate::timeseries::Series;
 
 /// Mean/peak/min summary of one series.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -17,7 +17,7 @@ pub struct SeriesSummary {
 
 impl SeriesSummary {
     /// Summarize a series.
-    pub fn of(series: &TimeSeries) -> Self {
+    pub fn of(series: Series<'_>) -> Self {
         SeriesSummary {
             mean: series.mean(),
             peak: series.peak(),
@@ -27,8 +27,8 @@ impl SeriesSummary {
 }
 
 /// Mean of per-series means over a group (e.g. front-row GPUs).
-pub fn group_mean<'a>(series: impl Iterator<Item = &'a TimeSeries>) -> f64 {
-    let means: Vec<f64> = series.map(TimeSeries::mean).collect();
+pub fn group_mean<'a>(series: impl Iterator<Item = Series<'a>>) -> f64 {
+    let means: Vec<f64> = series.map(|s| s.mean()).collect();
     if means.is_empty() {
         0.0
     } else {
@@ -51,13 +51,14 @@ pub fn relative_gap(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeseries::TimeSeries;
 
     #[test]
     fn summary_of_series() {
         let mut s = TimeSeries::new();
         s.push(0.0, 2.0);
         s.push(1.0, 4.0);
-        let sum = SeriesSummary::of(&s);
+        let sum = SeriesSummary::of(s.series());
         assert_eq!(sum.mean, 3.0);
         assert_eq!(sum.peak, 4.0);
         assert_eq!(sum.min, 2.0);
@@ -69,7 +70,7 @@ mod tests {
         a.push(0.0, 10.0);
         let mut b = TimeSeries::new();
         b.push(0.0, 20.0);
-        assert_eq!(group_mean([&a, &b].into_iter()), 15.0);
+        assert_eq!(group_mean([a.series(), b.series()].into_iter()), 15.0);
         assert_eq!(group_mean([].into_iter()), 0.0);
     }
 

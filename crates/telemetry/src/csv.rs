@@ -3,14 +3,14 @@
 use std::io::{self, Write};
 
 use crate::store::TelemetryStore;
-use crate::timeseries::TimeSeries;
+use crate::timeseries::Series;
 
 /// Write one series as `t,value` rows.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_series<W: Write>(mut w: W, header: &str, series: &TimeSeries) -> io::Result<()> {
+pub fn write_series<W: Write>(mut w: W, header: &str, series: Series<'_>) -> io::Result<()> {
     writeln!(w, "t_s,{header}")?;
     for (t, v) in series.iter() {
         writeln!(w, "{t:.4},{v:.4}")?;
@@ -18,8 +18,10 @@ pub fn write_series<W: Write>(mut w: W, header: &str, series: &TimeSeries) -> io
     Ok(())
 }
 
-/// Write a whole store as wide CSV: one row per timestamp, one column group
-/// per GPU (`powerN,tempN,freqN`).
+/// Write a whole store as wide CSV: one row per sample instant, one column
+/// group per GPU (`powerN_w,tempN_c,freqN_mhz,utilN,pcieN_gbps`). A GPU
+/// without samples (e.g. a skipped replica of a compact folded run) gets
+/// empty cells.
 ///
 /// # Errors
 ///
@@ -31,19 +33,21 @@ pub fn write_store<W: Write>(mut w: W, store: &TelemetryStore) -> io::Result<()>
         write!(w, ",power{g}_w,temp{g}_c,freq{g}_mhz,util{g},pcie{g}_gbps")?;
     }
     writeln!(w)?;
-    let samples = if n > 0 { store.power(0).len() } else { 0 };
-    for i in 0..samples {
-        let t = store.power(0).times()[i];
+    for (i, t) in store.times().iter().enumerate() {
         write!(w, "{t:.4}")?;
         for g in 0..n {
+            if !store.is_sampled(g) {
+                write!(w, ",,,,,")?;
+                continue;
+            }
             write!(
                 w,
                 ",{:.2},{:.2},{:.0},{:.3},{:.3}",
-                store.power(g).values()[i],
-                store.temp(g).values()[i],
-                store.freq(g).values()[i],
-                store.util(g).values()[i],
-                store.pcie(g).values()[i],
+                store.power(g).value(i),
+                store.temp(g).value(i),
+                store.freq(g).value(i),
+                store.util(g).value(i),
+                store.pcie(g).value(i),
             )?;
         }
         writeln!(w)?;
@@ -55,6 +59,7 @@ pub fn write_store<W: Write>(mut w: W, store: &TelemetryStore) -> io::Result<()>
 mod tests {
     use super::*;
     use crate::store::GpuSample;
+    use crate::timeseries::TimeSeries;
 
     #[test]
     fn series_csv_roundtrip_shape() {
@@ -62,7 +67,7 @@ mod tests {
         s.push(0.0, 1.5);
         s.push(0.5, 2.5);
         let mut buf = Vec::new();
-        write_series(&mut buf, "power_w", &s).unwrap();
+        write_series(&mut buf, "power_w", s.series()).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -73,19 +78,14 @@ mod tests {
     #[test]
     fn store_csv_has_one_column_group_per_gpu() {
         let mut store = TelemetryStore::new(2);
-        for g in 0..2 {
-            store.record(
-                g,
-                0.0,
-                GpuSample {
-                    power_w: 100.0,
-                    temp_c: 40.0,
-                    freq_mhz: 1980.0,
-                    util: 1.0,
-                    pcie_gbps: 0.5,
-                },
-            );
-        }
+        let sample = GpuSample {
+            power_w: 100.0,
+            temp_c: 40.0,
+            freq_mhz: 1980.0,
+            util: 1.0,
+            pcie_gbps: 0.5,
+        };
+        store.record_frame(0.0, (0..2).map(|g| (g, sample)));
         let mut buf = Vec::new();
         write_store(&mut buf, &store).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -104,19 +104,19 @@ mod tests {
         let mut store = TelemetryStore::new(gpus);
         for i in 0..samples {
             let t = i as f64 * 0.25;
-            for g in 0..gpus {
-                store.record(
-                    g,
-                    t,
-                    GpuSample {
+            store.record_frame(
+                t,
+                (0..gpus).map(|g| {
+                    let sample = GpuSample {
                         power_w: 100.0 + (g * samples + i) as f64,
                         temp_c: 40.0 + g as f64,
                         freq_mhz: 1500.0 + i as f64,
                         util: 0.5,
                         pcie_gbps: g as f64 + i as f64 / 8.0,
-                    },
-                );
-            }
+                    };
+                    (g, sample)
+                }),
+            );
         }
         let mut buf = Vec::new();
         write_store(&mut buf, &store).unwrap();
@@ -141,6 +141,43 @@ mod tests {
                     "gpu {g} sample {i} landed in the wrong cell"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn unsampled_gpus_get_empty_cells_and_the_clock_comes_from_the_store() {
+        // A compact folded store samples only some GPUs. GPU 0 unsampled
+        // used to leave only the header; another GPU unsampled panicked;
+        // and the PCIe aggregate came out empty whenever GPU 0 was.
+        let sample = |p: f64| GpuSample {
+            power_w: p,
+            temp_c: 40.0,
+            freq_mhz: 1980.0,
+            util: 1.0,
+            pcie_gbps: p / 100.0,
+        };
+        for (sampled, missing) in [(1, 0), (0, 1)] {
+            let mut store = TelemetryStore::new(2);
+            for (i, t) in [0.0, 0.5, 1.0].into_iter().enumerate() {
+                store.record_frame(t, [(sampled, sample(100.0 + i as f64))]);
+            }
+            let mut buf = Vec::new();
+            write_store(&mut buf, &store).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 4, "one row per instant:\n{text}");
+            for (i, line) in lines[1..].iter().enumerate() {
+                let cells: Vec<&str> = line.split(',').collect();
+                assert_eq!(cells.len(), 11, "{line}");
+                assert!(cells[1 + 5 * missing..6 + 5 * missing]
+                    .iter()
+                    .all(|c| c.is_empty()));
+                let power: f64 = cells[1 + 5 * sampled].parse().unwrap();
+                assert_eq!(power, 100.0 + i as f64);
+            }
+            let agg = store.aggregate_pcie();
+            assert_eq!(agg.times(), &[0.0, 0.5, 1.0]);
+            assert_eq!(agg.values(), &[1.0, 1.01, 1.02]);
         }
     }
 

@@ -33,4 +33,4 @@ pub use metrics::{
 pub use phase::{Phase, PhaseBreakdown, Profile, SpanTotal};
 pub use spans::{FaultSpan, FlowSpan, PowerTick, Span, SpanKind, SpanRecorder};
 pub use store::{GpuSample, TelemetryStore};
-pub use timeseries::TimeSeries;
+pub use timeseries::{Series, TimeSeries};

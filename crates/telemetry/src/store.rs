@@ -1,8 +1,13 @@
 //! Per-GPU telemetry store (the Zeus-equivalent sample sink).
+//!
+//! Every sampled GPU is sampled at the same instants, so the store keeps one
+//! clock and a frame-major table: frame `i` is one contiguous run of
+//! `[f64; 5]` rows, one per sampled GPU, recorded at `t[i]`. A GPU's series
+//! are [`Series`] views down its column of that table.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Map, Serialize, Value};
 
-use crate::timeseries::TimeSeries;
+use crate::timeseries::{Series, TimeSeries};
 
 /// One telemetry sample for one GPU at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -19,157 +24,291 @@ pub struct GpuSample {
     pub pcie_gbps: f64,
 }
 
+/// The sampled quantities, in row order; also the serialized field names.
+const FIELDS: [&str; 5] = ["power_w", "temp_c", "freq_mhz", "util", "pcie_gbps"];
+const POWER: usize = 0;
+const TEMP: usize = 1;
+const FREQ: usize = 2;
+const UTIL: usize = 3;
+const PCIE: usize = 4;
+
 /// Sampled time series for every GPU in a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as `{power_w: [{t, v}, ..], temp_c: .., freq_mhz: .., util:
+/// .., pcie_gbps: ..}` with one series per GPU; an unsampled GPU's series
+/// are empty.
+#[derive(Debug, Clone)]
 pub struct TelemetryStore {
-    power_w: Vec<TimeSeries>,
-    temp_c: Vec<TimeSeries>,
-    freq_mhz: Vec<TimeSeries>,
-    util: Vec<TimeSeries>,
-    pcie_gbps: Vec<TimeSeries>,
+    /// Sample instants, shared by every sampled GPU.
+    t: Vec<f64>,
+    /// Frame-major samples: frame `i` is `rows[i * width..(i + 1) * width]`.
+    rows: Vec<[f64; 5]>,
+    /// Each GPU's row within a frame; `None` if never sampled. GPUs aliased
+    /// by [`TelemetryStore::copy_gpu`] share one.
+    column: Vec<Option<usize>>,
+    /// Rows per frame.
+    width: usize,
 }
 
 impl TelemetryStore {
     /// A store for `num_gpus` devices.
     pub fn new(num_gpus: usize) -> Self {
-        let mk = || vec![TimeSeries::new(); num_gpus];
         TelemetryStore {
-            power_w: mk(),
-            temp_c: mk(),
-            freq_mhz: mk(),
-            util: mk(),
-            pcie_gbps: mk(),
+            t: Vec::new(),
+            rows: Vec::new(),
+            column: vec![None; num_gpus],
+            width: 0,
         }
     }
 
     /// Number of GPUs tracked.
     pub fn num_gpus(&self) -> usize {
-        self.power_w.len()
+        self.column.len()
     }
 
-    /// Record one sample for a GPU.
+    /// The sample instants, shared by every sampled GPU.
+    pub fn times(&self) -> &[f64] {
+        &self.t
+    }
+
+    /// Whether a GPU has samples.
+    pub(crate) fn is_sampled(&self, gpu: usize) -> bool {
+        self.column[gpu].is_some()
+    }
+
+    /// Record one frame: a sample of each sampled GPU at `t_s`. The first
+    /// frame fixes which GPUs are sampled and in what order.
     ///
     /// # Panics
     ///
-    /// Panics if `gpu` is out of range or time is non-monotone for the GPU.
-    pub fn record(&mut self, gpu: usize, t_s: f64, sample: GpuSample) {
-        self.power_w[gpu].push(t_s, sample.power_w);
-        self.temp_c[gpu].push(t_s, sample.temp_c);
-        self.freq_mhz[gpu].push(t_s, sample.freq_mhz);
-        self.util[gpu].push(t_s, sample.util);
-        self.pcie_gbps[gpu].push(t_s, sample.pcie_gbps);
+    /// Panics if a GPU is out of range, time goes backwards, or a later
+    /// frame samples other GPUs or another order than the first.
+    pub fn record_frame(
+        &mut self,
+        t_s: f64,
+        samples: impl IntoIterator<Item = (usize, GpuSample)>,
+    ) {
+        if let Some(&last) = self.t.last() {
+            assert!(t_s >= last, "time must be non-decreasing: {t_s} < {last}");
+        }
+        let first = self.t.is_empty();
+        let start = self.rows.len();
+        self.rows.reserve(self.width);
+        for (k, (gpu, s)) in samples.into_iter().enumerate() {
+            let col = Some(k);
+            if first {
+                assert!(self.column[gpu].is_none(), "gpu {gpu} sampled twice");
+                self.column[gpu] = col;
+            } else {
+                assert_eq!(self.column[gpu], col, "gpu {gpu} out of frame order");
+            }
+            self.rows
+                .push([s.power_w, s.temp_c, s.freq_mhz, s.util, s.pcie_gbps]);
+        }
+        if first {
+            self.width = self.rows.len() - start;
+        }
+        assert_eq!(self.rows.len() - start, self.width, "frame width changed");
+        self.t.push(t_s);
+    }
+
+    /// One quantity of one GPU (`FIELDS` index).
+    fn series(&self, gpu: usize, field: usize) -> Series<'_> {
+        let Some(col) = self.column[gpu] else {
+            return Series::EMPTY;
+        };
+        let flat = self.rows.as_flattened();
+        let first = col * FIELDS.len() + field;
+        Series::strided(&self.t, &flat[first..], self.width * FIELDS.len())
     }
 
     /// Power series of a GPU.
-    pub fn power(&self, gpu: usize) -> &TimeSeries {
-        &self.power_w[gpu]
+    pub fn power(&self, gpu: usize) -> Series<'_> {
+        self.series(gpu, POWER)
     }
 
     /// Temperature series of a GPU.
-    pub fn temp(&self, gpu: usize) -> &TimeSeries {
-        &self.temp_c[gpu]
+    pub fn temp(&self, gpu: usize) -> Series<'_> {
+        self.series(gpu, TEMP)
     }
 
     /// Clock series of a GPU.
-    pub fn freq(&self, gpu: usize) -> &TimeSeries {
-        &self.freq_mhz[gpu]
+    pub fn freq(&self, gpu: usize) -> Series<'_> {
+        self.series(gpu, FREQ)
     }
 
     /// Utilization series of a GPU.
-    pub fn util(&self, gpu: usize) -> &TimeSeries {
-        &self.util[gpu]
+    pub fn util(&self, gpu: usize) -> Series<'_> {
+        self.series(gpu, UTIL)
     }
 
     /// PCIe throughput series of a GPU.
-    pub fn pcie(&self, gpu: usize) -> &TimeSeries {
-        &self.pcie_gbps[gpu]
+    pub fn pcie(&self, gpu: usize) -> Series<'_> {
+        self.series(gpu, PCIE)
     }
 
-    /// Overwrite one GPU's series with a copy of another's (symmetry-folded
-    /// runs replicate the representative replica's telemetry onto the
-    /// replicas they skipped).
+    /// Make one GPU's series those of another (symmetry-folded runs
+    /// replicate the representative replica's telemetry onto the replicas
+    /// they skipped). The two GPUs then share one column: nothing is copied.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
     pub fn copy_gpu(&mut self, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        self.power_w[to] = self.power_w[from].clone();
-        self.temp_c[to] = self.temp_c[from].clone();
-        self.freq_mhz[to] = self.freq_mhz[from].clone();
-        self.util[to] = self.util[from].clone();
-        self.pcie_gbps[to] = self.pcie_gbps[from].clone();
+        self.column[to] = self.column[from];
     }
 
     /// Total energy across all GPUs, joules.
     pub fn total_energy_j(&self) -> f64 {
-        self.power_w.iter().map(TimeSeries::integrate).sum()
+        (0..self.num_gpus())
+            .map(|g| self.power(g).integrate())
+            .sum()
     }
 
     /// Mean of per-GPU average power over the GPUs with samples, watts
     /// (a compact folded store samples only the stepped GPUs).
     pub fn mean_power_w(&self) -> f64 {
-        mean(&self.power_w)
+        self.mean_of(POWER)
     }
 
     /// Peak instantaneous power of any GPU, watts.
     pub fn peak_power_w(&self) -> f64 {
-        self.power_w
-            .iter()
-            .map(TimeSeries::peak)
-            .fold(0.0, f64::max)
+        self.peak_of(POWER)
     }
 
     /// Mean of per-GPU average temperature over the GPUs with samples, °C.
     pub fn mean_temp_c(&self) -> f64 {
-        mean(&self.temp_c)
+        self.mean_of(TEMP)
     }
 
     /// Peak temperature of any GPU, °C.
     pub fn peak_temp_c(&self) -> f64 {
-        self.temp_c.iter().map(TimeSeries::peak).fold(0.0, f64::max)
+        self.peak_of(TEMP)
     }
 
     /// Mean of per-GPU average clock over the GPUs with samples, MHz.
     pub fn mean_freq_mhz(&self) -> f64 {
-        mean(&self.freq_mhz)
+        self.mean_of(FREQ)
     }
 
-    /// Aggregate PCIe throughput series: sums samples across GPUs at each
-    /// recorded timestamp (assumes aligned sampling, which the simulator
-    /// guarantees).
+    /// Aggregate PCIe throughput series: at each sample instant, the sum
+    /// over the sampled GPUs.
     pub fn aggregate_pcie(&self) -> TimeSeries {
+        let sampled: Vec<Series<'_>> = (0..self.num_gpus())
+            .filter(|&g| self.is_sampled(g))
+            .map(|g| self.pcie(g))
+            .collect();
         let mut out = TimeSeries::new();
-        if self.pcie_gbps.is_empty() || self.pcie_gbps[0].is_empty() {
+        if sampled.is_empty() {
             return out;
         }
-        let n = self.pcie_gbps[0].len();
-        for i in 0..n {
-            let t = self.pcie_gbps[0].times()[i];
-            let total: f64 = self
-                .pcie_gbps
-                .iter()
-                .filter_map(|s| s.values().get(i))
-                .sum();
-            out.push(t, total);
+        for (i, &t) in self.t.iter().enumerate() {
+            out.push(t, sampled.iter().map(|s| s.value(i)).sum());
         }
         out
     }
+
+    /// Mean of the per-GPU series means, skipping GPUs never sampled.
+    fn mean_of(&self, field: usize) -> f64 {
+        let v: Vec<f64> = (0..self.num_gpus())
+            .filter(|&g| self.is_sampled(g))
+            .map(|g| self.series(g, field).mean())
+            .collect();
+        if v.is_empty() {
+            0.0
+        } else {
+            v.iter().sum::<f64>() / v.len() as f64
+        }
+    }
+
+    /// Largest per-GPU peak (0.0 for a store without samples).
+    fn peak_of(&self, field: usize) -> f64 {
+        (0..self.num_gpus())
+            .map(|g| self.series(g, field).peak())
+            .fold(0.0, f64::max)
+    }
 }
 
-/// Mean of the per-GPU series means, skipping GPUs never sampled.
-fn mean(series: &[TimeSeries]) -> f64 {
-    let v: Vec<f64> = series
-        .iter()
-        .filter(|s| !s.is_empty())
-        .map(TimeSeries::mean)
-        .collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
+/// Equal when every GPU has equal series, however they are stored.
+impl PartialEq for TelemetryStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_gpus() == other.num_gpus()
+            && (0..self.num_gpus())
+                .all(|g| (0..FIELDS.len()).all(|f| self.series(g, f) == other.series(g, f)))
+    }
+}
+
+impl Serialize for TelemetryStore {
+    fn serialize_value(&self) -> Value {
+        let mut obj = Map::new();
+        for (f, name) in FIELDS.iter().enumerate() {
+            let per_gpu = (0..self.num_gpus())
+                .map(|g| self.series(g, f).serialize_value())
+                .collect();
+            obj.insert(*name, Value::Array(per_gpu));
+        }
+        Value::Object(obj)
+    }
+}
+
+impl Deserialize for TelemetryStore {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        let obj = v.as_object().ok_or_else(|| {
+            Error::custom(format!(
+                "expected object for TelemetryStore, got {}",
+                v.kind()
+            ))
+        })?;
+        let mut fields = Vec::with_capacity(FIELDS.len());
+        for name in FIELDS {
+            let series: Vec<TimeSeries> =
+                Deserialize::deserialize_value(obj.get(name).unwrap_or(&Value::Null))
+                    .map_err(|e| e.in_field(name))?;
+            fields.push(series);
+        }
+        let num_gpus = fields[POWER].len();
+        if fields.iter().any(|f| f.len() != num_gpus) {
+            return Err(Error::custom("telemetry fields cover different GPU counts"));
+        }
+        let clock = fields
+            .iter()
+            .flatten()
+            .find(|s| !s.is_empty())
+            .map_or(&[][..], TimeSeries::times)
+            .to_vec();
+        let mut store = TelemetryStore::new(num_gpus);
+        let mut sampled = Vec::new();
+        for g in 0..num_gpus {
+            if fields.iter().all(|f| f[g].is_empty()) {
+                continue;
+            }
+            if fields
+                .iter()
+                .any(|f| f[g].times() != clock.as_slice() || f[g].values().len() != clock.len())
+            {
+                return Err(Error::custom(format!(
+                    "gpu {g}: telemetry not sampled on the shared clock"
+                )));
+            }
+            sampled.push(g);
+        }
+        for (i, &t) in clock.iter().enumerate() {
+            store.record_frame(
+                t,
+                sampled.iter().map(|&g| {
+                    let v = |f: usize| fields[f][g].values()[i];
+                    let sample = GpuSample {
+                        power_w: v(POWER),
+                        temp_c: v(TEMP),
+                        freq_mhz: v(FREQ),
+                        util: v(UTIL),
+                        pcie_gbps: v(PCIE),
+                    };
+                    (g, sample)
+                }),
+            );
+        }
+        Ok(store)
     }
 }
 
@@ -190,11 +329,11 @@ mod tests {
     #[test]
     fn record_and_query() {
         let mut s = TelemetryStore::new(2);
-        s.record(0, 0.0, sample(100.0));
-        s.record(0, 1.0, sample(200.0));
-        s.record(1, 0.0, sample(300.0));
-        s.record(1, 1.0, sample(300.0));
+        s.record_frame(0.0, [(0, sample(100.0)), (1, sample(300.0))]);
+        s.record_frame(1.0, [(0, sample(200.0)), (1, sample(300.0))]);
         assert_eq!(s.power(0).len(), 2);
+        assert_eq!(s.power(0).value(1), 200.0);
+        assert_eq!(s.times(), &[0.0, 1.0]);
         assert!((s.mean_power_w() - 225.0).abs() < 1e-9);
         assert_eq!(s.peak_power_w(), 300.0);
     }
@@ -202,9 +341,8 @@ mod tests {
     #[test]
     fn total_energy_sums_gpus() {
         let mut s = TelemetryStore::new(2);
-        for gpu in 0..2 {
-            s.record(gpu, 0.0, sample(100.0));
-            s.record(gpu, 10.0, sample(100.0));
+        for t in [0.0, 10.0] {
+            s.record_frame(t, (0..2).map(|gpu| (gpu, sample(100.0))));
         }
         assert!((s.total_energy_j() - 2000.0).abs() < 1e-9);
     }
@@ -212,9 +350,8 @@ mod tests {
     #[test]
     fn aggregate_pcie_sums_across_gpus() {
         let mut s = TelemetryStore::new(3);
-        for gpu in 0..3 {
-            s.record(gpu, 0.0, sample(1.0));
-            s.record(gpu, 1.0, sample(1.0));
+        for t in [0.0, 1.0] {
+            s.record_frame(t, (0..3).map(|gpu| (gpu, sample(1.0))));
         }
         let agg = s.aggregate_pcie();
         assert_eq!(agg.len(), 2);
@@ -227,5 +364,58 @@ mod tests {
         assert_eq!(s.total_energy_j(), 0.0);
         assert_eq!(s.mean_power_w(), 0.0);
         assert!(s.aggregate_pcie().is_empty());
+    }
+
+    #[test]
+    fn copy_gpu_aliases_the_representative() {
+        let mut s = TelemetryStore::new(3);
+        s.record_frame(0.0, [(0, sample(100.0)), (2, sample(300.0))]);
+        s.record_frame(1.0, [(0, sample(110.0)), (2, sample(310.0))]);
+        assert!(!s.is_sampled(1));
+        assert!(s.power(1).is_empty());
+        s.copy_gpu(2, 1);
+        assert_eq!(s.power(1), s.power(2));
+        assert_eq!(s.rows.len(), 4, "aliasing copies no samples");
+        s.copy_gpu(1, 0);
+        assert_eq!(s.temp(0).value(1), 50.0);
+        assert_eq!(s.power(0).value(1), 310.0);
+    }
+
+    #[test]
+    fn serializes_one_series_per_gpu_and_roundtrips() {
+        let mut s = TelemetryStore::new(3);
+        s.record_frame(0.0, [(0, sample(100.0)), (2, sample(300.0))]);
+        s.record_frame(0.5, [(0, sample(110.0)), (2, sample(310.0))]);
+        let v = s.serialize_value();
+        let power = v.get("power_w").and_then(Value::as_array).unwrap();
+        assert_eq!(power.len(), 3);
+        assert_eq!(power[1], TimeSeries::new().serialize_value());
+        let mut gpu2 = TimeSeries::new();
+        gpu2.push(0.0, 300.0);
+        gpu2.push(0.5, 310.0);
+        assert_eq!(power[2], gpu2.serialize_value());
+        assert_eq!(TelemetryStore::deserialize_value(&v).unwrap(), s);
+    }
+
+    #[test]
+    fn deserialize_rejects_series_off_the_shared_clock() {
+        let mut a = TimeSeries::new();
+        a.push(0.0, 1.0);
+        let mut b = TimeSeries::new();
+        b.push(0.5, 1.0);
+        let mut obj = Map::new();
+        for name in FIELDS {
+            obj.insert(name, vec![a.clone(), b.clone()].serialize_value());
+        }
+        let err = TelemetryStore::deserialize_value(&Value::Object(obj)).unwrap_err();
+        assert!(err.to_string().contains("shared clock"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of frame order")]
+    fn frames_keep_the_first_frames_gpu_order() {
+        let mut s = TelemetryStore::new(2);
+        s.record_frame(0.0, [(0, sample(1.0)), (1, sample(1.0))]);
+        s.record_frame(1.0, [(1, sample(1.0)), (0, sample(1.0))]);
     }
 }

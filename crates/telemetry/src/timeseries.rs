@@ -1,6 +1,7 @@
-//! A simple sampled time series.
+//! Sampled time series: the owned [`TimeSeries`] and the borrowed
+//! [`Series`] view that every reduction runs on.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Map, Serialize, Value};
 
 /// A time-ordered series of `(t, value)` samples.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -48,69 +49,169 @@ impl TimeSeries {
         &self.v
     }
 
+    /// The series as a [`Series`] view, for its reductions.
+    pub fn series(&self) -> Series<'_> {
+        Series {
+            t: &self.t,
+            v: &self.v,
+            stride: 1,
+        }
+    }
+}
+
+/// A borrowed, read-only series: timestamps plus values read at a fixed
+/// stride, so it can view one column of a frame-major sample table (see
+/// [`crate::TelemetryStore`]) as well as a [`TimeSeries`].
+///
+/// Every reduction walks the values in time order, one series at a time.
+#[derive(Debug, Clone, Copy)]
+pub struct Series<'a> {
+    t: &'a [f64],
+    /// Value `i` is `v[i * stride]`.
+    v: &'a [f64],
+    stride: usize,
+}
+
+impl<'a> Series<'a> {
+    /// The series with no samples.
+    pub(crate) const EMPTY: Series<'static> = Series {
+        t: &[],
+        v: &[],
+        stride: 1,
+    };
+
+    /// A view of `t.len()` values read from `v` every `stride` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is too short to hold them.
+    pub(crate) fn strided(t: &'a [f64], v: &'a [f64], stride: usize) -> Self {
+        if let Some(last) = t.len().checked_sub(1) {
+            assert!(stride > 0 && last * stride < v.len(), "values too short");
+        }
+        Series { t, v, stride }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.t.len()
+    }
+
+    /// Whether the series has no samples.
+    pub fn is_empty(&self) -> bool {
+        self.t.is_empty()
+    }
+
+    /// Timestamps.
+    pub fn times(&self) -> &'a [f64] {
+        self.t
+    }
+
+    /// Value of sample `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn value(&self, i: usize) -> f64 {
+        assert!(i < self.len(), "sample {i} of {}", self.len());
+        self.v[i * self.stride]
+    }
+
+    /// The values in time order.
+    pub fn values(&self) -> impl Iterator<Item = f64> + 'a {
+        self.v
+            .iter()
+            .step_by(self.stride)
+            .take(self.t.len())
+            .copied()
+    }
+
     /// Iterate `(t, v)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.t.iter().copied().zip(self.v.iter().copied())
+    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + 'a {
+        self.t.iter().copied().zip(self.values())
     }
 
     /// Arithmetic mean of the values (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.v.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.v.iter().sum::<f64>() / self.v.len() as f64
+            self.values().sum::<f64>() / self.len() as f64
         }
     }
 
     /// Maximum value (0.0 when empty).
     pub fn peak(&self) -> f64 {
-        if self.v.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.v.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+            self.values().fold(f64::NEG_INFINITY, f64::max)
         }
     }
 
     /// Minimum value (0.0 when empty).
     pub fn min(&self) -> f64 {
-        if self.v.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.v.iter().copied().fold(f64::INFINITY, f64::min)
+            self.values().fold(f64::INFINITY, f64::min)
         }
     }
 
     /// Trapezoidal integral over time (e.g. watts → joules).
     pub fn integrate(&self) -> f64 {
         let mut acc = 0.0;
-        for i in 1..self.t.len() {
-            acc += 0.5 * (self.v[i] + self.v[i - 1]) * (self.t[i] - self.t[i - 1]);
+        for i in 1..self.len() {
+            acc += 0.5 * (self.value(i) + self.value(i - 1)) * (self.t[i] - self.t[i - 1]);
         }
         acc
     }
 
     /// The sub-series with `t >= from` (used to discard warm-up iterations,
     /// as the paper discards its first 10).
-    pub fn since(&self, from: f64) -> TimeSeries {
+    pub fn since(&self, from: f64) -> Series<'a> {
         let start = self.t.partition_point(|&t| t < from);
-        TimeSeries {
-            t: self.t[start..].to_vec(),
-            v: self.v[start..].to_vec(),
+        if start == self.len() {
+            return Series::EMPTY;
+        }
+        Series {
+            t: &self.t[start..],
+            v: &self.v[start * self.stride..],
+            stride: self.stride,
         }
     }
 
     /// A percentile of the values (linear interpolation; `p` in `[0, 100]`).
     pub fn percentile(&self, p: f64) -> f64 {
-        if self.v.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        let mut sorted = self.v.clone();
+        let mut sorted: Vec<f64> = self.values().collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in telemetry"));
         let pos = (p.clamp(0.0, 100.0) / 100.0) * (sorted.len() - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
         let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+impl PartialEq for Series<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.t == other.t && self.values().eq(other.values())
+    }
+}
+
+/// The same `{"t": [..], "v": [..]}` object a [`TimeSeries`] serializes to.
+impl Serialize for Series<'_> {
+    fn serialize_value(&self) -> Value {
+        let mut obj = Map::new();
+        obj.insert("t", self.t.serialize_value());
+        obj.insert(
+            "v",
+            Value::Array(self.values().map(|v| v.serialize_value()).collect()),
+        );
+        Value::Object(obj)
     }
 }
 
@@ -130,6 +231,7 @@ mod tests {
     fn empty_series_stats_are_zero() {
         let s = TimeSeries::new();
         assert!(s.is_empty());
+        let s = s.series();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.peak(), 0.0);
         assert_eq!(s.min(), 0.0);
@@ -140,6 +242,7 @@ mod tests {
     #[test]
     fn basic_stats() {
         let s = series(&[(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)]);
+        let s = s.series();
         assert_eq!(s.len(), 3);
         assert!((s.mean() - 2.0).abs() < 1e-12);
         assert_eq!(s.peak(), 3.0);
@@ -151,6 +254,7 @@ mod tests {
         // Regression: the old `.max(0.0)` clamp reported 0.0 — a value never
         // sampled — for any series that stayed below zero.
         let s = series(&[(0.0, -5.0), (1.0, -2.0), (2.0, -9.0)]);
+        let s = s.series();
         assert_eq!(s.peak(), -2.0);
         assert_eq!(s.min(), -9.0);
     }
@@ -159,26 +263,54 @@ mod tests {
     fn integrate_trapezoid() {
         // Constant 100 W for 10 s = 1000 J.
         let s = series(&[(0.0, 100.0), (10.0, 100.0)]);
-        assert!((s.integrate() - 1000.0).abs() < 1e-9);
+        assert!((s.series().integrate() - 1000.0).abs() < 1e-9);
         // Ramp 0..100 over 10 s = 500 J.
         let r = series(&[(0.0, 0.0), (10.0, 100.0)]);
-        assert!((r.integrate() - 500.0).abs() < 1e-9);
+        assert!((r.series().integrate() - 500.0).abs() < 1e-9);
     }
 
     #[test]
     fn since_discards_warmup() {
         let s = series(&[(0.0, 1.0), (5.0, 2.0), (10.0, 3.0)]);
-        let tail = s.since(5.0);
+        let tail = s.series().since(5.0);
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail.values(), &[2.0, 3.0]);
+        assert_eq!(tail.values().collect::<Vec<_>>(), [2.0, 3.0]);
+        assert!(s.series().since(11.0).is_empty());
     }
 
     #[test]
     fn percentile_interpolates() {
         let s = series(&[(0.0, 10.0), (1.0, 20.0), (2.0, 30.0), (3.0, 40.0)]);
+        let s = s.series();
         assert!((s.percentile(0.0) - 10.0).abs() < 1e-12);
         assert!((s.percentile(100.0) - 40.0).abs() < 1e-12);
         assert!((s.percentile(50.0) - 25.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn strided_view_reads_one_column() {
+        // Two columns interleaved: the second reads 10, 11, 12.
+        let t = [0.0, 1.0, 2.0];
+        let v = [1.0, 10.0, 2.0, 11.0, 3.0, 12.0];
+        let col = Series::strided(&t, &v[1..], 2);
+        assert_eq!(col.values().collect::<Vec<_>>(), [10.0, 11.0, 12.0]);
+        assert_eq!(col.value(2), 12.0);
+        assert_eq!(col.peak(), 12.0);
+        assert_eq!(col.since(1.0).values().collect::<Vec<_>>(), [11.0, 12.0]);
+        assert_eq!(
+            col,
+            series(&[(0.0, 10.0), (1.0, 11.0), (2.0, 12.0)]).series()
+        );
+    }
+
+    #[test]
+    fn view_serializes_like_the_owned_series() {
+        let s = series(&[(0.0, 1.5), (0.5, 2.5)]);
+        assert_eq!(s.series().serialize_value(), s.serialize_value());
+        assert_eq!(
+            Series::EMPTY.serialize_value(),
+            TimeSeries::new().serialize_value()
+        );
     }
 
     #[test]
@@ -205,6 +337,7 @@ mod proptests {
             for (i, v) in values.iter().enumerate() {
                 s.push(i as f64, *v);
             }
+            let s = s.series();
             let q = s.percentile(p);
             prop_assert!(q >= s.min() - 1e-9);
             prop_assert!(q <= s.peak().max(s.min()) + 1e-9 || s.peak() == 0.0);
@@ -218,6 +351,7 @@ mod proptests {
             for (i, v) in values.iter().enumerate() {
                 s.push(i as f64, *v);
             }
+            let s = s.series();
             let span = (values.len() - 1) as f64;
             prop_assert!(s.integrate() >= s.min() * span - 1e-6);
             prop_assert!(s.integrate() <= s.peak().max(s.min()) * span + 1e-6);

@@ -35,6 +35,10 @@ pub struct GpuThermal {
     temp_c: f64,
     power_w: f64,
     energy_j: f64,
+    /// `(dt_s, exp(-dt_s/τ))` of the last step. The engines step with one
+    /// `dt` (the control period), so the exponential is taken once per run
+    /// instead of once per tick.
+    decay: Option<(f64, f64)>,
 }
 
 impl GpuThermal {
@@ -57,6 +61,7 @@ impl GpuThermal {
             temp_c,
             power_w: idle_power,
             energy_j: 0.0,
+            decay: None,
             spec,
         }
     }
@@ -110,13 +115,18 @@ impl GpuThermal {
                 .update(&self.spec, &self.power_model, self.temp_c, activity, eff);
         let freq_ratio = self.freq_ratio();
         self.power_w = self.power_model.power_w(activity, freq_ratio, eff);
-        self.temp_c = self.thermal.step(
-            self.temp_c,
-            self.power_w,
-            inlet_c,
-            self.variability.cooling,
-            dt_s,
-        );
+        let cooling = self.variability.cooling;
+        let decay = match self.decay {
+            Some((dt, k)) if dt.to_bits() == dt_s.to_bits() => k,
+            _ => {
+                let k = self.thermal.decay(cooling, dt_s);
+                self.decay = Some((dt_s, k));
+                k
+            }
+        };
+        self.temp_c = self
+            .thermal
+            .relax(self.temp_c, self.power_w, inlet_c, cooling, decay);
         self.energy_j += self.power_w * dt_s;
         ThermalSample {
             power_w: self.power_w,

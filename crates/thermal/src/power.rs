@@ -49,6 +49,11 @@ impl PowerModel {
     /// dynamic power (1.0 nominal).
     pub fn power_w(&self, activity: f64, freq_ratio: f64, efficiency: f64) -> f64 {
         let a = activity.clamp(0.0, 1.0);
+        if a == 0.0 {
+            // Zero activity multiplies the dynamic term away at any finite
+            // clock, so the `powf` is skipped.
+            return self.idle_w;
+        }
         let fr = freq_ratio.max(0.0);
         self.idle_w + a * self.max_dynamic_w * fr.powf(self.freq_exponent) * efficiency
     }
@@ -63,6 +68,10 @@ impl PowerModel {
         }
         let dynamic_budget = (cap_w - self.idle_w).max(0.0);
         let needed = dynamic_budget / (a * self.max_dynamic_w * efficiency);
+        if needed >= 1.0 {
+            // A root of a ratio ≥ 1 is ≥ 1: the clamp below would give 1.0.
+            return 1.0;
+        }
         needed.powf(1.0 / self.freq_exponent).min(1.0)
     }
 }

@@ -44,8 +44,8 @@ impl ThermalSpec {
         inlet_c + power_w * self.r_c_per_w * cooling_factor
     }
 
-    /// Advance the junction temperature by `dt` seconds (forward Euler with
-    /// internal sub-stepping for stability).
+    /// Advance the junction temperature by `dt` seconds: the exact solution
+    /// of the linear ODE, an exponential approach to steady state.
     pub fn step(
         &self,
         temp_c: f64,
@@ -54,11 +54,29 @@ impl ThermalSpec {
         cooling_factor: f64,
         dt_s: f64,
     ) -> f64 {
+        let decay = self.decay(cooling_factor, dt_s);
+        self.relax(temp_c, power_w, inlet_c, cooling_factor, decay)
+    }
+
+    /// `exp(-dt/τ)`: the share of the gap to steady state left after `dt_s`
+    /// seconds. It depends on `dt` and the cooling factor only, so a caller
+    /// stepping with a fixed period can compute it once.
+    pub(crate) fn decay(&self, cooling_factor: f64, dt_s: f64) -> f64 {
         let tau = self.r_c_per_w * cooling_factor * self.c_j_per_c;
-        // Exact solution of the linear ODE over dt: exponential approach to
-        // steady state.
+        (-dt_s / tau).exp()
+    }
+
+    /// [`ThermalSpec::step`] with its [`ThermalSpec::decay`] factor given.
+    pub(crate) fn relax(
+        &self,
+        temp_c: f64,
+        power_w: f64,
+        inlet_c: f64,
+        cooling_factor: f64,
+        decay: f64,
+    ) -> f64 {
         let target = self.steady_state_c(power_w, inlet_c, cooling_factor);
-        target + (temp_c - target) * (-dt_s / tau).exp()
+        target + (temp_c - target) * decay
     }
 
     /// The thermal time constant (seconds) at nominal cooling.

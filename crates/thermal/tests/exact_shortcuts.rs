@@ -1,0 +1,121 @@
+//! The control tick's shortcuts are exact: `PowerModel::power_w` skipping
+//! `powf` at zero activity, `PowerModel::freq_ratio_for_cap` skipping it
+//! when the cap never binds, and `GpuThermal::step` reusing `exp(-dt/τ)`
+//! while `dt` repeats all return the bits of the formulas written out in
+//! full.
+
+use proptest::prelude::*;
+
+use charllm_hw::GpuModel;
+use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, PowerModel, ThermalSpec};
+
+/// An activity drawn from the edge cases as well as the unit interval:
+/// 0, −0, NaN, above 1 and below 0.
+fn activity(kind: usize, x: f64) -> f64 {
+    match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => 1.0 + x,
+        4 => -x,
+        _ => x,
+    }
+}
+
+fn model() -> PowerModel {
+    PowerModel::for_spec(&GpuModel::H200.spec())
+}
+
+/// `PowerModel::power_w` without the zero-activity shortcut.
+fn power_in_full(m: &PowerModel, activity: f64, freq_ratio: f64, efficiency: f64) -> f64 {
+    let a = activity.clamp(0.0, 1.0);
+    let fr = freq_ratio.max(0.0);
+    m.idle_w + a * m.max_dynamic_w * fr.powf(m.freq_exponent) * efficiency
+}
+
+/// `PowerModel::freq_ratio_for_cap` without the non-binding shortcut.
+fn cap_ratio_in_full(m: &PowerModel, activity: f64, cap_w: f64, efficiency: f64) -> f64 {
+    let a = activity.clamp(0.0, 1.0);
+    if a <= 0.0 {
+        return 1.0;
+    }
+    let dynamic_budget = (cap_w - m.idle_w).max(0.0);
+    let needed = dynamic_budget / (a * m.max_dynamic_w * efficiency);
+    needed.powf(1.0 / m.freq_exponent).min(1.0)
+}
+
+/// `ThermalSpec::step` written out: exponential approach to steady state.
+fn temp_in_full(s: &ThermalSpec, temp: f64, power: f64, inlet: f64, cooling: f64, dt: f64) -> f64 {
+    let tau = s.r_c_per_w * cooling * s.c_j_per_c;
+    let target = inlet + power * s.r_c_per_w * cooling;
+    target + (temp - target) * (-dt / tau).exp()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    #[test]
+    fn power_matches_the_full_formula(
+        kind in 0usize..7,
+        x in 0.0f64..1.0,
+        freq_ratio in 0.0f64..1.2,
+        efficiency in 0.9f64..1.1,
+    ) {
+        let m = model();
+        let a = activity(kind, x);
+        prop_assert_eq!(
+            m.power_w(a, freq_ratio, efficiency).to_bits(),
+            power_in_full(&m, a, freq_ratio, efficiency).to_bits()
+        );
+    }
+
+    #[test]
+    fn cap_ratio_matches_the_full_formula(
+        kind in 0usize..7,
+        x in 0.0f64..1.0,
+        // Either anywhere from below idle power to well past TDP, or within
+        // 10% of the cap that just binds at this activity.
+        near in any::<bool>(),
+        wide_cap_w in 50.0f64..900.0,
+        needed in 0.9f64..1.1,
+        efficiency in 0.9f64..1.1,
+    ) {
+        let m = model();
+        let a = activity(kind, x);
+        let binding_w = m.idle_w + a.clamp(0.0, 1.0) * m.max_dynamic_w * efficiency;
+        let cap_w = if near { m.idle_w + needed * (binding_w - m.idle_w) } else { wide_cap_w };
+        prop_assert_eq!(
+            m.freq_ratio_for_cap(a, cap_w, efficiency).to_bits(),
+            cap_ratio_in_full(&m, a, cap_w, efficiency).to_bits()
+        );
+    }
+
+    #[test]
+    fn gpu_step_matches_the_full_formula_as_dt_changes(
+        steps in collection::vec((0usize..7, 0.0f64..1.0, 20.0f64..50.0, 0usize..4), 1..64),
+        cap_w in 300.0f64..800.0,
+        efficiency in 0.95f64..1.05,
+        cooling in 0.95f64..1.1,
+    ) {
+        let spec = GpuModel::H200.spec();
+        let thermal = ThermalSpec::for_model(GpuModel::H200);
+        let mut cfg = GovernorConfig::for_spec(&spec);
+        cfg.power_cap_w = cap_w;
+        let variability = GpuVariability { power_efficiency: efficiency, cooling };
+        let mut gpu = GpuThermal::new(spec, thermal, cfg, variability, 26.0);
+        // Runs of one `dt` broken by others, so the cached decay is both
+        // reused and invalidated.
+        let dts = [0.005, 0.005, 0.05, 1.0];
+        for (kind, x, inlet, d) in steps {
+            // NaN activity would leave every later step NaN: skip it here.
+            let a = activity(if kind == 2 { 0 } else { kind }, x);
+            let before = gpu.temp_c();
+            let sample = gpu.step(a, inlet, dts[d]);
+            let want = temp_in_full(&thermal, before, sample.power_w, inlet, cooling, dts[d]);
+            prop_assert_eq!(sample.temp_c.to_bits(), want.to_bits());
+            prop_assert_eq!(gpu.temp_c().to_bits(), want.to_bits());
+            let power = power_in_full(&model(), a, gpu.freq_ratio(), efficiency);
+            prop_assert_eq!(sample.power_w.to_bits(), power.to_bits());
+        }
+    }
+}

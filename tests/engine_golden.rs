@@ -13,10 +13,11 @@ use charllm_hw::{presets, Cluster, GpuId, GpuModel, NodeLayout};
 use charllm_models::{presets as models, TrainJob};
 use charllm_net::{lower_collective, ChunkingPolicy, CollectiveKind};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
+use charllm_sim::fold::{self, FoldOptions};
 use charllm_sim::reference::ReferenceSimulator;
-use charllm_sim::{SimConfig, Simulator};
+use charllm_sim::{FaultPlan, RecoveryPolicy, SimConfig, SimResult, Simulator};
 use charllm_trace::builder::{CollKey, TraceBuilder};
-use charllm_trace::lower::{lower_train, DeviceHints};
+use charllm_trace::lower::{lower_train, lower_train_folded, DeviceHints};
 use charllm_trace::trace::TraceMeta;
 use charllm_trace::{ComputeKind, ExecutionTrace};
 
@@ -505,7 +506,7 @@ fn assert_same_traffic_and_bytes(
     // and in the sampled per-window series, over many sample windows.
     let gpus = cluster.num_gpus();
     assert!((0..gpus).any(|g| new.traffic.pcie(g) > 0.0));
-    assert!((0..gpus).any(|g| new.telemetry.pcie(g).values().iter().any(|&v| v > 0.0)));
+    assert!((0..gpus).any(|g| new.telemetry.pcie(g).values().any(|v| v > 0.0)));
     assert!(new.telemetry.pcie(0).len() > 10, "too few sample windows");
     for g in 0..gpus {
         let (a, b) = (new.telemetry.pcie(g), reference.telemetry.pcie(g));
@@ -677,4 +678,129 @@ fn slow_flows_retire_within_one_control_period_of_the_threshold() {
          (bound: one {} s control period)",
         cfg.control_period_s
     );
+}
+
+/// FNV-1a over the serialized bytes of a result.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn pinned_fail_stop() -> SimResult {
+    let cluster = one_node_cluster();
+    let trace = gpt3_trace(&cluster, 8);
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 4;
+    cfg.warmup_iterations = 0;
+    let plan =
+        FaultPlan::none()
+            .gpu_fail_stop(0, 0.5)
+            .with_recovery(RecoveryPolicy::CheckpointRestart {
+                checkpoint_interval_s: 10.0,
+                restart_latency_s: 0.3,
+            });
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let r = Simulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .with_faults(&plan)
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(r.restarts, 1, "the outage must land inside the run");
+    r
+}
+
+fn pinned_capped(cfg: SimConfig) -> SimResult {
+    let cluster = one_node_cluster();
+    let trace = gpt3_trace(&cluster, 8);
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let r = Simulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .run()
+        .unwrap();
+    assert!(
+        r.throttle_ratio.iter().any(|&t| t > 0.0),
+        "the cap must bind"
+    );
+    r
+}
+
+fn pinned_gpu_power_cap() -> SimResult {
+    let mut cfg = SimConfig::fast();
+    cfg.gpu_power_cap_w = Some(450.0);
+    pinned_capped(cfg)
+}
+
+fn pinned_node_power_cap() -> SimResult {
+    let mut cfg = SimConfig::fast();
+    cfg.node_power_cap = Some((0, 300.0));
+    pinned_capped(cfg)
+}
+
+fn pinned_compact_folded() -> SimResult {
+    let cluster = presets::hgx_h200_with_nodes(2);
+    let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(8);
+    let spec = ParallelismSpec::infer_dp(8, 1, 1, 16, false).unwrap(); // dp = 2
+    let partition = StagePartition::even(40, 1).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let folded =
+        lower_train_folded(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+    assert!(folded.multiplicity > 1, "the job must fold");
+    let placement = Placement::identity(&cluster, spec.world()).unwrap();
+    let mut cfg = SimConfig::fast();
+    cfg.uniform_variability = true;
+    let opts = FoldOptions {
+        expand_telemetry: false,
+        metrics: None,
+    };
+    let (r, _) = fold::run_folded(&cluster, &placement, &folded, &spec, cfg, None, &opts).unwrap();
+    r
+}
+
+#[test]
+fn serialized_results_are_pinned() {
+    // FNV-1a and length of the serialized `SimResult` for paths the other
+    // golden tests compare only engine against engine: an outage with its
+    // idle governor and outage samples, binding power caps, and a compact
+    // folded run whose store samples only the representative GPUs. A change
+    // to the control tick or the telemetry store must leave every byte.
+    type Case = (&'static str, fn() -> SimResult, u64, usize);
+    let cases: [Case; 4] = [
+        (
+            "fail_stop_checkpoint_restart",
+            pinned_fail_stop,
+            0xe0ff_e32b_18fd_ad2a,
+            74_490,
+        ),
+        (
+            "gpu_power_cap",
+            pinned_gpu_power_cap,
+            0xbaa9_5869_343f_2839,
+            16_727,
+        ),
+        (
+            "node_power_cap",
+            pinned_node_power_cap,
+            0xa25c_4583_8cd5_65ea,
+            18_797,
+        ),
+        (
+            "compact_folded",
+            pinned_compact_folded,
+            0x85af_9fde_b9c3_380e,
+            134_981,
+        ),
+    ];
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for (name, run, hash, len) in cases {
+        let json = serde_json::to_string(&run()).unwrap();
+        got.push((
+            name,
+            format!("{:#018x}", fnv1a(json.as_bytes())),
+            json.len(),
+        ));
+        want.push((name, format!("{hash:#018x}"), len));
+    }
+    assert_eq!(got, want, "serialized results moved");
 }

@@ -286,6 +286,60 @@ fn invalid_fault_plans_are_rejected() {
 }
 
 #[test]
+fn invalid_periods_are_rejected_by_both_engines_and_sweeps() {
+    // A zero control period used to hang `run`, a NaN one ran without a
+    // single control tick, and a sample period <= 0 divided every util and
+    // PCIe sample by a zero or negative window.
+    let cluster = one_node_cluster();
+    let trace = gpt3_trace(&cluster, 8);
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let bad = [
+        (0.0, 0.05),
+        (f64::NAN, 0.05),
+        (f64::INFINITY, 0.05),
+        (-0.005, 0.05),
+        (0.005, 0.0),
+        (0.005, -0.05),
+        (0.005, f64::NAN),
+    ];
+    for (control, sample) in bad {
+        let mut cfg = SimConfig::fast();
+        cfg.control_period_s = control;
+        cfg.sample_period_s = sample;
+        let what = format!("control {control}, sample {sample}");
+        assert!(
+            matches!(
+                Simulator::new(&cluster, &placement, &trace, cfg),
+                Err(SimError::InvalidConfig(_))
+            ),
+            "engine accepted {what}"
+        );
+        assert!(
+            matches!(
+                ReferenceSimulator::new(&cluster, &placement, &trace, cfg),
+                Err(SimError::InvalidConfig(_))
+            ),
+            "reference accepted {what}"
+        );
+    }
+    let cluster = Arc::new(single_hgx_node());
+    let job = TrainJob::pretrain(gpt3_13b()).with_global_batch(8);
+    let spec = ParallelismSpec::parse("TP2-PP2", cluster.num_gpus()).unwrap();
+    let mut cfg = SimConfig::fast();
+    cfg.control_period_s = 0.0;
+    let outcomes = Sweep::new(cluster, job, vec![spec])
+        .with_sim_config(cfg)
+        .strict()
+        .run_outcomes();
+    assert_eq!(outcomes.len(), 1);
+    assert!(
+        matches!(&outcomes[0], SweepOutcome::Failed { error, .. }
+            if error.to_string().contains("control_period_s")),
+        "a strict sweep must fail the point on its control period"
+    );
+}
+
+#[test]
 fn mtbf_sweep_hits_shared_cache_on_repeated_points() {
     let cluster = Arc::new(single_hgx_node());
     let job = TrainJob::pretrain(gpt3_13b()).with_global_batch(8);

@@ -26,7 +26,7 @@ use charllm_models::{presets as models, TrainJob};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, RankGrid, StagePartition};
 use charllm_sim::fold::{self, FoldOptions};
 use charllm_sim::{SharedPlans, SimConfig, SimError, SimResult, Simulator};
-use charllm_telemetry::{MetricValue, MetricsHub};
+use charllm_telemetry::{MetricValue, MetricsHub, Series};
 use charllm_trace::{lower_train, lower_train_folded, DeviceHints};
 
 fn fold_cfg() -> SimConfig {
@@ -78,13 +78,9 @@ fn run_folded(
 /// one GPU can accumulate into its sampling window in either order — a
 /// one-ulp difference that already separates the *replicas of an unfolded
 /// run* from each other. Folding reproduces replica 0 to the same ulp.
-fn assert_series_close(
-    a: &charllm_telemetry::TimeSeries,
-    b: &charllm_telemetry::TimeSeries,
-    what: &str,
-) {
+fn assert_series_close(a: Series<'_>, b: Series<'_>, what: &str) {
     assert_eq!(a.times(), b.times(), "{what} sample times");
-    for (i, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
+    for (i, (x, y)) in a.values().zip(b.values()).enumerate() {
         let rel = (x - y).abs() / y.abs().max(1.0);
         assert!(rel < 1e-9, "{what}[{i}]: {x} vs {y} (rel {rel})");
     }
