@@ -75,6 +75,12 @@ echo "plan builds per point:" $builds
     echo "FAIL: a power-cap point after the first built plans outside the shared set" >&2
     exit 1
 }
+hashes="$(echo "$out" | sed -En 's/^ *result fnv1a ([0-9a-f]{16})$/\1/p' | tr '\n' ' ')"
+echo "result hashes:" $hashes
+[ "$hashes" = "57a1f1df14ed27b2 f3fd4cbf9136d649 8f1e52a1fe575f53 79c281800a63fef6 " ] || {
+    echo "FAIL: a 16k-GPU power-cap point's serialized SimResult changed" >&2
+    exit 1
+}
 
 echo "==> metrics hub smoke (live_dashboard example, non-TTY JSONL + Prometheus)"
 out="$(cargo run --release --example live_dashboard)"

@@ -40,7 +40,7 @@
 //! corruption, a version tag from another build, a colliding key — is
 //! treated as a plain miss and the entry is rebuilt and rewritten.
 //!
-//! Writes are deferred to [`SimCache::sync_disk`] (called by
+//! Writes are deferred to [`SimCache::sync_disk`] (called best-effort by
 //! `Experiment::run` after each cached run) because plan sets fill
 //! *lazily*: a `SharedPlans` is inserted empty and its slots are built
 //! during simulation, so persisting at insert time would write nothing.
@@ -710,29 +710,49 @@ impl SimCache {
     /// written by this call.
     ///
     /// [`Experiment::run`](crate::Experiment::run) syncs after every
-    /// cached run; long-lived holders (the job server) may also sync at
-    /// their own cadence.
+    /// cached run, best-effort; long-lived holders (the job server) may
+    /// also sync at their own cadence.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Io`] when an entry cannot be written.
+    /// Returns [`CoreError::Io`] when an entry cannot be written. Every
+    /// other dirty entry is still written (and counted); the failed one
+    /// stays dirty for the next sync.
     pub fn sync_disk(&self) -> Result<u64, CoreError> {
+        let (written, failure) = self.sync();
+        failure.map_or(Ok(written), Err)
+    }
+
+    /// [`SimCache::sync_disk`] that shrugs off write failures: the failed
+    /// entries stay dirty for the next sync, and the bytes that were
+    /// written are returned and counted. A finished run must not fail, nor
+    /// poison the cache for later runs, because persisting it failed.
+    pub(crate) fn sync_disk_best_effort(&self) -> u64 {
+        self.sync().0
+    }
+
+    /// Sync both tiers; returns the bytes written and the first failure.
+    fn sync(&self) -> (u64, Option<CoreError>) {
         let Some(disk) = &self.disk else {
-            return Ok(0);
+            return (0, None);
         };
-        let written = self.sync_tier::<LoweredJob>(disk)? + self.sync_tier::<SharedPlans>(disk)?;
+        let mut failure = None;
+        let written = self.sync_tier::<LoweredJob>(disk, &mut failure)
+            + self.sync_tier::<SharedPlans>(disk, &mut failure);
         self.bump(CacheStats {
             bytes_written: written,
             ..CacheStats::default()
         });
-        Ok(written)
+        (written, failure)
     }
 
     /// Write every entry of `A`'s tier with more content than its disk
     /// copy. Dirty entries are collected under the lock, written outside
-    /// it (writes are the slow part), then marked persisted. A concurrent
-    /// sync may duplicate a write; both produce identical bits.
-    fn sync_tier<A: Artifact>(&self, disk: &DiskTier) -> Result<u64, CoreError> {
+    /// it (writes are the slow part), then marked persisted. An entry whose
+    /// write fails stays dirty and its error lands in `failure` (the first
+    /// one wins). A concurrent sync may duplicate a write; both produce
+    /// identical bits.
+    fn sync_tier<A: Artifact>(&self, disk: &DiskTier, failure: &mut Option<CoreError>) -> u64 {
         let dirty: Vec<(String, Arc<A>, u64)> = A::tier(self)
             .lock()
             .expect("cache poisoned")
@@ -743,7 +763,13 @@ impl SimCache {
             .collect();
         let mut written = 0;
         for (key, value, content) in dirty {
-            written += disk.store(&key, &*value)?;
+            match disk.store(&key, &*value) {
+                Ok(bytes) => written += bytes,
+                Err(err) => {
+                    failure.get_or_insert(err);
+                    continue;
+                }
+            }
             if let Some(slot) = A::tier(self)
                 .lock()
                 .expect("cache poisoned")
@@ -753,7 +779,7 @@ impl SimCache {
                 slot.persisted = slot.persisted.max(content);
             }
         }
-        Ok(written)
+        written
     }
 
     /// Evict LRU entries until the tier respects `max_entries`.
@@ -1210,6 +1236,49 @@ mod tests {
             let name = entry.unwrap().file_name().to_string_lossy().into_owned();
             assert!(!name.contains("tmp."), "leaked temp file {name}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_persist_fails_neither_the_run_nor_later_runs() {
+        let dir = scratch_dir("persist");
+        let (job, spec, partition, hints) = inputs();
+        let cache = Arc::new(SimCache::new().with_disk_tier(&dir).unwrap());
+        let key = SimCache::lowered_key(
+            &job,
+            &spec,
+            PipelineSchedule::OneFOneB,
+            &partition,
+            &hints,
+            None,
+        );
+        // A directory squatting on the lowered entry's path makes its
+        // write fail; the plan set still persists.
+        let entry = dir
+            .join("lowered")
+            .join(format!("{:016x}.json", DiskTier::address(&key)));
+        std::fs::create_dir_all(entry.join("occupied")).unwrap();
+        let experiment = crate::Experiment::builder()
+            .cluster(charllm_hw::presets::hgx_h200_cluster())
+            .job(job)
+            .parallelism("TP2-PP2")
+            .unwrap()
+            .sim_config(charllm_sim::SimConfig::fast())
+            .cache(Arc::clone(&cache))
+            .build()
+            .unwrap();
+        let first = experiment.run().expect("a failed persist fails no run");
+        let second = experiment.run().expect("nor poisons the cache");
+        assert_eq!(
+            serde_json::to_string(&first.sim).unwrap(),
+            serde_json::to_string(&second.sim).unwrap()
+        );
+        let plans: Vec<_> = std::fs::read_dir(dir.join("plans")).unwrap().collect();
+        assert_eq!(plans.len(), 1, "the plan set persisted");
+        let plan_bytes = plans[0].as_ref().unwrap().metadata().unwrap().len();
+        assert_eq!(first.cache.unwrap().bytes_written, plan_bytes);
+        assert_eq!(second.cache.unwrap().bytes_written, 0);
+        assert!(cache.sync_disk().is_err(), "the entry stays dirty");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -206,9 +206,11 @@ impl Experiment {
         mark("event_loop");
         // Persist what this run added to the cache only now: the shared
         // plan set filled lazily *during* the simulation, so syncing any
-        // earlier would write an empty set.
+        // earlier would write an empty set. Best-effort: the simulation has
+        // finished, and an entry that fails to persist stays dirty for the
+        // next sync.
         if let Some(cache) = &self.cache {
-            let written = cache.sync_disk()?;
+            let written = cache.sync_disk_best_effort();
             if let Some(stats) = &mut cache_stats {
                 stats.bytes_written = written;
             }

@@ -55,17 +55,19 @@
 //! [`ServerConfig::job_workers`] threads, so up to that many jobs run
 //! concurrently, all sharing the one cache; each sweep job additionally
 //! fans its points across its own [`Executor`](crate::Executor) pool
-//! ([`ServerConfig::sweep_workers`] wide). Every job gets a private
+//! ([`ServerConfig::sweep_workers`] wide). Each open connection gets a
+//! thread of its own, up to [`MAX_CONNECTIONS`]; past that, the accept
+//! thread answers 503 without spawning. Every job gets a private
 //! [`MetricsHub`], so its streamed snapshot deltas reconcile exactly
 //! against its own `sweep_end` snapshot no matter what its neighbors do.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde_json::{json, Map, Value};
 
@@ -84,6 +86,10 @@ use crate::sweep::Sweep;
 /// How long a connection may dribble its request before the server drops
 /// it; responses (including long-lived streams) are not bounded.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest the accept thread waits for a turned-away client (see
+/// [`MAX_CONNECTIONS`]) to finish sending and close.
+const TURN_AWAY_LINGER: Duration = Duration::from_millis(250);
 
 /// Largest request body the server accepts; larger ones are refused with
 /// 413 before any of the body is read.
@@ -113,6 +119,11 @@ const MAX_GLOBAL_BATCH: usize = 1024;
 /// refused with 400 at submit. The sweep keeps every point's experiment and
 /// outcome in memory while it runs.
 const MAX_JOB_POINTS: usize = 1024;
+
+/// Most connections the server holds open at once, each on its own
+/// thread. One more is answered 503 by the accept thread, which spawns
+/// nothing for it; a slot frees when its connection's handler returns.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Server deployment knobs.
 #[derive(Debug, Clone)]
@@ -395,6 +406,8 @@ struct ServerState {
     queue_cv: Condvar,
     next_id: AtomicU64,
     stop: AtomicBool,
+    /// Connections being handled (at most [`MAX_CONNECTIONS`]).
+    connections: AtomicUsize,
 }
 
 impl ServerState {
@@ -451,6 +464,7 @@ impl SimServer {
             queue_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
             stop: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
         });
         let workers = (0..cfg.job_workers.max(1))
             .map(|_| {
@@ -564,8 +578,9 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) -> Result<Value, CoreError>
             let ranked =
                 search_configs_with_cache(train_job, cluster, *opts, Arc::clone(&state.cache))?;
             // The screen phase lowers without running, so nothing has
-            // synced its publications yet; persist them too.
-            state.cache.sync_disk()?;
+            // synced its publications yet; persist them too, best-effort
+            // like every run's own sync.
+            state.cache.sync_disk_best_effort();
             let candidates: Vec<Value> = ranked
                 .iter()
                 .map(|c| {
@@ -604,17 +619,45 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) -> Result<Value, CoreError>
 }
 
 /// Accept loop: one thread per connection (connections are few and
-/// `/stream` ones are long-lived, so a pool would only add latency).
+/// `/stream` ones are long-lived, so a pool would only add latency), up to
+/// [`MAX_CONNECTIONS`] at once.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     for conn in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
             return;
         }
         let Ok(conn) = conn else { continue };
+        if state.connections.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
+            state.connections.fetch_sub(1, Ordering::SeqCst);
+            turn_away(conn);
+            continue;
+        }
         let state = Arc::clone(state);
         std::thread::spawn(move || {
             let _ = handle_connection(conn, &state);
+            state.connections.fetch_sub(1, Ordering::SeqCst);
         });
+    }
+}
+
+/// Answer 503 on the accept thread, then read and discard the request
+/// until the client closes, for at most [`TURN_AWAY_LINGER`]: closing with
+/// request bytes unread, or before they arrive, would reset the connection
+/// under the answer.
+fn turn_away(mut conn: TcpStream) {
+    let error = format!("over {MAX_CONNECTIONS} open connections");
+    respond_json(&mut conn, 503, &json!({ "error": error }));
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + TURN_AWAY_LINGER;
+    let mut buf = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if !matches!(conn.read(&mut buf), Ok(n) if n > 0) {
+            return;
+        }
     }
 }
 
@@ -709,6 +752,7 @@ fn respond(conn: &mut TcpStream, status: u16, content_type: &str, body: &str) {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
     let _ = write!(

@@ -9,11 +9,11 @@
 //! flow retires.
 //!
 //! [`FlowArena`] flips the layout: one parallel array per field, indexed by
-//! a **stable slot**. Slots are recycled through a LIFO free list and each
-//! slot carries a generation stamp that is bumped on free, so any stale
-//! reference (most importantly: lazily-deleted calendar entries keyed by
-//! `(slot, gen)`) can be detected and dropped instead of resurrecting a
-//! dead flow's successor. At steady state the flow lifecycle performs no
+//! a **stable slot**. Slots are recycled through a LIFO free list. Nothing
+//! outside the engine refers to a freed slot: retirement removes the
+//! flow's completion-calendar entry (the calendar keeps one entry per
+//! owner, keyed by slot) before the slot is freed, so a recycled slot
+//! starts clean. At steady state the flow lifecycle performs no
 //! allocation: launching pops a slot, retiring pushes it back.
 //!
 //! Iteration order is owned by the engine (a separate dense `flow_order`
@@ -22,9 +22,6 @@
 
 /// Maximum links in a single flow route (fixed-capacity inline arrays).
 pub const MAX_ROUTE_LINKS: usize = 8;
-
-/// Sentinel for "no calendar location" (mirrors the engine's `LOC_NONE`).
-const LOC_NONE: u64 = u64::MAX;
 
 /// Structure-of-arrays storage for live flows, indexed by stable slot.
 ///
@@ -47,10 +44,6 @@ pub struct FlowArena {
     pub moved_acc: Vec<f64>,
     /// `load_epoch` at which `rate` was computed (staleness check).
     pub rate_epoch: Vec<u64>,
-    /// Predicted completion time key currently in the calendar.
-    pub cal_key: Vec<f64>,
-    /// Packed calendar location of this flow's entry (`LOC_NONE` if absent).
-    pub cal_loc: Vec<u64>,
     /// Position of this flow in each route link's membership list.
     pub link_pos: Vec<[u32; MAX_ROUTE_LINKS]>,
     /// Owning collective slab index.
@@ -63,8 +56,6 @@ pub struct FlowArena {
     pub pf: Vec<u32>,
     /// Position of this flow in the engine's `flow_order`.
     pub order_pos: Vec<u32>,
-    /// Generation stamp; bumped when the slot is freed.
-    pub gen: Vec<u32>,
     free: Vec<u32>,
     live: usize,
     slot_reuses: u64,
@@ -77,8 +68,7 @@ impl FlowArena {
     }
 
     /// Allocate a slot, reusing a freed one when available. Field values
-    /// are stale until the caller writes them; `gen` is already advanced
-    /// past every generation the slot has previously held.
+    /// are stale until the caller writes them.
     pub fn alloc(&mut self) -> u32 {
         self.live += 1;
         if let Some(slot) = self.free.pop() {
@@ -91,31 +81,19 @@ impl FlowArena {
         self.acc_since.push(0.0);
         self.moved_acc.push(0.0);
         self.rate_epoch.push(0);
-        self.cal_key.push(f64::INFINITY);
-        self.cal_loc.push(LOC_NONE);
         self.link_pos.push([0; MAX_ROUTE_LINKS]);
         self.coll.push(0);
         self.iteration.push(0);
         self.measured.push(false);
         self.pf.push(0);
         self.order_pos.push(0);
-        self.gen.push(0);
         slot
     }
 
-    /// Release a slot back to the free list, invalidating its generation.
-    /// Stale `(slot, gen)` references held elsewhere (calendar entries)
-    /// will no longer match [`FlowArena::gen`].
+    /// Release a slot back to the free list.
     pub fn free(&mut self, slot: u32) {
-        self.gen[slot as usize] = self.gen[slot as usize].wrapping_add(1);
         self.free.push(slot);
         self.live -= 1;
-    }
-
-    /// Current generation of `slot`.
-    #[inline]
-    pub fn generation(&self, slot: u32) -> u32 {
-        self.gen[slot as usize]
     }
 
     /// Number of live (allocated) flows.
@@ -131,27 +109,6 @@ impl FlowArena {
     /// How many allocations were served from the free list.
     pub fn slot_reuses(&self) -> u64 {
         self.slot_reuses
-    }
-
-    /// Drop every slot and stamp. Used when the engine rebuilds from
-    /// scratch; counters are preserved.
-    pub fn clear(&mut self) {
-        self.remaining.clear();
-        self.rate.clear();
-        self.acc_since.clear();
-        self.moved_acc.clear();
-        self.rate_epoch.clear();
-        self.cal_key.clear();
-        self.cal_loc.clear();
-        self.link_pos.clear();
-        self.coll.clear();
-        self.iteration.clear();
-        self.measured.clear();
-        self.pf.clear();
-        self.order_pos.clear();
-        self.gen.clear();
-        self.free.clear();
-        self.live = 0;
     }
 }
 
@@ -171,20 +128,5 @@ mod tests {
         assert_eq!(c, a, "freed slot is recycled");
         assert_eq!(fa.slot_reuses(), 1);
         assert_eq!(fa.num_slots(), 2);
-    }
-
-    #[test]
-    fn generation_advances_on_every_free() {
-        let mut fa = FlowArena::new();
-        let s = fa.alloc();
-        let g0 = fa.generation(s);
-        fa.free(s);
-        assert_ne!(fa.generation(s), g0);
-        let s2 = fa.alloc();
-        assert_eq!(s2, s);
-        let g1 = fa.generation(s2);
-        assert_ne!(g1, g0, "stale (slot, gen) refs never match the reused slot");
-        fa.free(s2);
-        assert_ne!(fa.generation(s), g1);
     }
 }

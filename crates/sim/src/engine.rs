@@ -42,6 +42,7 @@ use charllm_trace::{ExecutionTrace, FloatTable, FoldedCollective, KernelClass, S
 
 use crate::accrual;
 use crate::arena::{FlowArena, MAX_ROUTE_LINKS};
+use crate::calendar::{completion_key, Calendar};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultPlan, RecoveryPolicy};
@@ -517,194 +518,6 @@ fn flow_rate(
     rate
 }
 
-/// Calendar key of an entity with `left` work units at `rate` at time `t`:
-/// the instant its work reaches the 1-unit completion threshold `advance`
-/// tests (`left <= 1.0`), a lower bound on the event that retires it. The
-/// unit of slack matters for slow flows, whose last unit can take longer
-/// than an event: keyed at zero work, they would complete in an event that
-/// never drained them.
-#[inline]
-fn completion_key(t: f64, left: f64, rate: f64) -> f64 {
-    t + (left - 1.0) / rate
-}
-
-/// One entry of the scheduler's completion calendar, packed to 16 bytes:
-/// `key` is a conservative (lower-bound) absolute completion time computed
-/// when the entry was pushed; `meta` packs the entry kind (bit 63: 1 =
-/// compute rank, 0 = flow slot), the owner id (bits 62..32) and the
-/// owner's epoch at push time (bits 31..0; for flows, the arena slot's
-/// generation stamp). Entries are removed *at the site that invalidates
-/// them* (re-key, retirement) via the owner's stored location, so the
-/// queue holds exactly one live entry per schedulable entity; the epoch
-/// survives as a belt-and-braces stale check (counted in
-/// [`EngineStats::heap_skips`], expected ~0). Drain order
-/// never affects results: `next_dt` takes an order-independent `f64::min`
-/// over the exact candidates of every drained live entry.
-#[derive(Debug, Clone, Copy)]
-struct CalEntry {
-    key: f64,
-    meta: u64,
-}
-
-const ENTRY_COMPUTE: u64 = 1 << 63;
-
-impl CalEntry {
-    fn flow(key: f64, slot: u32, epoch: u32) -> Self {
-        CalEntry {
-            key,
-            meta: (u64::from(slot) << 32) | u64::from(epoch),
-        }
-    }
-
-    fn compute(key: f64, rank: u32, epoch: u32) -> Self {
-        CalEntry {
-            key,
-            meta: ENTRY_COMPUTE | (u64::from(rank) << 32) | u64::from(epoch),
-        }
-    }
-
-    fn is_compute(self) -> bool {
-        self.meta & ENTRY_COMPUTE != 0
-    }
-
-    fn id(self) -> usize {
-        ((self.meta >> 32) & 0x7fff_ffff) as usize
-    }
-
-    fn epoch(self) -> u32 {
-        self.meta as u32
-    }
-}
-
-/// Global re-key cadence: every this-many events the calendar is rebuilt
-/// from live state, re-basing the wheel at the current time, re-sizing its
-/// buckets to the recent event spacing and re-tightening loose keys.
-const REKEY_INTERVAL: u64 = 8192;
-
-/// Buckets in the calendar wheel. With the bucket width sized to ~1 mean
-/// event spacing at rebuild, the wheel horizon covers roughly a
-/// [`REKEY_INTERVAL`] of simulated progress before entries spill to the
-/// overflow list, and a drained bucket hands back ~1 candidate per event
-/// instead of the ~4 a coarser wheel would.
-const CAL_BUCKETS: usize = 8192;
-
-/// Largest buffer a drained bucket keeps for its next entries. Buckets
-/// keep their allocations so steady-state drains allocate nothing, but one
-/// that held a burst (a collective's flows keyed together) gives it back
-/// instead of pinning that memory for the rest of the run.
-const CAL_BUCKET_KEEP: usize = 64;
-
-/// Bucket index encoding the overflow list in a packed location.
-const CAL_OVERFLOW: u32 = u32::MAX;
-
-/// Packed location meaning "no live entry".
-const LOC_NONE: u64 = u64::MAX;
-
-fn pack_loc(bucket: u32, idx: u32) -> u64 {
-    (u64::from(bucket) << 32) | u64::from(idx)
-}
-
-/// The scheduler's completion calendar: a bucketed time wheel over
-/// absolute predicted completion times, plus an overflow list for keys
-/// beyond the wheel horizon.
-///
-/// The wheel is re-based (fresh `base`/`width`) at every `rekey_all`;
-/// between rebuilds, pushes land in `(key - base) / width` and `next_dt`
-/// drains whole buckets from the cursor up to the event bound. Draining a
-/// bucket hands back *every* entry in it — conservative keys make extra
-/// candidates harmless (each is recomputed exactly and folded with `min`),
-/// so bucket granularity cannot perturb results. Removal is O(1) by packed
-/// location (`bucket << 32 | index`), with `swap_remove` move fix-ups
-/// resolved through the moved entry's own meta word.
-#[derive(Debug)]
-struct CalendarQueue {
-    base: f64,
-    width: f64,
-    inv_width: f64,
-    buckets: Vec<Vec<CalEntry>>,
-    overflow: Vec<CalEntry>,
-    /// First bucket that may hold entries (all earlier ones are empty).
-    cursor: usize,
-    /// Run-wide high-water mark of the overflow list (survives rebases:
-    /// an [`EngineStats`] counter, not wheel state).
-    overflow_peak: usize,
-}
-
-impl CalendarQueue {
-    /// An empty wheel based at t = 0 with the given bucket `width`.
-    fn new(width: f64) -> Self {
-        CalendarQueue {
-            base: 0.0,
-            width,
-            inv_width: 1.0 / width,
-            buckets: vec![Vec::new(); CAL_BUCKETS],
-            overflow: Vec::new(),
-            cursor: 0,
-            overflow_peak: 0,
-        }
-    }
-
-    /// Re-base the wheel at `base` with the given bucket `width`, dropping
-    /// every entry (callers re-push live state afterwards).
-    fn reset(&mut self, base: f64, width: f64) {
-        self.base = base;
-        self.width = width;
-        self.inv_width = 1.0 / width;
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.overflow.clear();
-        self.cursor = 0;
-    }
-
-    /// Absolute start time of bucket `i`.
-    fn start_of(&self, i: usize) -> f64 {
-        self.base + i as f64 * self.width
-    }
-
-    /// First key beyond the wheel (overflow keys are all ≥ this).
-    fn horizon(&self) -> f64 {
-        self.start_of(CAL_BUCKETS)
-    }
-
-    /// Whether `t` has drifted past half the wheel: time to re-base before
-    /// fresh keys start spilling into the overflow list wholesale.
-    fn needs_rebase(&self, t: f64) -> bool {
-        t - self.base > 0.5 * CAL_BUCKETS as f64 * self.width
-    }
-
-    /// Insert an entry; returns its packed location. Keys below `base`
-    /// (an entity already within its completion threshold) land in the
-    /// first bucket, so only the far side can miss the wheel.
-    fn push(&mut self, e: CalEntry) -> u64 {
-        let d = ((e.key - self.base) * self.inv_width).max(0.0);
-        if d >= CAL_BUCKETS as f64 {
-            self.overflow.push(e);
-            self.overflow_peak = self.overflow_peak.max(self.overflow.len());
-            return pack_loc(CAL_OVERFLOW, (self.overflow.len() - 1) as u32);
-        }
-        let b = d as usize;
-        self.cursor = self.cursor.min(b);
-        self.buckets[b].push(e);
-        pack_loc(b as u32, (self.buckets[b].len() - 1) as u32)
-    }
-
-    /// Remove the entry at `loc`; returns the meta word of the entry
-    /// swapped into the vacated position (its owner's stored location must
-    /// be re-pointed to `loc`), if any.
-    fn remove(&mut self, loc: u64) -> Option<u64> {
-        let bucket = (loc >> 32) as u32;
-        let idx = (loc & 0xffff_ffff) as usize;
-        let v = if bucket == CAL_OVERFLOW {
-            &mut self.overflow
-        } else {
-            &mut self.buckets[bucket as usize]
-        };
-        v.swap_remove(idx);
-        v.get(idx).map(|e| e.meta)
-    }
-}
-
 /// One engine-level fault action. Windowed plan events (`LinkDegrade`,
 /// `Straggler`, `ThermalRunaway`) are split into an on/off pair at
 /// `with_faults` time; `GpuFailStop` becomes a `FailStop` (plus a `Regrow`
@@ -793,21 +606,19 @@ pub struct EngineStats {
     /// computing ranks): the population the completion calendar holds one
     /// entry each for.
     pub peak_live: u64,
-    /// Entries pushed onto the completion calendar (re-keys included).
-    /// This and the next two counters keep their `heap_` names from the
-    /// binary heap the calendar replaced; they count calendar entries.
+    /// Keys set on the completion calendar (re-keys included; the
+    /// re-push of drained entries is not counted). This and the next
+    /// counter keep their `heap_` names from the binary heap the calendar
+    /// replaced; they count calendar entries, one per owner at most.
     pub heap_pushes: u64,
-    /// Live calendar entries drained and evaluated by `next_dt`.
+    /// Calendar entries drained and evaluated by `next_dt`.
     pub heap_pops: u64,
-    /// Stale calendar entries (epoch mismatch) discarded on drain.
-    pub heap_skips: u64,
     /// Collective launches served from a cross-run shared plan set
     /// (zero unless the simulator was built with [`SharedPlans`]).
     pub shared_plan_hits: u64,
-    /// Calendar-wheel rebuilds: `rekey_all` rebases, whether periodic
-    /// (every `REKEY_INTERVAL` = 8192 events), drift-forced (the current
-    /// time passed half the wheel horizon). The wheel built at construction
-    /// is not counted.
+    /// Calendar-wheel rebuilds, whether periodic (every 8192 events) or
+    /// drift-forced (the current time passed half the wheel horizon). The
+    /// wheel built at construction is not counted.
     pub cal_rekeys: u64,
     /// Calendar buckets drained by `next_dt` (the overflow list counts as
     /// one bucket per drain). Each drain hands every entry in the bucket
@@ -823,16 +634,16 @@ pub struct EngineStats {
     /// Flow-arena slots reused from the free list (launches minus arena
     /// growth): how often the steady-state launch path ran allocation-free.
     pub arena_slot_reuses: u64,
-    /// Calendar entries removed by exact location at a retire site (flow
-    /// retirement or compute completion) — the one path by which a
-    /// completing entity's entry leaves the calendar.
+    /// Calendar entries removed at a retire site (flow retirement or
+    /// compute completion) — the one path by which a completing owner's
+    /// entry leaves the calendar.
     pub cal_exact_removals: u64,
 }
 
 impl EngineStats {
     /// Every counter with its field name, each listed once: the table the
     /// metrics export is derived from (one `sim_<name>` gauge per entry).
-    pub fn fields(&self) -> [(&'static str, u64); 17] {
+    pub fn fields(&self) -> [(&'static str, u64); 16] {
         [
             ("events", self.events),
             ("plan_builds", self.plan_builds),
@@ -844,7 +655,6 @@ impl EngineStats {
             ("peak_live", self.peak_live),
             ("heap_pushes", self.heap_pushes),
             ("heap_pops", self.heap_pops),
-            ("heap_skips", self.heap_skips),
             ("shared_plan_hits", self.shared_plan_hits),
             ("cal_rekeys", self.cal_rekeys),
             ("cal_bucket_drains", self.cal_bucket_drains),
@@ -899,8 +709,8 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     colls: Vec<[CollSlot; 2]>,
     /// Count of live slots in `colls` (the old hash map's `len`).
     live_colls: u64,
-    /// The flow arena: structure-of-arrays per-flow state in stable,
-    /// generation-stamped slots recycled through a free list.
+    /// The flow arena: structure-of-arrays per-flow state in stable slots
+    /// recycled through a free list.
     fa: FlowArena,
     /// Live flow slots in the reference engine's dense iteration order:
     /// launches append, retirement `swap_remove`s — reproducing the exact
@@ -932,29 +742,9 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     link_flows: Vec<Vec<(u32, u8)>>,
 
     /// The completion calendar: conservative predicted completion times
-    /// for computes and flows, drained bucket-wise in `next_dt`.
-    calq: CalendarQueue,
-    /// Buffer for live entries drained in a `next_dt` round (re-inserted
-    /// after the drain loop so they cannot be drained twice in one round).
-    repush: Vec<CalEntry>,
-    /// Entries moved out of the buckets `next_dt` drains, evaluated from
-    /// here. Buckets keep their own allocations, so steady-state drains
-    /// allocate nothing.
-    drained: Vec<CalEntry>,
-    /// Key of each computing rank's live calendar entry (`INFINITY` =
-    /// none). Lets `push_compute_key` skip the push when the stored entry
-    /// is still a valid lower bound, mirroring `rekey_flow`'s
-    /// `FlowArena::cal_key` test.
-    rank_key: Vec<f64>,
-    /// Location of each rank's live calendar entry ([`LOC_NONE`] = none).
-    rank_loc: Vec<u64>,
-    /// Per-rank epoch for compute entries: an entry for rank `r` is live
-    /// iff its epoch matches (flows use the arena generation stamp). With
-    /// push-site removal this is a belt-and-braces check only.
-    rank_epoch: Vec<u32>,
-    /// EWMA of recent event spacing, sizing the calendar's bucket width at
-    /// each rebuild.
-    avg_dt: f64,
+    /// for computes (owner = rank) and flows (owner = `world + slot`),
+    /// drained bucket-wise in `next_dt`.
+    cal: Calendar,
     /// Computing ranks whose rate inputs changed (deduplicated via
     /// `rank_dirty`); re-keyed in batch by `next_dt`.
     dirty_ranks: Vec<u32>,
@@ -962,8 +752,6 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// Ranks placed on each GPU: compute rates depend on the GPU's flow
     /// presence, so 0↔nonzero `gpu_flow_count` transitions dirty these.
     ranks_of_gpu: Vec<Vec<u32>>,
-    /// Events since the last full re-key (see [`REKEY_INTERVAL`]).
-    events_since_rekey: u64,
 
     /// One installed plan per `CollectiveId`, interned lazily at first
     /// launch.
@@ -1283,9 +1071,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             rank_active[r as usize] = true;
         }
 
-        // Event-spacing seed: the calendar's first bucket width, and the
-        // EWMA's starting point for later rebuilds.
-        let avg_dt = cfg.control_period_s / 256.0;
         Ok(Simulator {
             obs,
             cluster,
@@ -1306,17 +1091,12 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             dirty_links: Vec::new(),
             link_dirty: vec![false; cluster.num_links()],
             link_flows: vec![Vec::new(); cluster.num_links()],
-            calq: CalendarQueue::new(avg_dt.max(1e-12)),
-            repush: Vec::new(),
-            drained: Vec::new(),
-            rank_key: vec![f64::INFINITY; trace.world()],
-            rank_loc: vec![LOC_NONE; trace.world()],
-            rank_epoch: vec![0; trace.world()],
-            avg_dt,
+            // Event-spacing seed: the first bucket width, and the EWMA's
+            // starting point for later rebuilds.
+            cal: Calendar::new(trace.world(), cfg.control_period_s / 256.0),
             dirty_ranks: Vec::new(),
             rank_dirty: vec![false; trace.world()],
             ranks_of_gpu,
-            events_since_rekey: 0,
             plan_cache: (0..num_colls).map(|_| None).collect(),
             shared_plans: None,
             coll_class,
@@ -1793,9 +1573,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
 
             self.advance(dt);
             self.stats.events += 1;
-            // Event-spacing EWMA, sizing the calendar's bucket width at
-            // the next rebuild.
-            self.avg_dt += 0.125 * (dt - self.avg_dt);
+            self.cal.note_event(dt);
 
             if self.t >= self.next_fault_t - 1e-12 {
                 self.process_due_faults();
@@ -1814,12 +1592,12 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         Ok(())
     }
 
-    /// Bring `stats.cal_overflow_peak` current, then push the engine
-    /// counters and live quantities into the attached metrics shard (no-op
-    /// without one). Called at control boundaries and once at run end;
-    /// never on the per-event path.
+    /// Bring the calendar's counters in `stats` current, then push the
+    /// engine counters and live quantities into the attached metrics shard
+    /// (no-op without one). Called at control boundaries and once at run
+    /// end; never on the per-event path.
     fn publish_metrics(&mut self) {
-        self.stats.cal_overflow_peak = self.calq.overflow_peak as u64;
+        self.cal.publish(&mut self.stats);
         let Some(m) = self.metrics.as_deref_mut() else {
             return;
         };
@@ -1837,7 +1615,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         m.sim_time_s.set(self.t);
         m.live_flows.set(self.flow_order.len() as f64);
         m.live_computing.set(self.computing_ranks.len() as f64);
-        m.cal_overflow_len.set(self.calq.overflow.len() as f64);
+        m.cal_overflow_len.set(self.cal.overflow_len() as f64);
         if let Some(rt) = &self.fault {
             m.fault_downtime_s.set(rt.downtime_s);
             m.fault_restarts.set(rt.restarts as f64);
@@ -2067,8 +1845,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.fa.acc_since[slot] = self.t;
             self.fa.moved_acc[slot] = 0.0;
             self.fa.rate_epoch[slot] = 0;
-            self.fa.cal_key[slot] = f64::INFINITY;
-            self.fa.cal_loc[slot] = LOC_NONE;
             self.fa.coll[slot] = coll;
             self.fa.iteration[slot] = iter;
             self.fa.measured[slot] = measured;
@@ -2312,59 +2088,26 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// Push a fresh completion entry for a computing rank — but only when
-    /// the fresh prediction undercuts the stored key (same lower-bound
-    /// reasoning as [`Self::rekey_flow`]). The superseded entry is removed
-    /// *here*, at the push site, via the rank's stored location — not left
-    /// to be popped and skipped later. `force` pushes unconditionally
-    /// after the calendar was rebuilt.
-    fn push_compute_key(&mut self, rank: usize, force: bool) {
+    /// Key a computing rank's completion on the calendar, if the fresh
+    /// prediction undercuts its stored key (same lower-bound reasoning as
+    /// [`Self::rekey_flow`]).
+    fn push_compute_key(&mut self, rank: usize) {
         if let Some((left, rate)) = self.compute_left(rank, 0.0) {
-            let key = completion_key(self.t, left, rate);
-            if !force && key >= self.rank_key[rank] {
-                return;
-            }
-            let old = self.rank_loc[rank];
-            if old != LOC_NONE {
-                self.calq_remove(old);
-            }
-            self.rank_key[rank] = key;
-            self.rank_epoch[rank] = self.rank_epoch[rank].wrapping_add(1);
-            self.rank_loc[rank] =
-                self.calq
-                    .push(CalEntry::compute(key, rank as u32, self.rank_epoch[rank]));
-            self.stats.heap_pushes += 1;
-        }
-    }
-
-    /// Remove a calendar entry by location, re-pointing the owner of
-    /// whichever entry `swap_remove` moved into the vacated position.
-    fn calq_remove(&mut self, loc: u64) {
-        if let Some(meta) = self.calq.remove(loc) {
-            let id = ((meta >> 32) & 0x7fff_ffff) as usize;
-            if meta & ENTRY_COMPUTE != 0 {
-                self.rank_loc[id] = loc;
-            } else {
-                self.fa.cal_loc[id] = loc;
-            }
+            self.cal.lower(rank, completion_key(self.t, left, rate));
         }
     }
 
     /// Recompute the flow's bottleneck rate from current link loads, stamp
-    /// it with the current `load_epoch`, and re-key its calendar entry if
-    /// the new prediction undercuts the stored key. `force` pushes
-    /// unconditionally after the calendar was rebuilt (`rekey_all`), when
-    /// every flow needs an entry regardless of the old key.
+    /// it with the current `load_epoch`, and lower its calendar key to the
+    /// fresh prediction.
     ///
-    /// Queue keys only need to stay *lower bounds* on true completion
+    /// Calendar keys only need to stay *lower bounds* on true completion
     /// times. A rate decrease (the launch-storm common case) moves the
-    /// completion later, so the existing entry's key is still a valid —
-    /// merely loose — lower bound and no queue traffic happens at all;
-    /// loose keys are re-tightened lazily when they drain. Only when the
-    /// fresh prediction is *earlier* than the stored key (a rate increase)
-    /// does the old entry get removed — at this push site, via its stored
-    /// location — and a re-keyed one inserted.
-    fn rekey_flow(&mut self, slot: usize, force: bool) {
+    /// completion later, so the stored key is still a valid — merely loose
+    /// — lower bound and no calendar traffic happens at all; loose keys
+    /// are re-tightened when they drain. Only a fresher, *earlier*
+    /// prediction (a rate increase) replaces the entry.
+    fn rekey_flow(&mut self, slot: usize) {
         let rate = flow_rate(
             slot,
             &self.fa.pf,
@@ -2385,45 +2128,20 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         self.fa.rate_epoch[slot] = self.load_epoch;
         let key = completion_key(self.t, self.flow_left(slot, 0.0), rate);
-        if !force && key >= self.fa.cal_key[slot] {
-            return;
-        }
-        self.fa.cal_key[slot] = key;
-        let old = self.fa.cal_loc[slot];
-        if old != LOC_NONE {
-            self.calq_remove(old);
-        }
-        self.fa.cal_loc[slot] = self.calq.push(CalEntry::flow(
-            key,
-            slot as u32,
-            self.fa.generation(slot as u32),
-        ));
-        self.stats.heap_pushes += 1;
+        self.cal.lower(self.ranks.len() + slot, key);
     }
 
-    /// Rebuild the completion calendar from live state: re-base the wheel
-    /// at the current time with a bucket width of ~1 mean event spacing,
-    /// then refresh every flow rate and push one fresh entry per flow and
-    /// computing rank. Runs every [`REKEY_INTERVAL`] events and whenever
-    /// simulated time drifts past half the wheel horizon.
+    /// Rebuild the completion calendar from live state: re-base it at the
+    /// current time, then refresh every flow rate and key every flow and
+    /// computing rank afresh.
     fn rekey_all(&mut self) {
-        self.stats.cal_rekeys += 1;
-        let width = self.avg_dt.max(1e-12);
-        self.calq.reset(self.t, width);
+        self.cal.rebuild(self.t);
         for oi in 0..self.flow_order.len() {
-            self.fa.cal_loc[self.flow_order[oi] as usize] = LOC_NONE;
+            self.rekey_flow(self.flow_order[oi] as usize);
         }
         for idx in 0..self.computing_ranks.len() {
-            self.rank_loc[self.computing_ranks[idx]] = LOC_NONE;
+            self.push_compute_key(self.computing_ranks[idx]);
         }
-        for oi in 0..self.flow_order.len() {
-            self.rekey_flow(self.flow_order[oi] as usize, true);
-        }
-        for idx in 0..self.computing_ranks.len() {
-            let rank = self.computing_ranks[idx];
-            self.push_compute_key(rank, true);
-        }
-        self.events_since_rekey = 0;
     }
 
     /// Choose the next time step: the earliest completion, capped by the
@@ -2466,10 +2184,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         let live = self.flow_order.len() + self.computing_ranks.len();
         self.stats.peak_live = self.stats.peak_live.max(live as u64);
-        if self.events_since_rekey >= REKEY_INTERVAL || self.calq.needs_rebase(self.t) {
+        if self.cal.rebuild_due(self.t) {
             self.rekey_all();
         }
-        self.events_since_rekey += 1;
 
         // Re-rate + re-key flows touched by link-load changes: dirty links
         // in order, then the flows on each link. `rekey_flow` stamps
@@ -2482,7 +2199,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             for k in 0..self.link_flows[link].len() {
                 let slot = self.link_flows[link][k].0 as usize;
                 if self.fa.rate_epoch[slot] != epoch {
-                    self.rekey_flow(slot, false);
+                    self.rekey_flow(slot);
                 }
             }
         }
@@ -2494,105 +2211,31 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         for &rank in &dirty {
             let rank = rank as usize;
             self.rank_dirty[rank] = false;
-            self.push_compute_key(rank, false);
+            self.push_compute_key(rank);
         }
         dirty.clear();
         self.dirty_ranks = dirty;
 
-        let mut dt = self.next_control.min(self.next_fault_t) - self.t;
-        // Drain calendar buckets while one could still hold an entry that
-        // lowers `dt`: a key ≤ `t + dt + margin` lies in a bucket whose
-        // start is ≤ that bound, and buckets are visited in start order, so
-        // breaking at the first bucket past the (only ever shrinking)
-        // bound covers every key that could matter. Whole buckets drain at
-        // once — the extra candidates are recomputed exactly and folded
-        // with `min`, which cannot perturb the result. The margin absorbs
-        // the rounding between a key and the completion test it bounds:
-        // both evaluate the same lazy segment state, at different instants
-        // and through rounded absolute times, a few ε·(t+dt) apart — orders
-        // of magnitude under the 1e-8 margin.
-        let mut repush = std::mem::take(&mut self.repush);
-        let mut drained = std::mem::take(&mut self.drained);
-        loop {
-            let margin = (self.t + dt) * 1e-8 + 1e-15;
-            let bound = self.t + dt + margin;
-            let bucket = if self.calq.cursor < CAL_BUCKETS {
-                if self.calq.start_of(self.calq.cursor) > bound {
-                    break;
-                }
-                self.calq.cursor += 1;
-                &mut self.calq.buckets[self.calq.cursor - 1]
-            } else if !self.calq.overflow.is_empty() && self.calq.horizon() <= bound {
-                &mut self.calq.overflow
-            } else {
-                break;
-            };
-            drained.append(bucket);
-            if bucket.capacity() > CAL_BUCKET_KEEP {
-                *bucket = Vec::new();
-            }
-            self.stats.cal_bucket_drains += 1;
-            let drained_overflow = self.calq.cursor >= CAL_BUCKETS && self.calq.overflow.is_empty();
-            for mut e in drained.drain(..) {
-                let candidate = if e.is_compute() {
-                    let rank = e.id();
-                    if self.rank_epoch[rank] != e.epoch() {
-                        self.stats.heap_skips += 1;
-                        continue;
-                    }
-                    self.rank_loc[rank] = LOC_NONE;
-                    let Some(candidate) = self.compute_left(rank, 0.0) else {
-                        self.stats.heap_skips += 1;
-                        continue;
-                    };
-                    self.cand_ranks.push(rank as u32);
-                    candidate
+        // The drained owners are this event's candidates.
+        let world = self.ranks.len();
+        let mut cal = std::mem::take(&mut self.cal);
+        let dt = cal.drain(
+            self.t,
+            self.next_control.min(self.next_fault_t) - self.t,
+            |owner| {
+                if owner < world {
+                    self.cand_ranks.push(owner as u32);
+                    self.compute_left(owner, 0.0)
+                        .expect("calendar ranks are computing")
                 } else {
-                    let slot = e.id();
-                    if slot >= self.fa.num_slots() || self.fa.gen[slot] != e.epoch() {
-                        self.stats.heap_skips += 1;
-                        continue;
-                    }
-                    self.fa.cal_loc[slot] = LOC_NONE;
+                    let slot = owner - world;
                     self.cand_flows.push(slot as u32);
                     (self.flow_left(slot, 0.0), self.fa.rate[slot])
-                };
-                let (left, rate) = candidate;
-                dt = dt.min(left / rate);
-                self.stats.heap_pops += 1;
-                // Re-tighten on the way out: the key just computed from
-                // current state is the entry's current true completion
-                // bound, so a loose key (left behind by a rate decrease) is
-                // refreshed here instead of draining spuriously again next
-                // event.
-                e.key = completion_key(self.t, left, rate);
-                if e.is_compute() {
-                    self.rank_key[e.id()] = e.key;
-                } else {
-                    self.fa.cal_key[e.id()] = e.key;
                 }
-                repush.push(e);
-            }
-            if drained_overflow {
-                break;
-            }
-        }
-        self.drained = drained;
+            },
+        );
+        self.cal = cal;
         let dt = dt.max(1e-9);
-        // Every drained live entry goes back in, including those whose
-        // work completes in this event: `advance` removes a completing
-        // entity's entry at its retire site, the one path that drops
-        // completing entries (it must, since a completing entity's
-        // lower-bound key can lie past the drain bound and stay undrained).
-        for e in repush.drain(..) {
-            let loc = self.calq.push(e);
-            if e.is_compute() {
-                self.rank_loc[e.id()] = loc;
-            } else {
-                self.fa.cal_loc[e.id()] = loc;
-            }
-        }
-        self.repush = repush;
         #[cfg(debug_assertions)]
         self.debug_check_dt(dt);
         Some(dt)
@@ -2696,16 +2339,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.obs.task_end(rank, self.t + dt);
             self.ranks[rank].mode = RankMode::Ready;
             self.remove_computing(rank);
-            self.rank_epoch[rank] = self.rank_epoch[rank].wrapping_add(1);
-            self.rank_key[rank] = f64::INFINITY;
-            // Retire-site removal: drop the rank's calendar entry (the
-            // only place a completing entry leaves the calendar).
-            let loc = self.rank_loc[rank];
-            if loc != LOC_NONE {
-                self.rank_loc[rank] = LOC_NONE;
-                self.calq_remove(loc);
-                self.stats.cal_exact_removals += 1;
-            }
+            // Retire-site removal: the only place a completing entry
+            // leaves the calendar.
+            self.cal.remove(rank);
             self.ready_next.push(rank);
         }
         completed.clear();
@@ -2794,12 +2430,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // Retire-site removal: drop the retiring flow's calendar entry (the
         // only place a completing entry leaves the calendar) and its
         // link-membership records.
-        let loc = self.fa.cal_loc[slot];
-        if loc != LOC_NONE {
-            self.fa.cal_loc[slot] = LOC_NONE;
-            self.calq_remove(loc);
-            self.stats.cal_exact_removals += 1;
-        }
+        self.cal.remove(self.ranks.len() + slot);
         self.detach_flow_links(slot);
         let cs = &mut self.colls[key.1 as usize][(key.0 & 1) as usize];
         debug_assert!(cs.live && cs.iter == key.0, "flow has state");
@@ -2807,9 +2438,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         if cs.state.flows_remaining == 0 {
             self.complete_coll(key, None, self.t + dt);
         }
-        // Stable slots: recycling the arena slot (with a fresh generation
-        // stamp) and re-pointing the swapped-in tail's position is all the
-        // bookkeeping retirement needs.
+        // Stable slots: recycling the arena slot and re-pointing the
+        // swapped-in tail's position is all the bookkeeping retirement
+        // needs.
         self.flow_order.swap_remove(pos);
         if let Some(&moved) = self.flow_order.get(pos) {
             self.fa.order_pos[moved as usize] = pos as u32;

@@ -28,6 +28,7 @@
 pub(crate) mod accrual;
 pub mod analytic;
 pub mod arena;
+mod calendar;
 pub mod config;
 pub mod engine;
 pub mod error;

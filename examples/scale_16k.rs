@@ -8,7 +8,8 @@
 //! engine would grind through 16384 rank streams. One folded lowering and
 //! one [`SimCache`] collective-plan set serve every cap: the first point
 //! builds every plan, full cross-replica rings included, and each later
-//! point reports 0 plan builds.
+//! point reports 0 plan builds. Each point also prints the FNV-1a hash of
+//! its serialized `SimResult`, which `ci.sh` pins byte for byte.
 //!
 //! ```sh
 //! cargo run --release --example scale_16k
@@ -125,6 +126,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "            arena: {} slot reuses | {} exact calendar removals",
             stats.arena_slot_reuses, stats.cal_exact_removals,
         );
+        let bytes = serde_json::to_string(&result)?;
+        println!("            result fnv1a {:016x}", fnv1a(bytes.as_bytes()));
     }
 
     let s = cache.stats();
@@ -140,4 +143,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(1);
     }
     Ok(())
+}
+
+/// FNV-1a over the serialized bytes of a result.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

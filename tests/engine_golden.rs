@@ -101,9 +101,9 @@ fn golden_equality_with_forced_heap_scheduler() {
     // The completion calendar is the engine's only scheduler, so this
     // 8-GPU world (once kept on a linear scan) must run every event
     // through it and still reproduce the reference bit-for-bit:
-    // conservative lower-bound keys, epoch invalidation, and the
-    // re-tighten-on-drain path all under test, with thermal feedback on so
-    // frequency steps force compute re-keys mid-run.
+    // conservative lower-bound keys, one entry per owner removed at its
+    // retire site, and the re-tighten-on-drain path all under test, with
+    // thermal feedback on so frequency steps force compute re-keys mid-run.
     let cluster = one_node_cluster();
     let trace = gpt3_trace(&cluster, 16);
     let placement = Placement::identity(&cluster, trace.world()).unwrap();

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use serde_json::{Number, Value};
 
 use charllm::prelude::*;
-use charllm::server::http_request;
+use charllm::server::{http_request, MAX_CONNECTIONS};
 use charllm_hw::GpuId;
 use charllm_parallel::{Placement, StagePartition};
 use charllm_sim::Simulator;
@@ -413,5 +413,47 @@ fn result_points_match_stream_events_and_traces_stay_inside_the_grid() {
         http_request(addr, "GET", &format!("/jobs/{search}/trace/0"), None).unwrap();
     assert_eq!(status, 400, "{body}");
 
+    server.shutdown();
+}
+
+#[test]
+fn connections_past_the_cap_are_answered_503_until_a_slot_frees() {
+    let server = SimServer::bind(
+        "127.0.0.1:0",
+        Arc::new(SimCache::new()),
+        ServerConfig {
+            job_workers: 1,
+            sweep_workers: 1,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // Idle connections hold their slots: the accept thread takes them in
+    // order, so every one is counted before the next request arrives.
+    let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("open connections"), "{body}");
+
+    // Closing one frees its slot once its handler returns.
+    drop(held.pop());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+        if status == 200 {
+            break;
+        }
+        assert_eq!(status, 503, "{body}");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the freed slot was never reused"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+
+    drop(held);
     server.shutdown();
 }
