@@ -57,6 +57,14 @@ echo "$out" | grep -Eq "cache after pass 2: lowered [1-9][0-9]* hits" || {
     echo "FAIL: repeated MTBF scenarios did not hit the cache" >&2
     exit 1
 }
+hashes="$(echo "$out" | sed -En 's/^ *result fnv1a ([0-9a-f]{16})$/\1/p' | tr '\n' ' ')"
+echo "result hashes:" $hashes
+pass="764419ad0b0cb41f 6d44430ee51f78ab 5d700951fc052a54 413526c17e6562ff \
+072b61af3eaf4781 4b998b316edc8328 40f1bad20c03d5ab 3b272080093cf33b"
+[ "$hashes" = "$(echo $pass $pass) " ] || {
+    echo "FAIL: an MTBF scenario's serialized SimResult changed" >&2
+    exit 1
+}
 
 echo "==> 16k-GPU folded sweep smoke (scale_16k example)"
 out="$(cargo run --release --example scale_16k)"

@@ -57,9 +57,11 @@
 //! fans its points across its own [`Executor`](crate::Executor) pool
 //! ([`ServerConfig::sweep_workers`] wide). Each open connection gets a
 //! thread of its own, up to [`MAX_CONNECTIONS`]; past that, the accept
-//! thread answers 503 without spawning. Every job gets a private
-//! [`MetricsHub`], so its streamed snapshot deltas reconcile exactly
-//! against its own `sweep_end` snapshot no matter what its neighbors do.
+//! thread answers 503 without spawning. At most [`MAX_QUEUED_JOBS`] jobs
+//! wait in the queue; a submission past that is answered 503. Every job
+//! gets a private [`MetricsHub`], so its streamed snapshot deltas
+//! reconcile exactly against its own `sweep_end` snapshot no matter what
+//! its neighbors do.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -124,6 +126,10 @@ const MAX_JOB_POINTS: usize = 1024;
 /// thread. One more is answered 503 by the accept thread, which spawns
 /// nothing for it; a slot frees when its connection's handler returns.
 pub const MAX_CONNECTIONS: usize = 64;
+
+/// Most submitted jobs waiting for a job worker. One more is answered 503
+/// at submit, registering nothing; a place frees when a worker takes a job.
+pub const MAX_QUEUED_JOBS: usize = 256;
 
 /// Server deployment knobs.
 #[derive(Debug, Clone)]
@@ -796,7 +802,7 @@ fn handle_connection(mut conn: TcpStream, state: &Arc<ServerState>) -> Result<()
         }
         ("POST", ["jobs"]) => match submit(state, &req.body) {
             Ok(id) => respond_json(&mut conn, 202, &json!({ "job": id })),
-            Err(msg) => respond_json(&mut conn, 400, &json!({ "error": msg })),
+            Err((status, msg)) => respond_json(&mut conn, status, &json!({ "error": msg })),
         },
         ("GET", ["jobs"]) => {
             let jobs = state.jobs.lock().expect("jobs poisoned");
@@ -841,12 +847,13 @@ fn handle_connection(mut conn: TcpStream, state: &Arc<ServerState>) -> Result<()
 }
 
 /// Validate, resolve, register and enqueue a submission; returns the job
-/// id. A sweep gets the shared cache, the job's stream and its cancel flag
-/// here, once.
-fn submit(state: &Arc<ServerState>, body: &Value) -> Result<u64, String> {
+/// id, or the status (400 for a bad request, 503 for a full queue) and
+/// message to refuse it with. A sweep gets the shared cache, the job's
+/// stream and its cancel flag here, once.
+fn submit(state: &Arc<ServerState>, body: &Value) -> Result<u64, (u16, String)> {
     let cancel = Arc::new(AtomicBool::new(false));
     let sink = Arc::new(JobSink::default());
-    let request = match JobRequest::parse(body, &state.cfg)? {
+    let request = match JobRequest::parse(body, &state.cfg).map_err(|msg| (400, msg))? {
         JobRequest::Sweep(sweep) => JobRequest::Sweep(Box::new(
             sweep
                 .with_cache(Arc::clone(&state.cache))
@@ -855,6 +862,16 @@ fn submit(state: &Arc<ServerState>, body: &Value) -> Result<u64, String> {
         )),
         search => search,
     };
+    // The queue stays locked from the check to the push, so concurrent
+    // submissions cannot overfill it; the job is registered before a
+    // worker can take its id.
+    let mut queue = state.queue.lock().expect("queue poisoned");
+    if queue.len() >= MAX_QUEUED_JOBS {
+        return Err((
+            503,
+            format!("{MAX_QUEUED_JOBS} jobs are already waiting; retry later"),
+        ));
+    }
     let id = state.next_id.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(Job {
         id,
@@ -865,7 +882,8 @@ fn submit(state: &Arc<ServerState>, body: &Value) -> Result<u64, String> {
         result: Mutex::new(None),
     });
     state.jobs.lock().expect("jobs poisoned").insert(id, job);
-    state.queue.lock().expect("queue poisoned").push_back(id);
+    queue.push_back(id);
+    drop(queue);
     state.queue_cv.notify_one();
     state
         .hub

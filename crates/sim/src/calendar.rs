@@ -12,9 +12,12 @@
 //! in this module.
 //!
 //! Keys are lower bounds on the owner's completion (see
-//! [`completion_key`]). A drain hands back *every* entry of each bucket it
-//! visits; extra candidates are recomputed exactly and folded with `min`,
-//! so bucket granularity cannot perturb results.
+//! [`completion_key`]). A drain takes out only the entries keyed within its
+//! bound, smallest key of each bucket first, and leaves the rest where they
+//! are: an entry keyed past the bound can neither complete in the event nor
+//! lower its `dt`. Taken entries are recomputed exactly and folded with
+//! `min`, so neither bucket granularity nor which extra entries a drain
+//! takes can perturb results.
 
 use crate::engine::EngineStats;
 
@@ -29,6 +32,9 @@ pub(crate) fn completion_key(t: f64, left: f64, rate: f64) -> f64 {
     t + (left - 1.0) / rate
 }
 
+/// The shortest event step, seconds: `drain` never returns a smaller `dt`.
+pub(crate) const MIN_DT: f64 = 1e-9;
+
 /// Rebuild cadence: every this-many events the calendar is rebuilt from
 /// live state, re-basing the wheel at the current time, re-sizing its
 /// buckets to the recent event spacing and re-tightening loose keys.
@@ -37,11 +43,10 @@ const REKEY_INTERVAL: u64 = 8192;
 /// Buckets in the wheel. With the bucket width sized to ~1 mean event
 /// spacing at rebuild, the wheel horizon covers roughly a
 /// [`REKEY_INTERVAL`] of simulated progress before entries spill to the
-/// overflow list, and a drained bucket hands back ~1 candidate per event
-/// instead of the ~4 a coarser wheel would.
+/// overflow list, and the buckets a drain visits hold few entries to scan.
 const CAL_BUCKETS: usize = 8192;
 
-/// Largest buffer a drained bucket keeps for its next entries. Buckets
+/// Largest buffer an emptied bucket keeps for its next entries. Buckets
 /// keep their allocations so steady-state drains allocate nothing, but one
 /// that held a burst (a collective's flows keyed together) gives it back
 /// instead of pinning that memory for the rest of the run.
@@ -56,6 +61,17 @@ const LOC_NONE: u64 = u64::MAX;
 #[inline]
 fn pack_loc(bucket: u32, idx: usize) -> u64 {
     (u64::from(bucket) << 32) | idx as u64
+}
+
+/// `swap_remove` entry `idx` of `list` (bucket index or [`CAL_OVERFLOW`]),
+/// re-pointing the owner of whichever entry moved into the vacated position.
+#[inline]
+fn take(v: &mut Vec<Entry>, loc: &mut [u64], list: u32, idx: usize) -> Entry {
+    let e = v.swap_remove(idx);
+    if let Some(moved) = v.get(idx) {
+        loc[moved.owner as usize] = pack_loc(list, idx);
+    }
+    e
 }
 
 /// One calendar entry: an owner's key, 16 bytes with padding.
@@ -82,11 +98,8 @@ pub(crate) struct Calendar {
     key: Vec<f64>,
     /// Packed location of each owner's entry ([`LOC_NONE`] = no entry).
     loc: Vec<u64>,
-    /// Entries moved out of the buckets a drain visits, evaluated from
-    /// here.
-    drained: Vec<Entry>,
-    /// Drained entries awaiting re-insertion after the drain loop, so none
-    /// is drained twice in one round.
+    /// Entries a drain took, awaiting re-insertion after its loop, so none
+    /// is taken twice in one drain.
     repush: Vec<Entry>,
     /// EWMA of recent event spacing, sizing the bucket width at each
     /// rebuild.
@@ -149,16 +162,12 @@ impl Calendar {
         }
         self.loc[owner] = LOC_NONE;
         let bucket = (loc >> 32) as u32;
-        let idx = (loc & 0xffff_ffff) as usize;
         let v = if bucket == CAL_OVERFLOW {
             &mut self.overflow
         } else {
             &mut self.buckets[bucket as usize]
         };
-        v.swap_remove(idx);
-        if let Some(moved) = v.get(idx) {
-            self.loc[moved.owner as usize] = loc;
-        }
+        take(v, &mut self.loc, bucket, (loc & 0xffff_ffff) as usize);
     }
 
     /// Key `owner` at `key`, replacing any entry it holds.
@@ -179,7 +188,7 @@ impl Calendar {
 
     /// Key `owner` at `key` only if that undercuts its stored key. A later
     /// key needs no calendar traffic: the stored one is still a valid —
-    /// merely loose — lower bound, re-tightened when it drains.
+    /// merely loose — lower bound, re-tightened when a drain takes it.
     #[inline]
     pub(crate) fn lower(&mut self, owner: usize, key: f64) {
         if key >= self.key.get(owner).copied().unwrap_or(f64::INFINITY) {
@@ -190,7 +199,7 @@ impl Calendar {
 
     /// Drop a retiring owner's entry: the one path by which a completing
     /// owner leaves the calendar. A retiring owner always holds one, since
-    /// only drained (and so re-pushed) owners can complete.
+    /// only taken (and so re-pushed) owners can complete.
     #[inline]
     pub(crate) fn remove(&mut self, owner: usize) {
         debug_assert_ne!(self.loc[owner], LOC_NONE, "owner {owner} retires unkeyed");
@@ -238,79 +247,114 @@ impl Calendar {
         self.avg_dt += 0.125 * (dt - self.avg_dt);
     }
 
-    /// Drain buckets while one could still hold a key that lowers `dt`, and
-    /// return the lowered `dt`.
+    /// Hand every owner whose key could matter this event to `eval`, and
+    /// return `dt` lowered by their exact completion times.
     ///
-    /// `eval(owner)` returns a drained owner's exact `(left, rate)` from
-    /// current state; `dt` folds `left / rate` with `min`. A key at most
-    /// `t + dt + margin` lies in a bucket whose start is at most that
-    /// bound, and buckets are visited in start order, so stopping at the
-    /// first bucket past the (only ever shrinking) bound covers every key
-    /// that could matter. The margin absorbs the rounding between a key and
-    /// the completion test it bounds: both evaluate the same lazy segment
-    /// state, at different instants and through rounded absolute times, a
-    /// few ε·(t+dt) apart — orders of magnitude under the 1e-8 margin.
+    /// `eval(owner)` returns an owner's exact `(left, rate)` from current
+    /// state; `dt` folds `left / rate` with `min`, and the bound
+    /// `t + dt + margin` shrinks with it. The returned `dt` is floored at
+    /// [`MIN_DT`], and so is the `dt` in the bound: an owner keyed within
+    /// the minimum step completes in the event too. The margin absorbs the
+    /// rounding between a key and the completion test it bounds: both
+    /// evaluate the same lazy segment state, at different instants and
+    /// through rounded absolute times, a few ε·(t+dt) apart — orders of
+    /// magnitude under the 1e-8 margin.
     ///
-    /// Every drained entry goes back in, re-keyed at the completion key of
+    /// Buckets are visited in start order while their start is within the
+    /// bound. In each, the smallest key is evaluated first, which brings
+    /// `dt` down to about the next completion; then only the entries keyed
+    /// within the (shrinking) bound are taken out and evaluated, once each.
+    /// Keys are lower bounds, so an entry left in place — keyed past the
+    /// bound — can neither complete within `dt` nor lower it; it keeps its
+    /// key and bucket. The cursor stops at the first visited bucket left
+    /// holding entries; the visit itself goes on while bucket starts are
+    /// within the bound.
+    ///
+    /// Every taken entry goes back in, re-keyed at the completion key of
     /// its fresh `(left, rate)`, so a loose key (left behind by a rate
-    /// decrease) is refreshed here instead of draining spuriously again
-    /// next event. Owners that complete in this event keep their entry
-    /// too: their retire site removes it.
+    /// decrease) is refreshed here instead of being taken again next event.
+    /// Owners that complete in this event keep their entry too: their
+    /// retire site removes it.
     #[inline]
     pub(crate) fn drain(
         &mut self,
         t: f64,
-        mut dt: f64,
+        dt: f64,
         mut eval: impl FnMut(usize) -> (f64, f64),
     ) -> f64 {
-        let mut drained = std::mem::take(&mut self.drained);
+        // The event advances by at least `MIN_DT`, so the bound covers it.
+        let bound_of = |dt: f64| {
+            let end = t + dt.max(MIN_DT);
+            end + (end * 1e-8 + 1e-15)
+        };
+        let mut dt = dt;
+        let mut bound = bound_of(dt);
+        let mut repush = std::mem::take(&mut self.repush);
+        // First visited wheel bucket left holding entries.
+        let mut cursor = None;
+        let mut b = self.cursor;
         loop {
-            let margin = (t + dt) * 1e-8 + 1e-15;
-            let bound = t + dt + margin;
-            let (b, bucket) = if self.cursor < CAL_BUCKETS {
-                if self.start_of(self.cursor) > bound {
-                    break;
-                }
-                self.cursor += 1;
-                (self.cursor - 1, &mut self.buckets[self.cursor - 1])
-            } else if !self.overflow.is_empty() && self.start_of(CAL_BUCKETS) <= bound {
-                (CAL_OVERFLOW as usize, &mut self.overflow)
+            let list = if b < CAL_BUCKETS && self.start_of(b) <= bound {
+                b as u32
+            } else if b == CAL_BUCKETS
+                && !self.overflow.is_empty()
+                && self.start_of(CAL_BUCKETS) <= bound
+            {
+                CAL_OVERFLOW
             } else {
                 break;
             };
+            let v = if list == CAL_OVERFLOW {
+                &mut self.overflow
+            } else {
+                &mut self.buckets[b]
+            };
             debug_assert!(
-                bucket
-                    .iter()
+                v.iter()
                     .enumerate()
-                    .all(|(i, e)| self.loc[e.owner as usize] == pack_loc(b as u32, i)),
+                    .all(|(i, e)| self.loc[e.owner as usize] == pack_loc(list, i)),
                 "a calendar entry's owner must point back at it"
             );
-            drained.append(bucket);
-            if bucket.capacity() > CAL_BUCKET_KEEP {
-                *bucket = Vec::new();
-            }
             self.bucket_drains += 1;
-            let drained_overflow = self.cursor >= CAL_BUCKETS && self.overflow.is_empty();
-            for mut e in drained.drain(..) {
+            let mut evaluate = |v: &mut Vec<Entry>, i: usize, dt: &mut f64| {
+                let mut e = take(v, &mut self.loc, list, i);
                 let owner = e.owner as usize;
                 let (left, rate) = eval(owner);
-                dt = dt.min(left / rate);
-                self.pops += 1;
+                *dt = dt.min(left / rate);
                 e.key = completion_key(t, left, rate);
                 self.key[owner] = e.key;
-                self.repush.push(e);
+                repush.push(e);
+            };
+            let min = (0..v.len()).min_by(|&i, &j| v[i].key.total_cmp(&v[j].key));
+            if let Some(min) = min.filter(|&i| v[i].key <= bound) {
+                evaluate(v, min, &mut dt);
+                bound = bound_of(dt);
+                let mut i = 0;
+                while i < v.len() {
+                    if v[i].key <= bound {
+                        evaluate(v, i, &mut dt);
+                        bound = bound_of(dt);
+                    } else {
+                        i += 1;
+                    }
+                }
             }
-            if drained_overflow {
-                break;
+            if v.is_empty() {
+                if v.capacity() > CAL_BUCKET_KEEP {
+                    *v = Vec::new();
+                }
+            } else if list != CAL_OVERFLOW {
+                cursor = cursor.or(Some(b));
             }
+            b += 1;
         }
-        self.drained = drained;
-        for i in 0..self.repush.len() {
-            let e = self.repush[i];
+        self.cursor = cursor.unwrap_or(b).min(CAL_BUCKETS);
+        self.pops += repush.len() as u64;
+        for e in repush.drain(..) {
             self.loc[e.owner as usize] = self.push(e);
         }
-        self.repush.clear();
-        dt
+        self.repush = repush;
+        dt.max(MIN_DT)
     }
 
     /// Entries currently in the overflow list.
@@ -359,26 +403,33 @@ mod tests {
                 assert_eq!(cal.loc[o], pack_loc(b, i), "owner {o} lost its entry");
                 assert_eq!(cal.key[o].to_bits(), e.key.to_bits());
                 assert_eq!(model.get(&o), Some(&e.key), "owner {o}'s key");
-                assert!(b == CAL_OVERFLOW || b as usize >= cal.cursor);
+                assert!(
+                    b == CAL_OVERFLOW || b as usize >= cal.cursor,
+                    "the cursor passed bucket {b}, which holds owner {o}"
+                );
             }
         }
         assert_eq!(seen.len(), model.len(), "an owner lost its entry");
         for o in (0..cal.loc.len()).filter(|o| !seen.contains(o)) {
             assert_eq!((cal.loc[o], cal.key[o]), (LOC_NONE, f64::INFINITY));
         }
-        assert!(cal.drained.is_empty() && cal.repush.is_empty());
+        assert!(cal.repush.is_empty());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// The calendar agrees with a `BTreeMap<owner, key>` model under
-        /// random lower / set / remove / drain / rebuild sequences, and a
-        /// drain under bound `t + dt` hands back every owner keyed at or
-        /// below it.
+        /// random lower / set / remove / drain / rebuild sequences. A drain
+        /// under bound `t + dt` hands every owner keyed at or below it to
+        /// `eval` once, hands over no owner keyed past the bound in effect
+        /// at that moment, and leaves every other owner's key and bucket as
+        /// they were; the cursor never passes a bucket holding an entry.
         #[test]
-        fn calendar_matches_a_keyed_map_model(ops in arb_ops()) {
-            let mut cal = Calendar::new(4, 1.0 / 16.0);
+        fn calendar_matches_a_keyed_map_model(ops in arb_ops(), width in 0usize..4) {
+            // Buckets from one key step wide to 1024 of them, so drains
+            // leave entries behind in the buckets they visit.
+            let mut cal = Calendar::new(4, [1.0 / 16.0, 0.5, 4.0, 64.0][width]);
             let mut model: BTreeMap<usize, f64> = BTreeMap::new();
             let mut t = 0.0;
             for (kind, owner, x, y) in ops {
@@ -403,21 +454,34 @@ mod tests {
                         t += f64::from(y) / 16.0;
                         let dt0 = f64::from(x + 1) / 16.0;
                         let fresh = |o: usize| ((o * 37 + x as usize) % 4096) as f64 / 16.0;
+                        let before = model.clone();
+                        let bucket_of = |cal: &Calendar, o: usize| cal.loc[o] >> 32;
+                        let buckets: Vec<u64> = (0..cal.loc.len()).map(|o| bucket_of(&cal, o)).collect();
                         let mut drained = Vec::new();
+                        // The bound in effect as the drain goes: `t + dt`
+                        // with `dt` lowered by every exact value handed back
+                        // so far (the margin never separates dyadic keys).
+                        let mut running = dt0;
                         let dt = cal.drain(t, dt0, |o| {
+                            let k = before[&o];
+                            assert!(k <= t + running, "owner {o} keyed {k} past the bound {}", t + running);
                             drained.push(o);
+                            running = running.min(1.0 + fresh(o));
                             (1.0 + fresh(o), 1.0)
                         });
                         let set: BTreeSet<usize> = drained.iter().copied().collect();
-                        prop_assert_eq!(set.len(), drained.len(), "an owner drained twice");
-                        let expect = drained.iter().map(|&o| 1.0 + fresh(o)).fold(dt0, f64::min);
-                        prop_assert_eq!(dt, expect);
-                        for (&o, &k) in &model {
+                        prop_assert_eq!(set.len(), drained.len(), "an owner was evaluated twice");
+                        prop_assert_eq!(dt, running);
+                        for (&o, &k) in &before {
                             prop_assert!(k > t + dt || set.contains(&o),
                                 "owner {o} keyed {k} <= {} was not drained", t + dt);
+                            if !set.contains(&o) {
+                                // Left in place: same key, same bucket.
+                                prop_assert_eq!(cal.key[o], k);
+                                prop_assert_eq!(bucket_of(&cal, o), buckets[o]);
+                            }
                         }
                         for &o in &drained {
-                            prop_assert!(model.contains_key(&o), "drained owner {o} has no key");
                             model.insert(o, t + fresh(o));
                         }
                     }
@@ -433,5 +497,31 @@ mod tests {
                 assert_matches(&cal, &model);
             }
         }
+    }
+
+    /// Near `t = 0` the drain's relative margin is far below the engine's
+    /// 1e-9 s minimum event step. An owner keyed inside that step, past the
+    /// unfloored bound, completes in the event, so the drain must hand it
+    /// over: the bound is taken from the floored `dt`.
+    #[test]
+    fn drain_bound_covers_the_minimum_event_step() {
+        let t = 0.01;
+        // One bucket of 1e-5 s holds all three owners.
+        let mut cal = Calendar::new(3, 1e-5);
+        // At 1e12 units/s, owner 0 crosses its completion threshold 1e-12 s
+        // on; owner 1 4e-10 s on, inside the 1e-9 s step; owner 2 1e-6 s
+        // on, past it.
+        let offsets = [1e-12, 4e-10, 1e-6];
+        for (o, off) in offsets.iter().enumerate() {
+            cal.set(o, t + off);
+        }
+        let mut seen = Vec::new();
+        let dt = cal.drain(t, 1.0, |o| {
+            seen.push(o);
+            (1.0 + offsets[o] * 1e12, 1e12)
+        });
+        assert_eq!(dt, 1e-9, "dt is floored");
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1], "owner 1 completes within the step");
     }
 }

@@ -37,7 +37,7 @@ use charllm_net::{lower_collective, ArenaItem, LinkHealth, SliceArena, SliceRef}
 use charllm_parallel::Placement;
 use charllm_telemetry::metrics::{Gauge, MetricsShard};
 use charllm_telemetry::{GpuSample, TelemetryStore};
-use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, ThermalSpec};
+use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, IdleSteps, ThermalSpec};
 use charllm_trace::{ExecutionTrace, FloatTable, FoldedCollective, KernelClass, Step};
 
 use crate::accrual;
@@ -607,11 +607,11 @@ pub struct EngineStats {
     /// entry each for.
     pub peak_live: u64,
     /// Keys set on the completion calendar (re-keys included; the
-    /// re-push of drained entries is not counted). This and the next
+    /// re-push of taken entries is not counted). This and the next
     /// counter keep their `heap_` names from the binary heap the calendar
     /// replaced; they count calendar entries, one per owner at most.
     pub heap_pushes: u64,
-    /// Calendar entries drained and evaluated by `next_dt`.
+    /// Calendar entries taken and evaluated by `next_dt`.
     pub heap_pops: u64,
     /// Collective launches served from a cross-run shared plan set
     /// (zero unless the simulator was built with [`SharedPlans`]).
@@ -620,10 +620,10 @@ pub struct EngineStats {
     /// drift-forced (the current time passed half the wheel horizon). The
     /// wheel built at construction is not counted.
     pub cal_rekeys: u64,
-    /// Calendar buckets drained by `next_dt` (the overflow list counts as
-    /// one bucket per drain). Each drain hands every entry in the bucket
-    /// to the exact-candidate evaluation, so `heap_pops / cal_bucket_drains`
-    /// is the mean occupancy of the buckets the scheduler actually visits.
+    /// Calendar buckets visited by `next_dt` (the overflow list counts as
+    /// one bucket per visit). A visit takes only the bucket's entries keyed
+    /// within the drain bound, so `heap_pops / cal_bucket_drains` is the
+    /// mean number of candidates per visited bucket.
     pub cal_bucket_drains: u64,
     /// Run-wide high-water mark of the overflow list — entries whose
     /// conservative completion key lay beyond the wheel horizon when
@@ -743,7 +743,7 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
 
     /// The completion calendar: conservative predicted completion times
     /// for computes (owner = rank) and flows (owner = `world + slot`),
-    /// drained bucket-wise in `next_dt`.
+    /// drained under a bound in `next_dt`.
     cal: Calendar,
     /// Computing ranks whose rate inputs changed (deduplicated via
     /// `rank_dirty`); re-keyed in batch by `next_dt`.
@@ -785,7 +785,7 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// ascending rank order to preserve the world-scan completion order.
     completed_scratch: Vec<u32>,
     /// The computing ranks and flow slots whose completion `advance` tests
-    /// this event: the owners of the calendar entries `next_dt` drained.
+    /// this event: the owners of the calendar entries `next_dt` took.
     /// Filled by `next_dt`, consumed by `advance`.
     cand_ranks: Vec<u32>,
     cand_flows: Vec<u32>,
@@ -796,9 +796,18 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     thermals: Vec<GpuThermal>,
     freq_ratio: Vec<f64>,
     last_power_w: Vec<f64>,
-    /// Scratch: one node's GPU powers in slot order, refilled per node at
-    /// every control tick.
+    /// Each GPU's airflow inlet temperature (before any runaway offset),
+    /// computed from its node's `last_power_w` when they last changed.
+    inlet_c: Vec<f64>,
+    /// Per `active_nodes` entry: whether a GPU's `last_power_w` changed
+    /// bits since the node's `inlet_c` was computed.
+    inlet_stale: Vec<bool>,
+    /// Scratch: one node's GPU powers in slot order, refilled per node
+    /// whose inlets are recomputed.
     node_powers: Vec<f64>,
+    /// The stepped GPUs' idle steps while an outage holds them all at
+    /// their idle fixed points (see `fault_stall`).
+    idle_steps: IdleSteps,
     /// Cached `cluster.gpu().peak_fp16_flops`, read per computing rank per
     /// event in `compute_rate`.
     peak_flops: f64,
@@ -1115,7 +1124,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             thermals,
             freq_ratio,
             last_power_w,
+            inlet_c: vec![0.0; num_gpus],
+            inlet_stale: vec![true; active_nodes.len()],
             node_powers: Vec::new(),
+            idle_steps: IdleSteps::default(),
             peak_flops: cluster.gpu().peak_fp16_flops,
             activity_acc: vec![0.0; num_gpus],
             util_acc: vec![0.0; num_gpus],
@@ -1491,6 +1503,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.flush_flows(start);
         self.accrual_frozen = true;
         let energy_before: f64 = self.thermals.iter().map(GpuThermal::energy_j).sum();
+        // Once every GPU has settled at its idle fixed point, the idle
+        // phase's ticks keep it there: nothing else moves until the redo.
+        // While settled, the GPUs' temperatures and energies live in
+        // `idle_steps`, and go back before any full tick reads them.
+        let mut settled = false;
         while end - self.t > 1e-9 {
             let dt = (self.next_control - self.t).min(end - self.t).max(1e-9);
             let redo_overlap = (self.t + dt - redo_from.max(self.t)).max(0.0).min(dt);
@@ -1501,9 +1518,24 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             }
             self.t += dt;
             if self.t >= self.next_control - 1e-12 {
-                self.control_update();
+                if redo_overlap == 0.0 && (settled || self.gpus_idle_settled()) {
+                    if !settled {
+                        self.load_idle_steps();
+                        settled = true;
+                    }
+                    self.idle_control_update();
+                } else {
+                    if settled {
+                        self.idle_steps.store(&mut self.thermals);
+                        settled = false;
+                    }
+                    self.control_update();
+                }
                 self.next_control += self.cfg.control_period_s;
             }
+        }
+        if settled {
+            self.idle_steps.store(&mut self.thermals);
         }
         self.accrual_frozen = false;
         self.rebase_accruals(self.t);
@@ -2105,7 +2137,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// times. A rate decrease (the launch-storm common case) moves the
     /// completion later, so the stored key is still a valid — merely loose
     /// — lower bound and no calendar traffic happens at all; loose keys
-    /// are re-tightened when they drain. Only a fresher, *earlier*
+    /// are re-tightened when a drain takes them. Only a fresher, *earlier*
     /// prediction (a rate increase) replaces the entry.
     fn rekey_flow(&mut self, slot: usize) {
         let rate = flow_rate(
@@ -2153,21 +2185,23 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// reduction over positive finite candidates, so the identical `dt` bits
     /// emerge from *any* evaluation order as long as the same candidate set
     /// is covered. This implementation only evaluates candidates that can
-    /// matter: it drains completion-calendar buckets while an entry's
-    /// conservative key can still undercut the running `dt` (plus a drift
-    /// margin), evaluates each drained entry's exact candidate from current
-    /// state, and re-pushes it. Keys are lower bounds on true completion
+    /// matter: it takes completion-calendar entries whose conservative key
+    /// can still undercut the running `dt` (plus a drift margin), evaluates
+    /// each taken entry's exact candidate from current state, and re-pushes
+    /// it; entries keyed past the bound stay where they are (see
+    /// [`Calendar::drain`]). Keys are lower bounds on true completion
     /// times (rates only *decrease* between re-keys: every rate increase —
     /// a link load dropping, a GPU's overlap penalty clearing, a frequency
     /// step — dirties and re-keys its entries first), so no candidate that could
     /// lower `dt` is ever missed; spurious pops are harmless because the
     /// candidate itself is always recomputed exactly.
     ///
-    /// The drained entities are this event's candidates: `advance` tests
+    /// The taken entities are this event's candidates: `advance` tests
     /// only them for completion. A key bounds the instant an entity's work
     /// reaches the 1-unit completion threshold (see [`completion_key`]),
     /// not the instant it reaches zero, so every entity that completes
-    /// within `dt` lies under the drain bound.
+    /// within `dt` — floored at 1e-9 s, inside the drain — lies under the
+    /// drain bound.
     ///
     /// Rates are refreshed (and entries re-keyed) in batch for exactly the
     /// flows whose route-link loads changed, via the dirty-link lists;
@@ -2216,7 +2250,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         dirty.clear();
         self.dirty_ranks = dirty;
 
-        // The drained owners are this event's candidates.
+        // The owners the drain takes are this event's candidates.
         let world = self.ranks.len();
         let mut cal = std::mem::take(&mut self.cal);
         let dt = cal.drain(
@@ -2235,7 +2269,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             },
         );
         self.cal = cal;
-        let dt = dt.max(1e-9);
         #[cfg(debug_assertions)]
         self.debug_check_dt(dt);
         Some(dt)
@@ -2300,7 +2333,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.t
             );
         }
-        let expect = expect.max(1e-9);
+        let expect = expect.max(crate::calendar::MIN_DT);
         assert_eq!(
             expect.to_bits(),
             dt.to_bits(),
@@ -2491,22 +2524,16 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         let period = self.cfg.control_period_s;
         let cluster = self.cluster;
-        let airflow = &cluster.node_layout().airflow;
-        let slots = airflow.num_slots();
+        let slots = cluster.node_layout().airflow.num_slots();
         let measuring = self.measure_start.is_some();
 
         for ni in 0..self.active_nodes.len() {
             let node = charllm_hw::NodeId(self.active_nodes[ni]);
-            self.node_powers.clear();
-            for s in 0..slots {
-                self.node_powers
-                    .push(self.last_power_w[cluster.gpu_at(node, s).index()]);
-            }
+            self.refresh_inlets(ni);
             for slot in 0..slots {
                 let gpu = cluster.gpu_at(node, slot).index();
                 let activity = (self.activity_acc[gpu] / period).min(1.0);
-                let inlet =
-                    airflow.inlet_temp_c(slot, &self.node_powers) + self.inlet_offset_c[gpu];
+                let inlet = self.inlet_c[gpu] + self.inlet_offset_c[gpu];
                 let sample = self.thermals[gpu].step(activity, inlet, period);
                 // With feedback disabled the physics still run (for power
                 // and temperature telemetry) but clocks stay pinned.
@@ -2519,7 +2546,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                     self.freq_ratio[gpu] = new_ratio;
                     self.mark_gpu_ranks_dirty(gpu);
                 }
-                self.last_power_w[gpu] = sample.power_w;
+                if sample.power_w.to_bits() != self.last_power_w[gpu].to_bits() {
+                    self.last_power_w[gpu] = sample.power_w;
+                    self.inlet_stale[ni] = true;
+                }
                 self.obs
                     .sample_tick(gpu as u32, self.t, sample.power_w, period, measuring);
                 if measuring {
@@ -2528,7 +2558,94 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.activity_acc[gpu] = 0.0;
             }
         }
+        self.finish_control_tick();
+    }
 
+    /// Recompute the airflow inlets of `active_nodes[ni]` from its GPUs'
+    /// `last_power_w` if one changed since they were last computed. The
+    /// inlet is a pure function of those powers, so a cached one has the
+    /// bits a fresh one would.
+    #[inline]
+    fn refresh_inlets(&mut self, ni: usize) {
+        if !self.inlet_stale[ni] {
+            return;
+        }
+        self.inlet_stale[ni] = false;
+        let cluster = self.cluster;
+        let airflow = &cluster.node_layout().airflow;
+        let node = charllm_hw::NodeId(self.active_nodes[ni]);
+        self.node_powers.clear();
+        for s in 0..airflow.num_slots() {
+            self.node_powers
+                .push(self.last_power_w[cluster.gpu_at(node, s).index()]);
+        }
+        for s in 0..airflow.num_slots() {
+            self.inlet_c[cluster.gpu_at(node, s).index()] =
+                airflow.inlet_temp_c(s, &self.node_powers);
+        }
+    }
+
+    /// Whether every stepped GPU sits at its idle fixed point with no
+    /// activity accrued this period: a control tick then moves no clock,
+    /// power or rate, only temperatures and energies.
+    fn gpus_idle_settled(&self) -> bool {
+        let cluster = self.cluster;
+        let slots = cluster.node_layout().airflow.num_slots();
+        self.active_nodes.iter().all(|&n| {
+            (0..slots).all(|slot| {
+                let gpu = cluster.gpu_at(charllm_hw::NodeId(n), slot).index();
+                self.activity_acc[gpu] == 0.0 && self.thermals[gpu].at_idle_fixed_point()
+            })
+        })
+    }
+
+    /// Load every stepped GPU, in node/slot order, into `idle_steps` for
+    /// [`Simulator::idle_control_update`]. The GPUs must be idle settled
+    /// ([`Simulator::gpus_idle_settled`]); their inlets are brought current
+    /// here and cannot move while they stay settled.
+    fn load_idle_steps(&mut self) {
+        for ni in 0..self.active_nodes.len() {
+            self.refresh_inlets(ni);
+        }
+        let cluster = self.cluster;
+        let slots = cluster.node_layout().airflow.num_slots();
+        let (inlet_c, offset_c) = (&self.inlet_c, &self.inlet_offset_c);
+        let order = self.active_nodes.iter().flat_map(|&n| {
+            (0..slots).map(move |slot| {
+                let gpu = cluster.gpu_at(charllm_hw::NodeId(n), slot).index();
+                (gpu as u32, inlet_c[gpu] + offset_c[gpu])
+            })
+        });
+        self.idle_steps
+            .load(&mut self.thermals, order, self.cfg.control_period_s);
+    }
+
+    /// [`Simulator::control_update`] for a tick whose GPUs are all idle
+    /// settled, as in an outage's idle phase, from the GPUs loaded into
+    /// `idle_steps`: the same arithmetic in the same tick-major, node/slot
+    /// order, without the governor, power and rate work that would only
+    /// reproduce what is there. The observer and the measured energy get
+    /// each GPU's power as before; the loaded temperatures and energies
+    /// are written back before a sample frame reads them.
+    fn idle_control_update(&mut self) {
+        let (t, period) = (self.t, self.cfg.control_period_s);
+        let measuring = self.measure_start.is_some();
+        let (obs, energy) = (&mut self.obs, &mut self.energy_measured_j);
+        self.idle_steps.step(|gpu, power| {
+            obs.sample_tick(gpu, t, power, period, measuring);
+            if measuring {
+                *energy += power * period;
+            }
+        });
+        if self.t >= self.next_sample - 1e-12 {
+            self.idle_steps.store(&mut self.thermals);
+        }
+        self.finish_control_tick();
+    }
+
+    /// The tail of every control tick: the telemetry frame at sample
+    /// boundaries and the metrics publication.
+    fn finish_control_tick(&mut self) {
         if self.t >= self.next_sample - 1e-12 {
             if !self.accrual_frozen {
                 self.flush_flows(self.t);

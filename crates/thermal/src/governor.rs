@@ -111,9 +111,24 @@ impl DvfsGovernor {
         }
     }
 
+    /// Whether an idle [`DvfsGovernor::update`] (activity ≤ 0) would leave
+    /// this governor exactly as it is: the clock already at its idle floor
+    /// and the idle drop already recorded as the cause.
+    pub fn at_idle_fixed_point(&self, spec: &GpuSpec) -> bool {
+        self.cause == ThrottleReason::Idle
+            && self.idle_freq_mhz(spec).to_bits() == self.freq_mhz.to_bits()
+    }
+
+    /// The clock after one idle period: one step down, floored at base.
+    #[inline]
+    fn idle_freq_mhz(&self, spec: &GpuSpec) -> f64 {
+        (self.freq_mhz - self.cfg.step_down_mhz).max(spec.base_clock_mhz)
+    }
+
     /// Advance one control period: adjust the clock given junction
     /// temperature, activity and the power model. Returns the reason the
     /// clock is (still) below boost, if any.
+    #[inline]
     pub fn update(
         &mut self,
         spec: &GpuSpec,
@@ -124,7 +139,7 @@ impl DvfsGovernor {
     ) -> ThrottleReason {
         if activity <= 0.0 {
             // Idle: drop toward base clock (don't count as throttling).
-            self.freq_mhz = (self.freq_mhz - self.cfg.step_down_mhz).max(spec.base_clock_mhz);
+            self.freq_mhz = self.idle_freq_mhz(spec);
             self.cause = ThrottleReason::Idle;
             return ThrottleReason::Idle;
         }

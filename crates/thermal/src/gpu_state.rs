@@ -108,6 +108,7 @@ impl GpuThermal {
 
     /// Advance one control period of `dt_s` seconds with the given kernel
     /// `activity` (0..1) and effective inlet temperature.
+    #[inline]
     pub fn step(&mut self, activity: f64, inlet_c: f64, dt_s: f64) -> ThermalSample {
         let eff = self.variability.power_efficiency;
         let reason =
@@ -115,25 +116,130 @@ impl GpuThermal {
                 .update(&self.spec, &self.power_model, self.temp_c, activity, eff);
         let freq_ratio = self.freq_ratio();
         self.power_w = self.power_model.power_w(activity, freq_ratio, eff);
-        let cooling = self.variability.cooling;
-        let decay = match self.decay {
-            Some((dt, k)) if dt.to_bits() == dt_s.to_bits() => k,
-            _ => {
-                let k = self.thermal.decay(cooling, dt_s);
-                self.decay = Some((dt_s, k));
-                k
-            }
-        };
-        self.temp_c = self
-            .thermal
-            .relax(self.temp_c, self.power_w, inlet_c, cooling, decay);
-        self.energy_j += self.power_w * dt_s;
+        self.relax(inlet_c, dt_s);
         ThermalSample {
             power_w: self.power_w,
             temp_c: self.temp_c,
             freq_mhz: self.governor.freq_mhz(),
             throttled: matches!(reason, ThrottleReason::Thermal | ThrottleReason::Power),
             thermally_throttled: reason == ThrottleReason::Thermal,
+        }
+    }
+
+    /// Whether a [`GpuThermal::step`] at zero activity would leave the
+    /// clock, the governor's state and the board power as they are: the
+    /// clock has settled at its idle floor and the power at idle power.
+    /// An idle GPU gets there within a few control periods.
+    pub fn at_idle_fixed_point(&self) -> bool {
+        self.governor.at_idle_fixed_point(&self.spec)
+            && self.power_w.to_bits() == self.power_model.idle_w.to_bits()
+    }
+
+    /// Relax the temperature toward steady state at the current power for
+    /// `dt_s` seconds and accrue the energy.
+    #[inline]
+    fn relax(&mut self, inlet_c: f64, dt_s: f64) {
+        let decay = self.decay(dt_s);
+        self.temp_c = self.thermal.relax(
+            self.temp_c,
+            self.power_w,
+            inlet_c,
+            self.variability.cooling,
+            decay,
+        );
+        self.energy_j += self.power_w * dt_s;
+    }
+
+    /// `exp(-dt/τ)` for a step of `dt_s`, cached while `dt_s` repeats.
+    #[inline]
+    fn decay(&mut self, dt_s: f64) -> f64 {
+        match self.decay {
+            Some((dt, k)) if dt.to_bits() == dt_s.to_bits() => k,
+            _ => {
+                let k = self.thermal.decay(self.variability.cooling, dt_s);
+                self.decay = Some((dt_s, k));
+                k
+            }
+        }
+    }
+}
+
+/// Zero-activity steps of GPUs at their idle fixed points (see
+/// [`GpuThermal::at_idle_fixed_point`]), run over flat arrays.
+///
+/// At the fixed point a [`GpuThermal::step`] at zero activity moves neither
+/// the clock nor the power, so under a constant inlet and period every step
+/// relaxes the temperature toward one steady state by one decay factor and
+/// adds the same energy. [`IdleSteps::load`] takes the steady state and the
+/// decay once, computed as `step` computes them; [`IdleSteps::step`] then
+/// does `step`'s remaining arithmetic, so [`IdleSteps::store`] leaves every
+/// GPU with the bits the same number of `step(0.0, inlet, dt)` calls would.
+#[derive(Debug, Clone, Default)]
+pub struct IdleSteps {
+    gpu: Vec<u32>,
+    temp_c: Vec<f64>,
+    energy_j: Vec<f64>,
+    target_c: Vec<f64>,
+    decay: Vec<f64>,
+    power_w: Vec<f64>,
+    dt_s: f64,
+}
+
+impl IdleSteps {
+    /// Replace the loaded GPUs with `(index into gpus, inlet °C)` pairs,
+    /// each at its idle fixed point, stepped every `dt_s` seconds.
+    pub fn load(
+        &mut self,
+        gpus: &mut [GpuThermal],
+        order: impl IntoIterator<Item = (u32, f64)>,
+        dt_s: f64,
+    ) {
+        for v in [
+            &mut self.temp_c,
+            &mut self.energy_j,
+            &mut self.target_c,
+            &mut self.decay,
+            &mut self.power_w,
+        ] {
+            v.clear();
+        }
+        self.gpu.clear();
+        self.dt_s = dt_s;
+        for (i, inlet_c) in order {
+            let g = &mut gpus[i as usize];
+            debug_assert!(
+                g.at_idle_fixed_point(),
+                "GPU {i} is not at its idle fixed point"
+            );
+            self.gpu.push(i);
+            self.temp_c.push(g.temp_c);
+            self.energy_j.push(g.energy_j);
+            self.target_c.push(
+                g.thermal
+                    .steady_state_c(g.power_w, inlet_c, g.variability.cooling),
+            );
+            self.decay.push(g.decay(dt_s));
+            self.power_w.push(g.power_w);
+        }
+    }
+
+    /// Step every loaded GPU once, in load order, handing `each` the GPU's
+    /// index and its board power over the step.
+    #[inline]
+    pub fn step(&mut self, mut each: impl FnMut(u32, f64)) {
+        for i in 0..self.gpu.len() {
+            let target = self.target_c[i];
+            self.temp_c[i] = target + (self.temp_c[i] - target) * self.decay[i];
+            self.energy_j[i] += self.power_w[i] * self.dt_s;
+            each(self.gpu[i], self.power_w[i]);
+        }
+    }
+
+    /// Write the loaded GPUs' temperatures and energies back to `gpus`.
+    pub fn store(&self, gpus: &mut [GpuThermal]) {
+        for (i, &g) in self.gpu.iter().enumerate() {
+            gpus[g as usize].temp_c = self.temp_c[i];
+            gpus[g as usize].energy_j = self.energy_j[i];
         }
     }
 }

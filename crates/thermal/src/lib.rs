@@ -23,7 +23,7 @@ pub mod rc;
 pub mod variability;
 
 pub use governor::{DvfsGovernor, GovernorConfig};
-pub use gpu_state::{GpuThermal, ThermalSample};
+pub use gpu_state::{GpuThermal, IdleSteps, ThermalSample};
 pub use power::PowerModel;
 pub use rc::ThermalSpec;
 pub use variability::GpuVariability;

@@ -47,6 +47,7 @@ impl PowerModel {
     /// `activity` is clamped to `[0, 1]`; `freq_ratio` is `f/f_boost`;
     /// `efficiency` is the per-GPU silicon variability multiplier on
     /// dynamic power (1.0 nominal).
+    #[inline]
     pub fn power_w(&self, activity: f64, freq_ratio: f64, efficiency: f64) -> f64 {
         let a = activity.clamp(0.0, 1.0);
         if a == 0.0 {

@@ -2,12 +2,15 @@
 //! `powf` at zero activity, `PowerModel::freq_ratio_for_cap` skipping it
 //! when the cap never binds, and `GpuThermal::step` reusing `exp(-dt/τ)`
 //! while `dt` repeats all return the bits of the formulas written out in
-//! full.
+//! full; `IdleSteps` leaves a GPU at its idle fixed point in the state
+//! `GpuThermal::step` at zero activity leaves.
 
 use proptest::prelude::*;
 
 use charllm_hw::GpuModel;
-use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, PowerModel, ThermalSpec};
+use charllm_thermal::{
+    GovernorConfig, GpuThermal, GpuVariability, IdleSteps, PowerModel, ThermalSpec,
+};
 
 /// An activity drawn from the edge cases as well as the unit interval:
 /// 0, −0, NaN, above 1 and below 0.
@@ -117,5 +120,65 @@ proptest! {
             let power = power_in_full(&model(), a, gpu.freq_ratio(), efficiency);
             prop_assert_eq!(sample.power_w.to_bits(), power.to_bits());
         }
+    }
+
+    #[test]
+    fn idle_steps_match_zero_activity_steps(
+        busy in collection::vec((0.0f64..1.0, 20.0f64..50.0), 0..64),
+        segments in collection::vec((20.0f64..50.0, 0usize..4, 1usize..24), 1..8),
+        settle_inlet in 20.0f64..50.0,
+        cap_w in 300.0f64..800.0,
+        efficiency in 0.95f64..1.05,
+        cooling in 0.95f64..1.1,
+    ) {
+        let spec = GpuModel::H200.spec();
+        let thermal = ThermalSpec::for_model(GpuModel::H200);
+        let mut cfg = GovernorConfig::for_spec(&spec);
+        cfg.power_cap_w = cap_w;
+        let variability = GpuVariability { power_efficiency: efficiency, cooling };
+        let mut gpu = GpuThermal::new(spec, thermal, cfg, variability, 26.0);
+        prop_assert!(!gpu.at_idle_fixed_point(), "a fresh GPU sits at boost");
+        for (a, inlet) in busy {
+            gpu.step(a, inlet, 0.005);
+        }
+        // The clock steps down at most boost − base per idle period, so
+        // the fixed point comes within a handful of them.
+        let mut settling = 0;
+        while !gpu.at_idle_fixed_point() {
+            gpu.step(0.0, settle_inlet, 0.005);
+            settling += 1;
+            prop_assert!(settling <= 16, "no idle fixed point after {} periods", settling);
+        }
+        // Two GPUs in one batch, the flat one stepped as index 1; segments
+        // of one inlet and one `dt`, so the decay cache is both reused and
+        // invalidated.
+        let dts = [0.005, 0.005, 0.05, 1.0];
+        let untouched = gpu.clone();
+        let mut flat = vec![gpu.clone(), gpu.clone()];
+        let mut full = gpu;
+        let mut idle = IdleSteps::default();
+        for (inlet, d, steps) in segments {
+            idle.load(&mut flat, [(1, inlet)], dts[d]);
+            for _ in 0..steps {
+                let sample = full.step(0.0, inlet, dts[d]);
+                let mut seen = Vec::new();
+                idle.step(|i, power| seen.push((i, power.to_bits())));
+                prop_assert_eq!(seen, vec![(1, sample.power_w.to_bits())]);
+            }
+            idle.store(&mut flat);
+            let g = &flat[1];
+            for (a, b) in [
+                (g.temp_c(), full.temp_c()),
+                (g.energy_j(), full.energy_j()),
+                (g.power_w(), full.power_w()),
+                (g.freq_mhz(), full.freq_mhz()),
+            ] {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            // The governor's counters and cause and the decay cache too.
+            prop_assert!(g == &full);
+            prop_assert!(g.at_idle_fixed_point());
+        }
+        prop_assert!(flat[0] == untouched, "a GPU that was not loaded moved");
     }
 }

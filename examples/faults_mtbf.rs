@@ -17,6 +17,7 @@ use std::sync::Arc;
 use charllm::prelude::*;
 use charllm::sweep::Sweep;
 use charllm_hw::Cluster;
+use charllm_sim::SimResult;
 
 /// MTBF per GPU, seconds of simulated time. Absurdly short against real
 /// fleets (hours), scaled down to exercise recovery inside a short run.
@@ -68,6 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "{name}: fault-free {:.1} tokens/s over {:.2}s simulated",
                 baseline.tokens_per_s, baseline.sim.sim_time_s
             );
+            print_hash(&baseline.sim)?;
             // More GPUs -> shorter fleet MTBF -> more restarts in the same
             // window: the scaling argument for cheaper checkpoints.
             for mtbf in MTBF_S {
@@ -83,9 +85,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     r.sim.energy_wasted_per_failure_j(),
                     r.sim.fault_downtime_s,
                 );
+                print_hash(&r.sim)?;
             }
         }
         println!("cache after pass {pass}: {}", cache.stats());
     }
     Ok(())
+}
+
+/// Print the FNV-1a of a scenario's serialized result, so a change to the
+/// fault engine that moves any byte shows.
+fn print_hash(result: &SimResult) -> Result<(), Box<dyn std::error::Error>> {
+    let bytes = serde_json::to_string(result)?;
+    println!("    result fnv1a {:016x}", fnv1a(bytes.as_bytes()));
+    Ok(())
+}
+
+/// FNV-1a over the serialized bytes of a result.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

@@ -16,6 +16,7 @@ use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartit
 use charllm_sim::fold::{self, FoldOptions};
 use charllm_sim::reference::ReferenceSimulator;
 use charllm_sim::{FaultPlan, RecoveryPolicy, SimConfig, SimResult, Simulator};
+use charllm_telemetry::SpanRecorder;
 use charllm_trace::builder::{CollKey, TraceBuilder};
 use charllm_trace::lower::{lower_train, lower_train_folded, DeviceHints};
 use charllm_trace::trace::TraceMeta;
@@ -711,6 +712,75 @@ fn pinned_fail_stop() -> SimResult {
     r
 }
 
+/// A 4-node run whose GPU 0 fail-stops at 0.5 s under `recovery`, with a
+/// 30 s latency: long enough for every GPU to settle at its idle clock and
+/// power, so most outage ticks start from the idle fixed point. With
+/// `runaway`, GPU 1 (same node) runs 15 °C hot from 0.2 s to 40 s, across
+/// the outage.
+fn long_outage<O: charllm_sim::SimObserver>(
+    recovery: RecoveryPolicy,
+    runaway: bool,
+    obs: O,
+) -> (SimResult, O) {
+    let cluster = presets::hgx_h200_cluster();
+    let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
+    let spec = ParallelismSpec::infer_dp(2, 2, 1, cluster.num_gpus(), false).unwrap();
+    let partition = StagePartition::even(40, 2).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let trace = lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
+        .unwrap()
+        .trace;
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 2;
+    cfg.warmup_iterations = 0;
+    let mut plan = FaultPlan::none()
+        .gpu_fail_stop(0, 0.5)
+        .with_recovery(recovery);
+    if runaway {
+        plan = plan.thermal_runaway(1, 0.2, 39.8, 15.0);
+    }
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let (r, obs) = Simulator::with_observer(&cluster, &placement, &trace, cfg, obs)
+        .unwrap()
+        .with_faults(&plan)
+        .unwrap()
+        .run_observed()
+        .unwrap();
+    assert!(r.restarts >= 1, "the outage must land inside the run");
+    assert!(r.fault_downtime_s > 29.9, "downtime {}", r.fault_downtime_s);
+    (r, obs)
+}
+
+const LONG_RESTART: RecoveryPolicy = RecoveryPolicy::CheckpointRestart {
+    checkpoint_interval_s: 10.0,
+    restart_latency_s: 30.0,
+};
+
+fn pinned_long_restart() -> SimResult {
+    long_outage(LONG_RESTART, false, charllm_sim::NoopObserver).0
+}
+
+fn pinned_long_spare_swap() -> SimResult {
+    let recovery = RecoveryPolicy::SpareSwap {
+        swap_latency_s: 30.0,
+    };
+    long_outage(recovery, false, charllm_sim::NoopObserver).0
+}
+
+fn pinned_long_elastic_regrow() -> SimResult {
+    // The regrow lands inside the first outage, so a second 30 s stall
+    // follows it at once, starting from the idle fixed point.
+    let recovery = RecoveryPolicy::ElasticShrink {
+        reconfig_latency_s: 30.0,
+        regrow_after_s: 10.0,
+    };
+    long_outage(recovery, false, charllm_sim::NoopObserver).0
+}
+
+fn pinned_long_restart_runaway() -> SimResult {
+    long_outage(LONG_RESTART, true, charllm_sim::NoopObserver).0
+}
+
 fn pinned_capped(cfg: SimConfig) -> SimResult {
     let cluster = one_node_cluster();
     let trace = gpt3_trace(&cluster, 8);
@@ -761,17 +831,43 @@ fn pinned_compact_folded() -> SimResult {
 #[test]
 fn serialized_results_are_pinned() {
     // FNV-1a and length of the serialized `SimResult` for paths the other
-    // golden tests compare only engine against engine: an outage with its
-    // idle governor and outage samples, binding power caps, and a compact
-    // folded run whose store samples only the representative GPUs. A change
-    // to the control tick or the telemetry store must leave every byte.
+    // golden tests compare only engine against engine: outages with their
+    // idle governor and outage samples (a short one, and 30 s ones whose
+    // GPUs settle at their idle fixed point under each recovery policy and
+    // under a thermal runaway), binding power caps, and a compact folded
+    // run whose store samples only the representative GPUs. A change to the
+    // control tick or the telemetry store must leave every byte.
     type Case = (&'static str, fn() -> SimResult, u64, usize);
-    let cases: [Case; 4] = [
+    let cases: [Case; 8] = [
         (
             "fail_stop_checkpoint_restart",
             pinned_fail_stop,
             0xe0ff_e32b_18fd_ad2a,
             74_490,
+        ),
+        (
+            "long_restart",
+            pinned_long_restart,
+            0x4d55_cbac_55da_26f7,
+            3_201_507,
+        ),
+        (
+            "long_spare_swap",
+            pinned_long_spare_swap,
+            0xf21b_33d8_48b9_5880,
+            3_164_297,
+        ),
+        (
+            "long_elastic_regrow",
+            pinned_long_elastic_regrow,
+            0x73ef_b59f_01df_baf2,
+            5_516_997,
+        ),
+        (
+            "long_restart_runaway",
+            pinned_long_restart_runaway,
+            0x1e01_2483_aef6_26b6,
+            3_199_487,
         ),
         (
             "gpu_power_cap",
@@ -803,4 +899,27 @@ fn serialized_results_are_pinned() {
         want.push((name, format!("{hash:#018x}"), len));
     }
     assert_eq!(got, want, "serialized results moved");
+}
+
+#[test]
+fn long_outage_power_ticks_are_pinned() {
+    // FNV-1a over every power tick the observer sees in the 30 s restart:
+    // gpu, time, power and period bits and the measuring flag, in call
+    // order. Outage ticks must reach the observer exactly as a full control
+    // tick would send them.
+    let (_, rec) = long_outage(LONG_RESTART, false, SpanRecorder::new());
+    let ticks = rec.power_ticks();
+    let mut bytes = Vec::with_capacity(ticks.len() * 29);
+    for p in ticks {
+        bytes.extend_from_slice(&p.gpu.to_le_bytes());
+        for x in [p.t_s, p.power_w, p.period_s] {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        bytes.push(u8::from(p.measuring));
+    }
+    assert_eq!(
+        (format!("{:#018x}", fnv1a(&bytes)), ticks.len()),
+        ("0xf12525c9d532334e".to_string(), 248_544),
+        "outage power ticks moved"
+    );
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use serde_json::{Number, Value};
 
 use charllm::prelude::*;
-use charllm::server::{http_request, MAX_CONNECTIONS};
+use charllm::server::{http_request, MAX_CONNECTIONS, MAX_QUEUED_JOBS};
 use charllm_hw::GpuId;
 use charllm_parallel::{Placement, StagePartition};
 use charllm_sim::Simulator;
@@ -455,5 +455,75 @@ fn connections_past_the_cap_are_answered_503_until_a_slot_frees() {
     }
 
     drop(held);
+    server.shutdown();
+}
+
+#[test]
+fn submissions_past_the_queue_cap_are_answered_503_until_it_drains() {
+    let server = SimServer::bind(
+        "127.0.0.1:0",
+        Arc::new(SimCache::new()),
+        ServerConfig {
+            job_workers: 1,
+            sweep_workers: 1,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let submit = || {
+        let body = r#"{"kind": "sweep", "cluster": "single_hgx_node", "model": "gpt3_13b",
+                       "global_batch": 128, "specs": ["TP2-PP2", "TP4-PP2", "TP2-PP4", "TP8"],
+                       "microbatches": [1, 2, 4], "workers": 1}"#;
+        let (status, resp) = http_request(addr, "POST", "/jobs", Some(body)).unwrap();
+        (status, resp)
+    };
+    let state_of = |id: u64| {
+        let (_, resp) = http_request(addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+        let v: Value = serde_json::from_str(&resp).unwrap();
+        v.get("state").and_then(Value::as_str).unwrap().to_string()
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    };
+
+    // Hold the one worker on a twelve-point job (seconds in a debug
+    // build, against milliseconds per submission), then fill the queue.
+    let (status, resp) = submit();
+    assert_eq!(status, 202, "{resp}");
+    let busy = get_u64(&serde_json::from_str(&resp).unwrap(), "job");
+    wait_for("the first job starts", &|| state_of(busy) == "running");
+    let mut ids = vec![busy];
+    for _ in 0..MAX_QUEUED_JOBS {
+        let (status, resp) = submit();
+        assert_eq!(status, 202, "{resp}");
+        ids.push(get_u64(&serde_json::from_str(&resp).unwrap(), "job"));
+    }
+    let (status, resp) = submit();
+    assert_eq!(status, 503, "{resp}");
+    assert!(resp.contains("already waiting"), "{resp}");
+    // The refused job was never registered.
+    let (_, list) = http_request(addr, "GET", "/jobs", None).unwrap();
+    let list: Value = serde_json::from_str(&list).unwrap();
+    let listed = list.get("jobs").and_then(Value::as_array).unwrap().len();
+    assert_eq!(listed, MAX_QUEUED_JOBS + 1);
+
+    // Canceled jobs wind down at once, so the queue drains and takes
+    // submissions again.
+    for &id in ids.iter().rev() {
+        let (status, _) = http_request(addr, "POST", &format!("/jobs/{id}/cancel"), None).unwrap();
+        assert_eq!(status, 200);
+    }
+    let last = *ids.last().unwrap();
+    wait_for("the queue drains", &|| {
+        !matches!(state_of(last).as_str(), "queued" | "running")
+    });
+    let (status, resp) = submit();
+    assert_eq!(status, 202, "{resp}");
+    let id = get_u64(&serde_json::from_str(&resp).unwrap(), "job");
+    http_request(addr, "POST", &format!("/jobs/{id}/cancel"), None).unwrap();
     server.shutdown();
 }
