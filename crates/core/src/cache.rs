@@ -70,7 +70,7 @@ use serde_json::Value;
 use charllm_hw::Cluster;
 use charllm_models::TrainJob;
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
-use charllm_sim::SharedPlans;
+use charllm_sim::{fnv1a, SharedPlans};
 use charllm_telemetry::metrics::{Counter, Gauge, MetricsShard};
 use charllm_trace::lower::LoweredJob;
 use charllm_trace::{DeviceHints, ExecutionTrace, InferenceConfig};
@@ -297,24 +297,14 @@ impl DiskTier {
         })
     }
 
-    /// FNV-1a 64-bit over the content key. Stable by construction (unlike
-    /// `std`'s `DefaultHasher`, whose algorithm is unspecified across
-    /// releases), which the on-disk address must be. Collisions are
-    /// tolerated, not assumed away: the full key inside the file is the
+    /// The file of `key`, named by the [`fnv1a`] of the content key, which
+    /// is stable across builds as an on-disk address must be. Collisions
+    /// are tolerated, not assumed away: the full key inside the file is the
     /// authority, a colliding probe reads as a miss.
-    fn address(key: &str) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in key.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        hash
-    }
-
     fn path(&self, family: &str, key: &str) -> PathBuf {
         self.dir
             .join(family)
-            .join(format!("{:016x}.json", DiskTier::address(key)))
+            .join(format!("{:016x}.json", fnv1a(key.as_bytes())))
     }
 
     /// The persisted artifact for `key`, or `None` when the entry is
@@ -1057,7 +1047,7 @@ mod tests {
         }
         let path = dir
             .join("lowered")
-            .join(format!("{:016x}.json", DiskTier::address(&key)));
+            .join(format!("{:016x}.json", fnv1a(key.as_bytes())));
         let pristine = std::fs::read_to_string(&path).unwrap();
 
         let expect_miss = |tag: &str| {
@@ -1186,7 +1176,7 @@ mod tests {
                 let path = entry.unwrap().path();
                 let text = std::fs::read_to_string(&path).unwrap();
                 let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                files.push((family, name, text.len(), DiskTier::address(&text)));
+                files.push((family, name, text.len(), fnv1a(text.as_bytes())));
             }
         }
         files.sort();
@@ -1228,7 +1218,7 @@ mod tests {
         // A directory squatting on the entry's path makes the rename fail.
         let entry = dir
             .join("lowered")
-            .join(format!("{:016x}.json", DiskTier::address("k")));
+            .join(format!("{:016x}.json", fnv1a(b"k")));
         std::fs::create_dir_all(entry.join("occupied")).unwrap();
         assert!(cache.sync_disk().is_err());
         assert!(cache.sync_disk().is_err(), "the entry stays dirty");
@@ -1256,7 +1246,7 @@ mod tests {
         // write fail; the plan set still persists.
         let entry = dir
             .join("lowered")
-            .join(format!("{:016x}.json", DiskTier::address(&key)));
+            .join(format!("{:016x}.json", fnv1a(key.as_bytes())));
         std::fs::create_dir_all(entry.join("occupied")).unwrap();
         let experiment = crate::Experiment::builder()
             .cluster(charllm_hw::presets::hgx_h200_cluster())

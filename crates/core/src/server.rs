@@ -58,10 +58,11 @@
 //! ([`ServerConfig::sweep_workers`] wide). Each open connection gets a
 //! thread of its own, up to [`MAX_CONNECTIONS`]; past that, the accept
 //! thread answers 503 without spawning. At most [`MAX_QUEUED_JOBS`] jobs
-//! wait in the queue; a submission past that is answered 503. Every job
-//! gets a private [`MetricsHub`], so its streamed snapshot deltas
-//! reconcile exactly against its own `sweep_end` snapshot no matter what
-//! its neighbors do.
+//! wait in the queue; a submission past that is answered 503. The server
+//! keeps the last [`MAX_FINISHED_JOBS`] finished jobs; an older one
+//! answers 404, as an unknown id does. Every job gets a private
+//! [`MetricsHub`], so its streamed snapshot deltas reconcile exactly
+//! against its own `sweep_end` snapshot no matter what its neighbors do.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -130,6 +131,12 @@ pub const MAX_CONNECTIONS: usize = 64;
 /// Most submitted jobs waiting for a job worker. One more is answered 503
 /// at submit, registering nothing; a place frees when a worker takes a job.
 pub const MAX_QUEUED_JOBS: usize = 256;
+
+/// Most finished jobs the server keeps, each with its request, stream and
+/// result document. Past it the job that finished first is dropped and
+/// answers 404, as an unknown id does; queued and running jobs are never
+/// dropped.
+pub const MAX_FINISHED_JOBS: usize = 256;
 
 /// Server deployment knobs.
 #[derive(Debug, Clone)]
@@ -402,12 +409,34 @@ impl Job {
     }
 }
 
+/// The jobs the server answers for: every queued and running job, and the
+/// last [`MAX_FINISHED_JOBS`] finished ones.
+#[derive(Default)]
+struct JobRegistry {
+    by_id: HashMap<u64, Arc<Job>>,
+    /// Ids of the finished jobs in `by_id`, in the order they finished.
+    finished: VecDeque<u64>,
+}
+
+impl JobRegistry {
+    /// Count job `id` as finished, dropping the job that finished first
+    /// once more than [`MAX_FINISHED_JOBS`] are kept.
+    fn finish(&mut self, id: u64) {
+        self.finished.push_back(id);
+        if self.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.by_id.remove(&oldest);
+            }
+        }
+    }
+}
+
 /// Shared server state: the cache, the job registry and the queue.
 struct ServerState {
     cfg: ServerConfig,
     cache: Arc<SimCache>,
     hub: Arc<MetricsHub>,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    jobs: Mutex<JobRegistry>,
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
     next_id: AtomicU64,
@@ -418,7 +447,12 @@ struct ServerState {
 
 impl ServerState {
     fn job(&self, id: u64) -> Option<Arc<Job>> {
-        self.jobs.lock().expect("jobs poisoned").get(&id).cloned()
+        self.jobs
+            .lock()
+            .expect("jobs poisoned")
+            .by_id
+            .get(&id)
+            .cloned()
     }
 }
 
@@ -465,7 +499,7 @@ impl SimServer {
             cfg: cfg.clone(),
             cache,
             hub: MetricsHub::new(1),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobRegistry::default()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
@@ -537,6 +571,9 @@ fn job_worker(state: &Arc<ServerState>) {
         let (final_state, doc) = settle_job(|| run_job(state, &job));
         *job.result.lock().expect("job poisoned") = Some(doc);
         *job.state.lock().expect("job poisoned") = final_state;
+        // Registered as finished before its stream ends, so a client that
+        // has read a stream to its end sees the registry that follows it.
+        state.jobs.lock().expect("jobs poisoned").finish(id);
         job.sink.finish();
         state
             .hub
@@ -807,7 +844,7 @@ fn handle_connection(mut conn: TcpStream, state: &Arc<ServerState>) -> Result<()
         ("GET", ["jobs"]) => {
             let jobs = state.jobs.lock().expect("jobs poisoned");
             let mut list: Vec<(u64, Value)> =
-                jobs.iter().map(|(id, j)| (*id, j.status())).collect();
+                jobs.by_id.iter().map(|(id, j)| (*id, j.status())).collect();
             drop(jobs);
             list.sort_by_key(|(id, _)| *id);
             let list: Vec<Value> = list.into_iter().map(|(_, v)| v).collect();
@@ -881,7 +918,12 @@ fn submit(state: &Arc<ServerState>, body: &Value) -> Result<u64, (u16, String)> 
         sink,
         result: Mutex::new(None),
     });
-    state.jobs.lock().expect("jobs poisoned").insert(id, job);
+    state
+        .jobs
+        .lock()
+        .expect("jobs poisoned")
+        .by_id
+        .insert(id, job);
     queue.push_back(id);
     drop(queue);
     state.queue_cv.notify_one();

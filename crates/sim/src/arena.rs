@@ -42,22 +42,21 @@ pub struct FlowArena {
     /// Movement banked at superseded rates since the last traffic flush,
     /// in route-work units (see `crate::accrual::bank_flow_segment`).
     pub moved_acc: Vec<f64>,
-    /// `load_epoch` at which `rate` was computed (staleness check).
-    pub rate_epoch: Vec<u64>,
+    /// The engine's `next_dt` pass in which `rate` was last computed. A
+    /// stamp left by a recycled slot's previous flow is from an earlier
+    /// pass than any the new flow meets.
+    pub rated_pass: Vec<u64>,
     /// Position of this flow in each route link's membership list.
     pub link_pos: Vec<[u32; MAX_ROUTE_LINKS]>,
     /// Owning collective slab index.
     pub coll: Vec<u32>,
     /// Iteration the owning collective belongs to.
     pub iteration: Vec<u32>,
-    /// Whether traffic from this flow counts toward measured statistics.
-    pub measured: Vec<bool>,
     /// Index of this flow's interned plan entry (`PlanFlowRef`).
     pub pf: Vec<u32>,
     /// Position of this flow in the engine's `flow_order`.
     pub order_pos: Vec<u32>,
     free: Vec<u32>,
-    live: usize,
     slot_reuses: u64,
 }
 
@@ -70,7 +69,6 @@ impl FlowArena {
     /// Allocate a slot, reusing a freed one when available. Field values
     /// are stale until the caller writes them.
     pub fn alloc(&mut self) -> u32 {
-        self.live += 1;
         if let Some(slot) = self.free.pop() {
             self.slot_reuses += 1;
             return slot;
@@ -80,11 +78,10 @@ impl FlowArena {
         self.rate.push(0.0);
         self.acc_since.push(0.0);
         self.moved_acc.push(0.0);
-        self.rate_epoch.push(0);
+        self.rated_pass.push(0);
         self.link_pos.push([0; MAX_ROUTE_LINKS]);
         self.coll.push(0);
         self.iteration.push(0);
-        self.measured.push(false);
         self.pf.push(0);
         self.order_pos.push(0);
         slot
@@ -93,12 +90,6 @@ impl FlowArena {
     /// Release a slot back to the free list.
     pub fn free(&mut self, slot: u32) {
         self.free.push(slot);
-        self.live -= 1;
-    }
-
-    /// Number of live (allocated) flows.
-    pub fn live(&self) -> usize {
-        self.live
     }
 
     /// Total slots ever created (live + free).
@@ -122,7 +113,6 @@ mod tests {
         let a = fa.alloc();
         let b = fa.alloc();
         assert_eq!((a, b), (0, 1));
-        assert_eq!(fa.live(), 2);
         fa.free(a);
         let c = fa.alloc();
         assert_eq!(c, a, "freed slot is recycled");

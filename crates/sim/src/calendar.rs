@@ -1,6 +1,7 @@
 //! The scheduler's completion calendar: one conservative completion-time
 //! key per schedulable owner, in a bucketed time wheel over absolute
-//! times plus an overflow list for keys beyond the wheel horizon.
+//! times whose last bucket, starting at the wheel horizon, holds every key
+//! beyond it.
 //!
 //! Owners share one id space: computing rank `r` is owner `r`, and flow
 //! arena slot `s` is owner `world + s`. The calendar holds at most one
@@ -40,10 +41,11 @@ pub(crate) const MIN_DT: f64 = 1e-9;
 /// buckets to the recent event spacing and re-tightening loose keys.
 const REKEY_INTERVAL: u64 = 8192;
 
-/// Buckets in the wheel. With the bucket width sized to ~1 mean event
-/// spacing at rebuild, the wheel horizon covers roughly a
+/// Buckets in the wheel before its horizon. With the bucket width sized to
+/// ~1 mean event spacing at rebuild, the horizon covers roughly a
 /// [`REKEY_INTERVAL`] of simulated progress before entries spill to the
-/// overflow list, and the buckets a drain visits hold few entries to scan.
+/// overflow bucket `CAL_BUCKETS` past it, and the buckets a drain visits
+/// hold few entries to scan.
 const CAL_BUCKETS: usize = 8192;
 
 /// Largest buffer an emptied bucket keeps for its next entries. Buckets
@@ -51,9 +53,6 @@ const CAL_BUCKETS: usize = 8192;
 /// that held a burst (a collective's flows keyed together) gives it back
 /// instead of pinning that memory for the rest of the run.
 const CAL_BUCKET_KEEP: usize = 64;
-
-/// Bucket index encoding the overflow list in a packed location.
-const CAL_OVERFLOW: u32 = u32::MAX;
 
 /// Packed location meaning "no entry".
 const LOC_NONE: u64 = u64::MAX;
@@ -63,13 +62,13 @@ fn pack_loc(bucket: u32, idx: usize) -> u64 {
     (u64::from(bucket) << 32) | idx as u64
 }
 
-/// `swap_remove` entry `idx` of `list` (bucket index or [`CAL_OVERFLOW`]),
-/// re-pointing the owner of whichever entry moved into the vacated position.
+/// `swap_remove` entry `idx` of bucket `bucket`, re-pointing the owner of
+/// whichever entry moved into the vacated position.
 #[inline]
-fn take(v: &mut Vec<Entry>, loc: &mut [u64], list: u32, idx: usize) -> Entry {
+fn take(v: &mut Vec<Entry>, loc: &mut [u64], bucket: u32, idx: usize) -> Entry {
     let e = v.swap_remove(idx);
     if let Some(moved) = v.get(idx) {
-        loc[moved.owner as usize] = pack_loc(list, idx);
+        loc[moved.owner as usize] = pack_loc(bucket, idx);
     }
     e
 }
@@ -90,9 +89,11 @@ pub(crate) struct Calendar {
     base: f64,
     width: f64,
     inv_width: f64,
+    /// `CAL_BUCKETS` wheel buckets, then the overflow bucket: keys at or
+    /// past the horizon `start_of(CAL_BUCKETS)`, in no finer order.
     buckets: Vec<Vec<Entry>>,
-    overflow: Vec<Entry>,
-    /// First bucket that may hold entries (all earlier ones are empty).
+    /// First wheel bucket that may hold entries (all earlier ones are
+    /// empty). The overflow bucket never sets it.
     cursor: usize,
     /// Key of each owner's entry (`INFINITY` = no entry).
     key: Vec<f64>,
@@ -123,7 +124,7 @@ impl Calendar {
             base: 0.0,
             width,
             inv_width: 1.0 / width,
-            buckets: vec![Vec::new(); CAL_BUCKETS],
+            buckets: vec![Vec::new(); CAL_BUCKETS + 1],
             key: vec![f64::INFINITY; owners],
             loc: vec![LOC_NONE; owners],
             avg_dt,
@@ -139,18 +140,18 @@ impl Calendar {
 
     /// Insert an entry; returns its packed location. Keys below `base` (an
     /// owner already within its completion threshold) land in the first
-    /// bucket, so only the far side can miss the wheel.
+    /// bucket, keys past the horizon in the overflow bucket.
     fn push(&mut self, e: Entry) -> u64 {
         let d = ((e.key - self.base) * self.inv_width).max(0.0);
-        if d >= CAL_BUCKETS as f64 {
-            self.overflow.push(e);
-            self.overflow_peak = self.overflow_peak.max(self.overflow.len());
-            return pack_loc(CAL_OVERFLOW, self.overflow.len() - 1);
-        }
-        let b = d as usize;
-        self.cursor = self.cursor.min(b);
+        let b = (d as usize).min(CAL_BUCKETS);
         self.buckets[b].push(e);
-        pack_loc(b as u32, self.buckets[b].len() - 1)
+        let len = self.buckets[b].len();
+        if b == CAL_BUCKETS {
+            self.overflow_peak = self.overflow_peak.max(len);
+        } else {
+            self.cursor = self.cursor.min(b);
+        }
+        pack_loc(b as u32, len - 1)
     }
 
     /// Take `owner`'s entry out of its bucket, re-pointing the owner of
@@ -162,11 +163,7 @@ impl Calendar {
         }
         self.loc[owner] = LOC_NONE;
         let bucket = (loc >> 32) as u32;
-        let v = if bucket == CAL_OVERFLOW {
-            &mut self.overflow
-        } else {
-            &mut self.buckets[bucket as usize]
-        };
+        let v = &mut self.buckets[bucket as usize];
         take(v, &mut self.loc, bucket, (loc & 0xffff_ffff) as usize);
     }
 
@@ -210,7 +207,7 @@ impl Calendar {
 
     /// Whether the wheel is due a rebuild at time `t`: [`REKEY_INTERVAL`]
     /// events since the last one, or `t` past half the wheel, before fresh
-    /// keys start spilling into the overflow list wholesale.
+    /// keys start spilling into the overflow bucket wholesale.
     #[inline]
     pub(crate) fn rebuild_due(&self, t: f64) -> bool {
         self.events_since_rebuild >= REKEY_INTERVAL
@@ -222,11 +219,7 @@ impl Calendar {
     /// caller keys each live owner again.
     pub(crate) fn rebuild(&mut self, t: f64) {
         self.rebuilds += 1;
-        for v in self
-            .buckets
-            .iter_mut()
-            .chain(std::iter::once(&mut self.overflow))
-        {
+        for v in &mut self.buckets {
             for e in v.drain(..) {
                 self.loc[e.owner as usize] = LOC_NONE;
                 self.key[e.owner as usize] = f64::INFINITY;
@@ -261,14 +254,15 @@ impl Calendar {
     /// magnitude under the 1e-8 margin.
     ///
     /// Buckets are visited in start order while their start is within the
-    /// bound. In each, the smallest key is evaluated first, which brings
+    /// bound; the overflow bucket only when it holds entries. In each, the
+    /// smallest key is evaluated first, which brings
     /// `dt` down to about the next completion; then only the entries keyed
     /// within the (shrinking) bound are taken out and evaluated, once each.
     /// Keys are lower bounds, so an entry left in place — keyed past the
     /// bound — can neither complete within `dt` nor lower it; it keeps its
-    /// key and bucket. The cursor stops at the first visited bucket left
-    /// holding entries; the visit itself goes on while bucket starts are
-    /// within the bound.
+    /// key and bucket. The cursor stops at the first visited wheel bucket
+    /// left holding entries; the visit itself goes on while bucket starts
+    /// are within the bound.
     ///
     /// Every taken entry goes back in, re-keyed at the completion key of
     /// its fresh `(left, rate)`, so a loose key (left behind by a rate
@@ -293,31 +287,21 @@ impl Calendar {
         // First visited wheel bucket left holding entries.
         let mut cursor = None;
         let mut b = self.cursor;
-        loop {
-            let list = if b < CAL_BUCKETS && self.start_of(b) <= bound {
-                b as u32
-            } else if b == CAL_BUCKETS
-                && !self.overflow.is_empty()
-                && self.start_of(CAL_BUCKETS) <= bound
-            {
-                CAL_OVERFLOW
-            } else {
+        while b <= CAL_BUCKETS && self.start_of(b) <= bound {
+            let v = &mut self.buckets[b];
+            if b == CAL_BUCKETS && v.is_empty() {
                 break;
-            };
-            let v = if list == CAL_OVERFLOW {
-                &mut self.overflow
-            } else {
-                &mut self.buckets[b]
-            };
+            }
+            let bucket = b as u32;
             debug_assert!(
                 v.iter()
                     .enumerate()
-                    .all(|(i, e)| self.loc[e.owner as usize] == pack_loc(list, i)),
+                    .all(|(i, e)| self.loc[e.owner as usize] == pack_loc(bucket, i)),
                 "a calendar entry's owner must point back at it"
             );
             self.bucket_drains += 1;
             let mut evaluate = |v: &mut Vec<Entry>, i: usize, dt: &mut f64| {
-                let mut e = take(v, &mut self.loc, list, i);
+                let mut e = take(v, &mut self.loc, bucket, i);
                 let owner = e.owner as usize;
                 let (left, rate) = eval(owner);
                 *dt = dt.min(left / rate);
@@ -343,7 +327,7 @@ impl Calendar {
                 if v.capacity() > CAL_BUCKET_KEEP {
                     *v = Vec::new();
                 }
-            } else if list != CAL_OVERFLOW {
+            } else if b < CAL_BUCKETS {
                 cursor = cursor.or(Some(b));
             }
             b += 1;
@@ -357,9 +341,9 @@ impl Calendar {
         dt.max(MIN_DT)
     }
 
-    /// Entries currently in the overflow list.
+    /// Entries currently in the overflow bucket.
     pub(crate) fn overflow_len(&self) -> usize {
-        self.overflow.len()
+        self.buckets[CAL_BUCKETS].len()
     }
 
     /// Copy the calendar's counters into `stats`.
@@ -390,21 +374,25 @@ mod tests {
         collection::vec((0u8..6, 0..OWNERS, 0u32..16_384, 0u32..64), 1..120)
     }
 
-    /// Every entry sits in one bucket at or past the cursor, its owner
+    /// Every entry sits in one bucket, at or past the cursor unless it is
+    /// the overflow bucket, its owner
     /// points back at it with the entry's key, and the owners holding
     /// entries are exactly the model's, at the model's keys.
     fn assert_matches(cal: &Calendar, model: &BTreeMap<usize, f64>) {
         let mut seen = BTreeSet::new();
-        let lists = cal.buckets.iter().enumerate().map(|(b, v)| (b as u32, v));
-        for (b, v) in lists.chain(std::iter::once((CAL_OVERFLOW, &cal.overflow))) {
+        for (b, v) in cal.buckets.iter().enumerate() {
             for (i, e) in v.iter().enumerate() {
                 let o = e.owner as usize;
                 assert!(seen.insert(o), "owner {o} holds two entries");
-                assert_eq!(cal.loc[o], pack_loc(b, i), "owner {o} lost its entry");
+                assert_eq!(
+                    cal.loc[o],
+                    pack_loc(b as u32, i),
+                    "owner {o} lost its entry"
+                );
                 assert_eq!(cal.key[o].to_bits(), e.key.to_bits());
                 assert_eq!(model.get(&o), Some(&e.key), "owner {o}'s key");
                 assert!(
-                    b == CAL_OVERFLOW || b as usize >= cal.cursor,
+                    b == CAL_BUCKETS || b >= cal.cursor,
                     "the cursor passed bucket {b}, which holds owner {o}"
                 );
             }

@@ -76,11 +76,16 @@ impl SimConfig {
         }
     }
 
-    /// The check both engines run before building: a zero control period
-    /// would never advance the clock, a NaN one would never tick, and a
-    /// sample window of zero or less divides the util and PCIe samples by
-    /// it.
-    pub(crate) fn check_periods(&self) -> Result<(), SimError> {
+    /// The check both engines run before building: a run of zero
+    /// iterations has no iteration to time, a zero control period would
+    /// never advance the clock, a NaN one would never tick, and a sample
+    /// window of zero or less divides the util and PCIe samples by it.
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        if self.iterations == 0 {
+            return Err(SimError::InvalidConfig(
+                "iterations must be at least 1".to_string(),
+            ));
+        }
         for (name, period) in [
             ("control_period_s", self.control_period_s),
             ("sample_period_s", self.sample_period_s),

@@ -620,12 +620,12 @@ pub struct EngineStats {
     /// drift-forced (the current time passed half the wheel horizon). The
     /// wheel built at construction is not counted.
     pub cal_rekeys: u64,
-    /// Calendar buckets visited by `next_dt` (the overflow list counts as
-    /// one bucket per visit). A visit takes only the bucket's entries keyed
+    /// Calendar buckets visited by `next_dt`, the overflow bucket past the
+    /// wheel horizon included. A visit takes only the bucket's entries keyed
     /// within the drain bound, so `heap_pops / cal_bucket_drains` is the
     /// mean number of candidates per visited bucket.
     pub cal_bucket_drains: u64,
-    /// Run-wide high-water mark of the overflow list — entries whose
+    /// Run-wide high-water mark of the overflow bucket — entries whose
     /// conservative completion key lay beyond the wheel horizon when
     /// pushed. A large peak relative to `peak_live` means the bucket width
     /// (the event-spacing EWMA at each rebuild) is too narrow for the
@@ -633,6 +633,8 @@ pub struct EngineStats {
     pub cal_overflow_peak: u64,
     /// Flow-arena slots reused from the free list (launches minus arena
     /// growth): how often the steady-state launch path ran allocation-free.
+    /// Copied from the arena with the calendar's counters, at control ticks
+    /// and at run end.
     pub arena_slot_reuses: u64,
     /// Calendar entries removed at a retire site (flow retirement or
     /// compute completion) — the one path by which a completing owner's
@@ -727,13 +729,15 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     gpu_flow_count: Vec<u32>,
     /// Flow load per link, maintained incrementally on launch/retire.
     link_load: Vec<u32>,
-    /// Bumped whenever any `link_load` changes. A flow's cached rate is
-    /// current iff `rate_epoch == load_epoch` or none of its route links
-    /// changed since — unchanged loads would reproduce the identical rate
-    /// bits, so skipping the recompute cannot perturb results.
-    load_epoch: u64,
-    /// Links whose load changed since the last `next_dt` (deduplicated via
-    /// `link_dirty`); their flows are re-rated and re-keyed in batch.
+    /// Number of the current `next_dt` pass, advanced once at its top. A
+    /// flow whose `FlowArena::rated_pass` equals it was re-rated earlier in
+    /// this pass, so the dirty-link loop skips it; a flow on no dirty link
+    /// keeps its rate, since unchanged loads and health would reproduce the
+    /// identical rate bits.
+    rerate_pass: u64,
+    /// Links whose load or health changed since the last `next_dt`
+    /// (deduplicated via `link_dirty`); their flows are re-rated and
+    /// re-keyed in batch.
     dirty_links: Vec<u32>,
     link_dirty: Vec<bool>,
     /// Exact membership: flow slots currently routed through each link, as
@@ -776,11 +780,8 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// Ranks that become runnable next pass: compute completions, wakes
     /// from flow retirement, and wakes of waiters `w ≤ c`.
     ready_next: Vec<usize>,
-    /// Ranks currently in `Computing` mode (unordered; `next_dt` takes an
-    /// order-independent min over them).
-    computing_ranks: Vec<usize>,
-    /// Position of each rank in `computing_ranks` (`u32::MAX` = absent).
-    computing_pos: Vec<u32>,
+    /// Number of ranks in `Computing` mode.
+    computing: usize,
     /// Scratch: ranks whose compute completed this event, processed in
     /// ascending rank order to preserve the world-scan completion order.
     completed_scratch: Vec<u32>,
@@ -977,7 +978,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         obs: O,
         fold: Option<FoldSetup<'a>>,
     ) -> Result<Self, SimError> {
-        cfg.check_periods()?;
+        cfg.check()?;
         let problems = trace.validate();
         if !problems.is_empty() {
             return Err(SimError::InvalidTrace(problems));
@@ -1096,7 +1097,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             charge_arena: SliceArena::new(),
             gpu_flow_count: vec![0; num_gpus],
             link_load: vec![0; cluster.num_links()],
-            load_epoch: 0,
+            rerate_pass: 0,
             dirty_links: Vec::new(),
             link_dirty: vec![false; cluster.num_links()],
             link_flows: vec![Vec::new(); cluster.num_links()],
@@ -1114,8 +1115,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             wait_count: trace.wait_counts(),
             ready_now: BinaryHeap::new(),
             ready_next: Vec::new(),
-            computing_ranks: Vec::new(),
-            computing_pos: vec![u32::MAX; trace.world()],
+            computing: 0,
             completed_scratch: Vec::new(),
             cand_ranks: Vec::new(),
             cand_flows: Vec::new(),
@@ -1397,15 +1397,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.obs.fault_begin(ev.fault, "link-degrade", link, self.t);
                 self.link_health.set_scale(link as usize, factor);
                 self.mark_link_dirty(link as usize);
-                // A new epoch makes `next_dt`'s dirty-link pass re-rate
-                // this link's flows: it skips flows stamped with the current
-                // one.
-                self.load_epoch += 1;
             }
             FaultAction::LinkUp { link } => {
                 self.link_health.restore(link as usize);
                 self.mark_link_dirty(link as usize);
-                self.load_epoch += 1;
                 self.obs.fault_end(ev.fault, self.t);
             }
             FaultAction::SlowRank { rank, speed } => {
@@ -1624,12 +1619,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         Ok(())
     }
 
-    /// Bring the calendar's counters in `stats` current, then push the
-    /// engine counters and live quantities into the attached metrics shard
-    /// (no-op without one). Called at control boundaries and once at run
-    /// end; never on the per-event path.
+    /// Bring the calendar's and the flow arena's counters in `stats`
+    /// current, then push the engine counters and live quantities into the
+    /// attached metrics shard (no-op without one). Called at control
+    /// boundaries and once at run end; never on the per-event path.
     fn publish_metrics(&mut self) {
         self.cal.publish(&mut self.stats);
+        self.stats.arena_slot_reuses = self.fa.slot_reuses();
         let Some(m) = self.metrics.as_deref_mut() else {
             return;
         };
@@ -1646,7 +1642,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         m.sim_time_s.set(self.t);
         m.live_flows.set(self.flow_order.len() as f64);
-        m.live_computing.set(self.computing_ranks.len() as f64);
+        m.live_computing.set(self.computing as f64);
         m.cal_overflow_len.set(self.cal.overflow_len() as f64);
         if let Some(rt) = &self.fault {
             m.fault_downtime_s.set(rt.downtime_s);
@@ -1722,8 +1718,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                         kind,
                         remaining_flops: flops,
                     };
-                    self.computing_pos[rank] = self.computing_ranks.len() as u32;
-                    self.computing_ranks.push(rank);
+                    self.computing += 1;
                     self.mark_rank_dirty(rank);
                     return;
                 }
@@ -1836,12 +1831,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.install_plan(ci, &plan)
         };
 
-        let measured = self.ranks[rank].iteration >= self.cfg.warmup_iterations;
         let active = range.len;
-        if active > 0 {
-            self.load_epoch += 1;
-            self.stats.flows_launched += u64::from(active);
-        }
+        self.stats.flows_launched += u64::from(active);
         for pfi in range.start..range.start + range.len {
             let pf = self.plan_flows[pfi as usize];
             let slot = self.fa.alloc() as usize;
@@ -1876,15 +1867,12 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.fa.rate[slot] = 0.0;
             self.fa.acc_since[slot] = self.t;
             self.fa.moved_acc[slot] = 0.0;
-            self.fa.rate_epoch[slot] = 0;
             self.fa.coll[slot] = coll;
             self.fa.iteration[slot] = iter;
-            self.fa.measured[slot] = measured;
             self.fa.pf[slot] = pfi;
             self.fa.order_pos[slot] = self.flow_order.len() as u32;
             self.flow_order.push(slot as u32);
         }
-        self.stats.arena_slot_reuses = self.fa.slot_reuses();
 
         let slot = &mut self.colls[ci][(iter & 1) as usize];
         debug_assert!(slot.live && slot.iter == iter, "just inserted");
@@ -2034,7 +2022,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         let pf = self.plan_flows[self.fa.pf[slot] as usize];
         let payload = pending * pf.payload_ratio;
-        let measured = self.fa.measured[slot];
+        let measured = self.fa.iteration[slot] as usize >= self.cfg.warmup_iterations;
         for ci in pf.charges.indices() {
             let charge = self.charge_arena.item(ci);
             let gpu = charge.gpu as usize;
@@ -2130,7 +2118,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     }
 
     /// Recompute the flow's bottleneck rate from current link loads, stamp
-    /// it with the current `load_epoch`, and lower its calendar key to the
+    /// it with the current `rerate_pass`, and lower its calendar key to the
     /// fresh prediction.
     ///
     /// Calendar keys only need to stay *lower bounds* on true completion
@@ -2158,21 +2146,22 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             );
             self.fa.rate[slot] = rate;
         }
-        self.fa.rate_epoch[slot] = self.load_epoch;
+        self.fa.rated_pass[slot] = self.rerate_pass;
         let key = completion_key(self.t, self.flow_left(slot, 0.0), rate);
         self.cal.lower(self.ranks.len() + slot, key);
     }
 
     /// Rebuild the completion calendar from live state: re-base it at the
     /// current time, then refresh every flow rate and key every flow and
-    /// computing rank afresh.
+    /// computing rank afresh (only active ranks carry steps, so only they
+    /// can be computing).
     fn rekey_all(&mut self) {
         self.cal.rebuild(self.t);
         for oi in 0..self.flow_order.len() {
             self.rekey_flow(self.flow_order[oi] as usize);
         }
-        for idx in 0..self.computing_ranks.len() {
-            self.push_compute_key(self.computing_ranks[idx]);
+        for ri in 0..self.active_ranks.len() {
+            self.push_compute_key(self.active_ranks[ri] as usize);
         }
     }
 
@@ -2213,26 +2202,27 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// reference's full scan and asserts bit-equality.
     fn next_dt(&mut self) -> Option<f64> {
         debug_assert!(self.cand_ranks.is_empty() && self.cand_flows.is_empty());
-        if self.computing_ranks.is_empty() && self.flow_order.is_empty() {
+        if self.computing == 0 && self.flow_order.is_empty() {
             return None;
         }
-        let live = self.flow_order.len() + self.computing_ranks.len();
+        let live = self.flow_order.len() + self.computing;
         self.stats.peak_live = self.stats.peak_live.max(live as u64);
+        self.rerate_pass += 1;
         if self.cal.rebuild_due(self.t) {
             self.rekey_all();
         }
 
         // Re-rate + re-key flows touched by link-load changes: dirty links
-        // in order, then the flows on each link. `rekey_flow` stamps
-        // `rate_epoch`, so a flow on several dirty links is re-rated once.
+        // in order, then the flows on each link. `rekey_flow` stamps the
+        // pass, so a flow on several dirty links, or re-keyed by a rebuild
+        // above, is re-rated once.
         let mut dirty = std::mem::take(&mut self.dirty_links);
-        let epoch = self.load_epoch;
         for &link in &dirty {
             let link = link as usize;
             self.link_dirty[link] = false;
             for k in 0..self.link_flows[link].len() {
                 let slot = self.link_flows[link][k].0 as usize;
-                if self.fa.rate_epoch[slot] != epoch {
+                if self.fa.rated_pass[slot] != self.rerate_pass {
                     self.rekey_flow(slot);
                 }
             }
@@ -2276,15 +2266,16 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
 
     /// Debug cross-check: re-derive `dt` with the reference engine's full
     /// scan (and every flow rate from the link loads) and demand
-    /// bit-equality, and demand that no computing rank or flow outside
-    /// this event's candidate set would complete in `dt` (`advance` tests
-    /// candidates only). Makes every debug-mode test a scheduler audit.
-    /// The full scan is O(live) per event, so beyond ~1k live entities the
-    /// audit samples every 64th event — large-scale debug suites stay
-    /// tractable while the run is still audited throughout.
+    /// bit-equality, demand that no computing rank or flow outside this
+    /// event's candidate set would complete in `dt` (`advance` tests
+    /// candidates only), and that the scan finds `computing` ranks. Makes
+    /// every debug-mode test a scheduler audit. The full scan is O(live)
+    /// per event, so beyond ~1k live entities the audit samples every 64th
+    /// event — large-scale debug suites stay tractable while the run is
+    /// still audited throughout.
     #[cfg(debug_assertions)]
     fn debug_check_dt(&self, dt: f64) {
-        let live = self.flow_order.len() + self.computing_ranks.len();
+        let live = self.flow_order.len() + self.computing;
         if live > 1024 && !self.stats.events.is_multiple_of(64) {
             return;
         }
@@ -2297,18 +2288,21 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             flow_cand[slot as usize] = true;
         }
         let mut expect = self.next_control.min(self.next_fault_t) - self.t;
-        for &rank in &self.computing_ranks {
+        let mut computing = 0;
+        for (rank, &cand) in rank_cand.iter().enumerate() {
             if let (Some((left, rate)), Some((after, _))) =
                 (self.compute_left(rank, 0.0), self.compute_left(rank, dt))
             {
+                computing += 1;
                 expect = expect.min(left / rate);
                 assert!(
-                    rank_cand[rank] || after > 1.0,
+                    cand || after > 1.0,
                     "rank {rank} completes in dt={dt} at t={} but was not a candidate",
                     self.t
                 );
             }
         }
+        assert_eq!(computing, self.computing, "computing-rank count");
         for &slot in &self.flow_order {
             let slot = slot as usize;
             let rate = flow_rate(
@@ -2371,7 +2365,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.accrue_rank(rank, self.t + dt);
             self.obs.task_end(rank, self.t + dt);
             self.ranks[rank].mode = RankMode::Ready;
-            self.remove_computing(rank);
+            self.computing -= 1;
             // Retire-site removal: the only place a completing entry
             // leaves the calendar.
             self.cal.remove(rank);
@@ -2417,9 +2411,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                     break;
                 }
             }
-        }
-        if !retiring.is_empty() {
-            self.load_epoch += 1;
         }
         retiring.clear();
         self.retiring = retiring;
@@ -2492,15 +2483,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             if let Some(&(ms, mr)) = self.link_flows[link].get(pos) {
                 self.fa.link_pos[ms as usize][mr as usize] = pos as u32;
             }
-        }
-    }
-
-    fn remove_computing(&mut self, rank: usize) {
-        let pos = self.computing_pos[rank] as usize;
-        self.computing_ranks.swap_remove(pos);
-        self.computing_pos[rank] = u32::MAX;
-        if let Some(&moved) = self.computing_ranks.get(pos) {
-            self.computing_pos[moved] = pos as u32;
         }
     }
 

@@ -46,4 +46,4 @@ pub use fault::{FaultEvent, FaultPlan, RecoveryPolicy};
 pub use fold::{detect as detect_fold, run_folded, split_reason, FoldMap, FoldOptions};
 pub use observer::{NoopObserver, SimObserver, TaskKind};
 pub use reference::ReferenceSimulator;
-pub use result::{KernelBreakdown, OccupancyStats, SimResult, TrafficMatrix};
+pub use result::{fnv1a, KernelBreakdown, OccupancyStats, SimResult, TrafficMatrix};

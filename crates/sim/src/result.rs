@@ -204,6 +204,15 @@ pub struct SimResult {
     pub profile: Option<Profile>,
 }
 
+/// FNV-1a 64-bit over `bytes`. Its value is fixed by construction (unlike
+/// `std`'s `DefaultHasher`, whose algorithm is unspecified across
+/// releases), so it can pin serialized results and address files on disk.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 impl SimResult {
     /// Mean kernel breakdown across ranks.
     pub fn mean_kernel_time(&self) -> KernelBreakdown {

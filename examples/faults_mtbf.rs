@@ -17,7 +17,7 @@ use std::sync::Arc;
 use charllm::prelude::*;
 use charllm::sweep::Sweep;
 use charllm_hw::Cluster;
-use charllm_sim::SimResult;
+use charllm_sim::{fnv1a, SimResult};
 
 /// MTBF per GPU, seconds of simulated time. Absurdly short against real
 /// fleets (hours), scaled down to exercise recovery inside a short run.
@@ -99,11 +99,4 @@ fn print_hash(result: &SimResult) -> Result<(), Box<dyn std::error::Error>> {
     let bytes = serde_json::to_string(result)?;
     println!("    result fnv1a {:016x}", fnv1a(bytes.as_bytes()));
     Ok(())
-}
-
-/// FNV-1a over the serialized bytes of a result.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }

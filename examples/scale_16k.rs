@@ -22,7 +22,7 @@ use charllm_hw::presets;
 use charllm_models::{presets as models, TrainJob};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
 use charllm_sim::fold::{self, FoldOptions};
-use charllm_sim::SimConfig;
+use charllm_sim::{fnv1a, SimConfig};
 use charllm_trace::{lower_train_folded, DeviceHints};
 
 /// Per-point wall-clock budget: the acceptance bar for a 16k-GPU sim.
@@ -143,11 +143,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(1);
     }
     Ok(())
-}
-
-/// FNV-1a over the serialized bytes of a result.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }

@@ -9,13 +9,13 @@
 //! (identical configs ⇒ identical bytes) and the payload-conservation
 //! invariant from the residual-credit fix.
 
-use charllm_hw::{presets, Cluster, GpuId, GpuModel, NodeLayout};
+use charllm_hw::{presets, Cluster, GpuId, GpuModel, NodeId, NodeLayout};
 use charllm_models::{presets as models, TrainJob};
 use charllm_net::{lower_collective, ChunkingPolicy, CollectiveKind};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
 use charllm_sim::fold::{self, FoldOptions};
 use charllm_sim::reference::ReferenceSimulator;
-use charllm_sim::{FaultPlan, RecoveryPolicy, SimConfig, SimResult, Simulator};
+use charllm_sim::{fnv1a, FaultPlan, RecoveryPolicy, SimConfig, SimResult, Simulator};
 use charllm_telemetry::SpanRecorder;
 use charllm_trace::builder::{CollKey, TraceBuilder};
 use charllm_trace::lower::{lower_train, lower_train_folded, DeviceHints};
@@ -681,13 +681,6 @@ fn slow_flows_retire_within_one_control_period_of_the_threshold() {
     );
 }
 
-/// FNV-1a over the serialized bytes of a result.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn pinned_fail_stop() -> SimResult {
     let cluster = one_node_cluster();
     let trace = gpt3_trace(&cluster, 8);
@@ -781,6 +774,35 @@ fn pinned_long_restart_runaway() -> SimResult {
     long_outage(LONG_RESTART, true, charllm_sim::NoopObserver).0
 }
 
+/// The 4-node run of [`long_outage`] with node 0's NIC at 30% bandwidth
+/// from 0.5 s to 1.5 s, inside a span where flows cross it the whole time,
+/// so the recovery re-rates flows in flight; rank 5 computes 3× slower from
+/// 0.2 s to 1.2 s.
+fn pinned_degrade_recover() -> SimResult {
+    let cluster = presets::hgx_h200_cluster();
+    let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
+    let spec = ParallelismSpec::infer_dp(2, 2, 1, cluster.num_gpus(), false).unwrap();
+    let partition = StagePartition::even(40, 2).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let trace = lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
+        .unwrap()
+        .trace;
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 2;
+    cfg.warmup_iterations = 0;
+    let nic = cluster.nic(NodeId(0)).0;
+    let plan = FaultPlan::none()
+        .link_degrade(nic, 0.5, 1.0, 0.3)
+        .straggler(5, 0.2, 1.0, 3.0);
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    Simulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .with_faults(&plan)
+        .unwrap()
+        .run()
+        .unwrap()
+}
+
 fn pinned_capped(cfg: SimConfig) -> SimResult {
     let cluster = one_node_cluster();
     let trace = gpt3_trace(&cluster, 8);
@@ -834,11 +856,13 @@ fn serialized_results_are_pinned() {
     // golden tests compare only engine against engine: outages with their
     // idle governor and outage samples (a short one, and 30 s ones whose
     // GPUs settle at their idle fixed point under each recovery policy and
-    // under a thermal runaway), binding power caps, and a compact folded
-    // run whose store samples only the representative GPUs. A change to the
-    // control tick or the telemetry store must leave every byte.
+    // under a thermal runaway), a link that degrades and recovers with
+    // flows in flight next to a straggler, binding power caps, and a
+    // compact folded run whose store samples only the representative GPUs.
+    // A change to the control tick, the telemetry store or the re-rate of
+    // recovered links must leave every byte.
     type Case = (&'static str, fn() -> SimResult, u64, usize);
-    let cases: [Case; 8] = [
+    let cases: [Case; 9] = [
         (
             "fail_stop_checkpoint_restart",
             pinned_fail_stop,
@@ -868,6 +892,12 @@ fn serialized_results_are_pinned() {
             pinned_long_restart_runaway,
             0x1e01_2483_aef6_26b6,
             3_199_487,
+        ),
+        (
+            "degrade_recover",
+            pinned_degrade_recover,
+            0x96f3_f522_fbdd_24b4,
+            929_983,
         ),
         (
             "gpu_power_cap",

@@ -340,6 +340,48 @@ fn invalid_periods_are_rejected_by_both_engines_and_sweeps() {
 }
 
 #[test]
+fn zero_iterations_are_rejected_by_both_engines_and_sweeps() {
+    // A run of zero iterations used to index an empty per-iteration table
+    // at the first iteration boundary, and the panic took a parallel sweep
+    // down with it.
+    let cluster = one_node_cluster();
+    let trace = gpt3_trace(&cluster, 8);
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 0;
+    assert!(matches!(
+        Simulator::new(&cluster, &placement, &trace, cfg),
+        Err(SimError::InvalidConfig(_))
+    ));
+    assert!(matches!(
+        ReferenceSimulator::new(&cluster, &placement, &trace, cfg),
+        Err(SimError::InvalidConfig(_))
+    ));
+    let cluster = Arc::new(single_hgx_node());
+    let job = TrainJob::pretrain(gpt3_13b()).with_global_batch(8);
+    let specs = ["TP2-PP2", "TP4-PP2"]
+        .map(|s| ParallelismSpec::parse(s, cluster.num_gpus()).unwrap())
+        .to_vec();
+    let sweep = Sweep::new(cluster, job, specs)
+        .with_sim_config(cfg)
+        .workers(2);
+    let outcomes = sweep.run_outcomes();
+    assert_eq!(outcomes.len(), 2);
+    assert!(
+        outcomes.iter().all(SweepOutcome::is_skipped),
+        "a default sweep must skip the points: {outcomes:?}"
+    );
+    let outcomes = sweep.strict().run_outcomes();
+    assert!(
+        outcomes
+            .iter()
+            .all(|o| matches!(o, SweepOutcome::Failed { error, .. }
+            if error.to_string().contains("iterations"))),
+        "a strict sweep must fail the points on their iteration count: {outcomes:?}"
+    );
+}
+
+#[test]
 fn mtbf_sweep_hits_shared_cache_on_repeated_points() {
     let cluster = Arc::new(single_hgx_node());
     let job = TrainJob::pretrain(gpt3_13b()).with_global_batch(8);

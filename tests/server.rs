@@ -14,7 +14,7 @@ use std::sync::Arc;
 use serde_json::{Number, Value};
 
 use charllm::prelude::*;
-use charllm::server::{http_request, MAX_CONNECTIONS, MAX_QUEUED_JOBS};
+use charllm::server::{http_request, MAX_CONNECTIONS, MAX_FINISHED_JOBS, MAX_QUEUED_JOBS};
 use charllm_hw::GpuId;
 use charllm_parallel::{Placement, StagePartition};
 use charllm_sim::Simulator;
@@ -525,5 +525,55 @@ fn submissions_past_the_queue_cap_are_answered_503_until_it_drains() {
     assert_eq!(status, 202, "{resp}");
     let id = get_u64(&serde_json::from_str(&resp).unwrap(), "job");
     http_request(addr, "POST", &format!("/jobs/{id}/cancel"), None).unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn finished_jobs_past_the_cap_are_dropped_oldest_first() {
+    let server = SimServer::bind(
+        "127.0.0.1:0",
+        Arc::new(SimCache::new()),
+        ServerConfig {
+            job_workers: 1,
+            sweep_workers: 1,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    // One point that is skipped before it simulates: microbatch 3 does not
+    // divide TP2-PP2's per-replica batch of 2. Reading a job's stream to
+    // its end waits for the job to finish.
+    let run_job = || {
+        let body = r#"{"cluster": "single_hgx_node", "global_batch": 4, "specs": ["TP2-PP2"],
+                       "microbatches": [3], "workers": 1}"#;
+        let (status, resp) = http_request(addr, "POST", "/jobs", Some(body)).unwrap();
+        assert_eq!(status, 202, "{resp}");
+        let id = get_u64(&serde_json::from_str(&resp).unwrap(), "job");
+        let (status, _) = http_request(addr, "GET", &format!("/jobs/{id}/stream"), None).unwrap();
+        assert_eq!(status, 200);
+        id
+    };
+    let ids: Vec<u64> = (0..=MAX_FINISHED_JOBS).map(|_| run_job()).collect();
+    let (first, last) = (ids[0], ids[MAX_FINISHED_JOBS]);
+    let (status, body) = http_request(addr, "GET", &format!("/jobs/{first}"), None).unwrap();
+    assert_eq!(status, 404, "the first finished job is dropped: {body}");
+    let (status, body) = http_request(addr, "GET", &format!("/jobs/{first}/result"), None).unwrap();
+    assert_eq!(status, 404, "{body}");
+    let (status, body) = http_request(addr, "GET", &format!("/jobs/{last}/result"), None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (_, list) = http_request(addr, "GET", "/jobs", None).unwrap();
+    let list: Value = serde_json::from_str(&list).unwrap();
+    let listed: Vec<u64> = list
+        .get("jobs")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|j| get_u64(j, "job"))
+        .collect();
+    assert_eq!(
+        listed,
+        ids[1..],
+        "the last {MAX_FINISHED_JOBS} finished jobs stay"
+    );
     server.shutdown();
 }
