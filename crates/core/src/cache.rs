@@ -152,10 +152,9 @@ impl Artifact for SharedPlans {
 }
 
 /// Live-metrics handles of a [`SimCache`] (see [`SimCache::with_metrics`]),
-/// indexed by [`Family`]. All handles are inert when the hub is disabled.
-/// Every family is an integer [`Counter`], so [`MetricsSnapshot::diff`] /
-/// [`add`] compose the disk-tier counters as exactly as the memory-tier
-/// ones.
+/// indexed by [`Family`]. Every family is an integer [`Counter`], so
+/// [`MetricsSnapshot::diff`] / [`add`] compose the disk-tier counters as
+/// exactly as the memory-tier ones.
 ///
 /// [`MetricsSnapshot::diff`]: charllm_telemetry::MetricsSnapshot::diff
 /// [`add`]: charllm_telemetry::MetricsSnapshot::add
@@ -499,7 +498,7 @@ impl SimCache {
     /// path, never the source of truth.
     pub fn with_metrics(shard: &MetricsShard) -> Self {
         SimCache {
-            metrics: shard.enabled().then(|| CacheMetrics::new(shard)),
+            metrics: Some(CacheMetrics::new(shard)),
             ..SimCache::default()
         }
     }

@@ -151,7 +151,7 @@ impl Experiment {
         observe: impl FnOnce(&ExecutionTrace) -> O,
         finish: impl FnOnce(&mut SimResult, O) -> T,
     ) -> Result<(RunReport, T), CoreError> {
-        let shard = self.metrics.as_ref().filter(|s| s.enabled());
+        let shard = self.metrics.as_ref();
         // Host-side self-profiling: four `Instant::now` calls per run, so
         // the timer runs whenever anything will read it (`self_profile`
         // puts the timings on the report; an attached shard feeds the
@@ -423,8 +423,8 @@ impl ExperimentBuilder {
     /// Publish live metrics to `shard` while the run executes: the engine's
     /// `sim_*` gauges (sampled at control boundaries, see
     /// [`Simulator::with_metrics`]) and the per-stage `sim_stage_seconds`
-    /// histogram. A disabled shard costs nothing; the run's results are
-    /// byte-identical either way.
+    /// histogram. The run's results are byte-identical with or without a
+    /// shard.
     pub fn metrics(mut self, shard: MetricsShard) -> Self {
         self.metrics = Some(shard);
         self

@@ -303,9 +303,8 @@ impl Sweep {
     /// `sweep_elapsed_s`/`sweep_eta_s` gauges, per-worker
     /// `sweep_worker_busy_ms_total`/`sweep_worker_utilization` series, the
     /// shared cache's `cache_*` series, and each in-flight experiment's
-    /// engine gauges (`sim_*`, on the shard matching its pool worker). A
-    /// disabled hub costs nothing and results are byte-identical either
-    /// way.
+    /// engine gauges (`sim_*`, on the shard matching its pool worker).
+    /// Results are byte-identical with or without a hub.
     pub fn with_metrics(mut self, hub: Arc<MetricsHub>) -> Self {
         self.metrics = Some(hub);
         self
@@ -394,7 +393,7 @@ impl Sweep {
     pub fn run_outcomes(&self) -> Vec<SweepOutcome> {
         let grid: Vec<(SweepPoint, ExperimentBuilder)> = self.grid().collect();
         let total = grid.len();
-        let hub = self.metrics.as_ref().filter(|h| h.enabled());
+        let hub = self.metrics.as_ref();
         // One cache for the whole pool: workers publish lowered traces and
         // plan sets as they build them, so points sharing a workload (or a
         // later sweep via `with_cache`) skip that work entirely.

@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod chunking;
 pub mod collectives;
 pub mod flow;
@@ -25,7 +24,6 @@ pub mod health;
 pub mod hierarchical;
 pub mod projection;
 
-pub use arena::{ArenaItem, SliceArena, SliceRef};
 pub use chunking::ChunkingPolicy;
 pub use collectives::{lower_collective, CollectiveKind, CollectivePlan};
 pub use flow::Flow;

@@ -1,5 +1,6 @@
 //! Simulation configuration.
 
+use charllm_hw::Cluster;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
@@ -76,24 +77,45 @@ impl SimConfig {
         }
     }
 
-    /// The check both engines run before building: a run of zero
-    /// iterations has no iteration to time, a zero control period would
-    /// never advance the clock, a NaN one would never tick, and a sample
-    /// window of zero or less divides the util and PCIe samples by it.
-    pub(crate) fn check(&self) -> Result<(), SimError> {
+    /// The check both engines run before building on `cluster`: a run of
+    /// zero iterations has no iteration to time, a zero control period
+    /// would never advance the clock, a NaN one would never tick, and a
+    /// sample window of zero or less divides the util and PCIe samples by
+    /// it. A time cap that is not positive (NaN included) would disable or
+    /// trip the cap at once (+∞ means no cap); an overlap factor that is
+    /// not finite and positive divides compute rates into nonsense; power
+    /// caps of zero, negative or NaN watts would pin clocks low; and a
+    /// node cap must name a node of the cluster.
+    pub(crate) fn check(&self, cluster: &Cluster) -> Result<(), SimError> {
+        let invalid = |detail: String| Err(SimError::InvalidConfig(detail));
         if self.iterations == 0 {
-            return Err(SimError::InvalidConfig(
-                "iterations must be at least 1".to_string(),
-            ));
+            return invalid("iterations must be at least 1".to_string());
         }
-        for (name, period) in [
+        for (name, value) in [
             ("control_period_s", self.control_period_s),
             ("sample_period_s", self.sample_period_s),
+            ("overlap_slowdown", self.overlap_slowdown),
         ] {
-            if !(period.is_finite() && period > 0.0) {
-                return Err(SimError::InvalidConfig(format!(
-                    "{name} must be finite and positive, got {period}"
-                )));
+            if !(value.is_finite() && value > 0.0) {
+                return invalid(format!("{name} must be finite and positive, got {value}"));
+            }
+        }
+        let caps = [
+            ("max_sim_time_s", Some(self.max_sim_time_s)),
+            ("gpu_power_cap_w", self.gpu_power_cap_w),
+            ("node_power_cap", self.node_power_cap.map(|(_, w)| w)),
+        ];
+        for (name, cap) in caps {
+            if let Some(cap) = cap.filter(|&c| c.is_nan() || c <= 0.0) {
+                return invalid(format!("{name} must be positive, got {cap}"));
+            }
+        }
+        if let Some((node, _)) = self.node_power_cap {
+            if node as usize >= cluster.num_nodes() {
+                return invalid(format!(
+                    "node_power_cap names node {node} of a {}-node cluster",
+                    cluster.num_nodes()
+                ));
             }
         }
         Ok(())

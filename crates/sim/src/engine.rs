@@ -9,11 +9,13 @@
 //!   collective is lowered once into a `CollPlan` of flows with
 //!   precomputed routes, work, payload ratios, and per-flow *charge lists*
 //!   of `(gpu, LinkClass)` telemetry owners (replacing the per-event
-//!   per-route ownership `match`).
+//!   per-route ownership `match`). Installing a plan stores each distinct
+//!   route once, keyed by its endpoints and switch-link multiplier; a plan
+//!   from a cross-run [`SharedPlans`] set installs in place.
 //! - **Incremental link loads** — `link_load` is updated on flow
 //!   launch/retire instead of being rebuilt from all flows × routes in
-//!   every `next_dt`; per-flow bottleneck rates are cached and invalidated
-//!   by a load-epoch counter.
+//!   every `next_dt`; per-flow bottleneck rates are cached and re-rated
+//!   only for flows on a link whose load or health changed.
 //! - **Waiter wake-lists** — completing collectives wake exactly their
 //!   registered waiters and completing computes re-enqueue only their own
 //!   rank, instead of re-scanning every rank per event. The two-queue
@@ -28,12 +30,12 @@
 //! `tests/engine_golden.rs` enforce this on serialized [`SimResult`]s.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use charllm_hw::{Cluster, GpuId, LinkClass};
-use charllm_net::{lower_collective, ArenaItem, LinkHealth, SliceArena, SliceRef};
+use charllm_net::{lower_collective, LinkHealth};
 use charllm_parallel::Placement;
 use charllm_telemetry::metrics::{Gauge, MetricsShard};
 use charllm_telemetry::{GpuSample, TelemetryStore};
@@ -117,9 +119,10 @@ struct CollSlot {
 /// rail-fabric cluster). This is the cross-process representation —
 /// shared through [`SharedPlans`] and persisted in its packed encoding
 /// (every field an integer or an interned `f64`, so a set reloads
-/// bit-exact). At install time each
-/// `PlanFlow` is interned into the engine's route/charge arenas as a
-/// [`PlanFlowRef`], which is what the hot loops read.
+/// bit-exact). At install time each `PlanFlow` becomes a [`PlanFlowRef`],
+/// which is what the hot loops read: its route and charge list are stored
+/// once per `(src, dst, largest hop multiplier)` key (see
+/// [`InstalledPlans`]).
 #[derive(Debug, Clone, Copy)]
 struct PlanFlow {
     /// Effective work in byte-equivalents (payload + overhead).
@@ -149,7 +152,7 @@ struct PlanFlow {
 }
 
 /// A collective lowered once: reused for every launch of its id.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CollPlan {
     flows: Box<[PlanFlow]>,
 }
@@ -160,8 +163,8 @@ pub(crate) struct CollPlan {
 /// collective resolves routes, effective work and telemetry charge lists
 /// from topology and rank→GPU assignment alone. A `SharedPlans` built for
 /// one such triple can therefore seed any number of simulators replaying
-/// the same triple — each run clones ready-made plans into its local cache
-/// instead of re-lowering every collective (counted in
+/// the same triple — each run installs ready-made plans straight from the
+/// set instead of re-lowering every collective (counted in
 /// [`EngineStats::shared_plan_hits`]), and publishes the plans it does
 /// build for later runs.
 ///
@@ -196,16 +199,15 @@ impl SharedPlans {
         self.plans.iter().filter(|p| p.get().is_some()).count()
     }
 
-    /// The published plan for collective `ci`, if any (cloned: plans are
-    /// small route tables, and the local cache wants them inline).
-    fn get(&self, ci: usize) -> Option<CollPlan> {
-        self.plans[ci].get().cloned()
+    /// The published plan for collective `ci`, if any.
+    fn get(&self, ci: usize) -> Option<&CollPlan> {
+        self.plans[ci].get()
     }
 
     /// Publish a freshly built plan; first writer wins, later ones no-op
     /// (every builder of the same slot produces identical bits).
-    fn put(&self, ci: usize, plan: &CollPlan) {
-        let _ = self.plans[ci].set(plan.clone());
+    fn put(&self, ci: usize, plan: CollPlan) {
+        let _ = self.plans[ci].set(plan);
     }
 }
 
@@ -429,11 +431,10 @@ fn unpack_flows(text: &str, floats: &[f64]) -> Result<Vec<PlanFlow>, serde::Erro
     Ok(flows)
 }
 
-/// One hop of an interned route: the link index, its fair-share bandwidth
+/// One hop of an installed route: the link index, its fair-share bandwidth
 /// numerator (`bw_gbps * 1e9`, premultiplied so the rate loop divides the
 /// exact product the reference engine computes) and the folded load
-/// multiplier. Routes live deduplicated in a [`SliceArena`]; launching a
-/// flow stores a [`SliceRef`]-sized handle instead of copying hop arrays.
+/// multiplier.
 #[derive(Debug, Clone, Copy)]
 struct RouteHop {
     link: u32,
@@ -441,42 +442,39 @@ struct RouteHop {
     bw1e9: f64,
 }
 
-impl ArenaItem for RouteHop {
-    fn key_bits(&self) -> u64 {
-        (u64::from(self.link) << 16 | u64::from(self.mult)) ^ self.bw1e9.to_bits().rotate_left(17)
-    }
-
-    fn same(&self, other: &Self) -> bool {
-        self.link == other.link
-            && self.mult == other.mult
-            && self.bw1e9.to_bits() == other.bw1e9.to_bits()
-    }
-}
-
-/// One telemetry/traffic charge of an interned charge list: the owning GPU
-/// and the link class its payload is booked under.
-#[derive(Debug, Clone, Copy)]
+/// One telemetry/traffic charge of an installed route: the owning GPU and
+/// the link class its payload is booked under.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ChargeItem {
     gpu: u32,
     class: LinkClass,
 }
 
-impl ArenaItem for ChargeItem {
-    fn key_bits(&self) -> u64 {
-        u64::from(self.gpu) << 8 | link_class_code(self.class)
+/// Where one interned route's hops and charges sit in
+/// [`InstalledPlans::hops`] and [`InstalledPlans::charges`].
+#[derive(Debug, Clone, Copy)]
+struct RouteSpan {
+    hop_start: u32,
+    charge_start: u32,
+    hop_len: u8,
+    charge_len: u8,
+}
+
+impl RouteSpan {
+    fn hops(self) -> std::ops::Range<usize> {
+        self.hop_start as usize..self.hop_start as usize + usize::from(self.hop_len)
     }
 
-    fn same(&self, other: &Self) -> bool {
-        self.gpu == other.gpu && self.class == other.class
+    fn charges(self) -> std::ops::Range<usize> {
+        self.charge_start as usize..self.charge_start as usize + usize::from(self.charge_len)
     }
 }
 
-/// One flow of an *installed* collective plan: the arena-resident form the
-/// hot loops read. 40 bytes against [`PlanFlow`]'s ~280: the route and
-/// charge arrays collapse to [`SliceRef`] handles into the engine's shared
-/// [`SliceArena`]s, so launching a flow is a few index writes and the
-/// per-event rate loop walks a deduplicated hop slice instead of inline
-/// copies.
+/// One flow of an *installed* collective plan: the form the hot loops
+/// read. 40 bytes against [`PlanFlow`]'s ~280: the route and charge arrays
+/// collapse to a [`RouteSpan`] into the engine's shared hop and charge
+/// columns, so launching a flow is a few index writes and the per-event
+/// rate loop walks one contiguous hop slice.
 #[derive(Debug, Clone, Copy)]
 struct PlanFlowRef {
     /// Effective work in byte-equivalents (payload + overhead).
@@ -485,17 +483,98 @@ struct PlanFlowRef {
     payload_ratio: f64,
     src: u32,
     dst: u32,
-    route: SliceRef,
-    charges: SliceRef,
+    route: RouteSpan,
 }
 
-/// An installed plan: a contiguous run of [`PlanFlowRef`]s in the engine's
-/// `plan_flows` arena (plans are installed append-only, once per collective
-/// id per run).
+/// An installed plan: a contiguous run of [`PlanFlowRef`]s in
+/// [`InstalledPlans::flows`] (plans are installed append-only, once per
+/// collective id per run).
 #[derive(Debug, Clone, Copy)]
 struct PlanRange {
     start: u32,
     len: u32,
+}
+
+/// Every plan installed in one run, with each route stored once.
+///
+/// A flow's hops, per-hop bandwidths and charge list are pure functions of
+/// its endpoints on the cluster ([`plan_from_lowered`] derives them from
+/// `cluster.route_into(src, dst)`); its multipliers add only the one value
+/// laid on switch-tier links. So `(src, dst, largest hop multiplier)` names
+/// a route exactly, and every later flow with the same key shares the
+/// first one's span. Debug builds check each memo hit against the flow's
+/// own hops and charges.
+#[derive(Debug, Default)]
+struct InstalledPlans {
+    /// Installed plan flows, append-only ([`PlanRange`]s index into it).
+    flows: Vec<PlanFlowRef>,
+    /// Route memo: `(src, dst, largest hop multiplier)` → stored span.
+    routes: HashMap<(u32, u32, u16), RouteSpan>,
+    /// Route hops of every distinct route, in first-install order.
+    hops: Vec<RouteHop>,
+    /// Charge lists of every distinct route, in first-install order.
+    charges: Vec<ChargeItem>,
+}
+
+impl InstalledPlans {
+    /// Append `plan`'s flows, interning each route by its endpoints.
+    fn install(&mut self, plan: &CollPlan) -> PlanRange {
+        let start = self.flows.len() as u32;
+        for pf in plan.flows.iter() {
+            let route = self.intern_route(pf);
+            self.flows.push(PlanFlowRef {
+                work: pf.work,
+                payload_ratio: pf.payload_ratio,
+                src: pf.src.index() as u32,
+                dst: pf.dst.index() as u32,
+                route,
+            });
+        }
+        PlanRange {
+            start,
+            len: plan.flows.len() as u32,
+        }
+    }
+
+    /// The span of `pf`'s route, storing its hops and charges on first
+    /// sight of its key.
+    fn intern_route(&mut self, pf: &PlanFlow) -> RouteSpan {
+        let (rl, cl) = (usize::from(pf.route_len), usize::from(pf.charge_len));
+        let hops = (0..rl).map(|l| RouteHop {
+            link: pf.links[l],
+            mult: pf.mult[l],
+            bw1e9: pf.bw1e9[l],
+        });
+        let charges = (0..cl).map(|c| ChargeItem {
+            gpu: pf.charge_gpu[c],
+            class: pf.charge_class[c],
+        });
+        let mult = pf.mult[..rl].iter().copied().max().unwrap_or(1);
+        let key = (pf.src.index() as u32, pf.dst.index() as u32, mult);
+        let span = *self.routes.entry(key).or_insert_with(|| {
+            let offset = |len: usize| u32::try_from(len).expect("route columns exceed u32");
+            let span = RouteSpan {
+                hop_start: offset(self.hops.len()),
+                charge_start: offset(self.charges.len()),
+                hop_len: pf.route_len,
+                charge_len: pf.charge_len,
+            };
+            self.hops.extend(hops.clone());
+            self.charges.extend(charges.clone());
+            span
+        });
+        let bits = |h: RouteHop| (h.link, h.mult, h.bw1e9.to_bits());
+        debug_assert!(
+            self.hops[span.hops()]
+                .iter()
+                .copied()
+                .map(bits)
+                .eq(hops.map(bits))
+                && self.charges[span.charges()].iter().copied().eq(charges),
+            "route memo key {key:?} stores other hops or charges than this flow's"
+        );
+        span
+    }
 }
 
 /// The bottleneck fair-share rate of the flow in `slot`: the min over its
@@ -504,14 +583,13 @@ struct PlanRange {
 fn flow_rate(
     slot: usize,
     pf_of: &[u32],
-    plan_flows: &[PlanFlowRef],
-    route_arena: &SliceArena<RouteHop>,
+    plans: &InstalledPlans,
     link_load: &[u32],
     link_health: &LinkHealth,
 ) -> f64 {
-    let pf = plan_flows[pf_of[slot] as usize];
+    let pf = plans.flows[pf_of[slot] as usize];
     let mut rate = f64::INFINITY;
-    for hop in route_arena.get(pf.route) {
+    for hop in &plans.hops[pf.route.hops()] {
         let load = link_load[hop.link as usize].max(1) as f64;
         rate = rate.min(link_health.scale(hop.link as usize) * hop.bw1e9 / load);
     }
@@ -719,12 +797,8 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// advance-loop visit sequence the old dense `Vec` had, over stable
     /// slots that never move.
     flow_order: Vec<u32>,
-    /// Installed plan flows, append-only ([`PlanRange`]s index into it).
-    plan_flows: Vec<PlanFlowRef>,
-    /// Deduplicated route-hop slices shared by all installed plans.
-    route_arena: SliceArena<RouteHop>,
-    /// Deduplicated telemetry charge lists shared by all installed plans.
-    charge_arena: SliceArena<ChargeItem>,
+    /// Installed plan flows and the routes they share.
+    installed: InstalledPlans,
     /// Number of active flows touching each GPU (as src or dst).
     gpu_flow_count: Vec<u32>,
     /// Flow load per link, maintained incrementally on launch/retire.
@@ -978,7 +1052,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         obs: O,
         fold: Option<FoldSetup<'a>>,
     ) -> Result<Self, SimError> {
-        cfg.check()?;
+        cfg.check(cluster)?;
         let problems = trace.validate();
         if !problems.is_empty() {
             return Err(SimError::InvalidTrace(problems));
@@ -1092,9 +1166,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             live_colls: 0,
             fa: FlowArena::new(),
             flow_order: Vec::new(),
-            plan_flows: Vec::new(),
-            route_arena: SliceArena::new(),
-            charge_arena: SliceArena::new(),
+            installed: InstalledPlans::default(),
             gpu_flow_count: vec![0; num_gpus],
             link_load: vec![0; cluster.num_links()],
             rerate_pass: 0,
@@ -1166,49 +1238,36 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         })
     }
 
-    /// Intern `plan` into the engine's arenas and record its range in the
-    /// plan cache: routes and charge lists deduplicate into the shared
-    /// [`SliceArena`]s, so launching one of its flows is a few index
-    /// writes instead of a ~280-byte plan copy.
-    fn install_plan(&mut self, ci: usize, plan: &CollPlan) -> PlanRange {
-        let start = self.plan_flows.len() as u32;
-        let mut hops: Vec<RouteHop> = Vec::with_capacity(MAX_ROUTE_LINKS);
-        let mut charges: Vec<ChargeItem> = Vec::with_capacity(MAX_ROUTE_LINKS);
-        for pf in plan.flows.iter() {
-            hops.clear();
-            charges.clear();
-            for l in 0..pf.route_len as usize {
-                hops.push(RouteHop {
-                    link: pf.links[l],
-                    mult: pf.mult[l],
-                    bw1e9: pf.bw1e9[l],
-                });
+    /// Install collective `ci`'s plan and record its range in the plan
+    /// cache. A plan published in the shared set installs in place; one
+    /// built here is installed first and then moved into the set.
+    fn install_plan(&mut self, ci: usize, coll: u32) -> PlanRange {
+        let shared = self.shared_plans.as_deref();
+        let range = if let Some(plan) = shared.and_then(|s| s.get(ci)) {
+            self.stats.shared_plan_hits += 1;
+            self.installed.install(plan)
+        } else {
+            let plan = build_plan(
+                self.cluster,
+                self.trace,
+                &self.ranks,
+                coll,
+                self.fold_full_groups,
+                self.fold_switch_mult,
+            );
+            self.stats.plan_builds += 1;
+            let range = self.installed.install(&plan);
+            if let Some(shared) = shared {
+                shared.put(ci, plan);
             }
-            for c in 0..pf.charge_len as usize {
-                charges.push(ChargeItem {
-                    gpu: pf.charge_gpu[c],
-                    class: pf.charge_class[c],
-                });
-            }
-            self.plan_flows.push(PlanFlowRef {
-                work: pf.work,
-                payload_ratio: pf.payload_ratio,
-                src: pf.src.index() as u32,
-                dst: pf.dst.index() as u32,
-                route: self.route_arena.intern(&hops),
-                charges: self.charge_arena.intern(&charges),
-            });
-        }
-        let range = PlanRange {
-            start,
-            len: plan.flows.len() as u32,
+            range
         };
         self.plan_cache[ci] = Some(range);
         range
     }
 
     /// Attach a cross-run [`SharedPlans`] set: collective plans already
-    /// published there are cloned instead of rebuilt (counted in
+    /// published there are installed instead of rebuilt (counted in
     /// [`EngineStats::shared_plan_hits`]), and plans this run builds are
     /// published back. The set must come from the same
     /// `(cluster, placement, trace)` triple as this simulator; results are
@@ -1235,12 +1294,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// labeled `worker="<shard index>"`. Publication happens at control
     /// boundaries and at run end — never on the per-event path — and the
     /// hub feeds nothing back, so results stay byte-identical with or
-    /// without it (a disabled shard costs one pointer check per control
-    /// tick).
+    /// without it (a run without a shard costs one pointer check per
+    /// control tick).
     pub fn with_metrics(mut self, shard: &MetricsShard) -> Self {
-        if !shard.enabled() {
-            return self;
-        }
         let m = EngineMetrics::new(shard);
         if self.fold_switch_mult > 1 {
             let worker = shard.index().to_string();
@@ -1812,29 +1868,14 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         let range = if let Some(range) = self.plan_cache[ci] {
             self.stats.plan_reuses += 1;
             range
-        } else if let Some(plan) = self.shared_plans.as_ref().and_then(|s| s.get(ci)) {
-            self.stats.shared_plan_hits += 1;
-            self.install_plan(ci, &plan)
         } else {
-            let plan = build_plan(
-                self.cluster,
-                self.trace,
-                &self.ranks,
-                coll,
-                self.fold_full_groups,
-                self.fold_switch_mult,
-            );
-            if let Some(shared) = &self.shared_plans {
-                shared.put(ci, &plan);
-            }
-            self.stats.plan_builds += 1;
-            self.install_plan(ci, &plan)
+            self.install_plan(ci, coll)
         };
 
         let active = range.len;
         self.stats.flows_launched += u64::from(active);
         for pfi in range.start..range.start + range.len {
-            let pf = self.plan_flows[pfi as usize];
+            let pf = self.installed.flows[pfi as usize];
             let slot = self.fa.alloc() as usize;
             self.obs
                 .flow_launch(slot as u32, coll, iter, pf.src, pf.dst, self.t);
@@ -1855,8 +1896,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             if self.gpu_flow_count[pf.dst as usize] == 1 {
                 self.mark_gpu_ranks_dirty(pf.dst as usize);
             }
-            for (l, li) in pf.route.indices().enumerate() {
-                let hop = self.route_arena.item(li);
+            for (l, hi) in pf.route.hops().enumerate() {
+                let hop = self.installed.hops[hi];
                 let id = hop.link as usize;
                 self.link_load[id] += u32::from(hop.mult);
                 self.mark_link_dirty(id);
@@ -2020,11 +2061,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         if pending == 0.0 {
             return;
         }
-        let pf = self.plan_flows[self.fa.pf[slot] as usize];
+        let pf = self.installed.flows[self.fa.pf[slot] as usize];
         let payload = pending * pf.payload_ratio;
         let measured = self.fa.iteration[slot] as usize >= self.cfg.warmup_iterations;
-        for ci in pf.charges.indices() {
-            let charge = self.charge_arena.item(ci);
+        for charge in &self.installed.charges[pf.route.charges()] {
             let gpu = charge.gpu as usize;
             if measured {
                 self.traffic.add(gpu, charge.class, payload);
@@ -2131,8 +2171,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         let rate = flow_rate(
             slot,
             &self.fa.pf,
-            &self.plan_flows,
-            &self.route_arena,
+            &self.installed,
             &self.link_load,
             &self.link_health,
         );
@@ -2308,8 +2347,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             let rate = flow_rate(
                 slot,
                 &self.fa.pf,
-                &self.plan_flows,
-                &self.route_arena,
+                &self.installed,
                 &self.link_load,
                 &self.link_health,
             );
@@ -2425,7 +2463,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // sub-unit residual included, so every lowered payload byte lands
         // in the traffic accounting.
         self.charge_flow(slot, self.fa.moved_acc[slot] + self.fa.remaining[slot]);
-        let pf = self.plan_flows[self.fa.pf[slot] as usize];
+        let pf = self.installed.flows[self.fa.pf[slot] as usize];
         let key = (self.fa.iteration[slot], self.fa.coll[slot]);
         self.obs.flow_retire(slot as u32, self.t + dt);
         // Close rank segments on a GPU about to lose its last flow
@@ -2445,8 +2483,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         if self.gpu_flow_count[pf.dst as usize] == 0 {
             self.mark_gpu_ranks_dirty(pf.dst as usize);
         }
-        for li in pf.route.indices() {
-            let hop = self.route_arena.item(li);
+        for hi in pf.route.hops() {
+            let hop = self.installed.hops[hi];
             let id = hop.link as usize;
             self.link_load[id] -= u32::from(hop.mult);
             self.mark_link_dirty(id);
@@ -2475,9 +2513,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// Remove the flow's membership entries from its route links' flow
     /// lists (swap-remove with back-pointer fixup; O(route length)).
     fn detach_flow_links(&mut self, slot: usize) {
-        let pf = self.plan_flows[self.fa.pf[slot] as usize];
-        for (l, li) in pf.route.indices().enumerate() {
-            let link = self.route_arena.item(li).link as usize;
+        let pf = self.installed.flows[self.fa.pf[slot] as usize];
+        for (l, hi) in pf.route.hops().enumerate() {
+            let link = self.installed.hops[hi].link as usize;
             let pos = self.fa.link_pos[slot][l] as usize;
             self.link_flows[link].swap_remove(pos);
             if let Some(&(ms, mr)) = self.link_flows[link].get(pos) {
@@ -2901,7 +2939,7 @@ pub(crate) fn kernel_pressure(kind: charllm_trace::ComputeKind) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charllm_hw::{presets, GpuModel, NodeLayout};
+    use charllm_hw::{presets, GpuModel, LinkId, NodeLayout};
     use charllm_models::{presets as models, TrainJob};
     use charllm_net::ChunkingPolicy;
     use charllm_net::CollectiveKind;
@@ -3247,5 +3285,159 @@ mod tests {
         // blocks on its own wait, so all three are woken on completion.
         assert_eq!(stats.wakes, 3);
         assert_eq!(stats.colls_retired, 1);
+    }
+
+    /// `kind` over `gpus` on `cluster`, in the engine's cached form with
+    /// `mult` on switch-tier links.
+    fn lowered_plan(
+        cluster: &Cluster,
+        kind: CollectiveKind,
+        bytes: u64,
+        gpus: &[u32],
+        mult: u16,
+    ) -> CollPlan {
+        let gpus: Vec<GpuId> = gpus.iter().map(|&g| GpuId(g)).collect();
+        let plan =
+            lower_collective(kind, bytes, &gpus, cluster, ChunkingPolicy::nccl_default()).unwrap();
+        plan_from_lowered(cluster, plan, mult)
+    }
+
+    fn hop_bits(plans: &InstalledPlans, pf: &PlanFlowRef) -> Vec<(u32, u16, u64)> {
+        plans.hops[pf.route.hops()]
+            .iter()
+            .map(|h| (h.link, h.mult, h.bw1e9.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn collectives_over_the_same_pairs_share_one_route_per_pair() {
+        // Two nodes: the ring crosses NVLink inside a node and the NICs and
+        // switch tiers between them.
+        let cluster = presets::hgx_h100_superpod(2, 2);
+        let gpus = [0, 1, 8, 9];
+        let mut plans = InstalledPlans::default();
+        let first = plans.install(&lowered_plan(
+            &cluster,
+            CollectiveKind::AllReduce,
+            1 << 20,
+            &gpus,
+            1,
+        ));
+        let (routes, hops, charges) = (plans.routes.len(), plans.hops.len(), plans.charges.len());
+        let pairs: std::collections::BTreeSet<(u32, u32)> =
+            plans.flows.iter().map(|f| (f.src, f.dst)).collect();
+        assert_eq!(routes, pairs.len(), "one route per GPU pair");
+        let stored: usize = pairs
+            .iter()
+            .map(|&(src, dst)| usize::from(plans.routes[&(src, dst, 1)].hop_len))
+            .sum();
+        assert_eq!(hops, stored, "each pair's hops stored once");
+        let second = plans.install(&lowered_plan(
+            &cluster,
+            CollectiveKind::AllReduce,
+            64 << 20,
+            &gpus,
+            1,
+        ));
+        assert_eq!(second.len, first.len);
+        assert_eq!(
+            (plans.routes.len(), plans.hops.len(), plans.charges.len()),
+            (routes, hops, charges),
+            "the second collective stores no route"
+        );
+        let flows = &plans.flows;
+        for i in 0..first.len as usize {
+            let (a, b) = (
+                &flows[first.start as usize + i],
+                &flows[second.start as usize + i],
+            );
+            assert_eq!((a.src, a.dst), (b.src, b.dst));
+            assert_eq!(a.route.hop_start, b.route.hop_start);
+            assert_eq!(a.route.charge_start, b.route.charge_start);
+            assert_ne!(a.work.to_bits(), b.work.to_bits(), "work stays per flow");
+        }
+    }
+
+    #[test]
+    fn a_switch_multiplier_stores_a_second_route_per_pair() {
+        // A cross-node ring laid once at multiplier 1 (a folded run's full
+        // cross-replica ring) and once at 4 (an intra-replica plan standing
+        // in for four replicas): the same endpoints, different hops.
+        let cluster = presets::hgx_h100_superpod(2, 2);
+        let gpus = [0, 8];
+        let mut plans = InstalledPlans::default();
+        let once = plans.install(&lowered_plan(
+            &cluster,
+            CollectiveKind::AllReduce,
+            1 << 20,
+            &gpus,
+            1,
+        ));
+        let routes = plans.routes.len();
+        let folded = plans.install(&lowered_plan(
+            &cluster,
+            CollectiveKind::AllReduce,
+            1 << 20,
+            &gpus,
+            4,
+        ));
+        assert_eq!(plans.routes.len(), 2 * routes, "one route per multiplier");
+        for i in 0..once.len as usize {
+            let a = plans.flows[once.start as usize + i];
+            let b = plans.flows[folded.start as usize + i];
+            let switch_hops = |pf: &PlanFlowRef| {
+                plans.hops[pf.route.hops()]
+                    .iter()
+                    .filter(|h| cluster.link(LinkId(h.link)).class == LinkClass::Switch)
+                    .map(|h| h.mult)
+                    .collect::<Vec<_>>()
+            };
+            assert!(!switch_hops(&a).is_empty(), "the ring crosses the fabric");
+            assert!(switch_hops(&a).iter().all(|&m| m == 1));
+            assert!(switch_hops(&b).iter().all(|&m| m == 4));
+            assert_ne!(a.route.hop_start, b.route.hop_start);
+        }
+    }
+
+    #[test]
+    fn a_reloaded_plan_set_installs_the_same_hops_as_a_fresh_one() {
+        let cluster = presets::hgx_h100_superpod(2, 2);
+        let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(8);
+        let spec = ParallelismSpec::infer_dp(2, 2, 1, 16, false).unwrap();
+        let partition = StagePartition::even(40, 2).unwrap();
+        let hints = DeviceHints::for_spec(cluster.gpu());
+        let lowered =
+            lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+        let trace = &lowered.trace;
+        let shared = Arc::new(SharedPlans::for_trace(trace));
+        let placement = Placement::identity(&cluster, trace.world()).unwrap();
+        Simulator::new(&cluster, &placement, trace, SimConfig::fast())
+            .unwrap()
+            .with_shared_plans(Arc::clone(&shared))
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(shared.num_built(), trace.num_collectives());
+        let text = serde_json::to_string(&*shared).unwrap();
+        let reloaded: SharedPlans = serde_json::from_str(&text).unwrap();
+        let (mut fresh, mut again) = (InstalledPlans::default(), InstalledPlans::default());
+        for ci in 0..trace.num_collectives() {
+            fresh.install(shared.get(ci).unwrap());
+            again.install(reloaded.get(ci).unwrap());
+        }
+        assert!(!fresh.hops.is_empty() && fresh.flows.len() > fresh.routes.len());
+        assert_eq!(fresh.routes.len(), again.routes.len());
+        assert_eq!(fresh.charges, again.charges);
+        assert_eq!(fresh.flows.len(), again.flows.len());
+        for (a, b) in fresh.flows.iter().zip(&again.flows) {
+            assert_eq!((a.src, a.dst), (b.src, b.dst));
+            assert_eq!(a.work.to_bits(), b.work.to_bits());
+            assert_eq!(a.payload_ratio.to_bits(), b.payload_ratio.to_bits());
+            assert_eq!(hop_bits(&fresh, a), hop_bits(&again, b));
+            assert_eq!(
+                fresh.charges[a.route.charges()],
+                again.charges[b.route.charges()]
+            );
+        }
     }
 }

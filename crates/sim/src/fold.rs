@@ -55,14 +55,16 @@ use crate::result::SimResult;
 /// Options controlling folded-result expansion.
 #[derive(Debug, Clone)]
 pub struct FoldOptions {
-    /// Copy the representative replica's telemetry time series onto every
-    /// skipped GPU (default). At very large scale the expanded store can
-    /// run to hundreds of megabytes; disable to keep series only for the
-    /// GPUs that were actually stepped. Phantom GPUs mirror
-    /// representatives, so the store's means and peaks
-    /// (`telemetry.mean_power_w()`, `telemetry.peak_temp_c()`, ...) hold
-    /// either way; `telemetry.total_energy_j()` and
-    /// `telemetry.aggregate_pcie()` then cover the stepped GPUs only.
+    /// Give every skipped GPU its representative's telemetry time series
+    /// (default). Expanding costs no memory: a skipped GPU only points at
+    /// its representative's column. What the flag changes is what the
+    /// store reports and writes: expanded, the serialized result carries
+    /// every GPU's series, and `telemetry.total_energy_j()` and
+    /// `telemetry.aggregate_pcie()` cover the whole cluster; disabled, the
+    /// result serializes smaller and those two cover the stepped GPUs
+    /// only. Skipped GPUs mirror representatives, so the store's means and
+    /// peaks (`telemetry.mean_power_w()`, `telemetry.peak_temp_c()`, ...)
+    /// hold either way.
     pub expand_telemetry: bool,
     /// Metrics shard to attach to the folded run (default `None`). When
     /// set, [`run_folded`] wires the engine's live gauges through
@@ -276,7 +278,7 @@ pub fn run_folded(
         ))
     })?;
 
-    let shard = opts.metrics.as_ref().filter(|s| s.enabled());
+    let shard = opts.metrics.as_ref();
     let mut timer = StageTimer::start();
 
     let setup = FoldSetup {

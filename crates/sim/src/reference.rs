@@ -184,7 +184,7 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         cfg: SimConfig,
         obs: O,
     ) -> Result<Self, SimError> {
-        cfg.check()?;
+        cfg.check(cluster)?;
         let problems = trace.validate();
         if !problems.is_empty() {
             return Err(SimError::InvalidTrace(problems));

@@ -11,14 +11,14 @@
 //! operations — no locks, no allocation, no cross-shard contention on the
 //! hot path.
 //!
-//! # Zero cost when off
+//! # Attached or absent
 //!
-//! [`MetricsHub::disabled`] hands out instruments whose inner slot is
-//! `None`; every `inc`/`set`/`observe` is a no-op on them. Layers that
-//! integrate the hub store an `Option` of their instrument bundle and skip
-//! publication entirely when unattached, so the unobserved hot path runs
-//! the exact same instructions as before the hub existed (the engine's
-//! golden suite pins byte-identical results).
+//! A hub is either attached or not there at all: layers that integrate it
+//! take an `Option` of a hub or shard and build their instrument bundle
+//! only when one is given, skipping publication entirely otherwise. The
+//! unobserved hot path therefore runs the exact same instructions as
+//! before the hub existed (the engine's golden suite pins byte-identical
+//! results).
 //!
 //! # Snapshots and deltas
 //!
@@ -143,19 +143,14 @@ impl Slot {
     }
 }
 
-/// A monotone counter handle. Cheap to clone; a handle from a disabled hub
-/// is a no-op. See the [module docs](self).
-#[derive(Debug, Clone, Default)]
+/// A monotone counter handle. Cheap to clone. See the
+/// [module docs](self).
+#[derive(Debug, Clone)]
 pub struct Counter {
-    slot: Option<Arc<Slot>>,
+    slot: Arc<Slot>,
 }
 
 impl Counter {
-    /// A permanently disabled counter (what a disabled hub hands out).
-    pub fn disabled() -> Self {
-        Counter::default()
-    }
-
     /// Add one.
     pub fn inc(&self) {
         self.add(1);
@@ -163,69 +158,55 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        if let Some(slot) = &self.slot {
-            slot.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.slot.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current count on this shard (0 when disabled). Cross-shard totals
-    /// come from [`MetricsHub::snapshot`].
+    /// Current count on this shard. Cross-shard totals come from
+    /// [`MetricsHub::snapshot`].
     pub fn get(&self) -> u64 {
-        self.slot
-            .as_ref()
-            .map_or(0, |s| s.value.load(Ordering::Relaxed))
+        self.slot.value.load(Ordering::Relaxed)
     }
 }
 
-/// A last-write-wins gauge handle. Cheap to clone; disabled handles no-op.
-#[derive(Debug, Clone, Default)]
+/// A last-write-wins gauge handle. Cheap to clone.
+#[derive(Debug, Clone)]
 pub struct Gauge {
-    slot: Option<(Arc<Slot>, Arc<AtomicU64>)>,
+    slot: Arc<Slot>,
+    /// The hub-global set sequence.
+    seq: Arc<AtomicU64>,
 }
 
 impl Gauge {
-    /// A permanently disabled gauge.
-    pub fn disabled() -> Self {
-        Gauge::default()
-    }
-
     /// Set the gauge. Concurrent sets resolve by a hub-global sequence at
     /// snapshot time (the value and stamp are separate atomics, so a
     /// racing reader may pair a fresh value with a stale stamp — gauges
     /// are sampled approximations by design).
     pub fn set(&self, v: f64) {
-        if let Some((slot, seq)) = &self.slot {
-            slot.value.store(v.to_bits(), Ordering::Relaxed);
-            slot.seq
-                .store(seq.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-        }
+        self.slot.value.store(v.to_bits(), Ordering::Relaxed);
+        self.slot.seq.store(
+            self.seq.fetch_add(1, Ordering::Relaxed) + 1,
+            Ordering::Relaxed,
+        );
     }
 
-    /// Current value on this shard (0.0 when disabled).
+    /// Current value on this shard.
     pub fn get(&self) -> f64 {
-        self.slot.as_ref().map_or(0.0, |(s, _)| {
-            f64::from_bits(s.value.load(Ordering::Relaxed))
-        })
+        f64::from_bits(self.slot.value.load(Ordering::Relaxed))
     }
 }
 
-/// A fixed-bucket histogram handle. Cheap to clone; disabled handles no-op.
-#[derive(Debug, Clone, Default)]
+/// A fixed-bucket histogram handle. Cheap to clone.
+#[derive(Debug, Clone)]
 pub struct Histogram {
-    slot: Option<Arc<Slot>>,
+    slot: Arc<Slot>,
 }
 
 impl Histogram {
-    /// A permanently disabled histogram.
-    pub fn disabled() -> Self {
-        Histogram::default()
-    }
-
     /// Record one observation: increments the first bucket whose upper
     /// bound is ≥ `v` (the trailing `+Inf` bucket otherwise), the count,
     /// and the micro-unit sum.
     pub fn observe(&self, v: f64) {
-        let Some(slot) = &self.slot else { return };
+        let slot = &self.slot;
         let idx = slot
             .bounds
             .iter()
@@ -242,56 +223,29 @@ impl Histogram {
 type Registry = Mutex<Vec<(MetricId, Arc<Slot>)>>;
 
 /// The hub: a fixed set of per-worker shards plus the gauge set sequence.
-/// Construct once per run ([`MetricsHub::new`]) or share a disabled one
-/// ([`MetricsHub::disabled`]); hand [`MetricsShard`] handles to layers.
+/// Construct once per run ([`MetricsHub::new`]) and hand [`MetricsShard`]
+/// handles to layers.
 #[derive(Debug)]
 pub struct MetricsHub {
-    enabled: bool,
     gauge_seq: Arc<AtomicU64>,
     shards: Vec<Registry>,
 }
 
 impl MetricsHub {
-    /// An enabled hub with `shards` independent shards (typically the
+    /// A hub with `shards` independent shards (typically the
     /// sweep's worker count plus one for the coordinator; clamped to ≥ 1).
     pub fn new(shards: usize) -> Arc<Self> {
         Arc::new(MetricsHub {
-            enabled: true,
             gauge_seq: Arc::new(AtomicU64::new(0)),
             shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
         })
     }
 
-    /// A disabled hub: every instrument it hands out is a no-op and
-    /// [`MetricsHub::snapshot`] is empty.
-    pub fn disabled() -> Arc<Self> {
-        Arc::new(MetricsHub {
-            enabled: false,
-            gauge_seq: Arc::new(AtomicU64::new(0)),
-            shards: Vec::new(),
-        })
-    }
-
-    /// Whether instruments from this hub record anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Number of shards (0 on a disabled hub).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard handle for `worker` (wrapped modulo the shard count).
     pub fn shard(self: &Arc<Self>, worker: usize) -> MetricsShard {
-        let index = if self.shards.is_empty() {
-            0
-        } else {
-            worker % self.shards.len()
-        };
         MetricsShard {
             hub: Arc::clone(self),
-            index,
+            index: worker % self.shards.len(),
         }
     }
 
@@ -362,63 +316,36 @@ pub struct MetricsShard {
 }
 
 impl MetricsShard {
-    /// A handle onto a fresh disabled hub (every instrument no-ops).
-    pub fn disabled() -> Self {
-        MetricsHub::disabled().shard(0)
-    }
-
-    /// The hub this shard belongs to.
-    pub fn hub(&self) -> &Arc<MetricsHub> {
-        &self.hub
-    }
-
     /// This shard's index.
     pub fn index(&self) -> usize {
         self.index
     }
 
-    /// Whether instruments from this shard record anything.
-    pub fn enabled(&self) -> bool {
-        self.hub.enabled
-    }
-
     /// Register (or look up) a counter on this shard.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        if !self.hub.enabled {
-            return Counter::disabled();
-        }
         let id = MetricId::new(name, labels);
         Counter {
-            slot: Some(self.hub.register(self.index, id, MetricKind::Counter, &[])),
+            slot: self.hub.register(self.index, id, MetricKind::Counter, &[]),
         }
     }
 
     /// Register (or look up) a gauge on this shard.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        if !self.hub.enabled {
-            return Gauge::disabled();
-        }
         let id = MetricId::new(name, labels);
         Gauge {
-            slot: Some((
-                self.hub.register(self.index, id, MetricKind::Gauge, &[]),
-                Arc::clone(&self.hub.gauge_seq),
-            )),
+            slot: self.hub.register(self.index, id, MetricKind::Gauge, &[]),
+            seq: Arc::clone(&self.hub.gauge_seq),
         }
     }
 
     /// Register (or look up) a histogram on this shard with the given
     /// ascending bucket upper bounds (a `+Inf` bucket is implicit).
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Histogram {
-        if !self.hub.enabled {
-            return Histogram::disabled();
-        }
         let id = MetricId::new(name, labels);
         Histogram {
-            slot: Some(
-                self.hub
-                    .register(self.index, id, MetricKind::Histogram, bounds),
-            ),
+            slot: self
+                .hub
+                .register(self.index, id, MetricKind::Histogram, bounds),
         }
     }
 }
@@ -950,22 +877,6 @@ mod tests {
             *sum_micros,
             to_micros(0.05) + to_micros(0.5) + to_micros(5.0)
         );
-    }
-
-    #[test]
-    fn disabled_hub_is_inert() {
-        let hub = MetricsHub::disabled();
-        let shard = hub.shard(0);
-        let c = shard.counter("x_total", &[]);
-        let g = shard.gauge("y", &[]);
-        let h = shard.histogram("z", &[], &[1.0]);
-        c.inc();
-        g.set(9.0);
-        h.observe(0.5);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0.0);
-        assert!(hub.snapshot().is_empty());
-        assert!(!shard.enabled());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::spans::{SpanKind, SpanRecorder};
+use crate::spans::{PowerTick, SpanKind, SpanRecorder};
 use charllm_trace::KernelClass;
 
 /// Wall-time/energy attribution buckets.
@@ -175,6 +175,7 @@ pub fn attribute(rec: &SpanRecorder, end_time_s: f64, iterations: usize) -> Prof
     let world = rec.world();
     let iterations = iterations.max(1);
     let busy = comm_busy_by_gpu(rec, end_time_s);
+    let ticks = measuring_ticks_by_gpu(rec);
 
     let mut rank_phases = vec![PhaseBreakdown::default(); world];
     let mut iteration_phases = vec![vec![PhaseBreakdown::default(); world]; iterations];
@@ -205,8 +206,12 @@ pub fn attribute(rec: &SpanRecorder, end_time_s: f64, iterations: usize) -> Prof
             rank_phases[rank].add_seconds(iv.phase, dur);
             iteration_phases[iv.iteration as usize][rank].add_seconds(iv.phase, dur);
         }
+        let gpu_ticks = rec
+            .gpu_of_rank(rank)
+            .and_then(|g| ticks.get(&g))
+            .map_or(&[][..], Vec::as_slice);
         attribute_energy(
-            rec,
+            gpu_ticks,
             rank,
             &intervals,
             &mut rank_phases,
@@ -387,24 +392,28 @@ fn split_compute(
     }
 }
 
-/// Split each measuring power window of the rank's GPU across the rank's
-/// phase intervals by time overlap. Because the intervals tile `[0, end]`,
-/// the split conserves `power × period` per window exactly.
+/// Each GPU's measuring power ticks, in recorded order.
+fn measuring_ticks_by_gpu(rec: &SpanRecorder) -> HashMap<u32, Vec<&PowerTick>> {
+    let mut ticks: HashMap<u32, Vec<&PowerTick>> = HashMap::new();
+    for tick in rec.power_ticks().iter().filter(|t| t.measuring) {
+        ticks.entry(tick.gpu).or_default().push(tick);
+    }
+    ticks
+}
+
+/// Split each measuring power window of the rank's GPU (`ticks`, in
+/// recorded order) across the rank's phase intervals by time overlap.
+/// Because the intervals tile `[0, end]`, the split conserves
+/// `power × period` per window exactly.
 fn attribute_energy(
-    rec: &SpanRecorder,
+    ticks: &[&PowerTick],
     rank: usize,
     intervals: &[Interval],
     rank_phases: &mut [PhaseBreakdown],
     iteration_phases: &mut [Vec<PhaseBreakdown>],
 ) {
-    let Some(gpu) = rec.gpu_of_rank(rank) else {
-        return;
-    };
     let mut ptr = 0usize;
-    for tick in rec.power_ticks() {
-        if tick.gpu != gpu || !tick.measuring {
-            continue;
-        }
+    for tick in ticks {
         let w0 = (tick.t_s - tick.period_s).max(0.0);
         let w1 = tick.t_s;
         while ptr < intervals.len() && intervals[ptr].t1 <= w0 {
@@ -505,6 +514,38 @@ mod tests {
         let b = &p.rank_phases[0];
         assert!((b.total_energy_j() - 400.0).abs() < 1e-9);
         assert!((b.energy_j(Phase::Compute) - 400.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn interleaved_gpu_ticks_split_into_exact_phase_energies() {
+        // Rank 0 on GPU 0 computes over [0, 3] and stalls to 4; rank 1 on
+        // GPU 1 computes over [0, 1] and is in an AllReduce to 4. Their
+        // 2-second power windows are recorded interleaved, plus one
+        // non-measuring GPU 1 window that must not count.
+        let mut r = SpanRecorder::new();
+        r.begin_task(0, 0, 0, compute(ComputeKind::Gemm), 0.0);
+        r.end_task(0, 3.0);
+        r.begin_task(1, 1, 0, compute(ComputeKind::Gemm), 0.0);
+        r.end_task(1, 1.0);
+        let all_reduce = SpanKind::Collective {
+            coll: 0,
+            class: KernelClass::AllReduce,
+        };
+        r.begin_task(1, 1, 0, all_reduce, 1.0);
+        r.end_task(1, 4.0);
+        r.power_tick(1, 2.0, 999.0, 2.0, false);
+        r.power_tick(0, 2.0, 100.0, 2.0, true);
+        r.power_tick(1, 2.0, 50.0, 2.0, true);
+        r.power_tick(0, 4.0, 200.0, 2.0, true);
+        r.power_tick(1, 4.0, 70.0, 2.0, true);
+        let p = attribute(&r, 4.0, 1);
+        let energies = |b: &PhaseBreakdown| {
+            [Phase::Compute, Phase::ExposedComm, Phase::Stall].map(|ph| b.energy_j(ph))
+        };
+        assert_eq!(energies(&p.rank_phases[0]), [400.0, 0.0, 200.0]);
+        assert_eq!(energies(&p.rank_phases[1]), [50.0, 190.0, 0.0]);
+        assert_eq!(energies(&p.iteration_phases[0][0]), [400.0, 0.0, 200.0]);
+        assert_eq!(energies(&p.iteration_phases[0][1]), [50.0, 190.0, 0.0]);
     }
 
     #[test]

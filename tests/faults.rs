@@ -344,19 +344,63 @@ fn zero_iterations_are_rejected_by_both_engines_and_sweeps() {
     // A run of zero iterations used to index an empty per-iteration table
     // at the first iteration boundary, and the panic took a parallel sweep
     // down with it.
+    // The other rows ran without error before both engines checked them:
+    // a NaN time cap disabled the cap, a power cap of zero, negative or
+    // NaN watts pinned clocks low, a cap on a node outside the cluster was
+    // ignored, and a zero, negative or non-finite overlap factor divided
+    // compute rates into nonsense.
     let cluster = one_node_cluster();
     let trace = gpt3_trace(&cluster, 8);
     let placement = Placement::identity(&cluster, trace.world()).unwrap();
-    let mut cfg = SimConfig::fast();
-    cfg.iterations = 0;
-    assert!(matches!(
-        Simulator::new(&cluster, &placement, &trace, cfg),
-        Err(SimError::InvalidConfig(_))
-    ));
-    assert!(matches!(
-        ReferenceSimulator::new(&cluster, &placement, &trace, cfg),
-        Err(SimError::InvalidConfig(_))
-    ));
+    let base = SimConfig::fast();
+    let with = |set: fn(&mut SimConfig)| {
+        let mut cfg = base;
+        set(&mut cfg);
+        cfg
+    };
+    let table = [
+        ("iterations 0", with(|c| c.iterations = 0)),
+        ("time cap NaN", with(|c| c.max_sim_time_s = f64::NAN)),
+        ("time cap 0", with(|c| c.max_sim_time_s = 0.0)),
+        ("time cap -1", with(|c| c.max_sim_time_s = -1.0)),
+        ("gpu cap 0", with(|c| c.gpu_power_cap_w = Some(0.0))),
+        ("gpu cap -5", with(|c| c.gpu_power_cap_w = Some(-5.0))),
+        ("gpu cap NaN", with(|c| c.gpu_power_cap_w = Some(f64::NAN))),
+        (
+            "node cap NaN",
+            with(|c| c.node_power_cap = Some((0, f64::NAN))),
+        ),
+        ("node cap 0", with(|c| c.node_power_cap = Some((0, 0.0)))),
+        (
+            "node 9999",
+            with(|c| c.node_power_cap = Some((9999, 300.0))),
+        ),
+        ("overlap 0", with(|c| c.overlap_slowdown = 0.0)),
+        ("overlap -1", with(|c| c.overlap_slowdown = -1.0)),
+        ("overlap NaN", with(|c| c.overlap_slowdown = f64::NAN)),
+        ("overlap inf", with(|c| c.overlap_slowdown = f64::INFINITY)),
+    ];
+    for (case, cfg) in table {
+        assert!(
+            matches!(
+                Simulator::new(&cluster, &placement, &trace, cfg),
+                Err(SimError::InvalidConfig(_))
+            ),
+            "{case}: engine"
+        );
+        assert!(
+            matches!(
+                ReferenceSimulator::new(&cluster, &placement, &trace, cfg),
+                Err(SimError::InvalidConfig(_))
+            ),
+            "{case}: reference"
+        );
+    }
+    // +∞ means "no cap" and stays legal.
+    let uncapped = with(|c| c.max_sim_time_s = f64::INFINITY);
+    assert!(Simulator::new(&cluster, &placement, &trace, uncapped).is_ok());
+    assert!(ReferenceSimulator::new(&cluster, &placement, &trace, uncapped).is_ok());
+    let cfg = table[0].1;
     let cluster = Arc::new(single_hgx_node());
     let job = TrainJob::pretrain(gpt3_13b()).with_global_batch(8);
     let specs = ["TP2-PP2", "TP4-PP2"]
@@ -378,6 +422,33 @@ fn zero_iterations_are_rejected_by_both_engines_and_sweeps() {
             .all(|o| matches!(o, SweepOutcome::Failed { error, .. }
             if error.to_string().contains("iterations"))),
         "a strict sweep must fail the points on their iteration count: {outcomes:?}"
+    );
+}
+
+#[test]
+fn a_small_time_cap_times_out_both_engines() {
+    let cluster = one_node_cluster();
+    let trace = gpt3_trace(&cluster, 8);
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let cfg = SimConfig {
+        max_sim_time_s: 1e-3,
+        ..SimConfig::fast()
+    };
+    let engine = Simulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .run();
+    assert!(
+        matches!(engine, Err(SimError::Timeout { cap_s }) if cap_s == 1e-3),
+        "engine: {:?}",
+        engine.map(|r| r.sim_time_s)
+    );
+    let reference = ReferenceSimulator::new(&cluster, &placement, &trace, cfg)
+        .unwrap()
+        .run();
+    assert!(
+        matches!(reference, Err(SimError::Timeout { cap_s }) if cap_s == 1e-3),
+        "reference: {:?}",
+        reference.map(|r| r.sim_time_s)
     );
 }
 

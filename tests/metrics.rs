@@ -1,8 +1,7 @@
 //! Cross-layer metrics hub: correctness, export stability, and the two
-//! guarantees the observability layer rides on — an unobserved (or
-//! disabled-hub) engine is byte-identical to the plain engine, and a
-//! streamed sweep's final snapshot reconciles exactly with the summed
-//! per-point reports.
+//! guarantees the observability layer rides on — an observed engine is
+//! byte-identical to the plain engine, and a streamed sweep's final
+//! snapshot reconciles exactly with the summed per-point reports.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -11,7 +10,6 @@ use proptest::prelude::*;
 
 use charllm::prelude::*;
 use charllm_telemetry::metrics::MetricsHub;
-use charllm_telemetry::MetricsSnapshot;
 
 /// A cloneable writer that accumulates into shared memory, so a test can
 /// hand it to a [`ProgressStream`] and read the lines back afterwards.
@@ -138,20 +136,14 @@ fn prometheus_and_json_exports_are_stable() {
 }
 
 #[test]
-fn engine_is_byte_identical_with_hub_disabled_and_enabled() {
+fn engine_is_byte_identical_with_and_without_hub() {
     let baseline = small_sweep(vec![spec("TP2-PP2")]).workers(1).run().unwrap();
-    let disabled = small_sweep(vec![spec("TP2-PP2")])
-        .workers(1)
-        .with_metrics(MetricsHub::disabled())
-        .run()
-        .unwrap();
     let enabled = small_sweep(vec![spec("TP2-PP2")])
         .workers(1)
         .with_metrics(MetricsHub::new(2))
         .run()
         .unwrap();
     let json = |r: &RunReport| serde_json::to_string(&r.sim).unwrap();
-    assert_eq!(json(&baseline[0]), json(&disabled[0]));
     assert_eq!(
         json(&baseline[0]),
         json(&enabled[0]),
@@ -457,16 +449,13 @@ fn disk_tier_counters_reconcile_across_all_three_read_paths() {
 }
 
 #[test]
-fn disabled_hub_snapshot_is_empty_and_stream_carries_null_metrics() {
-    let hub = MetricsHub::disabled();
+fn stream_without_hub_carries_null_metrics() {
     let buf = SharedBuf::default();
     let outcomes = small_sweep(vec![spec("TP2-PP2")])
         .workers(1)
-        .with_metrics(Arc::clone(&hub))
         .stream(Arc::new(ProgressStream::new(buf.clone())))
         .run_outcomes();
     assert_eq!(outcomes.len(), 1);
-    assert_eq!(hub.snapshot(), MetricsSnapshot::default());
     let events: Vec<ProgressEvent> = buf
         .lines()
         .iter()
@@ -475,6 +464,6 @@ fn disabled_hub_snapshot_is_empty_and_stream_carries_null_metrics() {
     assert_eq!(events.len(), 2);
     assert!(
         events.iter().all(|e| e.metrics == serde_json::Value::Null),
-        "disabled hub => null metrics payloads, not empty snapshots"
+        "no hub => null metrics payloads, not empty snapshots"
     );
 }
