@@ -81,7 +81,10 @@ use crate::error::CoreError;
 /// serialized shape of [`LoweredJob`] or [`SharedPlans`] (or the key
 /// derivation) changes: readers treat any other tag as a miss, so stale
 /// caches age out by rebuild instead of by misdeserialization.
-pub const DISK_FORMAT_VERSION: u64 = 1;
+///
+/// Version 2: a plan set's flows carry only `work pr src dst`; version 1
+/// also packed each flow's route and charge list.
+pub const DISK_FORMAT_VERSION: u64 = 2;
 
 /// Where a [`SimCache`] lookup was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -599,10 +602,14 @@ impl SimCache {
     ) -> (Arc<SharedPlans>, CacheHit) {
         let key = SimCache::plan_key(cluster, placement, lowered_key, fold_multiplicity);
         // A persisted set sized for a different trace would misroute
-        // flows; treat it like any other unusable entry.
+        // flows, and one naming GPUs the cluster lacks could not be routed;
+        // treat either like any other unusable entry.
         let Ok(found) = self.fetch(
             &key,
-            |set: &SharedPlans| set.num_collectives() == trace.num_collectives(),
+            |set: &SharedPlans| {
+                set.num_collectives() == trace.num_collectives()
+                    && set.joins_gpus_within(cluster.num_gpus())
+            },
             || Ok::<_, Infallible>(SharedPlans::for_trace(trace)),
         );
         found
@@ -1023,6 +1030,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Four unusable variants of the entry text `pristine`: truncated,
+    /// garbage, tagged with format version `stale`, and holding another
+    /// content key (as at a colliding address).
+    fn corruptions(pristine: &str, stale: u64) -> [(&'static str, String); 4] {
+        let tagged = pristine.replacen(
+            &format!("\"v\":{DISK_FORMAT_VERSION}"),
+            &format!("\"v\":{stale}"),
+            1,
+        );
+        assert_ne!(tagged, pristine, "version tag located in the entry");
+        // The stored `key` field is rewritten through the JSON layer: the
+        // raw key text is escaped inside the file, so a textual replace
+        // would miss it.
+        let mut doc: serde_json::Value = serde_json::from_str(pristine).unwrap();
+        if let serde_json::Value::Object(map) = &mut doc {
+            map.insert(
+                "key",
+                serde_json::Value::String("some-other-content-key".into()),
+            );
+        }
+        [
+            (
+                "truncated entry",
+                pristine[..pristine.len() / 2].to_string(),
+            ),
+            ("corrupt entry", "not json at all".to_string()),
+            ("version-tag mismatch", tagged),
+            ("hash collision", serde_json::to_string(&doc).unwrap()),
+        ]
+    }
+
     #[test]
     fn corrupt_truncated_and_mismatched_entries_are_misses() {
         let dir = scratch_dir("corrupt");
@@ -1049,40 +1087,50 @@ mod tests {
             .join(format!("{:016x}.json", fnv1a(key.as_bytes())));
         let pristine = std::fs::read_to_string(&path).unwrap();
 
-        let expect_miss = |tag: &str| {
+        for (tag, text) in corruptions(&pristine, DISK_FORMAT_VERSION + 1) {
+            std::fs::write(&path, text).unwrap();
             let cache = SimCache::new().with_disk_tier(&dir).unwrap();
             let (_, hit) = cache.lowered(&key, build).unwrap();
             assert_eq!(hit, CacheHit::Miss, "{tag} must read as a miss");
             assert_eq!(cache.stats().lowered_disk_misses, 1, "{tag}");
-        };
-
-        // Truncated mid-entry.
-        std::fs::write(&path, &pristine[..pristine.len() / 2]).unwrap();
-        expect_miss("truncated entry");
-        // Outright garbage.
-        std::fs::write(&path, b"not json at all").unwrap();
-        expect_miss("corrupt entry");
-        // A valid entry from a different format version.
-        let stale = pristine.replacen(
-            &format!("\"v\":{DISK_FORMAT_VERSION}"),
-            &format!("\"v\":{}", DISK_FORMAT_VERSION + 1),
-            1,
-        );
-        assert_ne!(stale, pristine, "version tag located in the entry");
-        std::fs::write(&path, stale).unwrap();
-        expect_miss("version-tag mismatch");
-        // A colliding address holding some other key's entry (rewrite the
-        // stored `key` field through the JSON layer — the raw key text is
-        // escaped inside the file, so a textual replace would miss it).
-        let mut doc: serde_json::Value = serde_json::from_str(&pristine).unwrap();
-        if let serde_json::Value::Object(map) = &mut doc {
-            map.insert(
-                "key",
-                serde_json::Value::String("some-other-content-key".into()),
-            );
         }
-        std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
-        expect_miss("hash collision");
+
+        // The plan family, with the stale tag set to the retired version 1
+        // (whose flows also packed routes and charge lists).
+        let cluster = charllm_hw::presets::hgx_h200_cluster();
+        let lowered =
+            lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints).unwrap();
+        let trace = &lowered.trace;
+        let placement = Placement::identity(&cluster, trace.world()).unwrap();
+        {
+            let cache = SimCache::new().with_disk_tier(&dir).unwrap();
+            let (set, _) = cache.plans(&cluster, &placement, &key, trace, 1);
+            charllm_sim::Simulator::new(
+                &cluster,
+                &placement,
+                trace,
+                charllm_sim::SimConfig::fast(),
+            )
+            .unwrap()
+            .with_shared_plans(set)
+            .unwrap()
+            .run()
+            .unwrap();
+            cache.sync_disk().unwrap();
+        }
+        let plan_key = SimCache::plan_key(&cluster, &placement, &key, 1);
+        let plan_path = dir
+            .join("plans")
+            .join(format!("{:016x}.json", fnv1a(plan_key.as_bytes())));
+        let plans_pristine = std::fs::read_to_string(&plan_path).unwrap();
+        for (tag, text) in corruptions(&plans_pristine, 1) {
+            std::fs::write(&plan_path, text).unwrap();
+            let cache = SimCache::new().with_disk_tier(&dir).unwrap();
+            let (set, hit) = cache.plans(&cluster, &placement, &key, trace, 1);
+            assert_eq!(hit, CacheHit::Miss, "plan set: {tag} must read as a miss");
+            assert_eq!(set.num_built(), 0, "plan set: {tag}");
+            assert_eq!(cache.stats().plan_disk_misses, 1, "plan set: {tag}");
+        }
 
         // Every rebuild rewrote the entry on sync; the final state is
         // servable again.
@@ -1175,6 +1223,12 @@ mod tests {
                 let path = entry.unwrap().path();
                 let text = std::fs::read_to_string(&path).unwrap();
                 let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                if family == "lowered" {
+                    // Version 2 changed only the plan encoding: with its tag
+                    // put back, the lowered entry is version 1's byte for byte.
+                    let v1 = text.replacen("\"v\":2", "\"v\":1", 1);
+                    assert_eq!(fnv1a(v1.as_bytes()), 0xfe37_63ad_3202_c7b4);
+                }
                 files.push((family, name, text.len(), fnv1a(text.as_bytes())));
             }
         }
@@ -1189,13 +1243,13 @@ mod tests {
                 "lowered",
                 "8e14abb418ad7183.json",
                 93_310,
-                0xfe37_63ad_3202_c7b4,
+                0x261d_68fc_6a6b_c07d,
             ),
             (
                 "plans",
                 "9dd2e6e84d885469.json",
-                115_837,
-                0x8ebd_eff8_3c0b_f71b,
+                43_234,
+                0x322f_7202_8a5d_eb91,
             ),
         ];
         let pinned: Vec<_> = pinned

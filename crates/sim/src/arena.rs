@@ -20,7 +20,8 @@
 //! list replicating the reference simulator's `swap_remove` order), not by
 //! the arena — the arena only owns storage and slot lifetime.
 
-/// Maximum links in a single flow route (fixed-capacity inline arrays).
+/// Maximum links in a single flow route: the capacity of
+/// [`FlowArena::link_pos`], checked where the engine resolves a route.
 pub const MAX_ROUTE_LINKS: usize = 8;
 
 /// Structure-of-arrays storage for live flows, indexed by stable slot.

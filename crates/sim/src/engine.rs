@@ -4,14 +4,14 @@
 //! (the seed engine, kept as the executable spec); structurally it replaces
 //! every per-event global recomputation with incremental state:
 //!
-//! - **Collective plan cache** — `lower_collective` + route resolution are
-//!   pure functions of `(CollectiveId, placement, cluster)`, so each
-//!   collective is lowered once into a `CollPlan` of flows with
-//!   precomputed routes, work, payload ratios, and per-flow *charge lists*
-//!   of `(gpu, LinkClass)` telemetry owners (replacing the per-event
-//!   per-route ownership `match`). Installing a plan stores each distinct
-//!   route once, keyed by its endpoints and switch-link multiplier; a plan
-//!   from a cross-run [`SharedPlans`] set installs in place.
+//! - **Collective plan cache** — `lower_collective` is a pure function of
+//!   `(CollectiveId, placement, cluster)`, so each collective is lowered
+//!   once into a `CollPlan` of flows that carry endpoints, work and payload
+//!   ratio. The run's route table resolves each distinct route once, keyed
+//!   by its endpoints and switch-link multiplier, into hops and a *charge
+//!   list* of `(gpu, LinkClass)` telemetry owners (replacing the per-event
+//!   per-route ownership `match`); a plan from a cross-run [`SharedPlans`]
+//!   set installs in place.
 //! - **Incremental link loads** — `link_load` is updated on flow
 //!   launch/retire instead of being rebuilt from all flows × routes in
 //!   every `next_dt`; per-flow bottleneck rates are cached and re-rated
@@ -34,7 +34,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use charllm_hw::{Cluster, GpuId, LinkClass};
+use charllm_hw::{Cluster, GpuId, LinkClass, LinkId};
 use charllm_net::{lower_collective, LinkHealth};
 use charllm_parallel::Placement;
 use charllm_telemetry::metrics::{Gauge, MetricsShard};
@@ -113,42 +113,20 @@ struct CollSlot {
     state: CollState,
 }
 
-/// One flow of a cached collective plan in its *portable* form: fixed
-/// inline arrays sized by [`MAX_ROUTE_LINKS`] (the longest route any preset
-/// topology produces: pcie → nic → leaf → spine → leaf → nic → pcie on a
-/// rail-fabric cluster). This is the cross-process representation —
-/// shared through [`SharedPlans`] and persisted in its packed encoding
-/// (every field an integer or an interned `f64`, so a set reloads
-/// bit-exact). At install time each `PlanFlow` becomes a [`PlanFlowRef`],
-/// which is what the hot loops read: its route and charge list are stored
-/// once per `(src, dst, largest hop multiplier)` key (see
-/// [`InstalledPlans`]).
+/// One flow of a cached collective plan: its endpoints and its work. The
+/// route it takes — hops, bandwidths, switch multipliers and charge list —
+/// is a property of the cluster, not of the plan, and lives only in the
+/// run's route table ([`InstalledPlans`]). So a plan shared through
+/// [`SharedPlans`] or persisted on disk carries GPU ids and two numbers
+/// per flow, nothing that indexes the cluster's link table.
 #[derive(Debug, Clone, Copy)]
 struct PlanFlow {
     /// Effective work in byte-equivalents (payload + overhead).
     work: f64,
     /// Payload bytes per unit of work.
     payload_ratio: f64,
-    src: GpuId,
-    dst: GpuId,
-    route_len: u8,
-    /// Link indices along the route.
-    links: [u32; MAX_ROUTE_LINKS],
-    /// Per-link `bw_gbps * 1e9`, premultiplied so the rate loop divides
-    /// the exact product the reference engine computes.
-    bw1e9: [f64; MAX_ROUTE_LINKS],
-    /// Per-link load multiplier. Always 1 in an unfolded run. A
-    /// symmetry-folded run simulates one replica's intra-replica flows and
-    /// stands them in for all `D` replicas' load on *shared* (switch-tier)
-    /// links by attaching/detaching `D` load units there; replica-private
-    /// links (NVLink, PCIe, NIC) keep 1.
-    mult: [u16; MAX_ROUTE_LINKS],
-    /// Telemetry/traffic owners along the route, in charge order: the
-    /// `(gpu index, link class)` pairs for which the reference engine's
-    /// per-link ownership match returns true.
-    charge_len: u8,
-    charge_gpu: [u32; MAX_ROUTE_LINKS],
-    charge_class: [LinkClass; MAX_ROUTE_LINKS],
+    src: u32,
+    dst: u32,
 }
 
 /// A collective lowered once: reused for every launch of its id.
@@ -160,13 +138,14 @@ pub(crate) struct CollPlan {
 /// A thread-safe set of collective plans shared across simulator runs.
 ///
 /// Plans are pure functions of `(cluster, placement, trace)`: lowering a
-/// collective resolves routes, effective work and telemetry charge lists
-/// from topology and rank→GPU assignment alone. A `SharedPlans` built for
-/// one such triple can therefore seed any number of simulators replaying
-/// the same triple — each run installs ready-made plans straight from the
-/// set instead of re-lowering every collective (counted in
+/// collective fixes each flow's endpoints and effective work from topology
+/// and rank→GPU assignment alone. A `SharedPlans` built for one such
+/// triple can therefore seed any number of simulators replaying the same
+/// triple — each run installs ready-made plans straight from the set
+/// instead of re-lowering every collective (counted in
 /// [`EngineStats::shared_plan_hits`]), and publishes the plans it does
-/// build for later runs.
+/// build for later runs. Routes are not shared: each run resolves every
+/// distinct route once into its own table.
 ///
 /// Plans are keyed by `CollectiveId`, i.e. by position in the trace.
 /// Sharing a plan set across *different* traces (or a different cluster or
@@ -199,6 +178,18 @@ impl SharedPlans {
         self.plans.iter().filter(|p| p.get().is_some()).count()
     }
 
+    /// Whether every built flow joins two distinct GPUs of a cluster of
+    /// `num_gpus` GPUs — what a plan set read from outside the process must
+    /// satisfy before a simulator may route its flows.
+    pub fn joins_gpus_within(&self, num_gpus: usize) -> bool {
+        let within = |gpu: u32| (gpu as usize) < num_gpus;
+        self.plans
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|plan| plan.flows.iter())
+            .all(|f| f.src != f.dst && within(f.src) && within(f.dst))
+    }
+
     /// The published plan for collective `ci`, if any.
     fn get(&self, ci: usize) -> Option<&CollPlan> {
         self.plans[ci].get()
@@ -220,13 +211,15 @@ impl SharedPlans {
 ///
 /// Serialized by hand into a packed form — `{"n": slots, "floats": table,
 /// "built": [[slot, "flows"], ...]}` where each built slot's flows are one
-/// whitespace/`;`-delimited numeric string over a shared [`FloatTable`] —
-/// instead of the derived object-per-flow layout. A 32-GPU MoE plan set is
-/// tens of thousands of flows; packing them into strings shrinks the file
-/// ~10x and lets the JSON layer move each plan as a single bulk string
-/// instead of building a `Value` node per field, which is what makes a
-/// disk-tier load cheap enough to beat re-lowering. The packed form is
-/// bit-exact.
+/// whitespace/`;`-delimited numeric string of `work pr src dst` per flow
+/// (`work` and `pr` as indices into a shared [`FloatTable`]) — instead of
+/// the derived object-per-flow layout. A 32-GPU MoE plan set is tens of
+/// thousands of flows; packing them into strings lets the JSON layer move
+/// each plan as a single bulk string instead of building a `Value` node per
+/// field, which is what makes a disk-tier load cheap enough to beat
+/// re-lowering. The packed form is bit-exact. A reader checks each flow's
+/// numbers; whether its GPUs exist is a question of the cluster, answered
+/// by [`SharedPlans::joins_gpus_within`].
 impl serde::Serialize for SharedPlans {
     fn serialize_value(&self) -> serde::Value {
         let mut map = serde::Map::new();
@@ -299,35 +292,8 @@ impl serde::Deserialize for SharedPlans {
     }
 }
 
-/// `LinkClass` codes for the packed flow encoding (stable on disk; extend
-/// only by appending).
-fn link_class_code(class: LinkClass) -> u64 {
-    match class {
-        LinkClass::NvLink => 0,
-        LinkClass::XgmiPackage => 1,
-        LinkClass::XgmiPort => 2,
-        LinkClass::Pcie => 3,
-        LinkClass::Nic => 4,
-        LinkClass::Switch => 5,
-    }
-}
-
-fn link_class_of(code: u64) -> Result<LinkClass, serde::Error> {
-    Ok(match code {
-        0 => LinkClass::NvLink,
-        1 => LinkClass::XgmiPackage,
-        2 => LinkClass::XgmiPort,
-        3 => LinkClass::Pcie,
-        4 => LinkClass::Nic,
-        5 => LinkClass::Switch,
-        other => return Err(serde::Error::custom(format!("bad link class code {other}"))),
-    })
-}
-
-/// Pack one plan's flows:
-/// `work pr src dst rl links*rl bw*rl mult*rl cl gpu*cl class*cl` per
-/// flow (`work`/`pr`/`bw` as [`FloatTable`] indices), flows joined with
-/// `;`.
+/// Pack one plan's flows: `work pr src dst` per flow (`work`/`pr` as
+/// [`FloatTable`] indices), flows joined with `;`.
 fn pack_flows(flows: &[PlanFlow], floats: &mut FloatTable) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -335,45 +301,29 @@ fn pack_flows(flows: &[PlanFlow], floats: &mut FloatTable) -> String {
         if i > 0 {
             out.push(';');
         }
-        let (rl, cl) = (f.route_len as usize, f.charge_len as usize);
         let _ = write!(
             out,
-            "{} {} {} {} {rl}",
+            "{} {} {} {}",
             floats.intern(f.work),
             floats.intern(f.payload_ratio),
-            f.src.0,
-            f.dst.0
+            f.src,
+            f.dst
         );
-        for l in 0..rl {
-            let _ = write!(out, " {}", f.links[l]);
-        }
-        for l in 0..rl {
-            let _ = write!(out, " {}", floats.intern(f.bw1e9[l]));
-        }
-        for l in 0..rl {
-            let _ = write!(out, " {}", f.mult[l]);
-        }
-        let _ = write!(out, " {cl}");
-        for l in 0..cl {
-            let _ = write!(out, " {}", f.charge_gpu[l]);
-        }
-        for l in 0..cl {
-            let _ = write!(out, " {}", link_class_code(f.charge_class[l]));
-        }
     }
     out
 }
 
+/// Unpack [`pack_flows`]' form, refusing any flow whose work is not finite
+/// and positive or whose payload ratio is not finite (a built plan drops
+/// flows without work, so none can be persisted).
 fn unpack_flows(text: &str, floats: &[f64]) -> Result<Vec<PlanFlow>, serde::Error> {
-    fn next<'a>(t: &mut impl Iterator<Item = &'a str>) -> Result<&'a str, serde::Error> {
-        t.next()
-            .ok_or_else(|| serde::Error::custom("truncated packed flow"))
-    }
-    fn num<T: std::str::FromStr>(tok: &str) -> Result<T, serde::Error> {
+    let token = |tok: Option<&str>| -> Result<u32, serde::Error> {
+        let tok = tok.ok_or_else(|| serde::Error::custom("truncated packed flow"))?;
         tok.parse()
             .map_err(|_| serde::Error::custom(format!("bad packed-flow token {tok:?}")))
-    }
-    let float_at = |i: u32| -> Result<f64, serde::Error> {
+    };
+    let float = |tok: Option<&str>| -> Result<f64, serde::Error> {
+        let i = token(tok)?;
         floats
             .get(i as usize)
             .copied()
@@ -385,46 +335,20 @@ fn unpack_flows(text: &str, floats: &[f64]) -> Result<Vec<PlanFlow>, serde::Erro
     let mut flows = Vec::new();
     for chunk in text.split(';') {
         let mut t = chunk.split_ascii_whitespace();
-        let mut flow = PlanFlow {
-            work: float_at(num(next(&mut t)?)?)?,
-            payload_ratio: float_at(num(next(&mut t)?)?)?,
-            src: GpuId(num(next(&mut t)?)?),
-            dst: GpuId(num(next(&mut t)?)?),
-            route_len: 0,
-            links: [0; MAX_ROUTE_LINKS],
-            bw1e9: [0.0; MAX_ROUTE_LINKS],
-            mult: [1; MAX_ROUTE_LINKS],
-            charge_len: 0,
-            charge_gpu: [0; MAX_ROUTE_LINKS],
-            charge_class: [LinkClass::Nic; MAX_ROUTE_LINKS],
+        let flow = PlanFlow {
+            work: float(t.next())?,
+            payload_ratio: float(t.next())?,
+            src: token(t.next())?,
+            dst: token(t.next())?,
         };
-        let rl: usize = num(next(&mut t)?)?;
-        if rl > MAX_ROUTE_LINKS {
-            return Err(serde::Error::custom(format!("route length {rl} too long")));
-        }
-        flow.route_len = rl as u8;
-        for l in 0..rl {
-            flow.links[l] = num(next(&mut t)?)?;
-        }
-        for l in 0..rl {
-            flow.bw1e9[l] = float_at(num(next(&mut t)?)?)?;
-        }
-        for l in 0..rl {
-            flow.mult[l] = num(next(&mut t)?)?;
-        }
-        let cl: usize = num(next(&mut t)?)?;
-        if cl > MAX_ROUTE_LINKS {
-            return Err(serde::Error::custom(format!("charge length {cl} too long")));
-        }
-        flow.charge_len = cl as u8;
-        for l in 0..cl {
-            flow.charge_gpu[l] = num(next(&mut t)?)?;
-        }
-        for l in 0..cl {
-            flow.charge_class[l] = link_class_of(num(next(&mut t)?)?)?;
-        }
         if t.next().is_some() {
             return Err(serde::Error::custom("trailing tokens in packed flow"));
+        }
+        if !(flow.work.is_finite() && flow.work > 0.0 && flow.payload_ratio.is_finite()) {
+            return Err(serde::Error::custom(format!(
+                "packed flow with work {} and payload ratio {}",
+                flow.work, flow.payload_ratio
+            )));
         }
         flows.push(flow);
     }
@@ -435,6 +359,12 @@ fn unpack_flows(text: &str, floats: &[f64]) -> Result<Vec<PlanFlow>, serde::Erro
 /// numerator (`bw_gbps * 1e9`, premultiplied so the rate loop divides the
 /// exact product the reference engine computes) and the folded load
 /// multiplier.
+///
+/// The multiplier is always 1 in an unfolded run. A symmetry-folded run
+/// simulates one replica's intra-replica flows and stands them in for all
+/// `D` replicas' load on *shared* (switch-tier) links by attaching and
+/// detaching `D` load units there; replica-private links (NVLink, PCIe,
+/// NIC) keep 1.
 #[derive(Debug, Clone, Copy)]
 struct RouteHop {
     link: u32,
@@ -450,7 +380,7 @@ struct ChargeItem {
     class: LinkClass,
 }
 
-/// Where one interned route's hops and charges sit in
+/// Where one stored route's hops and charges sit in
 /// [`InstalledPlans::hops`] and [`InstalledPlans::charges`].
 #[derive(Debug, Clone, Copy)]
 struct RouteSpan {
@@ -471,18 +401,12 @@ impl RouteSpan {
 }
 
 /// One flow of an *installed* collective plan: the form the hot loops
-/// read. 40 bytes against [`PlanFlow`]'s ~280: the route and charge arrays
-/// collapse to a [`RouteSpan`] into the engine's shared hop and charge
-/// columns, so launching a flow is a few index writes and the per-event
-/// rate loop walks one contiguous hop slice.
+/// read. A [`PlanFlow`] plus the [`RouteSpan`] of its route in the run's
+/// hop and charge columns, so launching a flow is a few index writes and
+/// the per-event rate loop walks one contiguous hop slice.
 #[derive(Debug, Clone, Copy)]
 struct PlanFlowRef {
-    /// Effective work in byte-equivalents (payload + overhead).
-    work: f64,
-    /// Payload bytes per unit of work.
-    payload_ratio: f64,
-    src: u32,
-    dst: u32,
+    flow: PlanFlow,
     route: RouteSpan,
 }
 
@@ -495,40 +419,36 @@ struct PlanRange {
     len: u32,
 }
 
-/// Every plan installed in one run, with each route stored once.
+/// Every plan installed in one run, and the run's route table: the one
+/// place that holds hops, bandwidths, multipliers and charge lists.
 ///
-/// A flow's hops, per-hop bandwidths and charge list are pure functions of
-/// its endpoints on the cluster ([`plan_from_lowered`] derives them from
-/// `cluster.route_into(src, dst)`); its multipliers add only the one value
-/// laid on switch-tier links. So `(src, dst, largest hop multiplier)` names
-/// a route exactly, and every later flow with the same key shares the
-/// first one's span. Debug builds check each memo hit against the flow's
-/// own hops and charges.
+/// A route is a pure function of its endpoints on the cluster and the
+/// multiplier laid on its switch-tier links, so it is resolved
+/// (`cluster.route_into` plus the link-ownership match) on the first
+/// sight of its `(src, dst, multiplier)` key and shared by every later
+/// flow with that key. A route with no switch hop is the same at every
+/// multiplier and is stored once, under multiplier 1.
 #[derive(Debug, Default)]
 struct InstalledPlans {
     /// Installed plan flows, append-only ([`PlanRange`]s index into it).
     flows: Vec<PlanFlowRef>,
-    /// Route memo: `(src, dst, largest hop multiplier)` → stored span.
+    /// Route table: `(src, dst, switch multiplier)` → stored span.
     routes: HashMap<(u32, u32, u16), RouteSpan>,
-    /// Route hops of every distinct route, in first-install order.
+    /// Route hops of every distinct route, in resolution order.
     hops: Vec<RouteHop>,
-    /// Charge lists of every distinct route, in first-install order.
+    /// Charge lists of every distinct route, in resolution order.
     charges: Vec<ChargeItem>,
+    /// Scratch buffer for `cluster.route_into`.
+    links: Vec<LinkId>,
 }
 
 impl InstalledPlans {
-    /// Append `plan`'s flows, interning each route by its endpoints.
-    fn install(&mut self, plan: &CollPlan) -> PlanRange {
+    /// Append `plan`'s flows, whose switch-tier links carry `switch_mult`.
+    fn install(&mut self, cluster: &Cluster, plan: &CollPlan, switch_mult: u16) -> PlanRange {
         let start = self.flows.len() as u32;
         for pf in plan.flows.iter() {
-            let route = self.intern_route(pf);
-            self.flows.push(PlanFlowRef {
-                work: pf.work,
-                payload_ratio: pf.payload_ratio,
-                src: pf.src.index() as u32,
-                dst: pf.dst.index() as u32,
-                route,
-            });
+            let route = self.route(cluster, pf.src, pf.dst, switch_mult);
+            self.flows.push(PlanFlowRef { flow: *pf, route });
         }
         PlanRange {
             start,
@@ -536,44 +456,79 @@ impl InstalledPlans {
         }
     }
 
-    /// The span of `pf`'s route, storing its hops and charges on first
-    /// sight of its key.
-    fn intern_route(&mut self, pf: &PlanFlow) -> RouteSpan {
-        let (rl, cl) = (usize::from(pf.route_len), usize::from(pf.charge_len));
-        let hops = (0..rl).map(|l| RouteHop {
-            link: pf.links[l],
-            mult: pf.mult[l],
-            bw1e9: pf.bw1e9[l],
-        });
-        let charges = (0..cl).map(|c| ChargeItem {
-            gpu: pf.charge_gpu[c],
-            class: pf.charge_class[c],
-        });
-        let mult = pf.mult[..rl].iter().copied().max().unwrap_or(1);
-        let key = (pf.src.index() as u32, pf.dst.index() as u32, mult);
-        let span = *self.routes.entry(key).or_insert_with(|| {
-            let offset = |len: usize| u32::try_from(len).expect("route columns exceed u32");
-            let span = RouteSpan {
-                hop_start: offset(self.hops.len()),
-                charge_start: offset(self.charges.len()),
-                hop_len: pf.route_len,
-                charge_len: pf.charge_len,
-            };
-            self.hops.extend(hops.clone());
-            self.charges.extend(charges.clone());
-            span
-        });
-        let bits = |h: RouteHop| (h.link, h.mult, h.bw1e9.to_bits());
-        debug_assert!(
-            self.hops[span.hops()]
-                .iter()
-                .copied()
-                .map(bits)
-                .eq(hops.map(bits))
-                && self.charges[span.charges()].iter().copied().eq(charges),
-            "route memo key {key:?} stores other hops or charges than this flow's"
+    /// The span of the route from `src` to `dst` with `switch_mult` on its
+    /// switch-tier links, resolved and stored on the first sight of its key.
+    fn route(&mut self, cluster: &Cluster, src: u32, dst: u32, switch_mult: u16) -> RouteSpan {
+        if let Some(&span) = self.routes.get(&(src, dst, switch_mult)) {
+            return span;
+        }
+        let links = &mut self.links;
+        cluster
+            .route_into(GpuId(src), GpuId(dst), links)
+            .expect("plan flows join GPUs of the cluster");
+        // `FlowArena::link_pos` keeps one membership position per hop.
+        assert!(
+            links.len() <= MAX_ROUTE_LINKS,
+            "route exceeds MAX_ROUTE_LINKS; bump FlowArena's link_pos capacity"
         );
+        let switched = links
+            .iter()
+            .any(|&id| cluster.link(id).class == LinkClass::Switch);
+        let mult = if switched { switch_mult } else { 1 };
+        let span = match self.routes.get(&(src, dst, mult)) {
+            Some(&span) => span,
+            None => {
+                let span = self.store(cluster, GpuId(src), GpuId(dst), mult);
+                self.routes.insert((src, dst, mult), span);
+                span
+            }
+        };
+        self.routes.insert((src, dst, switch_mult), span);
         span
+    }
+
+    /// Append the hops and charges of the route in `self.links`.
+    fn store(&mut self, cluster: &Cluster, src: GpuId, dst: GpuId, mult: u16) -> RouteSpan {
+        let offset = |len: usize| u32::try_from(len).expect("route columns exceed u32");
+        let (hop_start, charge_start) = (self.hops.len(), self.charges.len());
+        for &id in &self.links {
+            let link = cluster.link(id);
+            self.hops.push(RouteHop {
+                link: id.index() as u32,
+                mult: if link.class == LinkClass::Switch {
+                    mult
+                } else {
+                    1
+                },
+                bw1e9: link.bw_gbps * 1e9,
+            });
+            // The (gpu, class) pairs that own this link for telemetry and
+            // traffic charging, in the order the reference engine's
+            // per-event ownership match visits them.
+            for gpu in [src, dst] {
+                let owns = match link.class {
+                    LinkClass::Pcie => cluster.pcie(gpu) == id,
+                    LinkClass::NvLink | LinkClass::XgmiPort => cluster.fabric_port(gpu) == id,
+                    // Package bus: charge both endpoints.
+                    LinkClass::XgmiPackage => cluster.same_package(src, dst),
+                    // In-network resources (NIC, switch tiers) belong to no
+                    // GPU's telemetry counters.
+                    LinkClass::Nic | LinkClass::Switch => false,
+                };
+                if owns {
+                    self.charges.push(ChargeItem {
+                        gpu: gpu.index() as u32,
+                        class: link.class,
+                    });
+                }
+            }
+        }
+        RouteSpan {
+            hop_start: offset(hop_start),
+            charge_start: offset(charge_start),
+            hop_len: (self.hops.len() - hop_start) as u8,
+            charge_len: (self.charges.len() - charge_start) as u8,
+        }
     }
 }
 
@@ -1238,25 +1193,49 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         })
     }
 
+    /// The ranks collective `coll` lays its flows over and the load
+    /// multiplier on its switch-tier links. In a folded run, a collective
+    /// listed in `fold_full_groups` (a cross-replica ring trimmed to its
+    /// representatives) lays its full original ring at multiplier 1 — it
+    /// exists once in the unfolded run too. Every other collective lays
+    /// its trace group at `fold_switch_mult`.
+    fn coll_layout(&self, coll: u32) -> (&'a [usize], u16) {
+        match self
+            .fold_full_groups
+            .binary_search_by_key(&coll, |fc| fc.id.0)
+        {
+            Ok(i) => (&self.fold_full_groups[i].full_group, 1),
+            Err(_) => (
+                &self
+                    .trace
+                    .collective(charllm_trace::task::CollectiveId(coll))
+                    .group,
+                self.fold_switch_mult,
+            ),
+        }
+    }
+
     /// Install collective `ci`'s plan and record its range in the plan
     /// cache. A plan published in the shared set installs in place; one
     /// built here is installed first and then moved into the set.
     fn install_plan(&mut self, ci: usize, coll: u32) -> PlanRange {
+        let (group, switch_mult) = self.coll_layout(coll);
         let shared = self.shared_plans.as_deref();
         let range = if let Some(plan) = shared.and_then(|s| s.get(ci)) {
             self.stats.shared_plan_hits += 1;
-            self.installed.install(plan)
+            self.installed.install(self.cluster, plan, switch_mult)
         } else {
             let plan = build_plan(
                 self.cluster,
                 self.trace,
                 &self.ranks,
+                &mut self.installed,
                 coll,
-                self.fold_full_groups,
-                self.fold_switch_mult,
+                group,
+                switch_mult,
             );
             self.stats.plan_builds += 1;
-            let range = self.installed.install(&plan);
+            let range = self.installed.install(self.cluster, &plan, switch_mult);
             if let Some(shared) = shared {
                 shared.put(ci, plan);
             }
@@ -1875,28 +1854,23 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         let active = range.len;
         self.stats.flows_launched += u64::from(active);
         for pfi in range.start..range.start + range.len {
-            let pf = self.installed.flows[pfi as usize];
+            let PlanFlowRef { flow, route } = self.installed.flows[pfi as usize];
             let slot = self.fa.alloc() as usize;
             self.obs
-                .flow_launch(slot as u32, coll, iter, pf.src, pf.dst, self.t);
+                .flow_launch(slot as u32, coll, iter, flow.src, flow.dst, self.t);
             // A GPU's flow count crossing 0 → 1 changes its ranks'
             // accounting coefficients: close their segments *before* the
             // increment so the closed span carries the flows-absent rates.
-            if self.gpu_flow_count[pf.src as usize] == 0 {
-                self.flush_gpu_ranks(pf.src as usize, self.t);
+            for gpu in [flow.src as usize, flow.dst as usize] {
+                if self.gpu_flow_count[gpu] == 0 {
+                    self.flush_gpu_ranks(gpu, self.t);
+                }
+                self.gpu_flow_count[gpu] += 1;
+                if self.gpu_flow_count[gpu] == 1 {
+                    self.mark_gpu_ranks_dirty(gpu);
+                }
             }
-            self.gpu_flow_count[pf.src as usize] += 1;
-            if self.gpu_flow_count[pf.src as usize] == 1 {
-                self.mark_gpu_ranks_dirty(pf.src as usize);
-            }
-            if self.gpu_flow_count[pf.dst as usize] == 0 {
-                self.flush_gpu_ranks(pf.dst as usize, self.t);
-            }
-            self.gpu_flow_count[pf.dst as usize] += 1;
-            if self.gpu_flow_count[pf.dst as usize] == 1 {
-                self.mark_gpu_ranks_dirty(pf.dst as usize);
-            }
-            for (l, hi) in pf.route.hops().enumerate() {
+            for (l, hi) in route.hops().enumerate() {
                 let hop = self.installed.hops[hi];
                 let id = hop.link as usize;
                 self.link_load[id] += u32::from(hop.mult);
@@ -1904,7 +1878,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.fa.link_pos[slot][l] = self.link_flows[id].len() as u32;
                 self.link_flows[id].push((slot as u32, l as u8));
             }
-            self.fa.remaining[slot] = pf.work;
+            self.fa.remaining[slot] = flow.work;
             self.fa.rate[slot] = 0.0;
             self.fa.acc_since[slot] = self.t;
             self.fa.moved_acc[slot] = 0.0;
@@ -2062,7 +2036,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             return;
         }
         let pf = self.installed.flows[self.fa.pf[slot] as usize];
-        let payload = pending * pf.payload_ratio;
+        let payload = pending * pf.flow.payload_ratio;
         let measured = self.fa.iteration[slot] as usize >= self.cfg.warmup_iterations;
         for charge in &self.installed.charges[pf.route.charges()] {
             let gpu = charge.gpu as usize;
@@ -2463,27 +2437,22 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // sub-unit residual included, so every lowered payload byte lands
         // in the traffic accounting.
         self.charge_flow(slot, self.fa.moved_acc[slot] + self.fa.remaining[slot]);
-        let pf = self.installed.flows[self.fa.pf[slot] as usize];
+        let PlanFlowRef { flow, route } = self.installed.flows[self.fa.pf[slot] as usize];
         let key = (self.fa.iteration[slot], self.fa.coll[slot]);
         self.obs.flow_retire(slot as u32, self.t + dt);
         // Close rank segments on a GPU about to lose its last flow
         // *before* the decrement, so the closing segment still carries the
         // flows-present coefficients.
-        if self.gpu_flow_count[pf.src as usize] == 1 {
-            self.flush_gpu_ranks(pf.src as usize, self.t + dt);
+        for gpu in [flow.src as usize, flow.dst as usize] {
+            if self.gpu_flow_count[gpu] == 1 {
+                self.flush_gpu_ranks(gpu, self.t + dt);
+            }
+            self.gpu_flow_count[gpu] -= 1;
+            if self.gpu_flow_count[gpu] == 0 {
+                self.mark_gpu_ranks_dirty(gpu);
+            }
         }
-        self.gpu_flow_count[pf.src as usize] -= 1;
-        if self.gpu_flow_count[pf.src as usize] == 0 {
-            self.mark_gpu_ranks_dirty(pf.src as usize);
-        }
-        if self.gpu_flow_count[pf.dst as usize] == 1 {
-            self.flush_gpu_ranks(pf.dst as usize, self.t + dt);
-        }
-        self.gpu_flow_count[pf.dst as usize] -= 1;
-        if self.gpu_flow_count[pf.dst as usize] == 0 {
-            self.mark_gpu_ranks_dirty(pf.dst as usize);
-        }
-        for hi in pf.route.hops() {
+        for hi in route.hops() {
             let hop = self.installed.hops[hi];
             let id = hop.link as usize;
             self.link_load[id] -= u32::from(hop.mult);
@@ -2811,13 +2780,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     }
 }
 
-/// Lower one collective into its iteration-invariant plan: flows with
-/// resolved routes, effective work, payload ratios, and charge lists.
-///
-/// In a folded run, a collective listed in `full_groups` (a cross-replica
-/// ring trimmed to its representatives) lays its full original ring with
-/// multiplier 1 — it exists once in the unfolded run too. Every other
-/// collective lays its trace group with `switch_mult` on switch-tier links.
+/// Lower one collective over the GPUs of `group` into its
+/// iteration-invariant plan, resolving each flow's route (with
+/// `switch_mult` on switch-tier links) through the run's route table.
 ///
 /// Flows with an empty route (on-device) or no work are dropped here once,
 /// instead of being re-filtered at every launch.
@@ -2825,15 +2790,12 @@ fn build_plan(
     cluster: &Cluster,
     trace: &ExecutionTrace,
     ranks: &[RankState],
+    table: &mut InstalledPlans,
     coll: u32,
-    full_groups: &[FoldedCollective],
+    group: &[usize],
     switch_mult: u16,
 ) -> CollPlan {
     let inst = trace.collective(charllm_trace::task::CollectiveId(coll));
-    let (group, switch_mult) = match full_groups.binary_search_by_key(&coll, |fc| fc.id.0) {
-        Ok(i) => (&full_groups[i].full_group, 1),
-        Err(_) => (&inst.group, switch_mult),
-    };
     let gpus: Vec<GpuId> = group.iter().map(|&r| ranks[r].gpu).collect();
     let plan = lower_collective(
         inst.kind,
@@ -2843,86 +2805,38 @@ fn build_plan(
         inst.chunking,
     )
     .expect("placement-validated gpus");
-    plan_from_lowered(cluster, plan, switch_mult)
+    plan_from_lowered(cluster, table, plan, switch_mult)
 }
 
 /// Convert a lowered [`charllm_net::CollectivePlan`] into the engine's
-/// cached form: inlined routes/bandwidths, charge lists, and the per-link
-/// load multiplier (`switch_mult` on switch-tier links, 1 elsewhere; pass 1
-/// for an unfolded plan).
+/// cached form. Each flow's work is [`charllm_net::Flow::work_bytes`] over
+/// the route the table resolves for it, so it is bit-identical to the
+/// reference engine's.
 fn plan_from_lowered(
     cluster: &Cluster,
+    table: &mut InstalledPlans,
     plan: charllm_net::CollectivePlan,
     switch_mult: u16,
 ) -> CollPlan {
-    let mut flows = Vec::with_capacity(plan.flows.len());
     let mut route = Vec::new();
-    for flow in plan.flows {
-        flow.route_into(cluster, &mut route).expect("valid route");
-        if route.is_empty() {
-            continue;
-        }
-        let work = flow.work_bytes(cluster, &route);
-        if work <= 0.0 {
-            continue;
-        }
-        // Precompute which (gpu, class) pairs own each route link for
-        // telemetry/traffic charging, in the order the reference engine's
-        // per-event ownership match visits them.
-        let mut charges = Vec::new();
-        for &id in &route {
-            let class = cluster.link(id).class;
-            for &gpu in &[flow.src, flow.dst] {
-                let owns = match class {
-                    LinkClass::Pcie => cluster.pcie(gpu) == id,
-                    LinkClass::NvLink | LinkClass::XgmiPort => cluster.fabric_port(gpu) == id,
-                    LinkClass::XgmiPackage => {
-                        // Package bus: charge both endpoints.
-                        cluster.same_package(flow.src, flow.dst)
-                            && (gpu == flow.src || gpu == flow.dst)
-                    }
-                    // In-network resources (NIC, switch tiers) belong to no
-                    // GPU's telemetry counters.
-                    LinkClass::Nic | LinkClass::Switch => false,
-                };
-                if owns {
-                    charges.push((gpu.index() as u32, class));
-                }
-            }
-        }
-        assert!(
-            route.len() <= MAX_ROUTE_LINKS && charges.len() <= MAX_ROUTE_LINKS,
-            "route/charge list exceeds MAX_ROUTE_LINKS; bump the inline plan capacity"
-        );
-        let mut pf = PlanFlow {
-            work,
-            payload_ratio: flow.bytes as f64 / work,
-            src: flow.src,
-            dst: flow.dst,
-            route_len: route.len() as u8,
-            links: [0; MAX_ROUTE_LINKS],
-            bw1e9: [0.0; MAX_ROUTE_LINKS],
-            mult: [1; MAX_ROUTE_LINKS],
-            charge_len: charges.len() as u8,
-            charge_gpu: [0; MAX_ROUTE_LINKS],
-            charge_class: [LinkClass::Nic; MAX_ROUTE_LINKS],
-        };
-        for (l, &id) in route.iter().enumerate() {
-            pf.links[l] = id.index() as u32;
-            pf.bw1e9[l] = cluster.link(id).bw_gbps * 1e9;
-            if cluster.link(id).class == LinkClass::Switch {
-                pf.mult[l] = switch_mult;
-            }
-        }
-        for (c, &(gpu, class)) in charges.iter().enumerate() {
-            pf.charge_gpu[c] = gpu;
-            pf.charge_class[c] = class;
-        }
-        flows.push(pf);
-    }
-    CollPlan {
-        flows: flows.into_boxed_slice(),
-    }
+    let flows = plan
+        .flows
+        .into_iter()
+        .filter_map(|flow| {
+            let (src, dst) = (flow.src.index() as u32, flow.dst.index() as u32);
+            let span = table.route(cluster, src, dst, switch_mult);
+            route.clear();
+            route.extend(table.hops[span.hops()].iter().map(|h| LinkId(h.link)));
+            let work = flow.work_bytes(cluster, &route);
+            (work > 0.0).then(|| PlanFlow {
+                work,
+                payload_ratio: flow.bytes as f64 / work,
+                src,
+                dst,
+            })
+        })
+        .collect();
+    CollPlan { flows }
 }
 
 /// Warp/threadblock pressure proxies per kernel class.
@@ -3287,19 +3201,21 @@ mod tests {
         assert_eq!(stats.colls_retired, 1);
     }
 
-    /// `kind` over `gpus` on `cluster`, in the engine's cached form with
-    /// `mult` on switch-tier links.
-    fn lowered_plan(
+    /// Lower `kind` over `gpus` on `cluster` with `mult` on switch-tier
+    /// links, resolving routes through `plans`' table, and install it there.
+    fn install_lowered(
+        plans: &mut InstalledPlans,
         cluster: &Cluster,
         kind: CollectiveKind,
         bytes: u64,
         gpus: &[u32],
         mult: u16,
-    ) -> CollPlan {
+    ) -> PlanRange {
         let gpus: Vec<GpuId> = gpus.iter().map(|&g| GpuId(g)).collect();
-        let plan =
+        let lowered =
             lower_collective(kind, bytes, &gpus, cluster, ChunkingPolicy::nccl_default()).unwrap();
-        plan_from_lowered(cluster, plan, mult)
+        let plan = plan_from_lowered(cluster, plans, lowered, mult);
+        plans.install(cluster, &plan, mult)
     }
 
     fn hop_bits(plans: &InstalledPlans, pf: &PlanFlowRef) -> Vec<(u32, u16, u64)> {
@@ -3316,29 +3232,34 @@ mod tests {
         let cluster = presets::hgx_h100_superpod(2, 2);
         let gpus = [0, 1, 8, 9];
         let mut plans = InstalledPlans::default();
-        let first = plans.install(&lowered_plan(
+        let first = install_lowered(
+            &mut plans,
             &cluster,
             CollectiveKind::AllReduce,
             1 << 20,
             &gpus,
             1,
-        ));
+        );
         let (routes, hops, charges) = (plans.routes.len(), plans.hops.len(), plans.charges.len());
-        let pairs: std::collections::BTreeSet<(u32, u32)> =
-            plans.flows.iter().map(|f| (f.src, f.dst)).collect();
+        let pairs: std::collections::BTreeSet<(u32, u32)> = plans
+            .flows
+            .iter()
+            .map(|f| (f.flow.src, f.flow.dst))
+            .collect();
         assert_eq!(routes, pairs.len(), "one route per GPU pair");
         let stored: usize = pairs
             .iter()
             .map(|&(src, dst)| usize::from(plans.routes[&(src, dst, 1)].hop_len))
             .sum();
         assert_eq!(hops, stored, "each pair's hops stored once");
-        let second = plans.install(&lowered_plan(
+        let second = install_lowered(
+            &mut plans,
             &cluster,
             CollectiveKind::AllReduce,
             64 << 20,
             &gpus,
             1,
-        ));
+        );
         assert_eq!(second.len, first.len);
         assert_eq!(
             (plans.routes.len(), plans.hops.len(), plans.charges.len()),
@@ -3351,10 +3272,14 @@ mod tests {
                 &flows[first.start as usize + i],
                 &flows[second.start as usize + i],
             );
-            assert_eq!((a.src, a.dst), (b.src, b.dst));
+            assert_eq!((a.flow.src, a.flow.dst), (b.flow.src, b.flow.dst));
             assert_eq!(a.route.hop_start, b.route.hop_start);
             assert_eq!(a.route.charge_start, b.route.charge_start);
-            assert_ne!(a.work.to_bits(), b.work.to_bits(), "work stays per flow");
+            assert_ne!(
+                a.flow.work.to_bits(),
+                b.flow.work.to_bits(),
+                "work stays per flow"
+            );
         }
     }
 
@@ -3366,21 +3291,23 @@ mod tests {
         let cluster = presets::hgx_h100_superpod(2, 2);
         let gpus = [0, 8];
         let mut plans = InstalledPlans::default();
-        let once = plans.install(&lowered_plan(
+        let once = install_lowered(
+            &mut plans,
             &cluster,
             CollectiveKind::AllReduce,
             1 << 20,
             &gpus,
             1,
-        ));
+        );
         let routes = plans.routes.len();
-        let folded = plans.install(&lowered_plan(
+        let folded = install_lowered(
+            &mut plans,
             &cluster,
             CollectiveKind::AllReduce,
             1 << 20,
             &gpus,
             4,
-        ));
+        );
         assert_eq!(plans.routes.len(), 2 * routes, "one route per multiplier");
         for i in 0..once.len as usize {
             let a = plans.flows[once.start as usize + i];
@@ -3396,6 +3323,63 @@ mod tests {
             assert!(switch_hops(&a).iter().all(|&m| m == 1));
             assert!(switch_hops(&b).iter().all(|&m| m == 4));
             assert_ne!(a.route.hop_start, b.route.hop_start);
+        }
+
+        // A pair inside one node crosses no switch tier: its route is the
+        // same at every multiplier, so it is stored once, under 1.
+        let near = [0, 1];
+        let once = install_lowered(
+            &mut plans,
+            &cluster,
+            CollectiveKind::AllReduce,
+            1 << 20,
+            &near,
+            1,
+        );
+        let stored = (plans.hops.len(), plans.charges.len());
+        let folded = install_lowered(
+            &mut plans,
+            &cluster,
+            CollectiveKind::AllReduce,
+            1 << 20,
+            &near,
+            4,
+        );
+        assert_eq!(
+            (plans.hops.len(), plans.charges.len()),
+            stored,
+            "a switchless pair stores no second route"
+        );
+        for i in 0..once.len as usize {
+            let (a, b) = (
+                plans.flows[once.start as usize + i],
+                plans.flows[folded.start as usize + i],
+            );
+            assert!(plans.routes.contains_key(&(a.flow.src, a.flow.dst, 1)));
+            assert_eq!(a.route.hop_start, b.route.hop_start);
+            assert_eq!(a.route.charge_start, b.route.charge_start);
+        }
+    }
+
+    #[test]
+    fn packed_flows_without_finite_positive_work_are_refused() {
+        let floats = [1.0, 0.5, 0.0, -1.0, f64::NAN, f64::INFINITY];
+        assert_eq!(unpack_flows("0 1 0 1;0 1 1 2", &floats).unwrap().len(), 2);
+        for bad in [
+            "2 1 0 1",
+            "3 1 0 1",
+            "4 1 0 1",
+            "5 1 0 1",
+            "0 4 0 1",
+            "0 5 0 1",
+            "9 1 0 1",
+            "0 1 0",
+            "0 1 0 1 7",
+        ] {
+            assert!(
+                unpack_flows(bad, &floats).is_err(),
+                "{bad:?} must be refused"
+            );
         }
     }
 
@@ -3422,17 +3406,20 @@ mod tests {
         let reloaded: SharedPlans = serde_json::from_str(&text).unwrap();
         let (mut fresh, mut again) = (InstalledPlans::default(), InstalledPlans::default());
         for ci in 0..trace.num_collectives() {
-            fresh.install(shared.get(ci).unwrap());
-            again.install(reloaded.get(ci).unwrap());
+            fresh.install(&cluster, shared.get(ci).unwrap(), 1);
+            again.install(&cluster, reloaded.get(ci).unwrap(), 1);
         }
         assert!(!fresh.hops.is_empty() && fresh.flows.len() > fresh.routes.len());
         assert_eq!(fresh.routes.len(), again.routes.len());
         assert_eq!(fresh.charges, again.charges);
         assert_eq!(fresh.flows.len(), again.flows.len());
         for (a, b) in fresh.flows.iter().zip(&again.flows) {
-            assert_eq!((a.src, a.dst), (b.src, b.dst));
-            assert_eq!(a.work.to_bits(), b.work.to_bits());
-            assert_eq!(a.payload_ratio.to_bits(), b.payload_ratio.to_bits());
+            assert_eq!((a.flow.src, a.flow.dst), (b.flow.src, b.flow.dst));
+            assert_eq!(a.flow.work.to_bits(), b.flow.work.to_bits());
+            assert_eq!(
+                a.flow.payload_ratio.to_bits(),
+                b.flow.payload_ratio.to_bits()
+            );
             assert_eq!(hop_bits(&fresh, a), hop_bits(&again, b));
             assert_eq!(
                 fresh.charges[a.route.charges()],

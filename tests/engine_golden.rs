@@ -156,6 +156,40 @@ fn golden_equality_across_nic_routes() {
     assert_eq!(new, reference);
 }
 
+/// GPT-3 13B under TP4-PP2 (data parallel over the rest) on `cluster`, two
+/// iterations: both engines' serialized results.
+fn tp4_pp2_both_engines(cluster: &Cluster) -> (String, String) {
+    let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
+    let spec = ParallelismSpec::parse("TP4-PP2", cluster.num_gpus()).unwrap();
+    let partition = StagePartition::even(40, 2).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let trace = lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
+        .unwrap()
+        .trace;
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 2;
+    both_engines_json(cluster, &trace, cfg)
+}
+
+#[test]
+fn golden_equality_on_mi250_package_and_port_charges() {
+    // MI250 GCDs share a package bus (charged to both endpoints) and reach
+    // other packages through xGMI ports: the charge rules no HGX preset
+    // exercises.
+    let (new, reference) = tp4_pp2_both_engines(&presets::mi250_cluster());
+    assert_eq!(new, reference, "engine diverged from reference on MI250");
+}
+
+#[test]
+fn golden_equality_on_rail_superpod_switch_routes() {
+    // Leaf and spine tiers give the longest routes any preset builds.
+    let (new, reference) = tp4_pp2_both_engines(&presets::hgx_h100_superpod(2, 2));
+    assert_eq!(
+        new, reference,
+        "engine diverged from reference on the rail SuperPod"
+    );
+}
+
 #[test]
 fn golden_equality_on_every_collective_kind() {
     // Hand-built trace covering the lowering paths the training workload

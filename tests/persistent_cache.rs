@@ -122,3 +122,55 @@ fn sweep_rerun_in_a_fresh_cache_is_served_from_disk() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `text` (a persisted plan-set entry) with the first flow of its first
+/// built plan rewritten by `edit`, which gets the flow's
+/// `work pr src dst` tokens.
+fn tamper_first_flow(text: &str, edit: impl Fn(&mut [String])) -> String {
+    let built = text.find("\"built\":[[").expect("entry has built plans");
+    let start = built + text[built..].find(",\"").unwrap() + 2;
+    let end = start + text[start..].find([';', '"']).unwrap();
+    let mut tokens: Vec<String> = text[start..end].split(' ').map(str::to_string).collect();
+    assert_eq!(tokens.len(), 4, "a flow packs work, ratio, src and dst");
+    edit(&mut tokens);
+    format!("{}{}{}", &text[..start], tokens.join(" "), &text[end..])
+}
+
+#[test]
+fn a_tampered_plan_entry_is_a_miss_and_rebuilds_the_cold_result() {
+    let dir = scratch_dir("tamper");
+    let cold = experiment(Arc::new(SimCache::new().with_disk_tier(&dir).unwrap()));
+    let entries: Vec<PathBuf> = std::fs::read_dir(dir.join("plans"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(entries.len(), 1, "one persisted plan set");
+    let pristine = std::fs::read_to_string(&entries[0]).unwrap();
+    let cases = [
+        (
+            "a GPU outside the cluster",
+            tamper_first_flow(&pristine, |t| t[2] = "999999".into()),
+        ),
+        (
+            "a flow from a GPU to itself",
+            tamper_first_flow(&pristine, |t| t[3] = t[2].clone()),
+        ),
+    ];
+    for (tag, text) in cases {
+        std::fs::write(&entries[0], text).unwrap();
+        let warm = experiment(Arc::new(SimCache::new().with_disk_tier(&dir).unwrap()));
+        let stats = warm.cache.expect("cached experiment reports stats");
+        assert_eq!(stats.lowered_disk_hits, 1, "{tag}");
+        assert_eq!(
+            (stats.plan_disk_hits, stats.plan_misses),
+            (0, 1),
+            "{tag}: the entry must read as a miss"
+        );
+        assert_eq!(
+            serde_json::to_string(&cold.sim).unwrap(),
+            serde_json::to_string(&warm.sim).unwrap(),
+            "{tag}: the rebuilt run must equal the cold one"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
