@@ -15,7 +15,8 @@
 //! - **Incremental link loads** — `link_load` is updated on flow
 //!   launch/retire instead of being rebuilt from all flows × routes in
 //!   every `next_dt`; per-flow bottleneck rates are cached and re-rated
-//!   only for flows on a link whose load or health changed.
+//!   only for new flows, flows on a link whose health changed, and flows
+//!   whose bottleneck a link-load change may have moved.
 //! - **Waiter wake-lists** — completing collectives wake exactly their
 //!   registered waiters and completing computes re-enqueue only their own
 //!   rank, instead of re-scanning every rank per event. The two-queue
@@ -532,6 +533,14 @@ impl InstalledPlans {
     }
 }
 
+/// One hop's fair share: `health × bw / load`, with an unloaded link
+/// counted as carrying one flow. The one expression both the rate and the
+/// dirty-link pass's skip test evaluate, so their comparisons are exact.
+#[inline]
+fn fair_share(scale: f64, bw1e9: f64, load: u32) -> f64 {
+    scale * bw1e9 / load.max(1) as f64
+}
+
 /// The bottleneck fair-share rate of the flow in `slot`: the min over its
 /// route hops of `health × bw / load`.
 #[inline]
@@ -545,10 +554,26 @@ fn flow_rate(
     let pf = plans.flows[pf_of[slot] as usize];
     let mut rate = f64::INFINITY;
     for hop in &plans.hops[pf.route.hops()] {
-        let load = link_load[hop.link as usize].max(1) as f64;
-        rate = rate.min(link_health.scale(hop.link as usize) * hop.bw1e9 / load);
+        let link = hop.link as usize;
+        rate = rate.min(fair_share(
+            link_health.scale(link),
+            hop.bw1e9,
+            link_load[link],
+        ));
     }
     rate
+}
+
+/// Why a link is on the dirty-link queue, recorded when it is first
+/// dirtied after a `next_dt` pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LinkMark {
+    /// Not queued.
+    Clean,
+    /// Queued by load changes; holds the load the last pass saw.
+    Load(u32),
+    /// Queued by a health change: every flow on the link re-rates.
+    Forced,
 }
 
 /// One engine-level fault action. Windowed plan events (`LinkDegrade`,
@@ -673,12 +698,19 @@ pub struct EngineStats {
     /// compute completion) — the one path by which a completing owner's
     /// entry leaves the calendar.
     pub cal_exact_removals: u64,
+    /// Flow rates recomputed from link loads: new flows, flows on a link
+    /// whose health changed or whose bottleneck a load change may have
+    /// moved, and every live flow at a calendar rebuild.
+    pub flow_rerates: u64,
+    /// Of [`Self::flow_rerates`], the ones whose rate bits changed (a new
+    /// flow's first rate included).
+    pub flow_rate_changes: u64,
 }
 
 impl EngineStats {
     /// Every counter with its field name, each listed once: the table the
     /// metrics export is derived from (one `sim_<name>` gauge per entry).
-    pub fn fields(&self) -> [(&'static str, u64); 16] {
+    pub fn fields(&self) -> [(&'static str, u64); 18] {
         [
             ("events", self.events),
             ("plan_builds", self.plan_builds),
@@ -696,6 +728,8 @@ impl EngineStats {
             ("cal_overflow_peak", self.cal_overflow_peak),
             ("arena_slot_reuses", self.arena_slot_reuses),
             ("cal_exact_removals", self.cal_exact_removals),
+            ("flow_rerates", self.flow_rerates),
+            ("flow_rate_changes", self.flow_rate_changes),
         ]
     }
 }
@@ -760,15 +794,18 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     link_load: Vec<u32>,
     /// Number of the current `next_dt` pass, advanced once at its top. A
     /// flow whose `FlowArena::rated_pass` equals it was re-rated earlier in
-    /// this pass, so the dirty-link loop skips it; a flow on no dirty link
-    /// keeps its rate, since unchanged loads and health would reproduce the
-    /// identical rate bits.
+    /// this pass, so the dirty-link loop does not re-rate it again. A flow
+    /// keeps its rate bits without a re-rate when no link on its route
+    /// changed, or when every changed link was not its bottleneck before
+    /// the change and is not after it (see [`Self::next_dt`]); new flows
+    /// and flows on a link whose health changed always re-rate.
     rerate_pass: u64,
     /// Links whose load or health changed since the last `next_dt`
-    /// (deduplicated via `link_dirty`); their flows are re-rated and
-    /// re-keyed in batch.
+    /// (deduplicated via `link_mark`); their flows are checked, and those
+    /// whose bottleneck may have moved are re-rated and re-keyed in batch.
     dirty_links: Vec<u32>,
-    link_dirty: Vec<bool>,
+    /// Per link: whether it is queued, and the load the last pass saw.
+    link_mark: Vec<LinkMark>,
     /// Exact membership: flow slots currently routed through each link, as
     /// `(slot, route index)`; kept O(route length) per update via the
     /// `FlowArena::link_pos` back-pointers.
@@ -1126,7 +1163,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             link_load: vec![0; cluster.num_links()],
             rerate_pass: 0,
             dirty_links: Vec::new(),
-            link_dirty: vec![false; cluster.num_links()],
+            link_mark: vec![LinkMark::Clean; cluster.num_links()],
             link_flows: vec![Vec::new(); cluster.num_links()],
             // Event-spacing seed: the first bucket width, and the EWMA's
             // starting point for later rebuilds.
@@ -1255,13 +1292,19 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// # Errors
     ///
     /// Returns [`SimError::PlanSetMismatch`] when the set was sized for a
-    /// different trace.
+    /// different trace, and [`SimError::ForeignPlanSet`] when a built flow
+    /// does not join two distinct GPUs of the cluster (a set deserialized
+    /// from outside the process can name any GPU).
     pub fn with_shared_plans(mut self, plans: Arc<SharedPlans>) -> Result<Self, SimError> {
         if plans.num_collectives() != self.plan_cache.len() {
             return Err(SimError::PlanSetMismatch {
                 trace_collectives: self.plan_cache.len(),
                 shared_collectives: plans.num_collectives(),
             });
+        }
+        let num_gpus = self.cluster.num_gpus();
+        if !plans.joins_gpus_within(num_gpus) {
+            return Err(SimError::ForeignPlanSet { num_gpus });
         }
         self.shared_plans = Some(plans);
         Ok(self)
@@ -1431,11 +1474,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             FaultAction::LinkDown { link, factor } => {
                 self.obs.fault_begin(ev.fault, "link-degrade", link, self.t);
                 self.link_health.set_scale(link as usize, factor);
-                self.mark_link_dirty(link as usize);
+                self.mark_link_health(link as usize);
             }
             FaultAction::LinkUp { link } => {
                 self.link_health.restore(link as usize);
-                self.mark_link_dirty(link as usize);
+                self.mark_link_health(link as usize);
                 self.obs.fault_end(ev.fault, self.t);
             }
             FaultAction::SlowRank { rank, speed } => {
@@ -1854,39 +1897,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         let active = range.len;
         self.stats.flows_launched += u64::from(active);
         for pfi in range.start..range.start + range.len {
-            let PlanFlowRef { flow, route } = self.installed.flows[pfi as usize];
-            let slot = self.fa.alloc() as usize;
-            self.obs
-                .flow_launch(slot as u32, coll, iter, flow.src, flow.dst, self.t);
-            // A GPU's flow count crossing 0 → 1 changes its ranks'
-            // accounting coefficients: close their segments *before* the
-            // increment so the closed span carries the flows-absent rates.
-            for gpu in [flow.src as usize, flow.dst as usize] {
-                if self.gpu_flow_count[gpu] == 0 {
-                    self.flush_gpu_ranks(gpu, self.t);
-                }
-                self.gpu_flow_count[gpu] += 1;
-                if self.gpu_flow_count[gpu] == 1 {
-                    self.mark_gpu_ranks_dirty(gpu);
-                }
-            }
-            for (l, hi) in route.hops().enumerate() {
-                let hop = self.installed.hops[hi];
-                let id = hop.link as usize;
-                self.link_load[id] += u32::from(hop.mult);
-                self.mark_link_dirty(id);
-                self.fa.link_pos[slot][l] = self.link_flows[id].len() as u32;
-                self.link_flows[id].push((slot as u32, l as u8));
-            }
-            self.fa.remaining[slot] = flow.work;
-            self.fa.rate[slot] = 0.0;
-            self.fa.acc_since[slot] = self.t;
-            self.fa.moved_acc[slot] = 0.0;
-            self.fa.coll[slot] = coll;
-            self.fa.iteration[slot] = iter;
-            self.fa.pf[slot] = pfi;
-            self.fa.order_pos[slot] = self.flow_order.len() as u32;
-            self.flow_order.push(slot as u32);
+            self.launch_flow(pfi, coll, iter);
         }
 
         let slot = &mut self.colls[ci][(iter & 1) as usize];
@@ -1895,6 +1906,46 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         if active == 0 {
             self.complete_coll(key, Some(rank), self.t);
         }
+    }
+
+    /// Launch installed plan flow `pfi` of instance `(iter, coll)` into an
+    /// arena slot, loading its route's links; returns the slot. The
+    /// flow is unrated (rate 0) until the next `next_dt` pass.
+    fn launch_flow(&mut self, pfi: u32, coll: u32, iter: u32) -> usize {
+        let PlanFlowRef { flow, route } = self.installed.flows[pfi as usize];
+        let slot = self.fa.alloc() as usize;
+        self.obs
+            .flow_launch(slot as u32, coll, iter, flow.src, flow.dst, self.t);
+        // A GPU's flow count crossing 0 → 1 changes its ranks'
+        // accounting coefficients: close their segments *before* the
+        // increment so the closed span carries the flows-absent rates.
+        for gpu in [flow.src as usize, flow.dst as usize] {
+            if self.gpu_flow_count[gpu] == 0 {
+                self.flush_gpu_ranks(gpu, self.t);
+            }
+            self.gpu_flow_count[gpu] += 1;
+            if self.gpu_flow_count[gpu] == 1 {
+                self.mark_gpu_ranks_dirty(gpu);
+            }
+        }
+        for (l, hi) in route.hops().enumerate() {
+            let hop = self.installed.hops[hi];
+            let id = hop.link as usize;
+            self.mark_link_dirty(id);
+            self.link_load[id] += u32::from(hop.mult);
+            self.fa.link_pos[slot][l] = self.link_flows[id].len() as u32;
+            self.link_flows[id].push((slot as u32, l as u8));
+        }
+        self.fa.remaining[slot] = flow.work;
+        self.fa.rate[slot] = 0.0;
+        self.fa.acc_since[slot] = self.t;
+        self.fa.moved_acc[slot] = 0.0;
+        self.fa.coll[slot] = coll;
+        self.fa.iteration[slot] = iter;
+        self.fa.pf[slot] = pfi;
+        self.fa.order_pos[slot] = self.flow_order.len() as u32;
+        self.flow_order.push(slot as u32);
+        slot
     }
 
     /// Mark a collective instance complete, wake its waiters, and prune its
@@ -2100,11 +2151,22 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         rate.max(1.0)
     }
 
+    /// Queue a link whose load is about to change, recording the load the
+    /// last pass saw; call it *before* the update.
     fn mark_link_dirty(&mut self, link: usize) {
-        if !self.link_dirty[link] {
-            self.link_dirty[link] = true;
+        if self.link_mark[link] == LinkMark::Clean {
+            self.link_mark[link] = LinkMark::Load(self.link_load[link]);
             self.dirty_links.push(link as u32);
         }
+    }
+
+    /// Queue a link whose health changed: the next pass re-rates every
+    /// flow on it.
+    fn mark_link_health(&mut self, link: usize) {
+        if self.link_mark[link] == LinkMark::Clean {
+            self.dirty_links.push(link as u32);
+        }
+        self.link_mark[link] = LinkMark::Forced;
     }
 
     /// Queue a computing rank for calendar re-keying by the next `next_dt`.
@@ -2149,7 +2211,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             &self.link_load,
             &self.link_health,
         );
+        self.stats.flow_rerates += 1;
         if rate.to_bits() != self.fa.rate[slot].to_bits() {
+            self.stats.flow_rate_changes += 1;
             accrual::bank_flow_segment(
                 self.fa.rate[slot],
                 self.t,
@@ -2205,14 +2269,23 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// within `dt` — floored at 1e-9 s, inside the drain — lies under the
     /// drain bound.
     ///
-    /// Rates are refreshed (and entries re-keyed) in batch for exactly the
-    /// flows whose route-link loads changed, via the dirty-link lists;
-    /// `advance` then reuses those exact rates, matching the reference
-    /// engine where both methods read the same `link_load`. Flows on
-    /// untouched links keep their cached rate — the recompute would divide
-    /// the same bandwidths by the same loads and reproduce the identical
-    /// bits. In debug builds `debug_check_dt` re-derives `dt` with the
-    /// reference's full scan and asserts bit-equality.
+    /// Rates are refreshed (and entries re-keyed) in batch for the flows
+    /// whose bottleneck may have moved, found through the dirty-link
+    /// lists; `advance` then reuses the cached rates, matching the
+    /// reference engine where both methods read the same `link_load`. A
+    /// flow's rate is the min over its hops of `scale · bw / load`. When a
+    /// dirty link's load went from `old` (the load the last pass saw) to
+    /// `new`, a flow on it whose cached rate is strictly below the link's
+    /// `old` term and not above its `new` term keeps its rate bit for bit:
+    /// the link was not its bottleneck and still is not, so the min is
+    /// attained on a hop whose term did not move. Such a flow is skipped
+    /// without a stamp, so its other dirty links still check it. Two cases
+    /// always re-rate: a new flow (rate 0), and every flow on a link whose
+    /// health a fault changed. Flows on untouched links keep their cached
+    /// rate — the recompute would divide the same bandwidths by the same
+    /// loads. In debug builds `debug_check_dt` re-derives `dt` with the
+    /// reference's full scan, checks every cached rate against a fresh one
+    /// and asserts bit-equality.
     fn next_dt(&mut self) -> Option<f64> {
         debug_assert!(self.cand_ranks.is_empty() && self.cand_flows.is_empty());
         if self.computing == 0 && self.flow_order.is_empty() {
@@ -2225,17 +2298,41 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.rekey_all();
         }
 
-        // Re-rate + re-key flows touched by link-load changes: dirty links
-        // in order, then the flows on each link. `rekey_flow` stamps the
-        // pass, so a flow on several dirty links, or re-keyed by a rebuild
-        // above, is re-rated once.
+        // Re-rate + re-key flows whose bottleneck a dirty link may have
+        // moved: dirty links in order, then the flows on each link.
+        // `rekey_flow` stamps the pass, so a flow on several dirty links,
+        // or re-keyed by a rebuild above, is re-rated once. A flow this
+        // link lets keep its rate is not stamped: its other dirty links
+        // still check it.
         let mut dirty = std::mem::take(&mut self.dirty_links);
         for &link in &dirty {
             let link = link as usize;
-            self.link_dirty[link] = false;
+            let mark = std::mem::replace(&mut self.link_mark[link], LinkMark::Clean);
+            // The link's fair-share term before and after its load change.
+            // Every hop over a link carries that link's bandwidth, so the
+            // term is per link, not per flow.
+            let (was, now) = match mark {
+                LinkMark::Load(old) => {
+                    let scale = self.link_health.scale(link);
+                    let bw1e9 = self.cluster.link(LinkId(link as u32)).bw_gbps * 1e9;
+                    (
+                        fair_share(scale, bw1e9, old),
+                        fair_share(scale, bw1e9, self.link_load[link]),
+                    )
+                }
+                // A health change moves the term of every flow on the link.
+                LinkMark::Forced => (0.0, 0.0),
+                LinkMark::Clean => unreachable!("queued links are marked"),
+            };
             for k in 0..self.link_flows[link].len() {
                 let slot = self.link_flows[link][k].0 as usize;
-                if self.fa.rated_pass[slot] != self.rerate_pass {
+                let rate = self.fa.rate[slot];
+                // Strictly below the old term and not above the new one:
+                // the link was not the flow's bottleneck and is not now, so
+                // the min over its hops keeps its bits. A new flow (rate 0)
+                // never passes.
+                let keeps = rate > 0.0 && rate < was && rate <= now;
+                if !keeps && self.fa.rated_pass[slot] != self.rerate_pass {
                     self.rekey_flow(slot);
                 }
             }
@@ -2455,8 +2552,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         for hi in route.hops() {
             let hop = self.installed.hops[hi];
             let id = hop.link as usize;
-            self.link_load[id] -= u32::from(hop.mult);
             self.mark_link_dirty(id);
+            self.link_load[id] -= u32::from(hop.mult);
         }
         // Retire-site removal: drop the retiring flow's calendar entry (the
         // only place a completing entry leaves the calendar) and its
@@ -2653,9 +2750,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 };
                 util_acc[gpu] = 0.0;
                 pcie_bytes[gpu] = 0.0;
-                (gpu, sample)
+                sample
             });
-            self.telemetry.record_frame(self.t, frame);
+            self.telemetry
+                .record_frame(self.t, &self.active_gpus, frame);
             self.next_sample += self.cfg.sample_period_s;
         }
 
@@ -2853,7 +2951,7 @@ pub(crate) fn kernel_pressure(kind: charllm_trace::ComputeKind) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charllm_hw::{presets, GpuModel, LinkId, NodeLayout};
+    use charllm_hw::{presets, GpuModel, LinkId, NodeId, NodeLayout};
     use charllm_models::{presets as models, TrainJob};
     use charllm_net::ChunkingPolicy;
     use charllm_net::CollectiveKind;
@@ -3426,5 +3524,83 @@ mod tests {
                 again.charges[b.route.charges()]
             );
         }
+    }
+
+    #[test]
+    fn a_rerate_pass_skips_flows_whose_bottleneck_cannot_move() {
+        // Two HGX nodes: a cross-node route runs PCIe (64 GB/s) → NIC
+        // (12.5 GB/s) → leaf switch → NIC → PCIe, and every cross-node flow
+        // of a node shares its NIC. GPU 8's PCIe link at 5% health
+        // (3.2 GB/s) makes it flow A's bottleneck instead of the NICs.
+        let cluster = presets::hgx_h100_superpod(2, 2);
+        let mut b = TraceBuilder::new(1);
+        b.compute(0, ComputeKind::Gemm, 1e12);
+        let trace = b.build(TraceMeta {
+            tokens_per_iteration: 1000,
+            ..Default::default()
+        });
+        let placement = Placement::identity(&cluster, trace.world()).unwrap();
+        let mut sim = Simulator::new(&cluster, &placement, &trace, SimConfig::fast()).unwrap();
+        let launch = |sim: &mut Simulator<'_>, src: u32, dst: u32| {
+            let plan = CollPlan {
+                flows: Box::new([PlanFlow {
+                    work: 1e15,
+                    payload_ratio: 1.0,
+                    src,
+                    dst,
+                }]),
+            };
+            let range = sim.installed.install(&cluster, &plan, 1);
+            sim.launch_flow(range.start, 0, 0)
+        };
+        // One `next_dt` pass: the re-rates it made and the ones that
+        // changed bits (its candidates are dropped; nothing advances).
+        let pass = |sim: &mut Simulator<'_>| {
+            let before = (sim.stats.flow_rerates, sim.stats.flow_rate_changes);
+            sim.next_dt().expect("flows in flight");
+            sim.cand_flows.clear();
+            sim.cand_ranks.clear();
+            (
+                sim.stats.flow_rerates - before.0,
+                sim.stats.flow_rate_changes - before.1,
+            )
+        };
+        let nic = |node: u32| cluster.nic(NodeId(node)).index();
+        let pcie = |gpu: u32| cluster.pcie(GpuId(gpu)).index();
+        let slow = pcie(8);
+        sim.link_health.set_scale(slow, 0.05);
+        let a = launch(&mut sim, 0, 8);
+        assert_eq!(pass(&mut sim), (1, 1), "a new flow re-rates");
+        let rate_a = sim.fa.rate[a];
+        assert_eq!(rate_a, fair_share(0.05, 64e9, 1), "the slow PCIe binds");
+        let rated_a = sim.fa.rated_pass[a];
+
+        // B shares both NICs with A: their load goes 1 → 2, and their term
+        // 12.5 → 6.25 GB/s stays above A's 3.2 GB/s. Only B re-rates.
+        let b = launch(&mut sim, 1, 9);
+        assert_eq!(pass(&mut sim), (1, 1), "only the new flow re-rates");
+        assert_eq!(sim.fa.rated_pass[a], rated_a, "A is not re-rated");
+        assert_eq!(sim.fa.rate[a].to_bits(), rate_a.to_bits());
+        assert_eq!(sim.fa.rate[b], fair_share(1.0, 12.5e9, 2));
+
+        // Two more flows take the NICs to load 4: 3.125 GB/s undercuts
+        // A's PCIe, so the NICs become A's bottleneck; B's bottleneck was
+        // the NICs already. A, B and both new flows re-rate.
+        launch(&mut sim, 2, 10);
+        launch(&mut sim, 3, 11);
+        assert_eq!(pass(&mut sim), (4, 4), "the moved bottlenecks re-rate");
+        let nic_share = fair_share(1.0, 12.5e9, 4);
+        assert_eq!(sim.fa.rate[a], nic_share);
+        assert_eq!(sim.fa.rate[b], nic_share);
+        assert_eq!(sim.link_load[nic(0)], 4);
+
+        // A health change on A's source PCIe, far from its bottleneck,
+        // still forces a re-rate of the flow on it; the bits do not move.
+        let rated_a = sim.fa.rated_pass[a];
+        sim.link_health.set_scale(pcie(0), 0.9);
+        sim.mark_link_health(pcie(0));
+        assert_eq!(pass(&mut sim), (1, 0), "a health change forces a re-rate");
+        assert_ne!(sim.fa.rated_pass[a], rated_a, "A was re-rated");
+        assert_eq!(sim.fa.rate[a], nic_share);
     }
 }

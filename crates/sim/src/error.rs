@@ -34,6 +34,12 @@ pub enum SimError {
         /// Slots in the supplied plan set.
         shared_collectives: usize,
     },
+    /// A shared plan set holds a flow that does not join two distinct GPUs
+    /// of the cluster.
+    ForeignPlanSet {
+        /// GPUs in this simulator's cluster.
+        num_gpus: usize,
+    },
     /// A fault plan referenced out-of-range targets or bad magnitudes.
     InvalidFaultPlan(String),
     /// A [`crate::SimConfig`] period the engines cannot step with
@@ -76,6 +82,11 @@ impl fmt::Display for SimError {
                 f,
                 "shared plan set has {shared_collectives} slots but the trace \
                  has {trace_collectives} collectives (built for a different trace?)"
+            ),
+            SimError::ForeignPlanSet { num_gpus } => write!(
+                f,
+                "shared plan set has a flow that does not join two distinct \
+                 GPUs of the {num_gpus}-GPU cluster (built for a different cluster?)"
             ),
             SimError::InvalidFaultPlan(detail) => {
                 write!(f, "invalid fault plan: {detail}")

@@ -866,7 +866,9 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             let window = self.cfg.sample_period_s;
             let (util_acc, pcie_bytes) = (&mut self.util_acc, &mut self.pcie_window_bytes);
             let (thermals, last_power_w) = (&self.thermals, &self.last_power_w);
-            let frame = (0..self.cluster.num_gpus()).map(|gpu| {
+            let gpus: Vec<u32> = (0..self.cluster.num_gpus() as u32).collect();
+            let frame = gpus.iter().map(|&gpu| {
+                let gpu = gpu as usize;
                 let sample = GpuSample {
                     power_w: last_power_w[gpu],
                     temp_c: thermals[gpu].temp_c(),
@@ -876,9 +878,9 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
                 };
                 util_acc[gpu] = 0.0;
                 pcie_bytes[gpu] = 0.0;
-                (gpu, sample)
+                sample
             });
-            self.telemetry.record_frame(self.t, frame);
+            self.telemetry.record_frame(self.t, &gpus, frame);
             self.next_sample += self.cfg.sample_period_s;
         }
     }

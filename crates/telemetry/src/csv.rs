@@ -85,7 +85,7 @@ mod tests {
             util: 1.0,
             pcie_gbps: 0.5,
         };
-        store.record_frame(0.0, (0..2).map(|g| (g, sample)));
+        store.record_frame(0.0, &[0, 1], [sample; 2]);
         let mut buf = Vec::new();
         write_store(&mut buf, &store).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -102,19 +102,18 @@ mod tests {
         let gpus = 3;
         let samples = 4;
         let mut store = TelemetryStore::new(gpus);
+        let order: Vec<u32> = (0..gpus as u32).collect();
         for i in 0..samples {
             let t = i as f64 * 0.25;
             store.record_frame(
                 t,
-                (0..gpus).map(|g| {
-                    let sample = GpuSample {
-                        power_w: 100.0 + (g * samples + i) as f64,
-                        temp_c: 40.0 + g as f64,
-                        freq_mhz: 1500.0 + i as f64,
-                        util: 0.5,
-                        pcie_gbps: g as f64 + i as f64 / 8.0,
-                    };
-                    (g, sample)
+                &order,
+                (0..gpus).map(|g| GpuSample {
+                    power_w: 100.0 + (g * samples + i) as f64,
+                    temp_c: 40.0 + g as f64,
+                    freq_mhz: 1500.0 + i as f64,
+                    util: 0.5,
+                    pcie_gbps: g as f64 + i as f64 / 8.0,
                 }),
             );
         }
@@ -159,7 +158,7 @@ mod tests {
         for (sampled, missing) in [(1, 0), (0, 1)] {
             let mut store = TelemetryStore::new(2);
             for (i, t) in [0.0, 0.5, 1.0].into_iter().enumerate() {
-                store.record_frame(t, [(sampled, sample(100.0 + i as f64))]);
+                store.record_frame(t, &[sampled as u32], [sample(100.0 + i as f64)]);
             }
             let mut buf = Vec::new();
             write_store(&mut buf, &store).unwrap();

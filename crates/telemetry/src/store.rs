@@ -46,8 +46,9 @@ pub struct TelemetryStore {
     /// Each GPU's row within a frame; `None` if never sampled. GPUs aliased
     /// by [`TelemetryStore::copy_gpu`] share one.
     column: Vec<Option<usize>>,
-    /// Rows per frame.
-    width: usize,
+    /// The GPUs every frame samples, in row order (fixed by the first
+    /// frame); its length is the rows per frame.
+    order: Vec<u32>,
 }
 
 impl TelemetryStore {
@@ -57,7 +58,7 @@ impl TelemetryStore {
             t: Vec::new(),
             rows: Vec::new(),
             column: vec![None; num_gpus],
-            width: 0,
+            order: Vec::new(),
         }
     }
 
@@ -76,39 +77,44 @@ impl TelemetryStore {
         self.column[gpu].is_some()
     }
 
-    /// Record one frame: a sample of each sampled GPU at `t_s`. The first
-    /// frame fixes which GPUs are sampled and in what order.
+    /// Record one frame at `t_s`: `samples` holds one sample per GPU of
+    /// `gpus`, in that order. The first frame fixes which GPUs are sampled
+    /// and in what order; a later frame's order is checked against it once,
+    /// not per sample.
     ///
     /// # Panics
     ///
-    /// Panics if a GPU is out of range, time goes backwards, or a later
-    /// frame samples other GPUs or another order than the first.
+    /// Panics if a GPU is out of range or listed twice, time goes
+    /// backwards, a later frame samples other GPUs or another order than
+    /// the first, or `samples` does not hold one sample per GPU.
     pub fn record_frame(
         &mut self,
         t_s: f64,
-        samples: impl IntoIterator<Item = (usize, GpuSample)>,
+        gpus: &[u32],
+        samples: impl IntoIterator<Item = GpuSample>,
     ) {
         if let Some(&last) = self.t.last() {
             assert!(t_s >= last, "time must be non-decreasing: {t_s} < {last}");
-        }
-        let first = self.t.is_empty();
-        let start = self.rows.len();
-        self.rows.reserve(self.width);
-        for (k, (gpu, s)) in samples.into_iter().enumerate() {
-            let col = Some(k);
-            if first {
-                assert!(self.column[gpu].is_none(), "gpu {gpu} sampled twice");
-                self.column[gpu] = col;
-            } else {
-                assert_eq!(self.column[gpu], col, "gpu {gpu} out of frame order");
+            assert!(gpus == self.order, "frame GPUs out of frame order");
+        } else {
+            for (k, &gpu) in gpus.iter().enumerate() {
+                let column = &mut self.column[gpu as usize];
+                assert!(column.is_none(), "gpu {gpu} sampled twice");
+                *column = Some(k);
             }
-            self.rows
-                .push([s.power_w, s.temp_c, s.freq_mhz, s.util, s.pcie_gbps]);
+            self.order = gpus.to_vec();
         }
-        if first {
-            self.width = self.rows.len() - start;
-        }
-        assert_eq!(self.rows.len() - start, self.width, "frame width changed");
+        let start = self.rows.len();
+        self.rows.extend(
+            samples
+                .into_iter()
+                .map(|s| [s.power_w, s.temp_c, s.freq_mhz, s.util, s.pcie_gbps]),
+        );
+        assert_eq!(
+            self.rows.len() - start,
+            gpus.len(),
+            "one sample per frame GPU"
+        );
         self.t.push(t_s);
     }
 
@@ -119,7 +125,7 @@ impl TelemetryStore {
         };
         let flat = self.rows.as_flattened();
         let first = col * FIELDS.len() + field;
-        Series::strided(&self.t, &flat[first..], self.width * FIELDS.len())
+        Series::strided(&self.t, &flat[first..], self.order.len() * FIELDS.len())
     }
 
     /// Power series of a GPU.
@@ -290,21 +296,21 @@ impl Deserialize for TelemetryStore {
                     "gpu {g}: telemetry not sampled on the shared clock"
                 )));
             }
-            sampled.push(g);
+            sampled.push(g as u32);
         }
         for (i, &t) in clock.iter().enumerate() {
             store.record_frame(
                 t,
+                &sampled,
                 sampled.iter().map(|&g| {
-                    let v = |f: usize| fields[f][g].values()[i];
-                    let sample = GpuSample {
+                    let v = |f: usize| fields[f][g as usize].values()[i];
+                    GpuSample {
                         power_w: v(POWER),
                         temp_c: v(TEMP),
                         freq_mhz: v(FREQ),
                         util: v(UTIL),
                         pcie_gbps: v(PCIE),
-                    };
-                    (g, sample)
+                    }
                 }),
             );
         }
@@ -329,8 +335,8 @@ mod tests {
     #[test]
     fn record_and_query() {
         let mut s = TelemetryStore::new(2);
-        s.record_frame(0.0, [(0, sample(100.0)), (1, sample(300.0))]);
-        s.record_frame(1.0, [(0, sample(200.0)), (1, sample(300.0))]);
+        s.record_frame(0.0, &[0, 1], [sample(100.0), sample(300.0)]);
+        s.record_frame(1.0, &[0, 1], [sample(200.0), sample(300.0)]);
         assert_eq!(s.power(0).len(), 2);
         assert_eq!(s.power(0).value(1), 200.0);
         assert_eq!(s.times(), &[0.0, 1.0]);
@@ -342,7 +348,7 @@ mod tests {
     fn total_energy_sums_gpus() {
         let mut s = TelemetryStore::new(2);
         for t in [0.0, 10.0] {
-            s.record_frame(t, (0..2).map(|gpu| (gpu, sample(100.0))));
+            s.record_frame(t, &[0, 1], [sample(100.0); 2]);
         }
         assert!((s.total_energy_j() - 2000.0).abs() < 1e-9);
     }
@@ -351,7 +357,7 @@ mod tests {
     fn aggregate_pcie_sums_across_gpus() {
         let mut s = TelemetryStore::new(3);
         for t in [0.0, 1.0] {
-            s.record_frame(t, (0..3).map(|gpu| (gpu, sample(1.0))));
+            s.record_frame(t, &[0, 1, 2], [sample(1.0); 3]);
         }
         let agg = s.aggregate_pcie();
         assert_eq!(agg.len(), 2);
@@ -369,8 +375,8 @@ mod tests {
     #[test]
     fn copy_gpu_aliases_the_representative() {
         let mut s = TelemetryStore::new(3);
-        s.record_frame(0.0, [(0, sample(100.0)), (2, sample(300.0))]);
-        s.record_frame(1.0, [(0, sample(110.0)), (2, sample(310.0))]);
+        s.record_frame(0.0, &[0, 2], [sample(100.0), sample(300.0)]);
+        s.record_frame(1.0, &[0, 2], [sample(110.0), sample(310.0)]);
         assert!(!s.is_sampled(1));
         assert!(s.power(1).is_empty());
         s.copy_gpu(2, 1);
@@ -384,8 +390,8 @@ mod tests {
     #[test]
     fn serializes_one_series_per_gpu_and_roundtrips() {
         let mut s = TelemetryStore::new(3);
-        s.record_frame(0.0, [(0, sample(100.0)), (2, sample(300.0))]);
-        s.record_frame(0.5, [(0, sample(110.0)), (2, sample(310.0))]);
+        s.record_frame(0.0, &[0, 2], [sample(100.0), sample(300.0)]);
+        s.record_frame(0.5, &[0, 2], [sample(110.0), sample(310.0)]);
         let v = s.serialize_value();
         let power = v.get("power_w").and_then(Value::as_array).unwrap();
         assert_eq!(power.len(), 3);
@@ -415,7 +421,15 @@ mod tests {
     #[should_panic(expected = "out of frame order")]
     fn frames_keep_the_first_frames_gpu_order() {
         let mut s = TelemetryStore::new(2);
-        s.record_frame(0.0, [(0, sample(1.0)), (1, sample(1.0))]);
-        s.record_frame(1.0, [(1, sample(1.0)), (0, sample(1.0))]);
+        s.record_frame(0.0, &[0, 1], [sample(1.0); 2]);
+        s.record_frame(1.0, &[1, 0], [sample(1.0); 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one sample per frame GPU")]
+    fn frames_hold_one_sample_per_gpu() {
+        let mut s = TelemetryStore::new(2);
+        s.record_frame(0.0, &[0, 1], [sample(1.0); 2]);
+        s.record_frame(1.0, &[0, 1], [sample(1.0)]);
     }
 }

@@ -126,6 +126,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "            arena: {} slot reuses | {} exact calendar removals",
             stats.arena_slot_reuses, stats.cal_exact_removals,
         );
+        println!(
+            "            flow rates: {} re-rates | {} changed",
+            stats.flow_rerates, stats.flow_rate_changes,
+        );
         let bytes = serde_json::to_string(&result)?;
         println!("            result fnv1a {:016x}", fnv1a(bytes.as_bytes()));
     }

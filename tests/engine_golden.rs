@@ -493,6 +493,69 @@ fn shared_plans_reject_foreign_traces() {
     );
 }
 
+#[test]
+fn shared_plans_naming_foreign_gpus_are_an_error_not_a_panic() {
+    // A plan set's serde form is public, so a caller can hand the engine a
+    // set whose flows name GPUs the cluster lacks; routing one would panic.
+    use charllm_sim::{SharedPlans, SimError};
+    use std::sync::Arc;
+
+    let cluster = one_node_cluster();
+    let trace = gpt3_trace(&cluster, 8);
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let shared = Arc::new(SharedPlans::for_trace(&trace));
+    Simulator::new(&cluster, &placement, &trace, SimConfig::fast())
+        .unwrap()
+        .with_shared_plans(Arc::clone(&shared))
+        .unwrap()
+        .run()
+        .unwrap();
+    let pristine = serde_json::to_string(&*shared).unwrap();
+    // `text` with the first built flow's `work pr src dst` tokens edited.
+    let tamper = |edit: fn(&mut [String])| {
+        let built = pristine.find("\"built\":[[").expect("set has built plans");
+        let start = built + pristine[built..].find(",\"").unwrap() + 2;
+        let end = start + pristine[start..].find([';', '"']).unwrap();
+        let mut tokens: Vec<String> = pristine[start..end]
+            .split(' ')
+            .map(str::to_string)
+            .collect();
+        assert_eq!(tokens.len(), 4, "a flow packs work, ratio, src and dst");
+        edit(&mut tokens);
+        format!(
+            "{}{}{}",
+            &pristine[..start],
+            tokens.join(" "),
+            &pristine[end..]
+        )
+    };
+    let attach = |text: &str| {
+        let set: SharedPlans = serde_json::from_str(text).expect("well-formed set");
+        Simulator::new(&cluster, &placement, &trace, SimConfig::fast())
+            .unwrap()
+            .with_shared_plans(Arc::new(set))
+            .err()
+    };
+    assert_eq!(attach(&pristine), None, "the untampered set attaches");
+    let cases = [
+        (
+            "a GPU outside the cluster",
+            tamper(|t| t[2] = "999999".into()),
+        ),
+        (
+            "a flow from a GPU to itself",
+            tamper(|t| t[3] = t[2].clone()),
+        ),
+    ];
+    for (tag, text) in cases {
+        assert_eq!(
+            attach(&text),
+            Some(SimError::ForeignPlanSet { num_gpus: 8 }),
+            "{tag} must be rejected"
+        );
+    }
+}
+
 /// Two HGX nodes running tp4·pp2·dp2: pipeline sends cross nodes over
 /// PCIe + NIC while tensor-parallel collectives stay on NVLink. Thermal
 /// feedback is on and the telemetry sample period (12.3 ms) is not a
