@@ -188,6 +188,7 @@ proptest! {
         interleaved in any::<bool>(),
         thermal in any::<bool>(),
         cap in (any::<bool>(), 250.0f64..650.0).prop_map(|(on, w)| on.then_some(w)),
+        sample_period in prop_oneof![Just(0.01f64), Just(0.02), Just(0.05), Just(0.1)],
     ) {
         let cluster = two_node_cluster();
         let schedule = if interleaved {
@@ -206,6 +207,9 @@ proptest! {
         cfg.warmup_iterations = 1;
         cfg.thermal_feedback = thermal;
         cfg.gpu_power_cap_w = cap;
+        // Windows from two control ticks up put sample boundaries on and
+        // near the instants where flow rates change.
+        cfg.sample_period_s = sample_period;
         let engine = Simulator::new(&cluster, &placement, &trace, cfg)
             .unwrap()
             .run()
@@ -217,8 +221,8 @@ proptest! {
         prop_assert_eq!(
             serde_json::to_string(&engine).unwrap(),
             serde_json::to_string(&reference).unwrap(),
-            "engine diverged from reference at {:?} moe={} {:?} thermal={} cap={:?}",
-            shape, moe, schedule, thermal, cap
+            "engine diverged from reference at {:?} moe={} {:?} thermal={} cap={:?} sample={}",
+            shape, moe, schedule, thermal, cap, sample_period
         );
     }
 
