@@ -60,7 +60,7 @@ echo "$out" | grep -Eq "cache after pass 2: lowered [1-9][0-9]* hits" || {
 hashes="$(echo "$out" | sed -En 's/^ *result fnv1a ([0-9a-f]{16})$/\1/p' | tr '\n' ' ')"
 echo "result hashes:" $hashes
 pass="764419ad0b0cb41f 6d44430ee51f78ab 5d700951fc052a54 413526c17e6562ff \
-072b61af3eaf4781 4b998b316edc8328 40f1bad20c03d5ab 3b272080093cf33b"
+71e2904364493c29 ca763833586029b4 c3b6f8500036a479 2439c27a86d2f98b"
 [ "$hashes" = "$(echo $pass $pass) " ] || {
     echo "FAIL: an MTBF scenario's serialized SimResult changed" >&2
     exit 1
@@ -85,7 +85,7 @@ echo "plan builds per point:" $builds
 }
 hashes="$(echo "$out" | sed -En 's/^ *result fnv1a ([0-9a-f]{16})$/\1/p' | tr '\n' ' ')"
 echo "result hashes:" $hashes
-[ "$hashes" = "57a1f1df14ed27b2 f3fd4cbf9136d649 8f1e52a1fe575f53 79c281800a63fef6 " ] || {
+[ "$hashes" = "85c17369445cf583 8a9663523bbc9363 18832249cf9415ac b7511d32f8617634 " ] || {
     echo "FAIL: a 16k-GPU power-cap point's serialized SimResult changed" >&2
     exit 1
 }

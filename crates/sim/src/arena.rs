@@ -28,7 +28,7 @@ pub const MAX_ROUTE_LINKS: usize = 8;
 ///
 /// All field vectors share the same length (`num_slots`). The engine
 /// accesses fields directly so disjoint borrows stay visible to the borrow
-/// checker (a rate change banks into `acc_since` and `moved_acc` through
+/// checker (a rate change banks into `acc_since` and `remaining` through
 /// two simultaneous `&mut` borrows).
 #[derive(Debug, Default)]
 pub struct FlowArena {
@@ -37,12 +37,9 @@ pub struct FlowArena {
     pub remaining: Vec<f64>,
     /// Last computed bottleneck rate (units/s).
     pub rate: Vec<f64>,
-    /// Time the flow's progress and traffic accounting were last brought
-    /// current (segment start for lazy accrual).
+    /// Time the flow's progress was last brought current (segment start
+    /// for lazy accrual; see `crate::accrual::bank_flow_segment`).
     pub acc_since: Vec<f64>,
-    /// Movement banked at superseded rates since the last traffic flush,
-    /// in route-work units (see `crate::accrual::bank_flow_segment`).
-    pub moved_acc: Vec<f64>,
     /// The engine's `next_dt` pass in which `rate` was last computed. A
     /// stamp left by a recycled slot's previous flow is from an earlier
     /// pass than any the new flow meets.
@@ -78,7 +75,6 @@ impl FlowArena {
         self.remaining.push(0.0);
         self.rate.push(0.0);
         self.acc_since.push(0.0);
-        self.moved_acc.push(0.0);
         self.rated_pass.push(0);
         self.link_pos.push([0; MAX_ROUTE_LINKS]);
         self.coll.push(0);

@@ -43,7 +43,7 @@ use charllm_telemetry::{GpuSample, TelemetryStore};
 use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, IdleSteps, ThermalSpec};
 use charllm_trace::{ExecutionTrace, FloatTable, FoldedCollective, KernelClass, Step};
 
-use crate::accrual;
+use crate::accrual::{self, PcieWindow};
 use crate::arena::{FlowArena, MAX_ROUTE_LINKS};
 use crate::calendar::{completion_key, Calendar};
 use crate::config::SimConfig;
@@ -389,6 +389,9 @@ struct RouteSpan {
     charge_start: u32,
     hop_len: u8,
     charge_len: u8,
+    /// Whether a charge is a PCIe one: only such routes touch the
+    /// [`PcieWindow`].
+    pcie: bool,
 }
 
 impl RouteSpan {
@@ -529,6 +532,9 @@ impl InstalledPlans {
             charge_start: offset(charge_start),
             hop_len: (self.hops.len() - hop_start) as u8,
             charge_len: (self.charges.len() - charge_start) as u8,
+            pcie: self.charges[charge_start..]
+                .iter()
+                .any(|c| c.class == LinkClass::Pcie),
         }
     }
 }
@@ -882,7 +888,7 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// Time-weighted activity accumulation since the last control boundary.
     activity_acc: Vec<f64>,
     util_acc: Vec<f64>,
-    pcie_window_bytes: Vec<f64>,
+    pcie: PcieWindow,
 
     /// Time each rank's progress and accounting were last brought current
     /// (segment start for lazy accrual; see `crate::accrual`). A computing
@@ -892,8 +898,9 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// bitmap: every rank unfolded, representatives only when folded).
     rank_active: Vec<bool>,
     /// During a fail-stop outage the clock advances with no rank or flow
-    /// progress: control ticks skip their flushes, and `rebase_accruals`
-    /// restarts every segment past the outage when it ends.
+    /// progress: control ticks skip the rank flush, samples take their
+    /// PCIe windows without accruing them, and `rebase_accruals` restarts
+    /// every segment and window past the outage when it ends.
     accrual_frozen: bool,
 
     kernel_time: Vec<KernelBreakdown>,
@@ -1195,7 +1202,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             peak_flops: cluster.gpu().peak_fp16_flops,
             activity_acc: vec![0.0; num_gpus],
             util_acc: vec![0.0; num_gpus],
-            pcie_window_bytes: vec![0.0; num_gpus],
+            pcie: PcieWindow::new(num_gpus),
             rank_acc_since: vec![0.0; trace.world()],
             rank_active,
             accrual_frozen: false,
@@ -1566,14 +1573,25 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             return;
         }
         let redo_from = start + idle_s.max(0.0);
-        // Close every open segment at the outage start, then freeze:
-        // ranks and flows hold their work during the stall, so a lazy
-        // segment spanning it would progress work and charge kernel/traffic
-        // time that never ran. Frozen control ticks skip their flushes (the
-        // thermal steps below still read the synthetic redo activity), and
-        // `rebase_accruals` restarts every segment at the outage end.
+        // Close every open segment and PCIe window at the outage start,
+        // then freeze: ranks and flows hold their work during the stall, so
+        // a lazy segment spanning it would progress work and charge kernel
+        // time and PCIe bytes that never ran. Frozen control ticks skip the
+        // rank flush (the thermal steps below still read the synthetic redo
+        // activity) and take their PCIe windows without accruing them, and
+        // `rebase_accruals` restarts every segment and window at the outage
+        // end.
         self.flush_ranks(start);
-        self.flush_flows(start);
+        for oi in 0..self.flow_order.len() {
+            let slot = self.flow_order[oi] as usize;
+            accrual::bank_flow_segment(
+                self.fa.rate[slot],
+                start,
+                &mut self.fa.acc_since[slot],
+                &mut self.fa.remaining[slot],
+            );
+        }
+        self.pcie.accrue_all(start);
         self.accrual_frozen = true;
         let energy_before: f64 = self.thermals.iter().map(GpuThermal::energy_j).sum();
         // Once every GPU has settled at its idle fixed point, the idle
@@ -1939,7 +1957,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.fa.remaining[slot] = flow.work;
         self.fa.rate[slot] = 0.0;
         self.fa.acc_since[slot] = self.t;
-        self.fa.moved_acc[slot] = 0.0;
         self.fa.coll[slot] = coll;
         self.fa.iteration[slot] = iter;
         self.fa.pf[slot] = pfi;
@@ -2080,22 +2097,21 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         Some((accrual::left_after(remaining_flops, rate, elapsed), rate))
     }
 
-    /// Charge `pending` work units of a flow's movement to its telemetry
-    /// owners.
-    fn charge_flow(&mut self, slot: usize, pending: f64) {
-        if pending == 0.0 {
+    /// Move the flow in `slot`'s contribution to its PCIe owners' payload
+    /// rates from rate `old` to rate `new` (route-work units/s) at `now`.
+    fn shift_pcie(&mut self, slot: usize, now: f64, old: f64, new: f64) {
+        let pf = self.installed.flows[self.fa.pf[slot] as usize];
+        if !pf.route.pcie {
             return;
         }
-        let pf = self.installed.flows[self.fa.pf[slot] as usize];
-        let payload = pending * pf.flow.payload_ratio;
-        let measured = self.fa.iteration[slot] as usize >= self.cfg.warmup_iterations;
+        let ratio = pf.flow.payload_ratio;
+        let (old, new) = (
+            PcieWindow::contribution(old, ratio),
+            PcieWindow::contribution(new, ratio),
+        );
         for charge in &self.installed.charges[pf.route.charges()] {
-            let gpu = charge.gpu as usize;
-            if measured {
-                self.traffic.add(gpu, charge.class, payload);
-            }
             if charge.class == LinkClass::Pcie {
-                self.pcie_window_bytes[gpu] += payload;
+                self.pcie.shift(charge.gpu as usize, now, old, new);
             }
         }
     }
@@ -2108,27 +2124,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// The flow flush: close every live flow's segment at `now` and charge
-    /// its movement since the last flush, in `flow_order` order — the
-    /// reference engine's dense-loop order.
-    fn flush_flows(&mut self, now: f64) {
-        for oi in 0..self.flow_order.len() {
-            let slot = self.flow_order[oi] as usize;
-            let pending = accrual::take_flow_pending(
-                self.fa.rate[slot],
-                now,
-                &mut self.fa.acc_since[slot],
-                &mut self.fa.moved_acc[slot],
-                &mut self.fa.remaining[slot],
-            );
-            self.charge_flow(slot, pending);
-        }
-    }
-
-    /// Restart every segment at `now` without accruing anything — used at
-    /// the end of a fail-stop outage, whose span must contribute no
-    /// progress and no rank, flow, or idle accounting (the stall loop
-    /// injects recovery activity itself).
+    /// Restart every segment and PCIe window at `now` without accruing
+    /// anything — used at the end of a fail-stop outage, whose span must
+    /// contribute no progress and no rank, flow, PCIe or idle accounting
+    /// (the stall loop injects recovery activity itself).
     fn rebase_accruals(&mut self, now: f64) {
         for ri in 0..self.active_ranks.len() {
             self.rank_acc_since[self.active_ranks[ri] as usize] = now;
@@ -2136,6 +2135,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         for oi in 0..self.flow_order.len() {
             self.fa.acc_since[self.flow_order[oi] as usize] = now;
         }
+        self.pcie.rebase(now);
     }
 
     fn note_live_colls(&mut self) {
@@ -2214,13 +2214,14 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.stats.flow_rerates += 1;
         if rate.to_bits() != self.fa.rate[slot].to_bits() {
             self.stats.flow_rate_changes += 1;
+            let old = self.fa.rate[slot];
             accrual::bank_flow_segment(
-                self.fa.rate[slot],
+                old,
                 self.t,
                 &mut self.fa.acc_since[slot],
-                &mut self.fa.moved_acc[slot],
                 &mut self.fa.remaining[slot],
             );
+            self.shift_pcie(slot, self.t, old, rate);
             self.fa.rate[slot] = rate;
         }
         self.fa.rated_pass[slot] = self.rerate_pass;
@@ -2529,12 +2530,18 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// Retire the completed flow in `slot`, at position `pos` of
     /// `flow_order`, at time `t + dt`.
     fn retire_flow(&mut self, slot: usize, pos: usize, dt: f64) {
-        // One retirement-time charge: everything not yet flushed — banked
-        // movement plus all the work left at the segment start, the
+        // The flow's one traffic charge: its whole lowered payload, the
         // sub-unit residual included, so every lowered payload byte lands
-        // in the traffic accounting.
-        self.charge_flow(slot, self.fa.moved_acc[slot] + self.fa.remaining[slot]);
+        // in the traffic accounting. Its PCIe rate leaves its owners'
+        // windows.
         let PlanFlowRef { flow, route } = self.installed.flows[self.fa.pf[slot] as usize];
+        if self.fa.iteration[slot] as usize >= self.cfg.warmup_iterations {
+            let payload = flow.work * flow.payload_ratio;
+            for charge in &self.installed.charges[route.charges()] {
+                self.traffic.add(charge.gpu as usize, charge.class, payload);
+            }
+        }
+        self.shift_pcie(slot, self.t + dt, self.fa.rate[slot], 0.0);
         let key = (self.fa.iteration[slot], self.fa.coll[slot]);
         self.obs.flow_retire(slot as u32, self.t + dt);
         // Close rank segments on a GPU about to lose its last flow
@@ -2602,9 +2609,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     fn control_update(&mut self) {
         // The thermal step reads the rank-side activity accumulators (and
         // the sample below the util ones), so the rank flush runs every
-        // tick. Flow segments stay open: only the sample's PCIe window
-        // reads them. During an outage every segment is frozen at its start
-        // and restarted at its end, so there is nothing to flush.
+        // tick. Flows need no flush: traffic is charged at retirement and
+        // the sample reads the PCIe windows. During an outage every segment
+        // is frozen at its start and restarted at its end, so there is
+        // nothing to flush.
         if !self.accrual_frozen {
             self.flush_ranks(self.t);
         }
@@ -2733,23 +2741,24 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// boundaries and the metrics publication.
     fn finish_control_tick(&mut self) {
         if self.t >= self.next_sample - 1e-12 {
-            if !self.accrual_frozen {
-                self.flush_flows(self.t);
-            }
-            let window = self.cfg.sample_period_s;
-            let (util_acc, pcie_bytes) = (&mut self.util_acc, &mut self.pcie_window_bytes);
+            let (t, frozen, window) = (self.t, self.accrual_frozen, self.cfg.sample_period_s);
+            let (util_acc, pcie) = (&mut self.util_acc, &mut self.pcie);
             let (thermals, last_power_w) = (&self.thermals, &self.last_power_w);
             let frame = self.active_gpus.iter().map(|&gpu| {
                 let gpu = gpu as usize;
+                let pcie_bytes = if frozen {
+                    pcie.take_frozen(gpu)
+                } else {
+                    pcie.take(gpu, t)
+                };
                 let sample = GpuSample {
                     power_w: last_power_w[gpu],
                     temp_c: thermals[gpu].temp_c(),
                     freq_mhz: thermals[gpu].freq_mhz(),
                     util: (util_acc[gpu] / window).min(1.0),
-                    pcie_gbps: pcie_bytes[gpu] / window / 1e9,
+                    pcie_gbps: pcie_bytes / window / 1e9,
                 };
                 util_acc[gpu] = 0.0;
-                pcie_bytes[gpu] = 0.0;
                 sample
             });
             self.telemetry
@@ -2777,10 +2786,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     }
 
     fn finish(mut self) -> (SimResult, O) {
-        // Close every open accrual segment so the final partial control
-        // window's busy time and traffic land in the result.
+        // Close every open rank segment so the final partial control
+        // window's busy time lands in the result. Flow traffic landed when
+        // each flow retired.
         self.flush_ranks(self.t);
-        self.flush_flows(self.t);
         let obs = self.obs;
         let cfg = &self.cfg;
         let mut iteration_times = Vec::with_capacity(cfg.iterations);

@@ -17,17 +17,20 @@
 //! Differences from the original seed engine (applied to both engines so
 //! the equality comparison stays meaningful):
 //! - the dead `busy_time_denominator` accumulator was removed;
-//! - flows retire at `work_remaining <= 1.0`, and the sub-unit residual is
-//!   now credited to the final payload charge so measured traffic equals
-//!   the sum of lowered flow payloads instead of silently dropping up to
-//!   one byte-equivalent per flow;
-//! - accounting (kernel time, activity, occupancy, traffic) and work
-//!   progress accrue in lazy segments closed at mode transitions, rate
-//!   changes and the flush points instead of per event (see the `accrual`
+//! - flows retire at `work_remaining <= 1.0` and charge their whole
+//!   lowered payload, so measured traffic equals the sum of lowered flow
+//!   payloads instead of silently dropping up to one byte-equivalent per
+//!   flow;
+//! - accounting (kernel time, activity, occupancy) and work progress
+//!   accrue in lazy segments closed at mode transitions, rate changes and
+//!   the control-tick rank flush instead of per event (see the `accrual`
 //!   module). This engine still *tests* every rank and flow for completion
 //!   every event, against the same lazy expressions the production engine
 //!   evaluates for its candidates only; both engines close segments at
-//!   identically ordered sites, so their results stay byte-identical.
+//!   identically ordered sites, so their results stay byte-identical;
+//! - PCIe telemetry integrates per-GPU payload rates that change only
+//!   where a flow's rate changes or it retires (`PcieWindow`), so a
+//!   sample reads each GPU's window instead of flushing every flow.
 
 use std::collections::HashMap;
 
@@ -38,7 +41,7 @@ use charllm_telemetry::{GpuSample, TelemetryStore};
 use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, ThermalSpec};
 use charllm_trace::{ExecutionTrace, Step};
 
-use crate::accrual;
+use crate::accrual::{self, PcieWindow};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::observer::{NoopObserver, SimObserver, TaskKind};
@@ -81,12 +84,12 @@ struct FlowState {
     /// Work left as of `acc_since`.
     work_remaining: f64,
     payload_ratio: f64,
+    /// The lowered payload, `work × payload_ratio`, charged at retirement.
+    payload: f64,
     /// Rate computed by the last `next_dt` (banked on bit-change).
     rate: f64,
-    /// Segment start for lazy progress and traffic accrual.
+    /// Segment start for lazy progress accrual.
     acc_since: f64,
-    /// Movement banked at superseded rates since the last traffic flush.
-    moved_acc: f64,
     route: Vec<LinkId>,
     src: GpuId,
     dst: GpuId,
@@ -137,7 +140,7 @@ pub struct ReferenceSimulator<'a, O: SimObserver = NoopObserver> {
     /// Time-weighted activity accumulation since the last control boundary.
     activity_acc: Vec<f64>,
     util_acc: Vec<f64>,
-    pcie_window_bytes: Vec<f64>,
+    pcie: PcieWindow,
 
     kernel_time: Vec<KernelBreakdown>,
     traffic: TrafficMatrix,
@@ -269,7 +272,7 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             node_powers: Vec::new(),
             activity_acc: vec![0.0; num_gpus],
             util_acc: vec![0.0; num_gpus],
-            pcie_window_bytes: vec![0.0; num_gpus],
+            pcie: PcieWindow::new(num_gpus),
             kernel_time: vec![KernelBreakdown::default(); trace.world()],
             traffic: TrafficMatrix::new(num_gpus),
             occ_acc: vec![(0.0, 0.0, 0.0); num_gpus],
@@ -499,12 +502,13 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
                 self.flush_gpu_ranks(flow.dst.index(), self.t);
             }
             self.gpu_flow_count[flow.dst.index()] += 1;
+            let payload_ratio = flow.bytes as f64 / work;
             self.flows.push(FlowState {
                 work_remaining: work,
-                payload_ratio: flow.bytes as f64 / work,
+                payload_ratio,
+                payload: work * payload_ratio,
                 rate: 0.0,
                 acc_since: self.t,
-                moved_acc: 0.0,
                 route,
                 src: flow.src,
                 dst: flow.dst,
@@ -586,17 +590,18 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             any = true;
             let rate = self.flow_rate(&self.flows[i]);
             if rate.to_bits() != self.flows[i].rate.to_bits() {
-                // Bank movement at the superseded rate so the retirement /
-                // control-boundary flush charges stay exact.
+                // Bank movement at the superseded rate, and move the flow's
+                // PCIe contribution to the new one.
+                let old = self.flows[i].rate;
                 let flow = &mut self.flows[i];
                 accrual::bank_flow_segment(
-                    flow.rate,
+                    old,
                     self.t,
                     &mut flow.acc_since,
-                    &mut flow.moved_acc,
                     &mut flow.work_remaining,
                 );
                 flow.rate = rate;
+                self.shift_pcie(i, self.t, old, rate);
             }
             let flow = &self.flows[i];
             let left = accrual::left_after(flow.work_remaining, rate, self.t - flow.acc_since);
@@ -611,8 +616,8 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
     /// Test every computing rank and flow for completion within `dt` and
     /// process completions. Progress itself is lazy: a rank or flow that
     /// does not complete is left untouched, its work materialized only
-    /// when its segment closes (see [`Self::accrue_rank`] /
-    /// [`Self::flush_flow`]).
+    /// when its segment closes (see [`Self::accrue_rank`] and
+    /// `accrual::bank_flow_segment`).
     fn advance(&mut self, dt: f64) {
         for rank in 0..self.ranks.len() {
             let RankMode::Computing {
@@ -634,19 +639,18 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
 
         // Flow completions, at the rates `next_dt` just cached from the
-        // same link loads. Traffic is charged only when a flow retires (or
-        // at a flow flush), covering its whole accrued movement.
+        // same link loads. Traffic is charged only when a flow retires.
         let mut i = 0;
         while i < self.flows.len() {
             let flow = &self.flows[i];
             let elapsed = (self.t - flow.acc_since) + dt;
             if accrual::left_after(flow.work_remaining, flow.rate, elapsed) <= 1.0 {
-                // One retirement-time charge: banked movement plus all the
-                // work left at the segment start, the sub-unit residual
-                // included, so every lowered payload byte lands in the
-                // traffic accounting.
-                let pending = flow.moved_acc + flow.work_remaining;
-                self.charge_flow(i, pending);
+                // The flow's one traffic charge: its whole lowered
+                // payload, the sub-unit residual included, so every lowered
+                // payload byte lands in the traffic accounting. Its PCIe
+                // rate leaves its owners' windows.
+                self.charge_flow(i);
+                self.shift_pcie(i, self.t + dt, self.flows[i].rate, 0.0);
                 let obs_id = self.flows[i].obs_id;
                 let src = self.flows[i].src;
                 let dst = self.flows[i].dst;
@@ -751,32 +755,14 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
     }
 
-    /// Close a live flow's segment at `now` and charge its movement since
-    /// the last flush.
-    fn flush_flow(&mut self, i: usize, now: f64) {
-        let flow = &mut self.flows[i];
-        let pending = accrual::take_flow_pending(
-            flow.rate,
-            now,
-            &mut flow.acc_since,
-            &mut flow.moved_acc,
-            &mut flow.work_remaining,
-        );
-        self.charge_flow(i, pending);
-    }
-
-    /// Charge `pending` work units of flow `i`'s movement to its telemetry
-    /// owners.
-    fn charge_flow(&mut self, i: usize, pending: f64) {
-        if pending == 0.0 {
+    /// Charge flow `i`'s lowered payload to its traffic owners.
+    fn charge_flow(&mut self, i: usize) {
+        let flow = &self.flows[i];
+        if !flow.measured {
             return;
         }
-        let flow = &self.flows[i];
-        let payload = pending * flow.payload_ratio;
-        let src = flow.src;
-        let dst = flow.dst;
-        let measured = flow.measured;
-        // Charge GPU-owned links for telemetry + traffic matrices.
+        let (src, dst, payload) = (flow.src, flow.dst, flow.payload);
+        // Charge GPU-owned links for the traffic matrix.
         for k in 0..self.flows[i].route.len() {
             let id = self.flows[i].route[k];
             let class = self.cluster.link(id).class;
@@ -793,12 +779,25 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
                     charllm_hw::LinkClass::Nic | charllm_hw::LinkClass::Switch => false,
                 };
                 if owns {
-                    if measured {
-                        self.traffic.add(gpu.index(), class, payload);
-                    }
-                    if class == charllm_hw::LinkClass::Pcie {
-                        self.pcie_window_bytes[gpu.index()] += payload;
-                    }
+                    self.traffic.add(gpu.index(), class, payload);
+                }
+            }
+        }
+    }
+
+    /// Move flow `i`'s contribution to the payload rates of the GPUs owning
+    /// its PCIe links from rate `old` to rate `new` at `now`.
+    fn shift_pcie(&mut self, i: usize, now: f64, old: f64, new: f64) {
+        let flow = &self.flows[i];
+        let old = PcieWindow::contribution(old, flow.payload_ratio);
+        let new = PcieWindow::contribution(new, flow.payload_ratio);
+        for &id in &flow.route {
+            if self.cluster.link(id).class != charllm_hw::LinkClass::Pcie {
+                continue;
+            }
+            for gpu in [flow.src, flow.dst] {
+                if self.cluster.pcie(gpu) == id {
+                    self.pcie.shift(gpu.index(), now, old, new);
                 }
             }
         }
@@ -812,19 +811,11 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
     }
 
-    /// The flow flush: close every live flow's segment at `now` in dense
-    /// order — the order the production engine flushes in.
-    fn flush_flows(&mut self, now: f64) {
-        for i in 0..self.flows.len() {
-            self.flush_flow(i, now);
-        }
-    }
-
     /// Thermal/governor update + telemetry sampling at a control boundary.
     fn control_update(&mut self) {
         // The thermal step reads the rank-side activity accumulators (and
         // the sample below the util ones): the rank flush runs every tick.
-        // Flow segments stay open until a sample reads the PCIe window.
+        // Flows need no flush: the sample reads the PCIe windows.
         self.flush_ranks(self.t);
         let period = self.cfg.control_period_s;
         let cluster = self.cluster;
@@ -862,9 +853,8 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         }
 
         if self.t >= self.next_sample - 1e-12 {
-            self.flush_flows(self.t);
-            let window = self.cfg.sample_period_s;
-            let (util_acc, pcie_bytes) = (&mut self.util_acc, &mut self.pcie_window_bytes);
+            let (t, window) = (self.t, self.cfg.sample_period_s);
+            let (util_acc, pcie) = (&mut self.util_acc, &mut self.pcie);
             let (thermals, last_power_w) = (&self.thermals, &self.last_power_w);
             let gpus: Vec<u32> = (0..self.cluster.num_gpus() as u32).collect();
             let frame = gpus.iter().map(|&gpu| {
@@ -874,10 +864,9 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
                     temp_c: thermals[gpu].temp_c(),
                     freq_mhz: thermals[gpu].freq_mhz(),
                     util: (util_acc[gpu] / window).min(1.0),
-                    pcie_gbps: pcie_bytes[gpu] / window / 1e9,
+                    pcie_gbps: pcie.take(gpu, t) / window / 1e9,
                 };
                 util_acc[gpu] = 0.0;
-                pcie_bytes[gpu] = 0.0;
                 sample
             });
             self.telemetry.record_frame(self.t, &gpus, frame);
@@ -902,10 +891,10 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
     }
 
     fn finish(mut self) -> (SimResult, O) {
-        // Close every open accrual segment so the final partial control
-        // window's busy time and traffic land in the result.
+        // Close every open rank segment so the final partial control
+        // window's busy time lands in the result. Flow traffic landed when
+        // each flow retired.
         self.flush_ranks(self.t);
-        self.flush_flows(self.t);
         let obs = self.obs;
         let cfg = &self.cfg;
         let mut iteration_times = Vec::with_capacity(cfg.iterations);

@@ -20,7 +20,9 @@ pub struct GpuSample {
     pub freq_mhz: f64,
     /// Kernel-activity utilization in `[0, 1]`.
     pub util: f64,
-    /// Instantaneous PCIe/NIC throughput attributable to this GPU, GB/s.
+    /// PCIe payload throughput of this GPU over the sample window, GB/s:
+    /// the payload rate of the flows crossing its PCIe link, held at
+    /// whole-byte/s resolution and integrated over the window.
     pub pcie_gbps: f64,
 }
 

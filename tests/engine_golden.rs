@@ -802,16 +802,9 @@ fn pinned_fail_stop() -> SimResult {
     r
 }
 
-/// A 4-node run whose GPU 0 fail-stops at 0.5 s under `recovery`, with a
-/// 30 s latency: long enough for every GPU to settle at its idle clock and
-/// power, so most outage ticks start from the idle fixed point. With
-/// `runaway`, GPU 1 (same node) runs 15 °C hot from 0.2 s to 40 s, across
-/// the outage.
-fn long_outage<O: charllm_sim::SimObserver>(
-    recovery: RecoveryPolicy,
-    runaway: bool,
-    obs: O,
-) -> (SimResult, O) {
+/// Two iterations of GPT-3 13B at tp 2, pp 2 and dp 8 on the 4-node
+/// H200 cluster under `plan`: inter-node gradient rings cross PCIe.
+fn four_node_run<O: charllm_sim::SimObserver>(plan: &FaultPlan, obs: O) -> (SimResult, O) {
     let cluster = presets::hgx_h200_cluster();
     let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
     let spec = ParallelismSpec::infer_dp(2, 2, 1, cluster.num_gpus(), false).unwrap();
@@ -823,19 +816,32 @@ fn long_outage<O: charllm_sim::SimObserver>(
     let mut cfg = SimConfig::fast();
     cfg.iterations = 2;
     cfg.warmup_iterations = 0;
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    Simulator::with_observer(&cluster, &placement, &trace, cfg, obs)
+        .unwrap()
+        .with_faults(plan)
+        .unwrap()
+        .run_observed()
+        .unwrap()
+}
+
+/// The 4-node run of [`four_node_run`] whose GPU 0 fail-stops at 0.5 s
+/// under `recovery`, with a 30 s latency: long enough for every GPU to
+/// settle at its idle clock and power, so most outage ticks start from the
+/// idle fixed point. With `runaway`, GPU 1 (same node) runs 15 °C hot from
+/// 0.2 s to 40 s, across the outage.
+fn long_outage<O: charllm_sim::SimObserver>(
+    recovery: RecoveryPolicy,
+    runaway: bool,
+    obs: O,
+) -> (SimResult, O) {
     let mut plan = FaultPlan::none()
         .gpu_fail_stop(0, 0.5)
         .with_recovery(recovery);
     if runaway {
         plan = plan.thermal_runaway(1, 0.2, 39.8, 15.0);
     }
-    let placement = Placement::identity(&cluster, trace.world()).unwrap();
-    let (r, obs) = Simulator::with_observer(&cluster, &placement, &trace, cfg, obs)
-        .unwrap()
-        .with_faults(&plan)
-        .unwrap()
-        .run_observed()
-        .unwrap();
+    let (r, obs) = four_node_run(&plan, obs);
     assert!(r.restarts >= 1, "the outage must land inside the run");
     assert!(r.fault_downtime_s > 29.9, "downtime {}", r.fault_downtime_s);
     (r, obs)
@@ -871,33 +877,16 @@ fn pinned_long_restart_runaway() -> SimResult {
     long_outage(LONG_RESTART, true, charllm_sim::NoopObserver).0
 }
 
-/// The 4-node run of [`long_outage`] with node 0's NIC at 30% bandwidth
+/// The 4-node run of [`four_node_run`] with node 0's NIC at 30% bandwidth
 /// from 0.5 s to 1.5 s, inside a span where flows cross it the whole time,
 /// so the recovery re-rates flows in flight; rank 5 computes 3× slower from
 /// 0.2 s to 1.2 s.
 fn pinned_degrade_recover() -> SimResult {
-    let cluster = presets::hgx_h200_cluster();
-    let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
-    let spec = ParallelismSpec::infer_dp(2, 2, 1, cluster.num_gpus(), false).unwrap();
-    let partition = StagePartition::even(40, 2).unwrap();
-    let hints = DeviceHints::for_spec(cluster.gpu());
-    let trace = lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
-        .unwrap()
-        .trace;
-    let mut cfg = SimConfig::fast();
-    cfg.iterations = 2;
-    cfg.warmup_iterations = 0;
-    let nic = cluster.nic(NodeId(0)).0;
+    let nic = presets::hgx_h200_cluster().nic(NodeId(0)).0;
     let plan = FaultPlan::none()
         .link_degrade(nic, 0.5, 1.0, 0.3)
         .straggler(5, 0.2, 1.0, 3.0);
-    let placement = Placement::identity(&cluster, trace.world()).unwrap();
-    Simulator::new(&cluster, &placement, &trace, cfg)
-        .unwrap()
-        .with_faults(&plan)
-        .unwrap()
-        .run()
-        .unwrap()
+    four_node_run(&plan, charllm_sim::NoopObserver).0
 }
 
 fn pinned_capped(cfg: SimConfig) -> SimResult {
@@ -969,32 +958,32 @@ fn serialized_results_are_pinned() {
         (
             "long_restart",
             pinned_long_restart,
-            0x4d55_cbac_55da_26f7,
-            3_201_507,
+            0xd1bc_642f_d755_04cf,
+            3_202_071,
         ),
         (
             "long_spare_swap",
             pinned_long_spare_swap,
-            0xf21b_33d8_48b9_5880,
-            3_164_297,
+            0x472c_53ba_536a_1684,
+            3_164_493,
         ),
         (
             "long_elastic_regrow",
             pinned_long_elastic_regrow,
-            0x73ef_b59f_01df_baf2,
-            5_516_997,
+            0x8291_2237_ce37_de49,
+            5_519_013,
         ),
         (
             "long_restart_runaway",
             pinned_long_restart_runaway,
-            0x1e01_2483_aef6_26b6,
-            3_199_487,
+            0x43bc_88d9_0e68_0b72,
+            3_200_051,
         ),
         (
             "degrade_recover",
             pinned_degrade_recover,
-            0x96f3_f522_fbdd_24b4,
-            929_983,
+            0x16b8_514d_49bb_c02d,
+            932_377,
         ),
         (
             "gpu_power_cap",
@@ -1011,8 +1000,8 @@ fn serialized_results_are_pinned() {
         (
             "compact_folded",
             pinned_compact_folded,
-            0x85af_9fde_b9c3_380e,
-            134_981,
+            0x99d5_50d0_e0b2_7693,
+            134_855,
         ),
     ];
     let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -1026,6 +1015,47 @@ fn serialized_results_are_pinned() {
         want.push((name, format!("{hash:#018x}"), len));
     }
     assert_eq!(got, want, "serialized results moved");
+}
+
+#[test]
+fn an_outage_moves_no_traffic_byte() {
+    // Flows hold their work through a fail-stop outage: the stalled run
+    // must charge exactly the clean run's traffic, and once the first
+    // sample inside the outage has taken the bytes moved before it, every
+    // later one reads no PCIe traffic at all.
+    let clean = four_node_run(&FaultPlan::none(), charllm_sim::NoopObserver).0;
+    let stalled = long_outage(LONG_RESTART, false, charllm_sim::NoopObserver).0;
+    assert_eq!(stalled.restarts, 1);
+    assert_eq!(
+        serde_json::to_string(&stalled.traffic).unwrap(),
+        serde_json::to_string(&clean.traffic).unwrap(),
+        "the outage moved traffic bytes"
+    );
+    let (start, end) = (0.5, 0.5 + stalled.fault_downtime_s);
+    let store = &stalled.telemetry;
+    let inside: Vec<usize> = (0..store.times().len())
+        .filter(|&i| start < store.times()[i] && store.times()[i] < end)
+        .collect();
+    assert!(
+        inside.len() > 500,
+        "{} frames inside the outage",
+        inside.len()
+    );
+    let pcie_before: f64 = (0..store.num_gpus())
+        .map(|g| store.pcie(g).values().take(inside[0]).sum::<f64>())
+        .sum();
+    assert!(pcie_before > 0.0, "flows cross PCIe before the outage");
+    for g in 0..store.num_gpus() {
+        let pcie = store.pcie(g);
+        for &i in &inside[1..] {
+            assert_eq!(
+                pcie.value(i),
+                0.0,
+                "GPU {g} reads PCIe traffic at {} s, inside the outage",
+                store.times()[i]
+            );
+        }
+    }
 }
 
 #[test]
