@@ -137,6 +137,23 @@ impl DvfsGovernor {
         activity: f64,
         efficiency: f64,
     ) -> ThrottleReason {
+        self.update_with_cap(spec, temp_c, activity, |cap_w| {
+            power.freq_ratio_for_cap(activity, cap_w, efficiency)
+        })
+    }
+
+    /// [`DvfsGovernor::update`] with the power cap's clock ratio taken from
+    /// `cap_ratio(power_cap_w)`, which is called only for a busy period.
+    /// [`crate::GpuThermal`] supplies a ratio it reuses while the activity
+    /// repeats.
+    #[inline]
+    pub fn update_with_cap(
+        &mut self,
+        spec: &GpuSpec,
+        temp_c: f64,
+        activity: f64,
+        cap_ratio: impl FnOnce(f64) -> f64,
+    ) -> ThrottleReason {
         if activity <= 0.0 {
             // Idle: drop toward base clock (don't count as throttling).
             self.freq_mhz = self.idle_freq_mhz(spec);
@@ -146,7 +163,7 @@ impl DvfsGovernor {
         self.total_busy_periods += 1;
 
         // Power cap: the frequency the cap allows at this activity.
-        let cap_ratio = power.freq_ratio_for_cap(activity, self.cfg.power_cap_w, efficiency);
+        let cap_ratio = cap_ratio(self.cfg.power_cap_w);
         let cap_mhz = (spec.boost_clock_mhz * cap_ratio).max(spec.min_clock_mhz);
 
         let in_thermal_band = temp_c > spec.throttle_temp_c - self.cfg.hysteresis_c;

@@ -39,6 +39,13 @@ pub struct GpuThermal {
     /// `dt` (the control period), so the exponential is taken once per run
     /// instead of once per tick.
     decay: Option<(f64, f64)>,
+    /// The bits of the last step's `(activity, clock ratio)` and the board
+    /// power they gave. The power model and the efficiency are fixed, so
+    /// the power is reused while both bits repeat instead of paying `powf`.
+    power_memo: Option<(u64, u64, f64)>,
+    /// The bits of the last busy step's activity and the governor's cap
+    /// ratio at it, reused while they repeat (the cap is fixed as well).
+    cap_memo: Option<(u64, f64)>,
 }
 
 impl GpuThermal {
@@ -62,6 +69,8 @@ impl GpuThermal {
             power_w: idle_power,
             energy_j: 0.0,
             decay: None,
+            power_memo: None,
+            cap_memo: None,
             spec,
         }
     }
@@ -111,11 +120,30 @@ impl GpuThermal {
     #[inline]
     pub fn step(&mut self, activity: f64, inlet_c: f64, dt_s: f64) -> ThermalSample {
         let eff = self.variability.power_efficiency;
-        let reason =
-            self.governor
-                .update(&self.spec, &self.power_model, self.temp_c, activity, eff);
+        let (model, cap_memo) = (&self.power_model, &mut self.cap_memo);
+        let reason = self
+            .governor
+            .update_with_cap(&self.spec, self.temp_c, activity, |cap_w| {
+                let key = activity.to_bits();
+                match *cap_memo {
+                    Some((k, ratio)) if k == key => ratio,
+                    _ => {
+                        let ratio = model.freq_ratio_for_cap(activity, cap_w, eff);
+                        *cap_memo = Some((key, ratio));
+                        ratio
+                    }
+                }
+            });
         let freq_ratio = self.freq_ratio();
-        self.power_w = self.power_model.power_w(activity, freq_ratio, eff);
+        let key = (activity.to_bits(), freq_ratio.to_bits());
+        self.power_w = match self.power_memo {
+            Some((a, f, power)) if (a, f) == key => power,
+            _ => {
+                let power = self.power_model.power_w(activity, freq_ratio, eff);
+                self.power_memo = Some((key.0, key.1, power));
+                power
+            }
+        };
         self.relax(inlet_c, dt_s);
         ThermalSample {
             power_w: self.power_w,

@@ -1,15 +1,16 @@
 //! The control tick's shortcuts are exact: `PowerModel::power_w` skipping
 //! `powf` at zero activity, `PowerModel::freq_ratio_for_cap` skipping it
-//! when the cap never binds, and `GpuThermal::step` reusing `exp(-dt/τ)`
-//! while `dt` repeats all return the bits of the formulas written out in
-//! full; `IdleSteps` leaves a GPU at its idle fixed point in the state
+//! when the cap never binds, `GpuThermal::step` reusing `exp(-dt/τ)` while
+//! `dt` repeats and reusing its power and cap ratio while their inputs'
+//! bits repeat all return the bits of the formulas written out in full;
+//! `IdleSteps` leaves a GPU at its idle fixed point in the state
 //! `GpuThermal::step` at zero activity leaves.
 
 use proptest::prelude::*;
 
 use charllm_hw::GpuModel;
 use charllm_thermal::{
-    GovernorConfig, GpuThermal, GpuVariability, IdleSteps, PowerModel, ThermalSpec,
+    DvfsGovernor, GovernorConfig, GpuThermal, GpuVariability, IdleSteps, PowerModel, ThermalSpec,
 };
 
 /// An activity drawn from the edge cases as well as the unit interval:
@@ -118,6 +119,40 @@ proptest! {
             prop_assert_eq!(sample.temp_c.to_bits(), want.to_bits());
             prop_assert_eq!(gpu.temp_c().to_bits(), want.to_bits());
             let power = power_in_full(&model(), a, gpu.freq_ratio(), efficiency);
+            prop_assert_eq!(sample.power_w.to_bits(), power.to_bits());
+        }
+    }
+
+    #[test]
+    fn gpu_step_memos_match_the_full_formulas(
+        // Indices into a small activity pool, so activities repeat while
+        // the clock moves under them (an idle drop recovering under a
+        // binding cap) and stay put (a run of one activity at the cap).
+        steps in collection::vec((0usize..5, 20.0f64..50.0), 1..96),
+        cap_w in 300.0f64..550.0,
+        efficiency in 0.95f64..1.05,
+        cooling in 0.95f64..1.1,
+    ) {
+        let pool = [0.0, -0.0, 0.38, 0.82, 1.0];
+        let spec = GpuModel::H200.spec();
+        let thermal = ThermalSpec::for_model(GpuModel::H200);
+        let mut cfg = GovernorConfig::for_spec(&spec);
+        cfg.power_cap_w = cap_w;
+        let variability = GpuVariability { power_efficiency: efficiency, cooling };
+        let mut gpu = GpuThermal::new(spec.clone(), thermal, cfg, variability, 26.0);
+        // The governor stepped beside it with the cap ratio in full.
+        let mut governor = DvfsGovernor::new(&spec, cfg);
+        let m = model();
+        for (k, inlet) in steps {
+            let a = pool[k];
+            let before = gpu.temp_c();
+            let sample = gpu.step(a, inlet, 0.005);
+            governor.update_with_cap(&spec, before, a, |cap_w| {
+                cap_ratio_in_full(&m, a, cap_w, efficiency)
+            });
+            prop_assert_eq!(sample.freq_mhz.to_bits(), governor.freq_mhz().to_bits());
+            let ratio = governor.freq_mhz() / spec.boost_clock_mhz;
+            let power = power_in_full(&m, a, ratio, efficiency);
             prop_assert_eq!(sample.power_w.to_bits(), power.to_bits());
         }
     }
