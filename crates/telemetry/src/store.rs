@@ -1,9 +1,12 @@
 //! Per-GPU telemetry store (the Zeus-equivalent sample sink).
 //!
 //! Every sampled GPU is sampled at the same instants, so the store keeps one
-//! clock and a frame-major table: frame `i` is one contiguous run of
-//! `[f64; 5]` rows, one per sampled GPU, recorded at `t[i]`. A GPU's series
-//! are [`Series`] views down its column of that table.
+//! clock and stores frames by field plane: a plane is one field's values for
+//! every sampled GPU in one frame. Frame `i`, recorded at `t[i]`, names one
+//! plane per field, and a plane that repeats the previous frame's bit for bit
+//! is stored once and named again (through an outage's idle frames only the
+//! temperature moves). A GPU's series are [`Series`] views down its column
+//! of the planes its frames name.
 
 use serde::{Deserialize, Error, Map, Serialize, Value};
 
@@ -26,7 +29,7 @@ pub struct GpuSample {
     pub pcie_gbps: f64,
 }
 
-/// The sampled quantities, in row order; also the serialized field names.
+/// The sampled quantities, in plane order; also the serialized field names.
 const FIELDS: [&str; 5] = ["power_w", "temp_c", "freq_mhz", "util", "pcie_gbps"];
 const POWER: usize = 0;
 const TEMP: usize = 1;
@@ -43,13 +46,21 @@ const PCIE: usize = 4;
 pub struct TelemetryStore {
     /// Sample instants, shared by every sampled GPU.
     t: Vec<f64>,
-    /// Frame-major samples: frame `i` is `rows[i * width..(i + 1) * width]`.
-    rows: Vec<[f64; 5]>,
-    /// Each GPU's row within a frame; `None` if never sampled. GPUs aliased
-    /// by [`TelemetryStore::copy_gpu`] share one.
+    /// The distinct field planes, appended as frames arrive: plane `p` is
+    /// `planes[p * width..(p + 1) * width]`, one value per sampled GPU.
+    planes: Vec<f64>,
+    /// Per field (`FIELDS` index), the plane each frame reads: `ids[f][i]`.
+    /// A frame whose plane equals the previous frame's bit for bit reuses
+    /// its id.
+    ids: [Vec<u32>; 5],
+    /// The frame being recorded, one `[f64; 5]` row per sampled GPU; kept
+    /// so its buffer is reused from frame to frame.
+    frame: Vec<[f64; 5]>,
+    /// Each GPU's column within a plane; `None` if never sampled. GPUs
+    /// aliased by [`TelemetryStore::copy_gpu`] share one.
     column: Vec<Option<usize>>,
-    /// The GPUs every frame samples, in row order (fixed by the first
-    /// frame); its length is the rows per frame.
+    /// The GPUs every frame samples, in column order (fixed by the first
+    /// frame); its length is the plane width.
     order: Vec<u32>,
 }
 
@@ -58,7 +69,9 @@ impl TelemetryStore {
     pub fn new(num_gpus: usize) -> Self {
         TelemetryStore {
             t: Vec::new(),
-            rows: Vec::new(),
+            planes: Vec::new(),
+            ids: Default::default(),
+            frame: Vec::new(),
             column: vec![None; num_gpus],
             order: Vec::new(),
         }
@@ -74,6 +87,13 @@ impl TelemetryStore {
         &self.t
     }
 
+    /// Number of distinct field planes stored. A run whose fields never
+    /// repeat stores five per frame; an outage frame in which only the
+    /// temperature moves adds one.
+    pub fn stored_planes(&self) -> usize {
+        self.planes.len() / self.order.len().max(1)
+    }
+
     /// Whether a GPU has samples.
     pub(crate) fn is_sampled(&self, gpu: usize) -> bool {
         self.column[gpu].is_some()
@@ -82,7 +102,9 @@ impl TelemetryStore {
     /// Record one frame at `t_s`: `samples` holds one sample per GPU of
     /// `gpus`, in that order. The first frame fixes which GPUs are sampled
     /// and in what order; a later frame's order is checked against it once,
-    /// not per sample.
+    /// not per sample. Each field's plane is compared with the previous
+    /// frame's by bits (so `-0.0` and `0.0`, or two NaN payloads, stay
+    /// apart) and stored only if it differs.
     ///
     /// # Panics
     ///
@@ -106,17 +128,31 @@ impl TelemetryStore {
             }
             self.order = gpus.to_vec();
         }
-        let start = self.rows.len();
-        self.rows.extend(
+        self.frame.clear();
+        self.frame.extend(
             samples
                 .into_iter()
                 .map(|s| [s.power_w, s.temp_c, s.freq_mhz, s.util, s.pcie_gbps]),
         );
-        assert_eq!(
-            self.rows.len() - start,
-            gpus.len(),
-            "one sample per frame GPU"
-        );
+        let width = gpus.len();
+        assert_eq!(self.frame.len(), width, "one sample per frame GPU");
+        for (f, ids) in self.ids.iter_mut().enumerate() {
+            let id = ids
+                .last()
+                .copied()
+                .filter(|&p| {
+                    self.planes[p as usize * width..][..width]
+                        .iter()
+                        .zip(&self.frame)
+                        .all(|(old, new)| old.to_bits() == new[f].to_bits())
+                })
+                .unwrap_or_else(|| {
+                    let p = self.planes.len() / width.max(1);
+                    self.planes.extend(self.frame.iter().map(|row| row[f]));
+                    u32::try_from(p).expect("fewer than 2^32 field planes")
+                });
+            ids.push(id);
+        }
         self.t.push(t_s);
     }
 
@@ -125,9 +161,12 @@ impl TelemetryStore {
         let Some(col) = self.column[gpu] else {
             return Series::EMPTY;
         };
-        let flat = self.rows.as_flattened();
-        let first = col * FIELDS.len() + field;
-        Series::strided(&self.t, &flat[first..], self.order.len() * FIELDS.len())
+        Series::in_planes(
+            &self.t,
+            &self.ids[field],
+            &self.planes[col..],
+            self.order.len(),
+        )
     }
 
     /// Power series of a GPU.
@@ -202,16 +241,15 @@ impl TelemetryStore {
     /// Aggregate PCIe throughput series: at each sample instant, the sum
     /// over the sampled GPUs.
     pub fn aggregate_pcie(&self) -> TimeSeries {
-        let sampled: Vec<Series<'_>> = (0..self.num_gpus())
-            .filter(|&g| self.is_sampled(g))
-            .map(|g| self.pcie(g))
-            .collect();
+        let columns: Vec<usize> = self.column.iter().flatten().copied().collect();
         let mut out = TimeSeries::new();
-        if sampled.is_empty() {
+        if columns.is_empty() {
             return out;
         }
-        for (i, &t) in self.t.iter().enumerate() {
-            out.push(t, sampled.iter().map(|s| s.value(i)).sum());
+        let width = self.order.len();
+        for (&t, &p) in self.t.iter().zip(&self.ids[PCIE]) {
+            let plane = &self.planes[p as usize * width..][..width];
+            out.push(t, columns.iter().map(|&c| plane[c]).sum());
         }
         out
     }
@@ -381,9 +419,11 @@ mod tests {
         s.record_frame(1.0, &[0, 2], [sample(110.0), sample(310.0)]);
         assert!(!s.is_sampled(1));
         assert!(s.power(1).is_empty());
+        // Frame 1 repeats every field but power.
+        assert_eq!(s.stored_planes(), 6);
         s.copy_gpu(2, 1);
         assert_eq!(s.power(1), s.power(2));
-        assert_eq!(s.rows.len(), 4, "aliasing copies no samples");
+        assert_eq!(s.stored_planes(), 6, "aliasing copies no samples");
         s.copy_gpu(1, 0);
         assert_eq!(s.temp(0).value(1), 50.0);
         assert_eq!(s.power(0).value(1), 310.0);
@@ -433,5 +473,140 @@ mod tests {
         let mut s = TelemetryStore::new(2);
         s.record_frame(0.0, &[0, 1], [sample(1.0); 2]);
         s.record_frame(1.0, &[0, 1], [sample(1.0)]);
+    }
+
+    #[test]
+    fn an_idle_frame_stores_only_its_temperature_plane() {
+        // Busy frames move every field; through the outage that follows
+        // only the temperature does, so each frame adds one plane.
+        let mut s = TelemetryStore::new(3);
+        let busy = |t: f64, g: f64| GpuSample {
+            power_w: 400.0 + t + g,
+            temp_c: 60.0 + t + g,
+            freq_mhz: 1900.0 - t - g,
+            util: 0.5 + t / 100.0,
+            pcie_gbps: 1.0 + g + t,
+        };
+        for i in 0..4 {
+            let t = i as f64;
+            s.record_frame(t, &[0, 1, 2], (0..3).map(|g| busy(t, g as f64)));
+        }
+        assert_eq!(s.stored_planes(), 20);
+        for i in 0..10 {
+            let t = 4.0 + i as f64;
+            let idle = |g: f64| GpuSample {
+                power_w: 90.0 + g,
+                temp_c: 50.0 - t - g,
+                freq_mhz: 1100.0,
+                util: 0.0,
+                pcie_gbps: 0.0,
+            };
+            s.record_frame(t, &[0, 1, 2], (0..3).map(|g| idle(g as f64)));
+            // The first idle frame moves every field.
+            assert_eq!(s.stored_planes(), 25 + i);
+        }
+        assert_eq!(s.util(2).values().filter(|&u| u == 0.0).count(), 10);
+        assert_eq!(s.temp(1).value(13), 50.0 - 13.0 - 1.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A small pool, so planes repeat: both zeros and two NaN payloads,
+    /// which must stay apart.
+    const POOL: [f64; 6] = [
+        0.0,
+        -0.0,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0x7ff8_0000_0000_0002),
+        1.5,
+        300.0,
+    ];
+
+    fn bits(s: Series<'_>) -> Vec<(u64, u64)> {
+        s.iter().map(|(t, v)| (t.to_bits(), v.to_bits())).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn planes_read_back_as_pushed_series(
+            num_gpus in 1usize..5,
+            // Which GPUs are sampled and in what order: a key per GPU, the
+            // GPUs with a key below 8 sorted by it.
+            keys in proptest::collection::vec(0u8..12, 4),
+            // Per frame: the time step and, per field, whether its plane is
+            // drawn afresh from the pool (else it repeats the previous
+            // frame's) and the pool indices it is drawn from.
+            frames in proptest::collection::vec(
+                (
+                    0usize..3,
+                    proptest::collection::vec(
+                        (any::<bool>(), proptest::collection::vec(0usize..6, 4)),
+                        5,
+                    ),
+                ),
+                0..24,
+            ),
+            aliases in proptest::collection::vec((0usize..4, 0usize..4), 0..3),
+            cut in 0.0f64..12.0,
+        ) {
+            let mut gpus: Vec<u32> = (0..num_gpus as u32)
+                .filter(|&g| keys[g as usize] < 8)
+                .collect();
+            gpus.sort_by_key(|&g| keys[g as usize]);
+            let width = gpus.len();
+            let mut store = TelemetryStore::new(num_gpus);
+            // want[gpu][field], built sample by sample.
+            let mut want = vec![vec![TimeSeries::new(); FIELDS.len()]; num_gpus];
+            let mut planes = [[0.0; 4]; 5];
+            let mut t = 0.0;
+            for (step, fields) in frames {
+                t += [0.0, 0.5, 1.0][step];
+                for (plane, (fresh, idx)) in planes.iter_mut().zip(&fields) {
+                    if *fresh {
+                        for (v, &k) in plane.iter_mut().zip(idx) {
+                            *v = POOL[k];
+                        }
+                    }
+                }
+                let frame = (0..width).map(|k| GpuSample {
+                    power_w: planes[POWER][k],
+                    temp_c: planes[TEMP][k],
+                    freq_mhz: planes[FREQ][k],
+                    util: planes[UTIL][k],
+                    pcie_gbps: planes[PCIE][k],
+                });
+                store.record_frame(t, &gpus, frame);
+                for (k, &g) in gpus.iter().enumerate() {
+                    for (f, plane) in planes.iter().enumerate() {
+                        want[g as usize][f].push(t, plane[k]);
+                    }
+                }
+            }
+            for (from, to) in aliases {
+                let (from, to) = (from % num_gpus, to % num_gpus);
+                store.copy_gpu(from, to);
+                want[to] = want[from].clone();
+            }
+            for (g, fields) in want.iter().enumerate() {
+                for (f, series) in fields.iter().enumerate() {
+                    let got = store.series(g, f);
+                    prop_assert_eq!(bits(got), bits(series.series()));
+                    prop_assert_eq!(bits(got.since(cut)), bits(series.series().since(cut)));
+                }
+            }
+            let mut obj = Map::new();
+            for (f, name) in FIELDS.iter().enumerate() {
+                let per_gpu: Vec<TimeSeries> = want.iter().map(|w| w[f].clone()).collect();
+                obj.insert(*name, per_gpu.serialize_value());
+            }
+            let json = serde_json::to_string(&store).unwrap();
+            prop_assert_eq!(&json, &serde_json::to_string(&Value::Object(obj)).unwrap());
+            let back: TelemetryStore = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        }
     }
 }

@@ -54,22 +54,26 @@ impl TimeSeries {
         Series {
             t: &self.t,
             v: &self.v,
-            stride: 1,
+            planes: None,
         }
     }
 }
 
-/// A borrowed, read-only series: timestamps plus values read at a fixed
-/// stride, so it can view one column of a frame-major sample table (see
-/// [`crate::TelemetryStore`]) as well as a [`TimeSeries`].
+/// A borrowed, read-only series: timestamps plus their values, read
+/// either straight from a [`TimeSeries`] or through the plane ids of one
+/// GPU's column of a [`crate::TelemetryStore`], whose frames share a field
+/// plane while it repeats.
 ///
 /// Every reduction walks the values in time order, one series at a time.
 #[derive(Debug, Clone, Copy)]
 pub struct Series<'a> {
     t: &'a [f64],
-    /// Value `i` is `v[i * stride]`.
+    /// The values (`planes` is `None`), or the store's planes from this
+    /// series' column on.
     v: &'a [f64],
-    stride: usize,
+    /// For a store column, each sample's plane id and the plane width:
+    /// value `i` is `v[ids[i] * width]`.
+    planes: Option<(&'a [u32], usize)>,
 }
 
 impl<'a> Series<'a> {
@@ -77,19 +81,24 @@ impl<'a> Series<'a> {
     pub(crate) const EMPTY: Series<'static> = Series {
         t: &[],
         v: &[],
-        stride: 1,
+        planes: None,
     };
 
-    /// A view of `t.len()` values read from `v` every `stride` elements.
+    /// A view of the value at one column of plane `ids[i]` for each `t[i]`,
+    /// where `column` is `planes` from that column on and a plane is
+    /// `width` values.
     ///
     /// # Panics
     ///
-    /// Panics if `v` is too short to hold them.
-    pub(crate) fn strided(t: &'a [f64], v: &'a [f64], stride: usize) -> Self {
-        if let Some(last) = t.len().checked_sub(1) {
-            assert!(stride > 0 && last * stride < v.len(), "values too short");
+    /// Panics if `ids` and `t` differ in length; reading a value panics if
+    /// its plane is out of range.
+    pub(crate) fn in_planes(t: &'a [f64], ids: &'a [u32], column: &'a [f64], width: usize) -> Self {
+        assert_eq!(ids.len(), t.len(), "one plane id per sample");
+        Series {
+            t,
+            v: column,
+            planes: Some((ids, width)),
         }
-        Series { t, v, stride }
     }
 
     /// Number of samples.
@@ -114,16 +123,23 @@ impl<'a> Series<'a> {
     /// Panics if `i >= len()`.
     pub fn value(&self, i: usize) -> f64 {
         assert!(i < self.len(), "sample {i} of {}", self.len());
-        self.v[i * self.stride]
+        match self.planes {
+            None => self.v[i],
+            Some((ids, width)) => self.v[ids[i] as usize * width],
+        }
     }
 
     /// The values in time order.
     pub fn values(&self) -> impl Iterator<Item = f64> + 'a {
-        self.v
-            .iter()
-            .step_by(self.stride)
-            .take(self.t.len())
+        // One half of the chain is empty, so each value costs one read.
+        let (own, ids, width) = match self.planes {
+            None => (&self.v[..self.t.len()], &[][..], 0),
+            Some((ids, width)) => (&[][..], ids, width),
+        };
+        let v = self.v;
+        own.iter()
             .copied()
+            .chain(ids.iter().map(move |&id| v[id as usize * width]))
     }
 
     /// Iterate `(t, v)` pairs.
@@ -161,8 +177,12 @@ impl<'a> Series<'a> {
     /// Trapezoidal integral over time (e.g. watts → joules).
     pub fn integrate(&self) -> f64 {
         let mut acc = 0.0;
-        for i in 1..self.len() {
-            acc += 0.5 * (self.value(i) + self.value(i - 1)) * (self.t[i] - self.t[i - 1]);
+        let mut samples = self.iter();
+        if let Some((mut t0, mut v0)) = samples.next() {
+            for (t, v) in samples {
+                acc += 0.5 * (v + v0) * (t - t0);
+                (t0, v0) = (t, v);
+            }
         }
         acc
     }
@@ -174,10 +194,17 @@ impl<'a> Series<'a> {
         if start == self.len() {
             return Series::EMPTY;
         }
-        Series {
-            t: &self.t[start..],
-            v: &self.v[start * self.stride..],
-            stride: self.stride,
+        match self.planes {
+            None => Series {
+                t: &self.t[start..],
+                v: &self.v[start..],
+                planes: None,
+            },
+            Some((ids, width)) => Series {
+                t: &self.t[start..],
+                v: self.v,
+                planes: Some((&ids[start..], width)),
+            },
         }
     }
 
@@ -288,18 +315,21 @@ mod tests {
     }
 
     #[test]
-    fn strided_view_reads_one_column() {
-        // Two columns interleaved: the second reads 10, 11, 12.
-        let t = [0.0, 1.0, 2.0];
-        let v = [1.0, 10.0, 2.0, 11.0, 3.0, 12.0];
-        let col = Series::strided(&t, &v[1..], 2);
-        assert_eq!(col.values().collect::<Vec<_>>(), [10.0, 11.0, 12.0]);
-        assert_eq!(col.value(2), 12.0);
+    fn plane_view_reads_one_column() {
+        // Three planes of two columns; four samples read planes 0, 1, 1, 2,
+        // so the second column reads 10, 11, 11, 12.
+        let t = [0.0, 1.0, 2.0, 3.0];
+        let planes = [1.0, 10.0, 2.0, 11.0, 3.0, 12.0];
+        let ids = [0, 1, 1, 2];
+        let col = Series::in_planes(&t, &ids, &planes[1..], 2);
+        assert_eq!(col.values().collect::<Vec<_>>(), [10.0, 11.0, 11.0, 12.0]);
+        assert_eq!(col.value(3), 12.0);
         assert_eq!(col.peak(), 12.0);
-        assert_eq!(col.since(1.0).values().collect::<Vec<_>>(), [11.0, 12.0]);
+        assert_eq!(col.integrate(), 10.5 + 11.0 + 11.5);
+        assert_eq!(col.since(2.0).values().collect::<Vec<_>>(), [11.0, 12.0]);
         assert_eq!(
             col,
-            series(&[(0.0, 10.0), (1.0, 11.0), (2.0, 12.0)]).series()
+            series(&[(0.0, 10.0), (1.0, 11.0), (2.0, 11.0), (3.0, 12.0)]).series()
         );
     }
 

@@ -1059,6 +1059,49 @@ fn an_outage_moves_no_traffic_byte() {
 }
 
 #[test]
+fn an_outage_stores_about_one_plane_per_frame() {
+    // Through the 30 s restart every GPU's power, clock, util and PCIe
+    // repeat bit for bit from one frame to the next and only the
+    // temperature moves, so the store keeps about one field plane per
+    // outage frame beside at most five per busy frame. An engine change
+    // that makes idle samples differ bitwise (a `-0.0` util, say) fails
+    // here instead of silently storing every outage frame whole.
+    let r = long_outage(LONG_RESTART, false, charllm_sim::NoopObserver).0;
+    let store = &r.telemetry;
+    // The stall itself; the downtime also counts the redone work after it.
+    let (start, end) = (0.5, 30.5);
+    let inside: Vec<usize> = (0..store.times().len())
+        .filter(|&i| start < store.times()[i] && store.times()[i] < end)
+        .collect();
+    let (outage, busy) = (inside.len(), store.times().len() - inside.len());
+    assert!(outage > 500, "{outage} frames inside the outage");
+    // The first two outage frames still see the clock step down and the
+    // window's busy tail.
+    let planes = store.stored_planes();
+    assert!(
+        (outage..=outage + 5 * busy + 8).contains(&planes),
+        "{planes} planes for {busy} busy and {outage} outage frames"
+    );
+    for g in 0..store.num_gpus() {
+        for (name, series) in [
+            ("power", store.power(g)),
+            ("freq", store.freq(g)),
+            ("util", store.util(g)),
+            ("pcie", store.pcie(g)),
+        ] {
+            for &i in &inside[2..] {
+                assert_eq!(
+                    series.value(i).to_bits(),
+                    series.value(i - 1).to_bits(),
+                    "GPU {g} {name} moves at {} s, inside the outage",
+                    store.times()[i]
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn long_outage_power_ticks_are_pinned() {
     // FNV-1a over every power tick the observer sees in the 30 s restart:
     // gpu, time, power and period bits and the measuring flag, in call
