@@ -194,17 +194,14 @@ impl<'a> Series<'a> {
         if start == self.len() {
             return Series::EMPTY;
         }
-        match self.planes {
-            None => Series {
-                t: &self.t[start..],
-                v: &self.v[start..],
-                planes: None,
-            },
-            Some((ids, width)) => Series {
-                t: &self.t[start..],
-                v: self.v,
-                planes: Some((&ids[start..], width)),
-            },
+        let (v, planes) = match self.planes {
+            None => (&self.v[start..], None),
+            Some((ids, width)) => (self.v, Some((&ids[start..], width))),
+        };
+        Series {
+            t: &self.t[start..],
+            v,
+            planes,
         }
     }
 
