@@ -42,7 +42,7 @@ pub struct GpuThermal {
     /// The bits of the last step's `(activity, clock ratio)` and the board
     /// power they gave. The power model and the efficiency are fixed, so
     /// the power is reused while both bits repeat instead of paying `powf`.
-    power_memo: Option<(u64, u64, f64)>,
+    power_memo: Option<((u64, u64), f64)>,
     /// The bits of the last busy step's activity and the governor's cap
     /// ratio at it, reused while they repeat (the cap is fixed as well).
     cap_memo: Option<(u64, f64)>,
@@ -137,10 +137,10 @@ impl GpuThermal {
         let freq_ratio = self.freq_ratio();
         let key = (activity.to_bits(), freq_ratio.to_bits());
         self.power_w = match self.power_memo {
-            Some((a, f, power)) if (a, f) == key => power,
+            Some((k, power)) if k == key => power,
             _ => {
                 let power = self.power_model.power_w(activity, freq_ratio, eff);
-                self.power_memo = Some((key.0, key.1, power));
+                self.power_memo = Some((key, power));
                 power
             }
         };
