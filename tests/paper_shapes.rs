@@ -6,14 +6,36 @@ use charllm_hw::presets::hgx_h200_with_nodes;
 use charllm_trace::KernelClass;
 
 fn run(cluster: &charllm_hw::Cluster, job: &TrainJob, label: &str) -> charllm::RunReport {
+    run_with(cluster, job, label, SimConfig::fast())
+}
+
+fn run_with(
+    cluster: &charllm_hw::Cluster,
+    job: &TrainJob,
+    label: &str,
+    cfg: SimConfig,
+) -> charllm::RunReport {
     Experiment::builder()
         .cluster(cluster.clone())
         .job(job.clone())
         .parallelism(label)
         .unwrap()
-        .sim_config(SimConfig::fast())
+        .sim_config(cfg)
         .run()
         .unwrap_or_else(|e| panic!("{label}: {e}"))
+}
+
+/// The GPUs of `cluster` in rear (exhaust) slots, then those in front
+/// (intake) slots.
+fn rear_and_front(cluster: &charllm_hw::Cluster) -> (Vec<usize>, Vec<usize>) {
+    let airflow = &cluster.node_layout().airflow;
+    (0..cluster.num_gpus())
+        .partition(|&g| airflow.is_rear(cluster.slot_of(charllm_hw::GpuId(g as u32))))
+}
+
+/// Mean over `gpus` of `value(gpu)`.
+fn group_mean(gpus: &[usize], value: impl Fn(usize) -> f64) -> f64 {
+    gpus.iter().map(|&g| value(g)).sum::<f64>() / gpus.len() as f64
 }
 
 #[test]
@@ -168,4 +190,79 @@ fn deeper_pipelines_draw_more_power_than_tp_heavy() {
         pp.mean_power_w,
         tp.mean_power_w
     );
+}
+
+#[test]
+fn rear_gpus_run_hotter_and_take_all_the_throttling() {
+    // §6/Fig 17: on the H200 cluster the exhaust-row GPUs (odd device
+    // ids) run hotter than their intake partners in a compute-dense run,
+    // and the throttle residency lands on them alone.
+    let cluster = hgx_h200_cluster();
+    let job = TrainJob::pretrain(gpt3_13b())
+        .with_global_batch(8)
+        .with_recompute(true);
+    let r = run(&cluster, &job, "TP2-PP4");
+    let (rear, front) = rear_and_front(&cluster);
+    let temp = |g| r.sim.telemetry.temp(g).mean();
+    let (rear_c, front_c) = (group_mean(&rear, temp), group_mean(&front, temp));
+    assert!(
+        rear_c > front_c,
+        "rear {rear_c:.1} C vs front {front_c:.1} C"
+    );
+    let throttled: Vec<usize> = (0..cluster.num_gpus())
+        .filter(|&g| r.sim.throttle_ratio[g] > 0.0)
+        .collect();
+    assert!(!throttled.is_empty(), "no GPU throttled");
+    assert!(
+        throttled.iter().all(|g| rear.contains(g)),
+        "front GPUs throttled: {throttled:?}"
+    );
+}
+
+#[test]
+fn paired_mi250_gcds_show_an_intra_package_skew() {
+    // §6/Fig 18: the downstream GCD of each MI250 package runs 5-10 C
+    // hotter than its upstream partner.
+    let cluster = mi250_cluster();
+    let job = TrainJob::pretrain(gpt3_13b())
+        .with_global_batch(8)
+        .with_recompute(true);
+    let r = run(&cluster, &job, "TP2-PP4");
+    let temp = |g: usize| r.sim.telemetry.temp(g).mean();
+    let skews: Vec<f64> = (0..cluster.num_gpus() / 2)
+        .map(|p| temp(2 * p + 1) - temp(2 * p))
+        .collect();
+    assert!(skews.iter().all(|&s| s > 0.0), "skews {skews:?}");
+    let mean = skews.iter().sum::<f64>() / skews.len() as f64;
+    assert!((5.0..10.0).contains(&mean), "mean skew {mean:.2} C");
+}
+
+#[test]
+fn the_rear_front_gap_holds_at_every_sample() {
+    // §6/Fig 19: rear GPUs stay hotter than front GPUs through training,
+    // with no cooldown window closing the gap.
+    let cluster = hgx_h200_cluster();
+    let job = TrainJob::pretrain(mixtral_8x7b())
+        .with_global_batch(8)
+        .with_recompute(true);
+    let cfg = SimConfig {
+        iterations: 2,
+        warmup_iterations: 1,
+        ..SimConfig::fast()
+    };
+    let r = run_with(&cluster, &job, "EP8-TP1-PP4", cfg);
+    let (rear, front) = rear_and_front(&cluster);
+    let warm_s = r.sim.iteration_times_s[0];
+    let times = r.sim.telemetry.times();
+    let after: Vec<usize> = (0..times.len()).filter(|&i| times[i] >= warm_s).collect();
+    assert!(after.len() >= 10, "{} samples after warm-up", after.len());
+    for i in after {
+        let temp = |g| r.sim.telemetry.temp(g).value(i);
+        let (rear_c, front_c) = (group_mean(&rear, temp), group_mean(&front, temp));
+        assert!(
+            rear_c > front_c,
+            "t {:.2} s: rear {rear_c:.1} C vs front {front_c:.1} C",
+            times[i]
+        );
+    }
 }
