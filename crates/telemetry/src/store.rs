@@ -267,11 +267,14 @@ impl TelemetryStore {
         }
     }
 
-    /// Largest per-GPU peak (0.0 for a store without samples).
+    /// Largest per-GPU peak over the GPUs with samples (0.0 for a store
+    /// without samples).
     fn peak_of(&self, field: usize) -> f64 {
         (0..self.num_gpus())
+            .filter(|&g| self.is_sampled(g))
             .map(|g| self.series(g, field).peak())
-            .fold(0.0, f64::max)
+            .reduce(f64::max)
+            .unwrap_or(0.0)
     }
 }
 
@@ -410,6 +413,19 @@ mod tests {
         assert_eq!(s.total_energy_j(), 0.0);
         assert_eq!(s.mean_power_w(), 0.0);
         assert!(s.aggregate_pcie().is_empty());
+    }
+
+    #[test]
+    fn peaks_read_only_sampled_gpus() {
+        let mut s = TelemetryStore::new(2);
+        let cold = GpuSample {
+            temp_c: -5.0,
+            ..sample(-1.0)
+        };
+        s.record_frame(0.0, &[1], [cold]);
+        assert_eq!(s.peak_temp_c(), -5.0);
+        assert_eq!(s.peak_power_w(), -1.0);
+        assert_eq!(TelemetryStore::new(2).peak_temp_c(), 0.0);
     }
 
     #[test]
