@@ -1,6 +1,7 @@
 //! Simulation configuration.
 
-use charllm_hw::Cluster;
+use charllm_hw::{Cluster, NodeId};
+use charllm_thermal::{GovernorConfig, GpuClass, GpuVariability, ThermalBank};
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
@@ -68,6 +69,55 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// The run's [`ThermalBank`], one entry per GPU of `cluster` in GPU
+    /// order, each at idle in equilibrium with the ambient inlet. Every GPU
+    /// is of one class, and a node power cap gives its node's GPUs a
+    /// second. With prewarm and thermal feedback on, the GPUs of each node
+    /// `prewarm` selects are then settled near a loaded operating point,
+    /// including the inlet preheat a busy node would produce.
+    pub(crate) fn thermal_bank(
+        &self,
+        cluster: &Cluster,
+        prewarm: impl Fn(NodeId) -> bool,
+    ) -> ThermalBank {
+        let spec = cluster.gpu();
+        let mut governor = GovernorConfig::for_spec(spec);
+        if let Some(cap_w) = self.gpu_power_cap_w {
+            governor.power_cap_w = cap_w;
+        }
+        let mut classes = vec![GpuClass::new(spec.clone(), governor)];
+        if let Some((_, power_cap_w)) = self.node_power_cap {
+            let capped = GovernorConfig {
+                power_cap_w,
+                ..governor
+            };
+            classes.push(GpuClass::new(spec.clone(), capped));
+        }
+        let mut bank = ThermalBank::new(classes);
+        let airflow = &cluster.node_layout().airflow;
+        let loaded = vec![spec.tdp_w * 0.85; airflow.num_slots()];
+        for gpu in cluster.gpus() {
+            let node = cluster.node_of(gpu);
+            let class = match self.node_power_cap {
+                Some((n, _)) if node == NodeId(n) => 1,
+                _ => 0,
+            };
+            let variability = if self.uniform_variability {
+                GpuVariability::nominal()
+            } else {
+                GpuVariability::for_gpu(gpu, self.seed)
+            };
+            let i = bank.push(class, variability, airflow.ambient_c);
+            if self.prewarm && self.thermal_feedback && prewarm(node) {
+                let inlet = airflow.inlet_temp_c(cluster.slot_of(gpu), &loaded);
+                for _ in 0..400 {
+                    bank.step(i, 0.75, inlet, 1.0);
+                }
+            }
+        }
+        bank
+    }
+
     /// A fast configuration for unit tests: single iteration, no warmup.
     pub fn fast() -> Self {
         SimConfig {

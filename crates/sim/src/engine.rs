@@ -40,7 +40,7 @@ use charllm_net::{lower_collective, LinkHealth};
 use charllm_parallel::Placement;
 use charllm_telemetry::metrics::{Gauge, MetricsShard};
 use charllm_telemetry::{GpuSample, TelemetryStore};
-use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, IdleSteps, ThermalSpec};
+use charllm_thermal::ThermalBank;
 use charllm_trace::{ExecutionTrace, FloatTable, FoldedCollective, KernelClass, Step};
 
 use crate::accrual::{self, PcieWindow};
@@ -866,21 +866,19 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     retiring: Vec<u32>,
     finished_ranks: usize,
 
-    thermals: Vec<GpuThermal>,
+    /// Every GPU's temperature, power, energy and governor state.
+    bank: ThermalBank,
     freq_ratio: Vec<f64>,
-    last_power_w: Vec<f64>,
-    /// Each GPU's airflow inlet temperature (before any runaway offset),
-    /// computed from its node's `last_power_w` when they last changed.
+    /// Each GPU's inlet temperature: its airflow inlet, computed from its
+    /// node's GPU powers, plus its runaway offset, as of when either last
+    /// changed.
     inlet_c: Vec<f64>,
-    /// Per `active_nodes` entry: whether a GPU's `last_power_w` changed
-    /// bits since the node's `inlet_c` was computed.
+    /// Per `active_nodes` entry: whether a GPU's power or runaway offset
+    /// changed bits since the node's `inlet_c` was computed.
     inlet_stale: Vec<bool>,
     /// Scratch: one node's GPU powers in slot order, refilled per node
     /// whose inlets are recomputed.
     node_powers: Vec<f64>,
-    /// The stepped GPUs' idle steps while an outage holds them all at
-    /// their idle fixed points (see `fault_stall`).
-    idle_steps: IdleSteps,
     /// Cached `cluster.gpu().peak_fp16_flops`, read per computing rank per
     /// event in `compute_rate`.
     peak_flops: f64,
@@ -1106,48 +1104,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             .map(|c| c.group.len() as u32)
             .collect();
 
-        let airflow = &cluster.node_layout().airflow;
-        let mut thermals = Vec::with_capacity(num_gpus);
-        for gpu in cluster.gpus() {
-            let spec = cluster.gpu().clone();
-            let variability = if cfg.uniform_variability {
-                GpuVariability::nominal()
-            } else {
-                GpuVariability::for_gpu(gpu, cfg.seed)
-            };
-            let slot = cluster.slot_of(gpu);
-            let mut governor_cfg = GovernorConfig::for_spec(&spec);
-            if let Some(cap_w) = cfg.gpu_power_cap_w {
-                governor_cfg.power_cap_w = cap_w;
-            }
-            if let Some((node, cap_w)) = cfg.node_power_cap {
-                if cluster.node_of(gpu) == charllm_hw::NodeId(node) {
-                    governor_cfg.power_cap_w = cap_w;
-                }
-            }
-            let mut thermal = GpuThermal::new(
-                spec.clone(),
-                ThermalSpec::for_model(spec.model),
-                governor_cfg,
-                variability,
-                airflow.ambient_c,
-            );
-            if cfg.prewarm && cfg.thermal_feedback && node_active[cluster.node_of(gpu).index()] {
-                // Settle near a loaded operating point, including the
-                // inlet preheat a busy node would produce. Skipped for
-                // nodes a folded run never steps — their 400-step settles
-                // dominate construction at 16k GPUs.
-                let node_power = spec.tdp_w * 0.85;
-                let powers = vec![node_power; airflow.num_slots()];
-                let inlet = airflow.inlet_temp_c(slot, &powers);
-                for _ in 0..400 {
-                    thermal.step(0.75, inlet, 1.0);
-                }
-            }
-            thermals.push(thermal);
-        }
-        let freq_ratio = thermals.iter().map(GpuThermal::freq_ratio).collect();
-        let last_power_w = thermals.iter().map(GpuThermal::power_w).collect();
+        // Nodes a folded run never steps are not prewarmed: their 400-step
+        // settles would dominate construction at 16k GPUs.
+        let bank = cfg.thermal_bank(cluster, |node| node_active[node.index()]);
+        let freq_ratio = (0..num_gpus).map(|g| bank.freq_ratio(g)).collect();
 
         let mut rank_active = vec![false; ranks.len()];
         for &r in &active_ranks {
@@ -1192,13 +1152,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             cand_flows: Vec::new(),
             retiring: Vec::new(),
             finished_ranks: 0,
-            thermals,
+            bank,
             freq_ratio,
-            last_power_w,
             inlet_c: vec![0.0; num_gpus],
             inlet_stale: vec![true; active_nodes.len()],
             node_powers: Vec::new(),
-            idle_steps: IdleSteps::default(),
             peak_flops: cluster.gpu().peak_fp16_flops,
             activity_acc: vec![0.0; num_gpus],
             util_acc: vec![0.0; num_gpus],
@@ -1505,10 +1463,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             FaultAction::HeatGpu { gpu, delta_c } => {
                 self.obs
                     .fault_begin(ev.fault, "thermal-runaway", gpu, self.t);
-                self.inlet_offset_c[gpu as usize] = delta_c;
+                self.set_inlet_offset(gpu, delta_c);
             }
             FaultAction::CoolGpu { gpu } => {
-                self.inlet_offset_c[gpu as usize] = 0.0;
+                self.set_inlet_offset(gpu, 0.0);
                 self.obs.fault_end(ev.fault, self.t);
             }
             FaultAction::FailStop { gpu } => {
@@ -1593,11 +1551,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         self.pcie.accrue_all(start);
         self.accrual_frozen = true;
-        let energy_before: f64 = self.thermals.iter().map(GpuThermal::energy_j).sum();
+        let energy_before = self.bank.total_energy_j();
         // Once every GPU has settled at its idle fixed point, the idle
-        // phase's ticks keep it there: nothing else moves until the redo.
-        // While settled, the GPUs' temperatures and energies live in
-        // `idle_steps`, and go back before any full tick reads them.
+        // phase's ticks keep it there: nothing else moves until the redo,
+        // so the latch spares each tick the check.
         let mut settled = false;
         while end - self.t > 1e-9 {
             let dt = (self.next_control - self.t).min(end - self.t).max(1e-9);
@@ -1609,29 +1566,26 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             }
             self.t += dt;
             if self.t >= self.next_control - 1e-12 {
-                if redo_overlap == 0.0 && (settled || self.gpus_idle_settled()) {
-                    if !settled {
-                        self.load_idle_steps();
-                        settled = true;
+                let idle = redo_overlap == 0.0 && (settled || self.gpus_idle_settled());
+                if idle && !settled {
+                    // The inlets cannot move while the powers hold: bring
+                    // them current once for the idle ticks.
+                    for ni in 0..self.active_nodes.len() {
+                        self.refresh_inlets(ni);
                     }
+                }
+                settled = idle;
+                if settled {
                     self.idle_control_update();
                 } else {
-                    if settled {
-                        self.idle_steps.store(&mut self.thermals);
-                        settled = false;
-                    }
                     self.control_update();
                 }
                 self.next_control += self.cfg.control_period_s;
             }
         }
-        if settled {
-            self.idle_steps.store(&mut self.thermals);
-        }
         self.accrual_frozen = false;
         self.rebase_accruals(self.t);
-        let energy_after: f64 = self.thermals.iter().map(GpuThermal::energy_j).sum();
-        rt.energy_wasted_j += energy_after - energy_before;
+        rt.energy_wasted_j += self.bank.total_energy_j() - energy_before;
         let outage = self.t - start;
         rt.downtime_s += outage;
         if self.measure_start.is_some() {
@@ -2627,12 +2581,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             for slot in 0..slots {
                 let gpu = cluster.gpu_at(node, slot).index();
                 let activity = (self.activity_acc[gpu] / period).min(1.0);
-                let inlet = self.inlet_c[gpu] + self.inlet_offset_c[gpu];
-                let sample = self.thermals[gpu].step(activity, inlet, period);
+                let inlet = self.inlet_c[gpu];
+                let before = self.bank.power_w(gpu);
+                let power = self.bank.step(gpu, activity, inlet, period);
                 // With feedback disabled the physics still run (for power
                 // and temperature telemetry) but clocks stay pinned.
                 let new_ratio = if self.cfg.thermal_feedback {
-                    self.thermals[gpu].freq_ratio()
+                    self.bank.freq_ratio(gpu)
                 } else {
                     1.0
                 };
@@ -2640,14 +2595,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                     self.freq_ratio[gpu] = new_ratio;
                     self.mark_gpu_ranks_dirty(gpu);
                 }
-                if sample.power_w.to_bits() != self.last_power_w[gpu].to_bits() {
-                    self.last_power_w[gpu] = sample.power_w;
+                if power.to_bits() != before.to_bits() {
                     self.inlet_stale[ni] = true;
                 }
                 self.obs
-                    .sample_tick(gpu as u32, self.t, sample.power_w, period, measuring);
+                    .sample_tick(gpu as u32, self.t, power, period, measuring);
                 if measuring {
-                    self.energy_measured_j += sample.power_w * period;
+                    self.energy_measured_j += power * period;
                 }
                 self.activity_acc[gpu] = 0.0;
             }
@@ -2655,10 +2609,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.finish_control_tick();
     }
 
-    /// Recompute the airflow inlets of `active_nodes[ni]` from its GPUs'
-    /// `last_power_w` if one changed since they were last computed. The
-    /// inlet is a pure function of those powers, so a cached one has the
-    /// bits a fresh one would.
+    /// Recompute the inlets of `active_nodes[ni]` from its GPUs' powers and
+    /// runaway offsets if one changed since they were last computed. The
+    /// inlet is a pure function of those, so a cached one has the bits a
+    /// fresh one would.
     #[inline]
     fn refresh_inlets(&mut self, ni: usize) {
         if !self.inlet_stale[ni] {
@@ -2671,11 +2625,22 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.node_powers.clear();
         for s in 0..airflow.num_slots() {
             self.node_powers
-                .push(self.last_power_w[cluster.gpu_at(node, s).index()]);
+                .push(self.bank.power_w(cluster.gpu_at(node, s).index()));
         }
         for s in 0..airflow.num_slots() {
-            self.inlet_c[cluster.gpu_at(node, s).index()] =
-                airflow.inlet_temp_c(s, &self.node_powers);
+            let gpu = cluster.gpu_at(node, s).index();
+            self.inlet_c[gpu] =
+                airflow.inlet_temp_c(s, &self.node_powers) + self.inlet_offset_c[gpu];
+        }
+    }
+
+    /// Set `gpu`'s runaway inlet offset, so its node's inlets are
+    /// recomputed before the next step reads them.
+    fn set_inlet_offset(&mut self, gpu: u32, delta_c: f64) {
+        self.inlet_offset_c[gpu as usize] = delta_c;
+        let node = self.cluster.node_of(GpuId(gpu)).0;
+        if let Some(ni) = self.active_nodes.iter().position(|&n| n == node) {
+            self.inlet_stale[ni] = true;
         }
     }
 
@@ -2688,52 +2653,49 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.active_nodes.iter().all(|&n| {
             (0..slots).all(|slot| {
                 let gpu = cluster.gpu_at(charllm_hw::NodeId(n), slot).index();
-                self.activity_acc[gpu] == 0.0 && self.thermals[gpu].at_idle_fixed_point()
+                self.activity_acc[gpu] == 0.0 && self.bank.at_idle_fixed_point(gpu)
             })
         })
     }
 
-    /// Load every stepped GPU, in node/slot order, into `idle_steps` for
-    /// [`Simulator::idle_control_update`]. The GPUs must be idle settled
-    /// ([`Simulator::gpus_idle_settled`]); their inlets are brought current
-    /// here and cannot move while they stay settled.
-    fn load_idle_steps(&mut self) {
-        for ni in 0..self.active_nodes.len() {
-            self.refresh_inlets(ni);
-        }
-        let cluster = self.cluster;
-        let slots = cluster.node_layout().airflow.num_slots();
-        let (inlet_c, offset_c) = (&self.inlet_c, &self.inlet_offset_c);
-        let order = self.active_nodes.iter().flat_map(|&n| {
-            (0..slots).map(move |slot| {
-                let gpu = cluster.gpu_at(charllm_hw::NodeId(n), slot).index();
-                (gpu as u32, inlet_c[gpu] + offset_c[gpu])
-            })
-        });
-        self.idle_steps
-            .load(&mut self.thermals, order, self.cfg.control_period_s);
-    }
-
     /// [`Simulator::control_update`] for a tick whose GPUs are all idle
-    /// settled, as in an outage's idle phase, from the GPUs loaded into
-    /// `idle_steps`: the same arithmetic in the same tick-major, node/slot
-    /// order, without the governor, power and rate work that would only
-    /// reproduce what is there. The observer and the measured energy get
-    /// each GPU's power as before; the loaded temperatures and energies
-    /// are written back before a sample frame reads them.
+    /// settled, as in an outage's idle phase: the same relaxation and
+    /// energy through [`ThermalBank::idle_steps`], without the governor,
+    /// power and rate work that would only reproduce what is there, and
+    /// their inlets as `fault_stall` brought them current. The observer
+    /// and the measured energy get each GPU's power as before, in the same
+    /// tick-major, node/slot order.
     fn idle_control_update(&mut self) {
         let (t, period) = (self.t, self.cfg.control_period_s);
+        let cluster = self.cluster;
+        let slots = cluster.node_layout().airflow.num_slots();
         let measuring = self.measure_start.is_some();
-        let (obs, energy) = (&mut self.obs, &mut self.energy_measured_j);
-        self.idle_steps.step(|gpu, power| {
-            obs.sample_tick(gpu, t, power, period, measuring);
-            if measuring {
-                *energy += power * period;
+        // Summed in a local, in the same order: the field would be loaded
+        // and stored back once per GPU.
+        let mut energy_j = self.energy_measured_j;
+        let mut ni = 0;
+        while ni < self.active_nodes.len() {
+            // A run of consecutive nodes holds consecutive GPUs in node/slot
+            // order, stepped in one call: every node, unfolded.
+            let (run, first) = (ni, self.active_nodes[ni]);
+            while ni < self.active_nodes.len() && self.active_nodes[ni] == first + (ni - run) as u32
+            {
+                ni += 1;
             }
-        });
-        if self.t >= self.next_sample - 1e-12 {
-            self.idle_steps.store(&mut self.thermals);
+            let start = cluster.gpu_at(charllm_hw::NodeId(first), 0).index();
+            let gpus = start..start + (ni - run) * slots;
+            let inlets = self.inlet_c[gpus.clone()].iter().copied();
+            let obs = &mut self.obs;
+            self.bank.idle_steps(start, inlets, period, |gpu, power| {
+                obs.sample_tick(gpu as u32, t, power, period, measuring);
+            });
+            if measuring {
+                for gpu in gpus {
+                    energy_j += self.bank.power_w(gpu) * period;
+                }
+            }
         }
+        self.energy_measured_j = energy_j;
         self.finish_control_tick();
     }
 
@@ -2743,7 +2705,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         if self.t >= self.next_sample - 1e-12 {
             let (t, frozen, window) = (self.t, self.accrual_frozen, self.cfg.sample_period_s);
             let (util_acc, pcie) = (&mut self.util_acc, &mut self.pcie);
-            let (thermals, last_power_w) = (&self.thermals, &self.last_power_w);
+            let bank = &self.bank;
             let frame = self.active_gpus.iter().map(|&gpu| {
                 let gpu = gpu as usize;
                 let pcie_bytes = if frozen {
@@ -2752,9 +2714,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                     pcie.take(gpu, t)
                 };
                 let sample = GpuSample {
-                    power_w: last_power_w[gpu],
-                    temp_c: thermals[gpu].temp_c(),
-                    freq_mhz: thermals[gpu].freq_mhz(),
+                    power_w: bank.power_w(gpu),
+                    temp_c: bank.temp_c(gpu),
+                    freq_mhz: bank.freq_mhz(gpu),
                     util: (util_acc[gpu] / window).min(1.0),
                     pcie_gbps: pcie_bytes / window / 1e9,
                 };
@@ -2865,15 +2827,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 .collect(),
             traffic: self.traffic,
             telemetry: self.telemetry,
-            throttle_ratio: self
-                .thermals
-                .iter()
-                .map(GpuThermal::throttle_ratio)
+            throttle_ratio: (0..self.bank.len())
+                .map(|g| self.bank.throttle_ratio(g))
                 .collect(),
-            thermal_throttle_ratio: self
-                .thermals
-                .iter()
-                .map(GpuThermal::thermal_throttle_ratio)
+            thermal_throttle_ratio: (0..self.bank.len())
+                .map(|g| self.bank.thermal_throttle_ratio(g))
                 .collect(),
             occupancy,
             sim_time_s: self.t,

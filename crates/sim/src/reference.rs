@@ -38,7 +38,7 @@ use charllm_hw::{Cluster, GpuId, LinkId};
 use charllm_net::lower_collective;
 use charllm_parallel::Placement;
 use charllm_telemetry::{GpuSample, TelemetryStore};
-use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, ThermalSpec};
+use charllm_thermal::ThermalBank;
 use charllm_trace::{ExecutionTrace, Step};
 
 use crate::accrual::{self, PcieWindow};
@@ -131,9 +131,9 @@ pub struct ReferenceSimulator<'a, O: SimObserver = NoopObserver> {
     /// Scratch: flow load per link.
     link_load: Vec<u32>,
 
-    thermals: Vec<GpuThermal>,
+    /// Every GPU's temperature, power, energy and governor state.
+    bank: ThermalBank,
     freq_ratio: Vec<f64>,
-    last_power_w: Vec<f64>,
     /// Scratch: one node's GPU powers in slot order.
     node_powers: Vec<f64>,
 
@@ -208,46 +208,8 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             })
             .collect();
 
-        let airflow = &cluster.node_layout().airflow;
-        let mut thermals = Vec::with_capacity(num_gpus);
-        for gpu in cluster.gpus() {
-            let spec = cluster.gpu().clone();
-            let variability = if cfg.uniform_variability {
-                GpuVariability::nominal()
-            } else {
-                GpuVariability::for_gpu(gpu, cfg.seed)
-            };
-            let slot = cluster.slot_of(gpu);
-            let mut governor_cfg = GovernorConfig::for_spec(&spec);
-            if let Some(cap_w) = cfg.gpu_power_cap_w {
-                governor_cfg.power_cap_w = cap_w;
-            }
-            if let Some((node, cap_w)) = cfg.node_power_cap {
-                if cluster.node_of(gpu) == charllm_hw::NodeId(node) {
-                    governor_cfg.power_cap_w = cap_w;
-                }
-            }
-            let mut thermal = GpuThermal::new(
-                spec.clone(),
-                ThermalSpec::for_model(spec.model),
-                governor_cfg,
-                variability,
-                airflow.ambient_c,
-            );
-            if cfg.prewarm && cfg.thermal_feedback {
-                // Settle near a loaded operating point, including the
-                // inlet preheat a busy node would produce.
-                let node_power = spec.tdp_w * 0.85;
-                let powers = vec![node_power; airflow.num_slots()];
-                let inlet = airflow.inlet_temp_c(slot, &powers);
-                for _ in 0..400 {
-                    thermal.step(0.75, inlet, 1.0);
-                }
-            }
-            thermals.push(thermal);
-        }
-        let freq_ratio = thermals.iter().map(GpuThermal::freq_ratio).collect();
-        let last_power_w = thermals.iter().map(GpuThermal::power_w).collect();
+        let bank = cfg.thermal_bank(cluster, |_| true);
+        let freq_ratio = (0..num_gpus).map(|g| bank.freq_ratio(g)).collect();
         let mut ranks_of_gpu = vec![Vec::new(); num_gpus];
         for (r, state) in ranks.iter().enumerate() {
             ranks_of_gpu[state.gpu.index()].push(r as u32);
@@ -266,9 +228,8 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             ranks_of_gpu,
             rank_acc_since: vec![0.0; trace.world()],
             link_load: vec![0; cluster.num_links()],
-            thermals,
+            bank,
             freq_ratio,
-            last_power_w,
             node_powers: Vec::new(),
             activity_acc: vec![0.0; num_gpus],
             util_acc: vec![0.0; num_gpus],
@@ -828,25 +789,24 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             self.node_powers.clear();
             for s in 0..slots {
                 self.node_powers
-                    .push(self.last_power_w[cluster.gpu_at(node, s).index()]);
+                    .push(self.bank.power_w(cluster.gpu_at(node, s).index()));
             }
             for slot in 0..slots {
                 let gpu = cluster.gpu_at(node, slot).index();
                 let activity = (self.activity_acc[gpu] / period).min(1.0);
                 let inlet = airflow.inlet_temp_c(slot, &self.node_powers);
-                let sample = self.thermals[gpu].step(activity, inlet, period);
+                let power = self.bank.step(gpu, activity, inlet, period);
                 // With feedback disabled the physics still run (for power
                 // and temperature telemetry) but clocks stay pinned.
                 self.freq_ratio[gpu] = if self.cfg.thermal_feedback {
-                    self.thermals[gpu].freq_ratio()
+                    self.bank.freq_ratio(gpu)
                 } else {
                     1.0
                 };
-                self.last_power_w[gpu] = sample.power_w;
                 self.obs
-                    .sample_tick(gpu as u32, self.t, sample.power_w, period, measuring);
+                    .sample_tick(gpu as u32, self.t, power, period, measuring);
                 if measuring {
-                    self.energy_measured_j += sample.power_w * period;
+                    self.energy_measured_j += power * period;
                 }
                 self.activity_acc[gpu] = 0.0;
             }
@@ -855,14 +815,14 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
         if self.t >= self.next_sample - 1e-12 {
             let (t, window) = (self.t, self.cfg.sample_period_s);
             let (util_acc, pcie) = (&mut self.util_acc, &mut self.pcie);
-            let (thermals, last_power_w) = (&self.thermals, &self.last_power_w);
+            let bank = &self.bank;
             let gpus: Vec<u32> = (0..self.cluster.num_gpus() as u32).collect();
             let frame = gpus.iter().map(|&gpu| {
                 let gpu = gpu as usize;
                 let sample = GpuSample {
-                    power_w: last_power_w[gpu],
-                    temp_c: thermals[gpu].temp_c(),
-                    freq_mhz: thermals[gpu].freq_mhz(),
+                    power_w: bank.power_w(gpu),
+                    temp_c: bank.temp_c(gpu),
+                    freq_mhz: bank.freq_mhz(gpu),
                     util: (util_acc[gpu] / window).min(1.0),
                     pcie_gbps: pcie.take(gpu, t) / window / 1e9,
                 };
@@ -950,15 +910,11 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
                 .collect(),
             traffic: self.traffic,
             telemetry: self.telemetry,
-            throttle_ratio: self
-                .thermals
-                .iter()
-                .map(GpuThermal::throttle_ratio)
+            throttle_ratio: (0..self.bank.len())
+                .map(|g| self.bank.throttle_ratio(g))
                 .collect(),
-            thermal_throttle_ratio: self
-                .thermals
-                .iter()
-                .map(GpuThermal::thermal_throttle_ratio)
+            thermal_throttle_ratio: (0..self.bank.len())
+                .map(|g| self.bank.thermal_throttle_ratio(g))
                 .collect(),
             occupancy,
             sim_time_s: self.t,

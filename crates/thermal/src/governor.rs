@@ -56,11 +56,11 @@ pub enum ThrottleReason {
     Idle,
 }
 
-/// Per-GPU DVFS governor state.
+/// Per-GPU DVFS governor state. Its [`GovernorConfig`] is shared by every
+/// GPU of a class, so the caller passes it to each method that reads it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DvfsGovernor {
     freq_mhz: f64,
-    cfg: GovernorConfig,
     throttled_periods: u64,
     thermal_throttled_periods: u64,
     total_busy_periods: u64,
@@ -72,10 +72,9 @@ pub struct DvfsGovernor {
 
 impl DvfsGovernor {
     /// A governor starting at boost clock.
-    pub fn new(spec: &GpuSpec, cfg: GovernorConfig) -> Self {
+    pub fn new(spec: &GpuSpec) -> Self {
         DvfsGovernor {
             freq_mhz: spec.boost_clock_mhz,
-            cfg,
             throttled_periods: 0,
             thermal_throttled_periods: 0,
             total_busy_periods: 0,
@@ -86,11 +85,6 @@ impl DvfsGovernor {
     /// Current clock, MHz.
     pub fn freq_mhz(&self) -> f64 {
         self.freq_mhz
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &GovernorConfig {
-        &self.cfg
     }
 
     /// Fraction of busy control periods spent throttled (any reason).
@@ -114,15 +108,15 @@ impl DvfsGovernor {
     /// Whether an idle [`DvfsGovernor::update`] (activity ≤ 0) would leave
     /// this governor exactly as it is: the clock already at its idle floor
     /// and the idle drop already recorded as the cause.
-    pub fn at_idle_fixed_point(&self, spec: &GpuSpec) -> bool {
+    pub fn at_idle_fixed_point(&self, spec: &GpuSpec, cfg: &GovernorConfig) -> bool {
         self.cause == ThrottleReason::Idle
-            && self.idle_freq_mhz(spec).to_bits() == self.freq_mhz.to_bits()
+            && self.idle_freq_mhz(spec, cfg).to_bits() == self.freq_mhz.to_bits()
     }
 
     /// The clock after one idle period: one step down, floored at base.
     #[inline]
-    fn idle_freq_mhz(&self, spec: &GpuSpec) -> f64 {
-        (self.freq_mhz - self.cfg.step_down_mhz).max(spec.base_clock_mhz)
+    fn idle_freq_mhz(&self, spec: &GpuSpec, cfg: &GovernorConfig) -> f64 {
+        (self.freq_mhz - cfg.step_down_mhz).max(spec.base_clock_mhz)
     }
 
     /// Advance one control period: adjust the clock given junction
@@ -132,48 +126,50 @@ impl DvfsGovernor {
     pub fn update(
         &mut self,
         spec: &GpuSpec,
+        cfg: &GovernorConfig,
         power: &PowerModel,
         temp_c: f64,
         activity: f64,
         efficiency: f64,
     ) -> ThrottleReason {
-        self.update_with_cap(spec, temp_c, activity, |cap_w| {
+        self.update_with_cap(spec, cfg, temp_c, activity, |cap_w| {
             power.freq_ratio_for_cap(activity, cap_w, efficiency)
         })
     }
 
     /// [`DvfsGovernor::update`] with the power cap's clock ratio taken from
     /// `cap_ratio(power_cap_w)`, which is called only for a busy period.
-    /// [`crate::GpuThermal`] supplies a ratio it reuses while the activity
+    /// [`crate::ThermalBank`] supplies a ratio it reuses while the activity
     /// repeats.
     #[inline]
     pub fn update_with_cap(
         &mut self,
         spec: &GpuSpec,
+        cfg: &GovernorConfig,
         temp_c: f64,
         activity: f64,
         cap_ratio: impl FnOnce(f64) -> f64,
     ) -> ThrottleReason {
         if activity <= 0.0 {
             // Idle: drop toward base clock (don't count as throttling).
-            self.freq_mhz = self.idle_freq_mhz(spec);
+            self.freq_mhz = self.idle_freq_mhz(spec, cfg);
             self.cause = ThrottleReason::Idle;
             return ThrottleReason::Idle;
         }
         self.total_busy_periods += 1;
 
         // Power cap: the frequency the cap allows at this activity.
-        let cap_ratio = cap_ratio(self.cfg.power_cap_w);
+        let cap_ratio = cap_ratio(cfg.power_cap_w);
         let cap_mhz = (spec.boost_clock_mhz * cap_ratio).max(spec.min_clock_mhz);
 
-        let in_thermal_band = temp_c > spec.throttle_temp_c - self.cfg.hysteresis_c;
+        let in_thermal_band = temp_c > spec.throttle_temp_c - cfg.hysteresis_c;
         let thermally_stepped = temp_c >= spec.throttle_temp_c;
         if temp_c >= spec.slowdown_temp_c {
-            self.freq_mhz -= self.cfg.step_down_mhz * self.cfg.slowdown_multiplier;
+            self.freq_mhz -= cfg.step_down_mhz * cfg.slowdown_multiplier;
         } else if thermally_stepped {
-            self.freq_mhz -= self.cfg.step_down_mhz;
+            self.freq_mhz -= cfg.step_down_mhz;
         } else if !in_thermal_band {
-            self.freq_mhz += self.cfg.step_up_mhz;
+            self.freq_mhz += cfg.step_up_mhz;
         }
         let power_capped = self.freq_mhz > cap_mhz && cap_ratio < 1.0;
         if self.freq_mhz > cap_mhz {
@@ -224,19 +220,19 @@ mod tests {
     use super::*;
     use charllm_hw::GpuModel;
 
-    fn setup() -> (GpuSpec, PowerModel, DvfsGovernor) {
+    fn setup() -> (GpuSpec, GovernorConfig, PowerModel, DvfsGovernor) {
         let spec = GpuModel::H200.spec();
         let power = PowerModel::for_spec(&spec);
         let cfg = GovernorConfig::for_spec(&spec);
-        let gov = DvfsGovernor::new(&spec, cfg);
-        (spec, power, gov)
+        let gov = DvfsGovernor::new(&spec);
+        (spec, cfg, power, gov)
     }
 
     #[test]
     fn cool_and_busy_stays_at_boost() {
-        let (spec, power, mut gov) = setup();
+        let (spec, cfg, power, mut gov) = setup();
         for _ in 0..50 {
-            let r = gov.update(&spec, &power, 60.0, 0.8, 1.0);
+            let r = gov.update(&spec, &cfg, &power, 60.0, 0.8, 1.0);
             assert_eq!(r, ThrottleReason::None);
         }
         assert_eq!(gov.freq_mhz(), spec.boost_clock_mhz);
@@ -245,9 +241,9 @@ mod tests {
 
     #[test]
     fn hot_gpu_throttles_down() {
-        let (spec, power, mut gov) = setup();
+        let (spec, cfg, power, mut gov) = setup();
         for _ in 0..20 {
-            let r = gov.update(&spec, &power, 86.0, 1.0, 1.0);
+            let r = gov.update(&spec, &cfg, &power, 86.0, 1.0, 1.0);
             assert_eq!(r, ThrottleReason::Thermal);
         }
         assert!(gov.freq_mhz() < spec.boost_clock_mhz - 500.0);
@@ -257,40 +253,40 @@ mod tests {
 
     #[test]
     fn slowdown_temperature_throttles_faster() {
-        let (spec, power, _) = setup();
-        let mut mild = DvfsGovernor::new(&spec, GovernorConfig::for_spec(&spec));
-        let mut severe = DvfsGovernor::new(&spec, GovernorConfig::for_spec(&spec));
+        let (spec, cfg, power, _) = setup();
+        let mut mild = DvfsGovernor::new(&spec);
+        let mut severe = DvfsGovernor::new(&spec);
         for _ in 0..5 {
-            mild.update(&spec, &power, 84.0, 1.0, 1.0);
-            severe.update(&spec, &power, 89.0, 1.0, 1.0);
+            mild.update(&spec, &cfg, &power, 84.0, 1.0, 1.0);
+            severe.update(&spec, &cfg, &power, 89.0, 1.0, 1.0);
         }
         assert!(severe.freq_mhz() < mild.freq_mhz());
     }
 
     #[test]
     fn recovers_after_cooling_with_hysteresis() {
-        let (spec, power, mut gov) = setup();
+        let (spec, cfg, power, mut gov) = setup();
         for _ in 0..20 {
-            gov.update(&spec, &power, 86.0, 1.0, 1.0);
+            gov.update(&spec, &cfg, &power, 86.0, 1.0, 1.0);
         }
         let throttled = gov.freq_mhz();
         // Inside the hysteresis band: hold.
-        gov.update(&spec, &power, 81.5, 1.0, 1.0);
+        gov.update(&spec, &cfg, &power, 81.5, 1.0, 1.0);
         assert_eq!(gov.freq_mhz(), throttled);
         // Below the band: recover.
         for _ in 0..200 {
-            gov.update(&spec, &power, 70.0, 0.5, 1.0);
+            gov.update(&spec, &cfg, &power, 70.0, 0.5, 1.0);
         }
         assert_eq!(gov.freq_mhz(), spec.boost_clock_mhz);
     }
 
     #[test]
     fn power_cap_limits_clock_under_heavy_activity() {
-        let (spec, power, _) = setup();
+        let (spec, _, power, _) = setup();
         let mut cfg = GovernorConfig::for_spec(&spec);
         cfg.power_cap_w = 500.0; // node-level cap scenario
-        let mut gov = DvfsGovernor::new(&spec, cfg);
-        let r = gov.update(&spec, &power, 60.0, 1.0, 1.0);
+        let mut gov = DvfsGovernor::new(&spec);
+        let r = gov.update(&spec, &cfg, &power, 60.0, 1.0, 1.0);
         assert_eq!(r, ThrottleReason::Power);
         let p = power.power_w(1.0, gov.freq_mhz() / spec.boost_clock_mhz, 1.0);
         assert!(p <= 501.0, "power after cap = {p}");
@@ -298,9 +294,9 @@ mod tests {
 
     #[test]
     fn clock_floors_at_min() {
-        let (spec, power, mut gov) = setup();
+        let (spec, cfg, power, mut gov) = setup();
         for _ in 0..1000 {
-            gov.update(&spec, &power, 95.0, 1.0, 1.0);
+            gov.update(&spec, &cfg, &power, 95.0, 1.0, 1.0);
         }
         assert_eq!(gov.freq_mhz(), spec.min_clock_mhz);
     }
@@ -311,16 +307,16 @@ mod tests {
         // periods that follow (cool device, clock stepping back up) used to
         // be misattributed to `Thermal` just because the clock was still
         // below boost.
-        let (spec, power, mut gov) = setup();
+        let (spec, cfg, power, mut gov) = setup();
         for _ in 0..10 {
             assert_eq!(
-                gov.update(&spec, &power, 40.0, 0.0, 1.0),
+                gov.update(&spec, &cfg, &power, 40.0, 0.0, 1.0),
                 ThrottleReason::Idle
             );
         }
         assert!(gov.freq_mhz() < 0.985 * spec.boost_clock_mhz);
         while gov.freq_mhz() < spec.boost_clock_mhz {
-            let r = gov.update(&spec, &power, 60.0, 0.8, 1.0);
+            let r = gov.update(&spec, &cfg, &power, 60.0, 0.8, 1.0);
             assert_eq!(r, ThrottleReason::None, "residual idle recovery");
         }
         assert_eq!(gov.thermal_throttle_ratio(), 0.0);
@@ -332,13 +328,13 @@ mod tests {
         // Regression: with the cap binding and the temperature inside the
         // hysteresis band but *below* the throttle threshold (81.5 °C vs
         // 83 °C for H200), the reason is the power cap, not thermal.
-        let (spec, power, _) = setup();
+        let (spec, _, power, _) = setup();
         let mut cfg = GovernorConfig::for_spec(&spec);
         cfg.power_cap_w = 500.0;
-        let mut gov = DvfsGovernor::new(&spec, cfg);
+        let mut gov = DvfsGovernor::new(&spec);
         let warm = spec.throttle_temp_c - cfg.hysteresis_c / 2.0;
         for _ in 0..20 {
-            let r = gov.update(&spec, &power, warm, 1.0, 1.0);
+            let r = gov.update(&spec, &cfg, &power, warm, 1.0, 1.0);
             assert_eq!(r, ThrottleReason::Power);
         }
         assert_eq!(gov.thermal_throttle_ratio(), 0.0);
@@ -349,22 +345,22 @@ mod tests {
     fn residual_after_thermal_event_stays_thermal() {
         // The in-band hold after a genuine thermal event still reads as
         // thermal residency (matches NVML's sustained report).
-        let (spec, power, mut gov) = setup();
+        let (spec, cfg, power, mut gov) = setup();
         for _ in 0..20 {
-            gov.update(&spec, &power, 86.0, 1.0, 1.0);
+            gov.update(&spec, &cfg, &power, 86.0, 1.0, 1.0);
         }
-        let r = gov.update(&spec, &power, 81.5, 1.0, 1.0);
+        let r = gov.update(&spec, &cfg, &power, 81.5, 1.0, 1.0);
         assert_eq!(r, ThrottleReason::Thermal);
         // Below the band, recovering: the cause is still the thermal event.
-        let r = gov.update(&spec, &power, 70.0, 1.0, 1.0);
+        let r = gov.update(&spec, &cfg, &power, 70.0, 1.0, 1.0);
         assert_eq!(r, ThrottleReason::Thermal);
     }
 
     #[test]
     fn idle_periods_not_counted_as_throttling() {
-        let (spec, power, mut gov) = setup();
+        let (spec, cfg, power, mut gov) = setup();
         for _ in 0..10 {
-            let r = gov.update(&spec, &power, 40.0, 0.0, 1.0);
+            let r = gov.update(&spec, &cfg, &power, 40.0, 0.0, 1.0);
             assert_eq!(r, ThrottleReason::Idle);
         }
         assert_eq!(gov.throttle_ratio(), 0.0);

@@ -11,19 +11,21 @@
 //!   thermal or power-cap violations — the mechanism behind the paper's
 //!   clock-throttling heatmaps (Figs. 17b/18b) and straggler formation;
 //! - [`variability`]: deterministic per-GPU silicon/cooling variability;
-//! - [`gpu_state`]: the combined per-GPU state stepped by the simulator.
+//! - [`bank`]: every GPU's live state, stepped by the simulator: the spec,
+//!   RC model, power model and governor config once per [`GpuClass`], the
+//!   temperature, power, energy, clock and memos in per-GPU columns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bank;
 pub mod governor;
-pub mod gpu_state;
 pub mod power;
 pub mod rc;
 pub mod variability;
 
+pub use bank::{GpuClass, ThermalBank};
 pub use governor::{DvfsGovernor, GovernorConfig};
-pub use gpu_state::{GpuThermal, IdleSteps, ThermalSample};
 pub use power::PowerModel;
 pub use rc::ThermalSpec;
 pub use variability::GpuVariability;

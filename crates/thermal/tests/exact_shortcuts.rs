@@ -1,16 +1,17 @@
 //! The control tick's shortcuts are exact: `PowerModel::power_w` skipping
 //! `powf` at zero activity, `PowerModel::freq_ratio_for_cap` skipping it
-//! when the cap never binds, `GpuThermal::step` reusing `exp(-dt/τ)` while
+//! when the cap never binds, `ThermalBank::step` reusing `exp(-dt/τ)` while
 //! `dt` repeats and reusing its power and cap ratio while their inputs'
 //! bits repeat all return the bits of the formulas written out in full;
-//! `IdleSteps` leaves a GPU at its idle fixed point in the state
-//! `GpuThermal::step` at zero activity leaves.
+//! `ThermalBank::idle_steps` leaves GPUs at their idle fixed points in
+//! the state `ThermalBank::step` at zero activity leaves; and a bank of many
+//! GPUs and classes steps each GPU as a bank of that GPU alone would.
 
 use proptest::prelude::*;
 
-use charllm_hw::GpuModel;
+use charllm_hw::{GpuId, GpuModel};
 use charllm_thermal::{
-    DvfsGovernor, GovernorConfig, GpuThermal, GpuVariability, IdleSteps, PowerModel, ThermalSpec,
+    DvfsGovernor, GovernorConfig, GpuClass, GpuVariability, PowerModel, ThermalBank, ThermalSpec,
 };
 
 /// An activity drawn from the edge cases as well as the unit interval:
@@ -28,6 +29,24 @@ fn activity(kind: usize, x: f64) -> f64 {
 
 fn model() -> PowerModel {
     PowerModel::for_spec(&GpuModel::H200.spec())
+}
+
+/// An H200 class under a power cap of `cap_w`.
+fn h200_capped(cap_w: f64) -> GpuClass {
+    let spec = GpuModel::H200.spec();
+    let mut cfg = GovernorConfig::for_spec(&spec);
+    cfg.power_cap_w = cap_w;
+    GpuClass::new(spec, cfg)
+}
+
+/// A bank of `count` GPUs of one H200 class at `cap_w`, alike in
+/// `variability`, starting at a 26 °C inlet.
+fn h200_bank(cap_w: f64, variability: GpuVariability, count: usize) -> ThermalBank {
+    let mut bank = ThermalBank::new(vec![h200_capped(cap_w)]);
+    for _ in 0..count {
+        bank.push(0, variability, 26.0);
+    }
+    bank
 }
 
 /// `PowerModel::power_w` without the zero-activity shortcut.
@@ -101,25 +120,21 @@ proptest! {
         efficiency in 0.95f64..1.05,
         cooling in 0.95f64..1.1,
     ) {
-        let spec = GpuModel::H200.spec();
         let thermal = ThermalSpec::for_model(GpuModel::H200);
-        let mut cfg = GovernorConfig::for_spec(&spec);
-        cfg.power_cap_w = cap_w;
         let variability = GpuVariability { power_efficiency: efficiency, cooling };
-        let mut gpu = GpuThermal::new(spec, thermal, cfg, variability, 26.0);
+        let mut bank = h200_bank(cap_w, variability, 1);
         // Runs of one `dt` broken by others, so the cached decay is both
         // reused and invalidated.
         let dts = [0.005, 0.005, 0.05, 1.0];
         for (kind, x, inlet, d) in steps {
             // NaN activity would leave every later step NaN: skip it here.
             let a = activity(if kind == 2 { 0 } else { kind }, x);
-            let before = gpu.temp_c();
-            let sample = gpu.step(a, inlet, dts[d]);
-            let want = temp_in_full(&thermal, before, sample.power_w, inlet, cooling, dts[d]);
-            prop_assert_eq!(sample.temp_c.to_bits(), want.to_bits());
-            prop_assert_eq!(gpu.temp_c().to_bits(), want.to_bits());
-            let power = power_in_full(&model(), a, gpu.freq_ratio(), efficiency);
-            prop_assert_eq!(sample.power_w.to_bits(), power.to_bits());
+            let before = bank.temp_c(0);
+            let power = bank.step(0, a, inlet, dts[d]);
+            let want = temp_in_full(&thermal, before, power, inlet, cooling, dts[d]);
+            prop_assert_eq!(bank.temp_c(0).to_bits(), want.to_bits());
+            let full = power_in_full(&model(), a, bank.freq_ratio(0), efficiency);
+            prop_assert_eq!(power.to_bits(), full.to_bits());
         }
     }
 
@@ -135,25 +150,23 @@ proptest! {
     ) {
         let pool = [0.0, -0.0, 0.38, 0.82, 1.0];
         let spec = GpuModel::H200.spec();
-        let thermal = ThermalSpec::for_model(GpuModel::H200);
-        let mut cfg = GovernorConfig::for_spec(&spec);
-        cfg.power_cap_w = cap_w;
         let variability = GpuVariability { power_efficiency: efficiency, cooling };
-        let mut gpu = GpuThermal::new(spec.clone(), thermal, cfg, variability, 26.0);
+        let mut bank = h200_bank(cap_w, variability, 1);
         // The governor stepped beside it with the cap ratio in full.
-        let mut governor = DvfsGovernor::new(&spec, cfg);
+        let cfg = h200_capped(cap_w).governor;
+        let mut governor = DvfsGovernor::new(&spec);
         let m = model();
         for (k, inlet) in steps {
             let a = pool[k];
-            let before = gpu.temp_c();
-            let sample = gpu.step(a, inlet, 0.005);
-            governor.update_with_cap(&spec, before, a, |cap_w| {
+            let before = bank.temp_c(0);
+            let power = bank.step(0, a, inlet, 0.005);
+            governor.update_with_cap(&spec, &cfg, before, a, |cap_w| {
                 cap_ratio_in_full(&m, a, cap_w, efficiency)
             });
-            prop_assert_eq!(sample.freq_mhz.to_bits(), governor.freq_mhz().to_bits());
+            prop_assert_eq!(bank.freq_mhz(0).to_bits(), governor.freq_mhz().to_bits());
             let ratio = governor.freq_mhz() / spec.boost_clock_mhz;
-            let power = power_in_full(&m, a, ratio, efficiency);
-            prop_assert_eq!(sample.power_w.to_bits(), power.to_bits());
+            let full = power_in_full(&m, a, ratio, efficiency);
+            prop_assert_eq!(power.to_bits(), full.to_bits());
         }
     }
 
@@ -163,57 +176,103 @@ proptest! {
         segments in collection::vec((20.0f64..50.0, 0usize..4, 1usize..24), 1..8),
         settle_inlet in 20.0f64..50.0,
         cap_w in 300.0f64..800.0,
+        // Whether GPU 2 is of a second class, so the one-class loop and
+        // the per-GPU one both run.
+        mixed in any::<bool>(),
         efficiency in 0.95f64..1.05,
         cooling in 0.95f64..1.1,
     ) {
-        let spec = GpuModel::H200.spec();
-        let thermal = ThermalSpec::for_model(GpuModel::H200);
-        let mut cfg = GovernorConfig::for_spec(&spec);
-        cfg.power_cap_w = cap_w;
         let variability = GpuVariability { power_efficiency: efficiency, cooling };
-        let mut gpu = GpuThermal::new(spec, thermal, cfg, variability, 26.0);
-        prop_assert!(!gpu.at_idle_fixed_point(), "a fresh GPU sits at boost");
+        let mut bank = ThermalBank::new(vec![h200_capped(cap_w), h200_capped(cap_w - 100.0)]);
+        bank.push(0, variability, 26.0);
+        bank.push(0, variability, 26.0);
+        bank.push(usize::from(mixed), GpuVariability::for_gpu(GpuId(2), 7), 26.0);
+        // GPU 0 is left alone once settled; GPUs 1 and 2 step as one range.
+        prop_assert!(!bank.at_idle_fixed_point(1), "a fresh GPU sits at boost");
         for (a, inlet) in busy {
-            gpu.step(a, inlet, 0.005);
+            for i in 0..3 {
+                bank.step(i, a, inlet, 0.005);
+            }
         }
         // The clock steps down at most boost − base per idle period, so
         // the fixed point comes within a handful of them.
         let mut settling = 0;
-        while !gpu.at_idle_fixed_point() {
-            gpu.step(0.0, settle_inlet, 0.005);
+        while !(1..3).all(|i| bank.at_idle_fixed_point(i)) {
+            for i in 0..3 {
+                bank.step(i, 0.0, settle_inlet, 0.005);
+            }
             settling += 1;
             prop_assert!(settling <= 16, "no idle fixed point after {} periods", settling);
         }
-        // Two GPUs in one batch, the flat one stepped as index 1; segments
-        // of one inlet and one `dt`, so the decay cache is both reused and
-        // invalidated.
+        // Segments of one inlet and one `dt`, so the decay cache is both
+        // reused and invalidated.
         let dts = [0.005, 0.005, 0.05, 1.0];
-        let untouched = gpu.clone();
-        let mut flat = vec![gpu.clone(), gpu.clone()];
-        let mut full = gpu;
-        let mut idle = IdleSteps::default();
+        let mut full = bank.clone();
         for (inlet, d, steps) in segments {
-            idle.load(&mut flat, [(1, inlet)], dts[d]);
+            let inlets = [inlet, inlet + 3.0];
             for _ in 0..steps {
-                let sample = full.step(0.0, inlet, dts[d]);
+                let want: Vec<(usize, u64)> = (1..3)
+                    .map(|i| (i, full.step(i, 0.0, inlets[i - 1], dts[d]).to_bits()))
+                    .collect();
                 let mut seen = Vec::new();
-                idle.step(|i, power| seen.push((i, power.to_bits())));
-                prop_assert_eq!(seen, vec![(1, sample.power_w.to_bits())]);
+                bank.idle_steps(1, inlets.into_iter(), dts[d], |i, power| {
+                    seen.push((i, power.to_bits()));
+                });
+                prop_assert_eq!(seen, want);
             }
-            idle.store(&mut flat);
-            let g = &flat[1];
-            for (a, b) in [
-                (g.temp_c(), full.temp_c()),
-                (g.energy_j(), full.energy_j()),
-                (g.power_w(), full.power_w()),
-                (g.freq_mhz(), full.freq_mhz()),
-            ] {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            for i in 1..3 {
+                for (a, b) in [
+                    (bank.temp_c(i), full.temp_c(i)),
+                    (bank.energy_j(i), full.energy_j(i)),
+                    (bank.power_w(i), full.power_w(i)),
+                    (bank.freq_mhz(i), full.freq_mhz(i)),
+                ] {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+                prop_assert!(bank.at_idle_fixed_point(i));
             }
-            // The governor's counters and cause and the decay cache too.
-            prop_assert!(g == &full);
-            prop_assert!(g.at_idle_fixed_point());
+            // The governors' counters and causes, the memos and GPU 0 too.
+            prop_assert!(bank == full);
         }
-        prop_assert!(flat[0] == untouched, "a GPU that was not loaded moved");
+    }
+
+    #[test]
+    fn a_bank_steps_each_gpu_as_a_bank_of_it_alone(
+        capped in collection::vec(any::<bool>(), 1..6),
+        seed in 0u64..1 << 32,
+        steps in collection::vec((0usize..7, 0.0f64..1.0, 20.0f64..50.0, 0usize..4), 1..48),
+        cap_w in 300.0f64..550.0,
+    ) {
+        // Two classes, the second under a binding cap, with the GPUs'
+        // classes drawn and their variability seeded per GPU; every GPU
+        // sees the same activity, so any memo or class read across GPUs
+        // shows as a wrong bit.
+        let classes = || vec![h200_capped(GpuModel::H200.spec().tdp_w), h200_capped(cap_w)];
+        let mut bank = ThermalBank::new(classes());
+        let mut alone: Vec<ThermalBank> = Vec::new();
+        for (g, &c) in capped.iter().enumerate() {
+            let variability = GpuVariability::for_gpu(GpuId(g as u32), seed);
+            bank.push(usize::from(c), variability, 26.0);
+            let mut one = ThermalBank::new(classes());
+            one.push(usize::from(c), variability, 26.0);
+            alone.push(one);
+        }
+        let dts = [0.005, 0.005, 0.05, 1.0];
+        for (kind, x, inlet, d) in steps {
+            let a = activity(if kind == 2 { 0 } else { kind }, x);
+            for (g, one) in alone.iter_mut().enumerate() {
+                let power = bank.step(g, a, inlet, dts[d]);
+                prop_assert_eq!(power.to_bits(), one.step(0, a, inlet, dts[d]).to_bits());
+                for (got, want) in [
+                    (bank.temp_c(g), one.temp_c(0)),
+                    (bank.energy_j(g), one.energy_j(0)),
+                    (bank.freq_mhz(g), one.freq_mhz(0)),
+                    (bank.throttle_ratio(g), one.throttle_ratio(0)),
+                    (bank.thermal_throttle_ratio(g), one.thermal_throttle_ratio(0)),
+                ] {
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 }
