@@ -66,6 +66,19 @@ pass="764419ad0b0cb41f 6d44430ee51f78ab 5d700951fc052a54 413526c17e6562ff \
     exit 1
 }
 
+echo "==> thermal figure shapes (fig17, fig18, fig19 benches)"
+for fig in fig17 fig18 fig19; do
+    out="$(cargo bench -p charllm-bench --bench "$fig")" || {
+        echo "FAIL: $fig no longer shows its thermal shape" >&2
+        exit 1
+    }
+    echo "$out" | grep -E "^(worst rear-vs-front|mean intra-package)" || true
+    echo "$out" | grep -q "^$fig shape: OK" || {
+        echo "FAIL: $fig did not certify its shape" >&2
+        exit 1
+    }
+done
+
 echo "==> 16k-GPU folded sweep smoke (scale_16k example)"
 out="$(cargo run --release --example scale_16k)"
 echo "$out" | grep "^wall budget:"

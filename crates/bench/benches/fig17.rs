@@ -31,6 +31,10 @@ fn main() {
             labels.push(r.parallelism.clone());
         }
     }
+    // GPUs that throttled in any row, before the rows are normalized.
+    let throttled: Vec<usize> = (0..cluster.num_gpus())
+        .filter(|&g| throttle_rows.iter().any(|row| row[g] > 0.0))
+        .collect();
     let temp = Heatmap::new(labels.clone(), cols.clone(), temp_rows);
     let throttle = Heatmap::new(labels, cols, throttle_rows).normalized_rows();
     println!("\n(a) average GPU temperature, deg C:");
@@ -73,4 +77,13 @@ fn main() {
          hotter — up to ~27% in the paper — and absorb most of the\n\
          throttling, with the imbalance worst in compute-dense deep-PP rows."
     );
+    assert!(worst_gap > 0.0, "no row runs its rear GPUs hotter");
+    assert!(!throttled.is_empty(), "no GPU throttled");
+    assert!(
+        throttled
+            .iter()
+            .all(|&g| airflow.is_rear(cluster.slot_of(charllm_hw::GpuId(g as u32)))),
+        "front GPUs throttled: {throttled:?}"
+    );
+    println!("fig17 shape: OK");
 }

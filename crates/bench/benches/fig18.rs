@@ -60,4 +60,9 @@ fn main() {
          (downstream die hotter), compounding with front-vs-rear package\n\
          placement; throttling follows the hotter dies."
     );
+    assert!(
+        (5.0..10.0).contains(&mean_skew),
+        "mean GCD skew {mean_skew:.2} C outside 5-10 C"
+    );
+    println!("fig18 shape: OK");
 }

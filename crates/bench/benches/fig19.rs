@@ -68,16 +68,23 @@ fn main() {
             let fp = avg_at(&front, i, false);
             let rp = avg_at(&rear, i, false);
             println!("{t:>8.1} {ft:>10.1} {rt:>10.1} {fp:>10.0} {rp:>10.0}");
+            assert!(
+                rt > ft,
+                "{name} at t {t:.1} s: rear {rt:.1} C not above front {ft:.1} C"
+            );
             series.push(serde_json::json!({
                 "t": t, "front_c": ft, "rear_c": rt, "front_w": fp, "rear_w": rp,
             }));
         }
         json.insert(name.to_string(), serde_json::Value::Array(series));
     }
+    let runs = json.len();
     save_json("fig19", &serde_json::Value::Object(json));
     println!(
         "\nExpected shape: rear GPUs run persistently hotter than front GPUs\n\
          for the whole session with no cooldown windows; power fluctuates\n\
          with the execution phases while the thermal gap endures."
     );
+    assert_eq!(runs, 2, "a fig19 run was skipped");
+    println!("fig19 shape: OK");
 }
