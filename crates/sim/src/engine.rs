@@ -2662,40 +2662,26 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// settled, as in an outage's idle phase: the same relaxation and
     /// energy through [`ThermalBank::idle_steps`], without the governor,
     /// power and rate work that would only reproduce what is there, and
-    /// their inlets as `fault_stall` brought them current. The observer
-    /// and the measured energy get each GPU's power as before, in the same
+    /// with the inlets `fault_stall` brought current. The observer and the
+    /// measured energy get each GPU's power as before, in the same
     /// tick-major, node/slot order.
     fn idle_control_update(&mut self) {
         let (t, period) = (self.t, self.cfg.control_period_s);
-        let cluster = self.cluster;
-        let slots = cluster.node_layout().airflow.num_slots();
         let measuring = self.measure_start.is_some();
-        // Summed in a local, in the same order: the field would be loaded
-        // and stored back once per GPU.
-        let mut energy_j = self.energy_measured_j;
-        let mut ni = 0;
-        while ni < self.active_nodes.len() {
-            // A run of consecutive nodes holds consecutive GPUs in node/slot
-            // order, stepped in one call: every node, unfolded.
-            let (run, first) = (ni, self.active_nodes[ni]);
-            while ni < self.active_nodes.len() && self.active_nodes[ni] == first + (ni - run) as u32
-            {
-                ni += 1;
-            }
-            let start = cluster.gpu_at(charllm_hw::NodeId(first), 0).index();
-            let gpus = start..start + (ni - run) * slots;
-            let inlets = self.inlet_c[gpus.clone()].iter().copied();
-            let obs = &mut self.obs;
-            self.bank.idle_steps(start, inlets, period, |gpu, power| {
-                obs.sample_tick(gpu as u32, t, power, period, measuring);
+        // Outages run only unfolded (`fold::split_reason` refuses a fault
+        // plan), so every GPU is stepped, and GPU order is node/slot order.
+        debug_assert_eq!(self.active_gpus.len(), self.bank.len());
+        let obs = &mut self.obs;
+        let inlets = self.inlet_c.iter().copied();
+        self.bank.idle_steps(inlets, period, |gpu, power| {
+            obs.sample_tick(gpu as u32, t, power, period, measuring);
+        });
+        if measuring {
+            let bank = &self.bank;
+            self.energy_measured_j = (0..bank.len()).fold(self.energy_measured_j, |e, gpu| {
+                e + bank.power_w(gpu) * period
             });
-            if measuring {
-                for gpu in gpus {
-                    energy_j += self.bank.power_w(gpu) * period;
-                }
-            }
         }
-        self.energy_measured_j = energy_j;
         self.finish_control_tick();
     }
 

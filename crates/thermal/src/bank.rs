@@ -232,44 +232,56 @@ impl ThermalBank {
             && self.power_w[i].to_bits() == class.power.idle_w.to_bits()
     }
 
-    /// [`ThermalBank::step`] at zero activity for GPUs at their idle fixed
-    /// points: GPUs `first`, `first + 1`, … in turn, one per inlet
-    /// temperature of `inlets`, each handed with its power to `each`. Only
-    /// the relaxation and the energy move, so only they are computed, with
+    /// [`ThermalBank::step`] at zero activity for every GPU, each at its
+    /// idle fixed point: GPU `i` in index order with the `i`th inlet
+    /// temperature of `inlets`, handed with its power to `each`. Only the
+    /// relaxation and the energy move, so only they are computed, with
     /// the bits `step(i, 0.0, inlet_c, dt_s)` gives.
     ///
     /// # Panics
     ///
-    /// Panics if `inlets` runs past the last GPU.
+    /// Panics unless `inlets` holds one inlet per GPU.
     #[inline]
     pub fn idle_steps(
         &mut self,
-        first: usize,
         inlets: impl ExactSizeIterator<Item = f64>,
         dt_s: f64,
         mut each: impl FnMut(usize, f64),
     ) {
-        let gpus = first..first + inlets.len();
+        assert_eq!(inlets.len(), self.len(), "one inlet per GPU");
         debug_assert!(
-            gpus.clone().all(|i| self.at_idle_fixed_point(i)),
+            (0..self.len()).all(|i| self.at_idle_fixed_point(i)),
             "a GPU is not at its idle fixed point"
         );
         // Both checks fold without branching, so they run as vector code.
         let dt_bits = dt_s.to_bits();
-        let stale = (self.decay_dt[gpus.clone()].iter())
-            .fold(false, |stale, dt| stale | (dt.to_bits() != dt_bits));
+        let stale =
+            (self.decay_dt.iter()).fold(false, |stale, dt| stale | (dt.to_bits() != dt_bits));
         if stale {
-            for i in gpus.clone() {
+            for i in 0..self.len() {
                 let thermal = &self.classes[self.class[i] as usize].thermal;
                 let (dt, decay) = (&mut self.decay_dt[i], &mut self.decay[i]);
                 cached_decay(thermal, self.cooling[i], dt_s, dt, decay);
             }
         }
-        let class = self.class[first];
-        let one_class = self.classes.len() == 1
-            || (self.class[gpus.clone()].iter()).fold(true, |one, &c| one & (c == class));
-        if !one_class {
-            for (i, inlet_c) in gpus.zip(inlets) {
+        if let [class] = &self.classes[..] {
+            // One class, the case to be quick in: its RC spec is read once,
+            // and the loop runs over the flat columns alone, as vector code.
+            let thermal = class.thermal;
+            let columns = (self.temp_c.iter_mut())
+                .zip(&mut self.energy_j)
+                .zip(&self.power_w)
+                .zip(&self.cooling)
+                .zip(&self.decay);
+            for (i, (((((temp, energy), &power), &cooling), &decay), inlet_c)) in
+                columns.zip(inlets).enumerate()
+            {
+                *temp = thermal.relax(*temp, power, inlet_c, cooling, decay);
+                *energy += power * dt_s;
+                each(i, power);
+            }
+        } else {
+            for (i, inlet_c) in inlets.enumerate() {
                 let thermal = &self.classes[self.class[i] as usize].thermal;
                 let (power, cooling) = (self.power_w[i], self.cooling[i]);
                 self.temp_c[i] =
@@ -277,22 +289,6 @@ impl ThermalBank {
                 self.energy_j[i] += power * dt_s;
                 each(i, power);
             }
-            return;
-        }
-        // One class, the case to be quick in: its RC spec is read once, and
-        // the loop runs over the flat columns alone, as vector code.
-        let thermal = self.classes[class as usize].thermal;
-        let columns = (self.temp_c[gpus.clone()].iter_mut())
-            .zip(&mut self.energy_j[gpus.clone()])
-            .zip(&self.power_w[gpus.clone()])
-            .zip(&self.cooling[gpus.clone()])
-            .zip(&self.decay[gpus.clone()]);
-        for ((((((temp, energy), &power), &cooling), &decay), inlet_c), i) in
-            columns.zip(inlets).zip(gpus)
-        {
-            *temp = thermal.relax(*temp, power, inlet_c, cooling, decay);
-            *energy += power * dt_s;
-            each(i, power);
         }
     }
 }

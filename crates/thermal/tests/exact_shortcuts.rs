@@ -176,19 +176,22 @@ proptest! {
         segments in collection::vec((20.0f64..50.0, 0usize..4, 1usize..24), 1..8),
         settle_inlet in 20.0f64..50.0,
         cap_w in 300.0f64..800.0,
-        // Whether GPU 2 is of a second class, so the one-class loop and
-        // the per-GPU one both run.
+        // Whether GPU 2 is of a second class: `idle_steps` has one loop
+        // for a one-class bank and one for more.
         mixed in any::<bool>(),
         efficiency in 0.95f64..1.05,
         cooling in 0.95f64..1.1,
     ) {
         let variability = GpuVariability { power_efficiency: efficiency, cooling };
-        let mut bank = ThermalBank::new(vec![h200_capped(cap_w), h200_capped(cap_w - 100.0)]);
+        let mut classes = vec![h200_capped(cap_w)];
+        if mixed {
+            classes.push(h200_capped(cap_w - 100.0));
+        }
+        let mut bank = ThermalBank::new(classes);
         bank.push(0, variability, 26.0);
-        bank.push(0, variability, 26.0);
+        bank.push(0, GpuVariability::for_gpu(GpuId(1), 7), 26.0);
         bank.push(usize::from(mixed), GpuVariability::for_gpu(GpuId(2), 7), 26.0);
-        // GPU 0 is left alone once settled; GPUs 1 and 2 step as one range.
-        prop_assert!(!bank.at_idle_fixed_point(1), "a fresh GPU sits at boost");
+        prop_assert!(!bank.at_idle_fixed_point(0), "a fresh GPU sits at boost");
         for (a, inlet) in busy {
             for i in 0..3 {
                 bank.step(i, a, inlet, 0.005);
@@ -197,7 +200,7 @@ proptest! {
         // The clock steps down at most boost − base per idle period, so
         // the fixed point comes within a handful of them.
         let mut settling = 0;
-        while !(1..3).all(|i| bank.at_idle_fixed_point(i)) {
+        while !(0..3).all(|i| bank.at_idle_fixed_point(i)) {
             for i in 0..3 {
                 bank.step(i, 0.0, settle_inlet, 0.005);
             }
@@ -209,18 +212,18 @@ proptest! {
         let dts = [0.005, 0.005, 0.05, 1.0];
         let mut full = bank.clone();
         for (inlet, d, steps) in segments {
-            let inlets = [inlet, inlet + 3.0];
+            let inlets = [inlet, inlet + 3.0, inlet - 2.0];
             for _ in 0..steps {
-                let want: Vec<(usize, u64)> = (1..3)
-                    .map(|i| (i, full.step(i, 0.0, inlets[i - 1], dts[d]).to_bits()))
+                let want: Vec<(usize, u64)> = (0..3)
+                    .map(|i| (i, full.step(i, 0.0, inlets[i], dts[d]).to_bits()))
                     .collect();
                 let mut seen = Vec::new();
-                bank.idle_steps(1, inlets.into_iter(), dts[d], |i, power| {
+                bank.idle_steps(inlets.into_iter(), dts[d], |i, power| {
                     seen.push((i, power.to_bits()));
                 });
                 prop_assert_eq!(seen, want);
             }
-            for i in 1..3 {
+            for i in 0..3 {
                 for (a, b) in [
                     (bank.temp_c(i), full.temp_c(i)),
                     (bank.energy_j(i), full.energy_j(i)),
@@ -231,7 +234,7 @@ proptest! {
                 }
                 prop_assert!(bank.at_idle_fixed_point(i));
             }
-            // The governors' counters and causes, the memos and GPU 0 too.
+            // The governors' counters and causes and the memos too.
             prop_assert!(bank == full);
         }
     }
