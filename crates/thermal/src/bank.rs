@@ -253,7 +253,7 @@ impl ThermalBank {
             (0..self.len()).all(|i| self.at_idle_fixed_point(i)),
             "a GPU is not at its idle fixed point"
         );
-        // Both checks fold without branching, so they run as vector code.
+        // The check folds without branching, so it runs as vector code.
         let dt_bits = dt_s.to_bits();
         let stale =
             (self.decay_dt.iter()).fold(false, |stale, dt| stale | (dt.to_bits() != dt_bits));
