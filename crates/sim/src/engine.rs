@@ -869,12 +869,11 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     /// Every GPU's temperature, power, energy and governor state.
     bank: ThermalBank,
     freq_ratio: Vec<f64>,
-    /// Each GPU's inlet temperature: its airflow inlet, computed from its
-    /// node's GPU powers, plus its runaway offset, as of when either last
-    /// changed.
+    /// Each GPU's airflow inlet temperature (before any runaway offset),
+    /// computed from its node's GPU powers when they last changed.
     inlet_c: Vec<f64>,
-    /// Per `active_nodes` entry: whether a GPU's power or runaway offset
-    /// changed bits since the node's `inlet_c` was computed.
+    /// Per `active_nodes` entry: whether a GPU's power changed bits since
+    /// the node's `inlet_c` was computed.
     inlet_stale: Vec<bool>,
     /// Scratch: one node's GPU powers in slot order, refilled per node
     /// whose inlets are recomputed.
@@ -1463,10 +1462,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             FaultAction::HeatGpu { gpu, delta_c } => {
                 self.obs
                     .fault_begin(ev.fault, "thermal-runaway", gpu, self.t);
-                self.set_inlet_offset(gpu, delta_c);
+                self.inlet_offset_c[gpu as usize] = delta_c;
             }
             FaultAction::CoolGpu { gpu } => {
-                self.set_inlet_offset(gpu, 0.0);
+                self.inlet_offset_c[gpu as usize] = 0.0;
                 self.obs.fault_end(ev.fault, self.t);
             }
             FaultAction::FailStop { gpu } => {
@@ -2581,7 +2580,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             for slot in 0..slots {
                 let gpu = cluster.gpu_at(node, slot).index();
                 let activity = (self.activity_acc[gpu] / period).min(1.0);
-                let inlet = self.inlet_c[gpu];
+                let inlet = self.inlet_c[gpu] + self.inlet_offset_c[gpu];
                 let before = self.bank.power_w(gpu);
                 let power = self.bank.step(gpu, activity, inlet, period);
                 // With feedback disabled the physics still run (for power
@@ -2609,10 +2608,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         self.finish_control_tick();
     }
 
-    /// Recompute the inlets of `active_nodes[ni]` from its GPUs' powers and
-    /// runaway offsets if one changed since they were last computed. The
-    /// inlet is a pure function of those, so a cached one has the bits a
-    /// fresh one would.
+    /// Recompute the airflow inlets of `active_nodes[ni]` from its GPUs'
+    /// powers if one changed since they were last computed. The inlet is a
+    /// pure function of those powers, so a cached one has the bits a fresh
+    /// one would.
     #[inline]
     fn refresh_inlets(&mut self, ni: usize) {
         if !self.inlet_stale[ni] {
@@ -2628,19 +2627,8 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 .push(self.bank.power_w(cluster.gpu_at(node, s).index()));
         }
         for s in 0..airflow.num_slots() {
-            let gpu = cluster.gpu_at(node, s).index();
-            self.inlet_c[gpu] =
-                airflow.inlet_temp_c(s, &self.node_powers) + self.inlet_offset_c[gpu];
-        }
-    }
-
-    /// Set `gpu`'s runaway inlet offset, so its node's inlets are
-    /// recomputed before the next step reads them.
-    fn set_inlet_offset(&mut self, gpu: u32, delta_c: f64) {
-        self.inlet_offset_c[gpu as usize] = delta_c;
-        let node = self.cluster.node_of(GpuId(gpu)).0;
-        if let Some(ni) = self.active_nodes.iter().position(|&n| n == node) {
-            self.inlet_stale[ni] = true;
+            self.inlet_c[cluster.gpu_at(node, s).index()] =
+                airflow.inlet_temp_c(s, &self.node_powers);
         }
     }
 
@@ -2672,7 +2660,9 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // plan), so every GPU is stepped, and GPU order is node/slot order.
         debug_assert_eq!(self.active_gpus.len(), self.bank.len());
         let obs = &mut self.obs;
-        let inlets = self.inlet_c.iter().copied();
+        let inlets = (self.inlet_c.iter())
+            .zip(&self.inlet_offset_c)
+            .map(|(inlet, offset)| inlet + offset);
         self.bank.idle_steps(inlets, period, |gpu, power| {
             obs.sample_tick(gpu as u32, t, power, period, measuring);
         });
