@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use charllm_hw::{Cluster, NodeId};
-use charllm_thermal::{GovernorConfig, GpuClass, GpuVariability, ThermalBank};
+use charllm_thermal::{GovernorConfig, GpuVariability, ThermalBank};
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
@@ -85,15 +85,14 @@ impl SimConfig {
         if let Some(cap_w) = self.gpu_power_cap_w {
             governor.power_cap_w = cap_w;
         }
-        let mut classes = vec![GpuClass::new(spec.clone(), governor)];
+        let mut governors = vec![governor];
         if let Some((_, power_cap_w)) = self.node_power_cap {
-            let capped = GovernorConfig {
+            governors.push(GovernorConfig {
                 power_cap_w,
                 ..governor
-            };
-            classes.push(GpuClass::new(spec.clone(), capped));
+            });
         }
-        let mut bank = ThermalBank::new(classes);
+        let mut bank = ThermalBank::new(spec.clone(), governors);
         let airflow = &cluster.node_layout().airflow;
         let loaded = vec![spec.tdp_w * 0.85; airflow.num_slots()];
         for gpu in cluster.gpus() {

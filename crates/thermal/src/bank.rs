@@ -8,65 +8,38 @@ use crate::power::PowerModel;
 use crate::rc::ThermalSpec;
 use crate::variability::GpuVariability;
 
-/// What GPUs of one kind share: device spec, RC model, power model and
-/// governor config.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GpuClass {
-    /// The device spec.
-    pub spec: GpuSpec,
-    /// The RC thermal model of the spec's device.
-    pub thermal: ThermalSpec,
-    /// The board power model of the spec.
-    pub power: PowerModel,
-    /// The DVFS governor's tuning and power cap.
-    pub governor: GovernorConfig,
-}
-
-impl GpuClass {
-    /// The class of `spec`'s device under `governor`.
-    pub fn new(spec: GpuSpec, governor: GovernorConfig) -> Self {
-        GpuClass {
-            thermal: ThermalSpec::for_model(spec.model),
-            power: PowerModel::for_spec(&spec),
-            governor,
-            spec,
-        }
-    }
-}
-
-/// The live thermal/power/DVFS state of a set of GPUs.
+/// The live thermal/power/DVFS state of a set of GPUs of one device.
 ///
-/// What is fixed per kind of GPU is stored once, in a table of
-/// [`GpuClass`]es. What moves is stored per GPU, in columns indexed by the
-/// GPU's position in the bank: flat columns for what every step relaxes
-/// (temperature, power, energy, the cooling factor and the cached decay),
-/// and one column of governor and power-model state that only a busy step
-/// moves. Both engines step their GPUs through [`ThermalBank::step`];
-/// [`ThermalBank::idle_steps`] is its shortcut for GPUs at their idle
-/// fixed points, a loop over the flat columns alone.
+/// The device spec, its RC model and its power model are stored once. GPUs
+/// differ in governor config only by their class, an index into a table
+/// of [`GovernorConfig`]s (one class in practice, two under a node power
+/// cap). What moves is stored per GPU, indexed by the GPU's position in
+/// the bank, in two records: what only a busy step reads or moves (class,
+/// efficiency, governor, memos), and what every step relaxes (temperature,
+/// power, energy, the cooling factor and the decay). Both engines step
+/// their GPUs through [`ThermalBank::step`]; [`ThermalBank::idle_steps`]
+/// is its shortcut for GPUs at their idle fixed points, a loop over the
+/// second records alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalBank {
-    classes: Vec<GpuClass>,
-    /// Each GPU's index into the class table.
-    class: Vec<u32>,
-    /// Each GPU's [`GpuVariability::cooling`].
-    cooling: Vec<f64>,
-    temp_c: Vec<f64>,
-    /// Board power over the last step, watts.
-    power_w: Vec<f64>,
-    energy_j: Vec<f64>,
-    /// Each GPU's `exp(-dt/τ)` at the `dt` of its last step, `decay_dt`
-    /// (∞ before the first). The engines step with one `dt` (the control
-    /// period), so the exponential is taken once per run instead of once
-    /// per tick.
-    decay_dt: Vec<f64>,
-    decay: Vec<f64>,
-    dvfs: Vec<DvfsState>,
+    spec: GpuSpec,
+    thermal: ThermalSpec,
+    power: PowerModel,
+    /// The governor config of each class.
+    governors: Vec<GovernorConfig>,
+    /// The `dt` every GPU's `exp(-dt/τ)` was taken at (∞ before the first
+    /// step). The engines step with one `dt` (the control period), so the
+    /// exponentials are taken once per run instead of once per tick.
+    decay_dt: f64,
+    busy: Vec<BusyState>,
+    rc: Vec<RcState>,
 }
 
-/// One GPU's governor and power-model state.
+/// What of one GPU only a busy step reads or moves.
 #[derive(Debug, Clone, PartialEq)]
-struct DvfsState {
+struct BusyState {
+    /// The GPU's index into the governor config table.
+    class: u32,
     /// The GPU's [`GpuVariability::power_efficiency`].
     efficiency: f64,
     governor: DvfsGovernor,
@@ -79,144 +52,151 @@ struct DvfsState {
     cap_memo: Option<(u64, f64)>,
 }
 
+/// What of one GPU every step relaxes or reads.
+#[derive(Debug, Clone, PartialEq)]
+struct RcState {
+    /// The GPU's [`GpuVariability::cooling`].
+    cooling: f64,
+    temp_c: f64,
+    /// Board power over the last step, watts.
+    power_w: f64,
+    energy_j: f64,
+    /// `exp(-dt/τ)` at the bank's `decay_dt`.
+    decay: f64,
+}
+
 impl ThermalBank {
-    /// An empty bank over a class table.
-    pub fn new(classes: Vec<GpuClass>) -> Self {
+    /// An empty bank of `spec`'s device, with one class per governor
+    /// config.
+    pub fn new(spec: GpuSpec, governors: Vec<GovernorConfig>) -> Self {
         ThermalBank {
-            classes,
-            class: Vec::new(),
-            cooling: Vec::new(),
-            temp_c: Vec::new(),
-            power_w: Vec::new(),
-            energy_j: Vec::new(),
-            decay_dt: Vec::new(),
-            decay: Vec::new(),
-            dvfs: Vec::new(),
+            thermal: ThermalSpec::for_model(spec.model),
+            power: PowerModel::for_spec(&spec),
+            spec,
+            governors,
+            decay_dt: f64::INFINITY,
+            busy: Vec::new(),
+            rc: Vec::new(),
         }
     }
 
-    /// Add a GPU of `classes[class]` at idle in equilibrium with the given
-    /// inlet temperature, and return its index.
+    /// Add a GPU under governor config `governors[class]` at idle in
+    /// equilibrium with the given inlet temperature, and return its index.
     ///
     /// # Panics
     ///
-    /// Panics if `class` is not an index into the class table.
+    /// Panics if `class` is not an index into the governor config table.
     pub fn push(&mut self, class: usize, variability: GpuVariability, inlet_c: f64) -> usize {
-        let c = &self.classes[class];
+        assert!(class < self.governors.len(), "no governor config {class}");
         let GpuVariability {
             power_efficiency: efficiency,
             cooling,
         } = variability;
-        let power_w = c.power.power_w(0.0, 1.0, efficiency);
-        self.class.push(class as u32);
-        self.cooling.push(cooling);
-        self.temp_c
-            .push(c.thermal.steady_state_c(power_w, inlet_c, cooling));
-        self.power_w.push(power_w);
-        self.energy_j.push(0.0);
-        self.decay_dt.push(f64::INFINITY);
-        self.decay.push(c.thermal.decay(cooling, f64::INFINITY));
-        self.dvfs.push(DvfsState {
+        let power_w = self.power.power_w(0.0, 1.0, efficiency);
+        self.busy.push(BusyState {
+            class: class as u32,
             efficiency,
-            governor: DvfsGovernor::new(&c.spec),
+            governor: DvfsGovernor::new(&self.spec),
             power_memo: None,
             cap_memo: None,
         });
-        self.class.len() - 1
+        self.rc.push(RcState {
+            cooling,
+            temp_c: self.thermal.steady_state_c(power_w, inlet_c, cooling),
+            power_w,
+            energy_j: 0.0,
+            decay: self.thermal.decay(cooling, self.decay_dt),
+        });
+        self.rc.len() - 1
     }
 
     /// Number of GPUs in the bank.
     pub fn len(&self) -> usize {
-        self.class.len()
+        self.rc.len()
     }
 
     /// Whether the bank holds no GPU.
     pub fn is_empty(&self) -> bool {
-        self.class.is_empty()
-    }
-
-    /// GPU `i`'s class.
-    fn class(&self, i: usize) -> &GpuClass {
-        &self.classes[self.class[i] as usize]
+        self.rc.is_empty()
     }
 
     /// GPU `i`'s junction temperature, °C.
     pub fn temp_c(&self, i: usize) -> f64 {
-        self.temp_c[i]
+        self.rc[i].temp_c
     }
 
     /// GPU `i`'s board power over its last step, watts.
     pub fn power_w(&self, i: usize) -> f64 {
-        self.power_w[i]
+        self.rc[i].power_w
     }
 
     /// Energy GPU `i` has consumed so far, joules.
     pub fn energy_j(&self, i: usize) -> f64 {
-        self.energy_j[i]
+        self.rc[i].energy_j
     }
 
     /// Energy every GPU has consumed so far, summed in index order, joules.
     pub fn total_energy_j(&self) -> f64 {
-        self.energy_j.iter().sum()
+        self.rc.iter().map(|rc| rc.energy_j).sum()
     }
 
     /// GPU `i`'s core clock, MHz.
     pub fn freq_mhz(&self, i: usize) -> f64 {
-        self.dvfs[i].governor.freq_mhz()
+        self.busy[i].governor.freq_mhz()
     }
 
     /// GPU `i`'s clock as a fraction of boost (the compute-rate multiplier).
     pub fn freq_ratio(&self, i: usize) -> f64 {
-        self.freq_mhz(i) / self.class(i).spec.boost_clock_mhz
+        self.freq_mhz(i) / self.spec.boost_clock_mhz
     }
 
     /// Fraction of GPU `i`'s busy periods spent throttled.
     pub fn throttle_ratio(&self, i: usize) -> f64 {
-        self.dvfs[i].governor.throttle_ratio()
+        self.busy[i].governor.throttle_ratio()
     }
 
     /// Fraction of GPU `i`'s busy periods spent thermally throttled.
     pub fn thermal_throttle_ratio(&self, i: usize) -> f64 {
-        self.dvfs[i].governor.thermal_throttle_ratio()
+        self.busy[i].governor.thermal_throttle_ratio()
     }
 
     /// Advance GPU `i` one control period of `dt_s` seconds with the given
     /// kernel `activity` (0..1) and effective inlet temperature, and return
     /// its board power over the period.
+    ///
+    /// A `dt_s` other than the last step's retakes every GPU's decay, so a
+    /// bank is meant to be stepped at one `dt` for long runs.
     #[inline]
     pub fn step(&mut self, i: usize, activity: f64, inlet_c: f64, dt_s: f64) -> f64 {
-        let class = &self.classes[self.class[i] as usize];
-        let (d, temp) = (&mut self.dvfs[i], &mut self.temp_c[i]);
-        let eff = d.efficiency;
-        let cap_memo = &mut d.cap_memo;
-        d.governor
-            .update_with_cap(&class.spec, &class.governor, *temp, activity, |cap_w| {
+        self.set_decay_dt(dt_s);
+        let (b, rc) = (&mut self.busy[i], &mut self.rc[i]);
+        let (eff, power_model) = (b.efficiency, &self.power);
+        let cap_memo = &mut b.cap_memo;
+        let cfg = &self.governors[b.class as usize];
+        b.governor
+            .update_with_cap(&self.spec, cfg, rc.temp_c, activity, |cap_w| {
                 let key = activity.to_bits();
                 match *cap_memo {
                     Some((k, ratio)) if k == key => ratio,
                     _ => {
-                        let ratio = class.power.freq_ratio_for_cap(activity, cap_w, eff);
+                        let ratio = power_model.freq_ratio_for_cap(activity, cap_w, eff);
                         *cap_memo = Some((key, ratio));
                         ratio
                     }
                 }
             });
-        let freq_ratio = d.governor.freq_mhz() / class.spec.boost_clock_mhz;
+        let freq_ratio = b.governor.freq_mhz() / self.spec.boost_clock_mhz;
         let key = (activity.to_bits(), freq_ratio.to_bits());
-        let power = match d.power_memo {
+        let power = match b.power_memo {
             Some((k, power)) if k == key => power,
             _ => {
-                let power = class.power.power_w(activity, freq_ratio, eff);
-                d.power_memo = Some((key, power));
+                let power = power_model.power_w(activity, freq_ratio, eff);
+                b.power_memo = Some((key, power));
                 power
             }
         };
-        self.power_w[i] = power;
-        let cooling = self.cooling[i];
-        let (dt, decay) = (&mut self.decay_dt[i], &mut self.decay[i]);
-        let decay = cached_decay(&class.thermal, cooling, dt_s, dt, decay);
-        *temp = class.thermal.relax(*temp, power, inlet_c, cooling, decay);
-        self.energy_j[i] += power * dt_s;
+        rc.power_w = power;
+        rc.relax(&self.thermal, inlet_c, dt_s);
         power
     }
 
@@ -225,11 +205,10 @@ impl ThermalBank {
     /// are: the clock has settled at its idle floor and the power at idle
     /// power. An idle GPU gets there within a few control periods.
     pub fn at_idle_fixed_point(&self, i: usize) -> bool {
-        let class = self.class(i);
-        self.dvfs[i]
-            .governor
-            .at_idle_fixed_point(&class.spec, &class.governor)
-            && self.power_w[i].to_bits() == class.power.idle_w.to_bits()
+        let b = &self.busy[i];
+        b.governor
+            .at_idle_fixed_point(&self.spec, &self.governors[b.class as usize])
+            && self.rc[i].power_w.to_bits() == self.power.idle_w.to_bits()
     }
 
     /// [`ThermalBank::step`] at zero activity for every GPU, each at its
@@ -253,61 +232,39 @@ impl ThermalBank {
             (0..self.len()).all(|i| self.at_idle_fixed_point(i)),
             "a GPU is not at its idle fixed point"
         );
-        // The check folds without branching, so it runs as vector code.
-        let dt_bits = dt_s.to_bits();
-        let stale =
-            (self.decay_dt.iter()).fold(false, |stale, dt| stale | (dt.to_bits() != dt_bits));
-        if stale {
-            for i in 0..self.len() {
-                let thermal = &self.classes[self.class[i] as usize].thermal;
-                let (dt, decay) = (&mut self.decay_dt[i], &mut self.decay[i]);
-                cached_decay(thermal, self.cooling[i], dt_s, dt, decay);
-            }
+        self.set_decay_dt(dt_s);
+        for (i, (rc, inlet_c)) in self.rc.iter_mut().zip(inlets).enumerate() {
+            rc.relax(&self.thermal, inlet_c, dt_s);
+            each(i, rc.power_w);
         }
-        if let [class] = &self.classes[..] {
-            // One class, the case to be quick in: its RC spec is read once,
-            // and the loop runs over the flat columns alone, as vector code.
-            let thermal = class.thermal;
-            let columns = (self.temp_c.iter_mut())
-                .zip(&mut self.energy_j)
-                .zip(&self.power_w)
-                .zip(&self.cooling)
-                .zip(&self.decay);
-            for (i, (((((temp, energy), &power), &cooling), &decay), inlet_c)) in
-                columns.zip(inlets).enumerate()
-            {
-                *temp = thermal.relax(*temp, power, inlet_c, cooling, decay);
-                *energy += power * dt_s;
-                each(i, power);
-            }
-        } else {
-            for (i, inlet_c) in inlets.enumerate() {
-                let thermal = &self.classes[self.class[i] as usize].thermal;
-                let (power, cooling) = (self.power_w[i], self.cooling[i]);
-                self.temp_c[i] =
-                    thermal.relax(self.temp_c[i], power, inlet_c, cooling, self.decay[i]);
-                self.energy_j[i] += power * dt_s;
-                each(i, power);
-            }
+    }
+
+    /// Retake every GPU's `exp(-dt/τ)` unless it was taken at the bits of
+    /// `dt_s`.
+    #[inline]
+    fn set_decay_dt(&mut self, dt_s: f64) {
+        if self.decay_dt.to_bits() != dt_s.to_bits() {
+            self.retake_decays(dt_s);
+        }
+    }
+
+    #[cold]
+    fn retake_decays(&mut self, dt_s: f64) {
+        self.decay_dt = dt_s;
+        for rc in &mut self.rc {
+            rc.decay = self.thermal.decay(rc.cooling, dt_s);
         }
     }
 }
 
-/// `exp(-dt_s/τ)` at a cooling factor, reusing `decay` while `dt_s` has the
-/// bits of `dt`, the step it was taken at.
-#[inline]
-fn cached_decay(
-    thermal: &ThermalSpec,
-    cooling: f64,
-    dt_s: f64,
-    dt: &mut f64,
-    decay: &mut f64,
-) -> f64 {
-    if dt.to_bits() != dt_s.to_bits() {
-        *decay = thermal.decay(cooling, dt_s);
-        *dt = dt_s;
+impl RcState {
+    /// Relax the temperature one step of `dt_s` toward the steady state at
+    /// the power and inlet, and integrate the power.
+    #[inline]
+    fn relax(&mut self, thermal: &ThermalSpec, inlet_c: f64, dt_s: f64) {
+        self.temp_c = thermal.relax(self.temp_c, self.power_w, inlet_c, self.cooling, self.decay);
+        self.energy_j += self.power_w * dt_s;
     }
-    *decay
 }
 
 #[cfg(test)]
@@ -319,7 +276,7 @@ mod tests {
     fn bank(gpus: &[(f64, GpuVariability)]) -> ThermalBank {
         let spec = GpuModel::H200.spec();
         let cfg = GovernorConfig::for_spec(&spec);
-        let mut bank = ThermalBank::new(vec![GpuClass::new(spec, cfg)]);
+        let mut bank = ThermalBank::new(spec, vec![cfg]);
         for &(inlet, variability) in gpus {
             bank.push(0, variability, inlet);
         }

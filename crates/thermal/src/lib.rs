@@ -12,8 +12,10 @@
 //!   clock-throttling heatmaps (Figs. 17b/18b) and straggler formation;
 //! - [`variability`]: deterministic per-GPU silicon/cooling variability;
 //! - [`bank`]: every GPU's live state, stepped by the simulator: the spec,
-//!   RC model, power model and governor config once per [`GpuClass`], the
-//!   temperature, power, energy, clock and memos in per-GPU columns.
+//!   RC model and power model once, the governor config once per class,
+//!   and per GPU one record of what every step relaxes (temperature,
+//!   power, energy) and one of what only a busy step moves (clock,
+//!   counters, memos).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +26,7 @@ pub mod power;
 pub mod rc;
 pub mod variability;
 
-pub use bank::{GpuClass, ThermalBank};
+pub use bank::ThermalBank;
 pub use governor::{DvfsGovernor, GovernorConfig};
 pub use power::PowerModel;
 pub use rc::ThermalSpec;

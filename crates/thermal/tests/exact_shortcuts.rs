@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use charllm_hw::{GpuId, GpuModel};
 use charllm_thermal::{
-    DvfsGovernor, GovernorConfig, GpuClass, GpuVariability, PowerModel, ThermalBank, ThermalSpec,
+    DvfsGovernor, GovernorConfig, GpuVariability, PowerModel, ThermalBank, ThermalSpec,
 };
 
 /// An activity drawn from the edge cases as well as the unit interval:
@@ -31,18 +31,17 @@ fn model() -> PowerModel {
     PowerModel::for_spec(&GpuModel::H200.spec())
 }
 
-/// An H200 class under a power cap of `cap_w`.
-fn h200_capped(cap_w: f64) -> GpuClass {
-    let spec = GpuModel::H200.spec();
-    let mut cfg = GovernorConfig::for_spec(&spec);
+/// The H200 governor config under a power cap of `cap_w`.
+fn h200_capped(cap_w: f64) -> GovernorConfig {
+    let mut cfg = GovernorConfig::for_spec(&GpuModel::H200.spec());
     cfg.power_cap_w = cap_w;
-    GpuClass::new(spec, cfg)
+    cfg
 }
 
 /// A bank of `count` GPUs of one H200 class at `cap_w`, alike in
 /// `variability`, starting at a 26 °C inlet.
 fn h200_bank(cap_w: f64, variability: GpuVariability, count: usize) -> ThermalBank {
-    let mut bank = ThermalBank::new(vec![h200_capped(cap_w)]);
+    let mut bank = ThermalBank::new(GpuModel::H200.spec(), vec![h200_capped(cap_w)]);
     for _ in 0..count {
         bank.push(0, variability, 26.0);
     }
@@ -153,7 +152,7 @@ proptest! {
         let variability = GpuVariability { power_efficiency: efficiency, cooling };
         let mut bank = h200_bank(cap_w, variability, 1);
         // The governor stepped beside it with the cap ratio in full.
-        let cfg = h200_capped(cap_w).governor;
+        let cfg = h200_capped(cap_w);
         let mut governor = DvfsGovernor::new(&spec);
         let m = model();
         for (k, inlet) in steps {
@@ -176,18 +175,17 @@ proptest! {
         segments in collection::vec((20.0f64..50.0, 0usize..4, 1usize..24), 1..8),
         settle_inlet in 20.0f64..50.0,
         cap_w in 300.0f64..800.0,
-        // Whether GPU 2 is of a second class: `idle_steps` has one loop
-        // for a one-class bank and one for more.
+        // Whether GPU 2 is of a second class, under a lower cap.
         mixed in any::<bool>(),
         efficiency in 0.95f64..1.05,
         cooling in 0.95f64..1.1,
     ) {
         let variability = GpuVariability { power_efficiency: efficiency, cooling };
-        let mut classes = vec![h200_capped(cap_w)];
+        let mut governors = vec![h200_capped(cap_w)];
         if mixed {
-            classes.push(h200_capped(cap_w - 100.0));
+            governors.push(h200_capped(cap_w - 100.0));
         }
-        let mut bank = ThermalBank::new(classes);
+        let mut bank = ThermalBank::new(GpuModel::H200.spec(), governors);
         bank.push(0, variability, 26.0);
         bank.push(0, GpuVariability::for_gpu(GpuId(1), 7), 26.0);
         bank.push(usize::from(mixed), GpuVariability::for_gpu(GpuId(2), 7), 26.0);
@@ -250,13 +248,14 @@ proptest! {
         // classes drawn and their variability seeded per GPU; every GPU
         // sees the same activity, so any memo or class read across GPUs
         // shows as a wrong bit.
-        let classes = || vec![h200_capped(GpuModel::H200.spec().tdp_w), h200_capped(cap_w)];
-        let mut bank = ThermalBank::new(classes());
+        let spec = GpuModel::H200.spec();
+        let governors = || vec![h200_capped(spec.tdp_w), h200_capped(cap_w)];
+        let mut bank = ThermalBank::new(spec.clone(), governors());
         let mut alone: Vec<ThermalBank> = Vec::new();
         for (g, &c) in capped.iter().enumerate() {
             let variability = GpuVariability::for_gpu(GpuId(g as u32), seed);
             bank.push(usize::from(c), variability, 26.0);
-            let mut one = ThermalBank::new(classes());
+            let mut one = ThermalBank::new(spec.clone(), governors());
             one.push(usize::from(c), variability, 26.0);
             alone.push(one);
         }
