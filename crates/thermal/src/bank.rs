@@ -248,6 +248,8 @@ impl ThermalBank {
         }
     }
 
+    /// The slow half of `set_decay_dt`, kept out of the step: an engine
+    /// run takes it twice.
     #[cold]
     fn retake_decays(&mut self, dt_s: f64) {
         self.decay_dt = dt_s;
