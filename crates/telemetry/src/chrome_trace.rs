@@ -165,7 +165,7 @@ mod tests {
             0.5,
         );
         r.end_task(1, 2.0);
-        let v = export(&r, &[0, 1]);
+        let v = serde_json::to_value(export(&r, &[0, 1])).unwrap();
         let events = v
             .as_object()
             .unwrap()
@@ -203,7 +203,7 @@ mod tests {
         r.end_task(0, 1.0);
         r.fault_begin(0, "link-degrade", 1, 0.2);
         r.fault_end(0, 0.8);
-        let v = export(&r, &[0, 0]);
+        let v = serde_json::to_value(export(&r, &[0, 0])).unwrap();
         let events = v
             .as_object()
             .unwrap()
@@ -246,7 +246,7 @@ mod tests {
         r.end_task(1, 1.0);
         r.flow_launch(0, 9, 0, 0, 1, 0.25);
         r.flow_retire(0, 0.75);
-        let v = export(&r, &[0, 0]);
+        let v = serde_json::to_value(export(&r, &[0, 0])).unwrap();
         let events = v
             .as_object()
             .unwrap()
@@ -260,5 +260,95 @@ mod tests {
             .filter(|p| *p == "s" || *p == "f")
             .collect();
         assert_eq!(phases, vec!["s", "f"]);
+    }
+
+    /// FNV-1a, 64-bit.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A recorder with every event kind the export writes: ranks on two
+    /// nodes (process and thread metadata), compute and collective spans,
+    /// flow arrows (one to a GPU with no rank, which is skipped), a fault
+    /// window on a GPU and a cluster-wide one, and power counters.
+    fn every_event_kind() -> SpanRecorder {
+        let mut r = SpanRecorder::new();
+        let gemm = SpanKind::Compute {
+            kind: ComputeKind::Gemm,
+        };
+        let attention = SpanKind::Compute {
+            kind: ComputeKind::Attention,
+        };
+        let allreduce = SpanKind::Collective {
+            coll: 3,
+            class: charllm_trace::KernelClass::AllReduce,
+        };
+        for (rank, gpu) in [(0, 0), (1, 1), (2, 2)] {
+            let t = 0.1 * rank as f64;
+            r.begin_task(rank, gpu, 0, gemm, t);
+            r.end_task(rank, t + 1.0 / 3.0);
+            r.begin_task(rank, gpu, 0, allreduce, t + 0.4);
+            r.end_task(rank, 0.75);
+            r.begin_task(rank, gpu, 1, attention, 1.0 + 1e-9 * rank as f64);
+            r.end_task(rank, 1.25e-3 + 1.5);
+        }
+        r.flow_launch(0, 3, 0, 0, 2, 0.4);
+        r.flow_launch(1, 3, 0, 2, 1, 0.41);
+        r.flow_launch(2, 3, 0, 1, 7, 0.42);
+        r.flow_retire(1, 0.7 + 0.2);
+        r.flow_retire(0, 0.125);
+        r.flow_retire(2, 0.5);
+        r.fault_begin(0, "link-degrade", 1, 0.3);
+        r.fault_end(0, 0.6);
+        r.fault_begin(1, "node-power", u32::MAX, 0.9);
+        r.fault_end(1, 0.8);
+        for (i, gpu) in [0, 2, 1].into_iter().enumerate() {
+            r.power_tick(gpu, 0.1 * i as f64, 412.5 + 0.1 * i as f64, 0.1, i > 0);
+        }
+        r
+    }
+
+    #[test]
+    fn export_text_is_pinned() {
+        let text = serde_json::to_string(&export(&every_event_kind(), &[0, 0, 1])).unwrap();
+        for ph in ["M", "X", "s", "f", "C"] {
+            assert!(text.contains(&format!("{{\"ph\":\"{ph}\"")), "{ph}");
+        }
+        assert_eq!(
+            (text.len(), format!("{:016x}", fnv(text.as_bytes()))),
+            (2610, "ec8cf330302c8105".to_string()),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn a_one_span_export_reads_as_written() {
+        let mut r = SpanRecorder::new();
+        r.begin_task(
+            0,
+            0,
+            2,
+            SpanKind::Compute {
+                kind: ComputeKind::Gemm,
+            },
+            0.5,
+        );
+        r.end_task(0, 0.75);
+        r.power_tick(0, 0.1, 300.5, 0.1, true);
+        assert_eq!(
+            serde_json::to_string(&export(&r, &[3])).unwrap(),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"ph":"M","name":"process_name","pid":3,"tid":0,"args":{"name":"node3"}},"#,
+                r#"{"ph":"M","name":"thread_name","pid":3,"tid":0,"args":{"name":"rank0 (gpu0)"}},"#,
+                r#"{"ph":"M","name":"thread_sort_index","pid":3,"tid":0,"args":{"sort_index":0}},"#,
+                r#"{"ph":"X","name":"Gemm","cat":"compute","pid":3,"tid":0,"ts":500000,"dur":250000,"#,
+                r#""args":{"iteration":2}},"#,
+                r#"{"ph":"C","name":"power gpu0","pid":3,"tid":0,"ts":100000,"args":{"watts":300.5}}"#,
+                r#"],"displayTimeUnit":"ms"}"#,
+            )
+        );
     }
 }

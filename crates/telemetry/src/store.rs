@@ -462,6 +462,28 @@ mod tests {
     }
 
     #[test]
+    fn serialized_text_is_pinned() {
+        // GPU 1 is never sampled: its series are empty, not the shared clock.
+        let mut s = TelemetryStore::new(3);
+        s.record_frame(0.0, &[2, 0], [sample(100.0), sample(-0.0)]);
+        s.record_frame(0.25, &[2, 0], [sample(f64::NAN), sample(1e-7)]);
+        let gpus = |v0: &str, v2: &str| {
+            format!(
+                r#"[{{"t":[0,0.25],"v":[{v0}]}},{{"t":[],"v":[]}},{{"t":[0,0.25],"v":[{v2}]}}]"#
+            )
+        };
+        let want = format!(
+            r#"{{"power_w":{},"temp_c":{},"freq_mhz":{},"util":{},"pcie_gbps":{}}}"#,
+            gpus("-0,0.0000001", "100,null"),
+            gpus("50,50", "50,50"),
+            gpus("1980,1980", "1980,1980"),
+            gpus("0.9,0.9", "0.9,0.9"),
+            gpus("2,2", "2,2"),
+        );
+        assert_eq!(serde_json::to_string(&s).unwrap(), want);
+    }
+
+    #[test]
     fn deserialize_rejects_series_off_the_shared_clock() {
         let mut a = TimeSeries::new();
         a.push(0.0, 1.0);
