@@ -340,13 +340,13 @@ impl DiskTier {
     /// removes its temp file before returning the error.
     fn store<A: Artifact>(&self, key: &str, value: &A) -> Result<u64, CoreError> {
         let family = A::FAMILY.name();
-        let entry = serde_json::json!({
-            "v": DISK_FORMAT_VERSION,
-            "family": family,
-            "key": key,
-            "payload": serde_json::to_value(value).expect("cache artifact serializes"),
-        });
-        let text = serde_json::to_string(&entry).expect("cache entry serializes");
+        let mut text = String::new();
+        serde::ObjectWriter::new(&mut text)
+            .field("v", DISK_FORMAT_VERSION)
+            .field("family", family)
+            .field("key", key)
+            .field("payload", value)
+            .end();
         let path = self.path(family, key);
         let tmp = path.with_extension(format!(
             "tmp.{}.{}",

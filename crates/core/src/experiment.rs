@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde_json::Value;
-
 use charllm_hw::{Cluster, GpuId};
 use charllm_models::TrainJob;
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
@@ -77,14 +75,17 @@ impl Experiment {
         Ok(report)
     }
 
-    /// Run with a fresh [`SpanRecorder`] attached and export the Chrome
-    /// `traceEvents` JSON ([`chrome_trace::export`]) of every span.
-    pub(crate) fn chrome_trace(&self) -> Result<Value, CoreError> {
+    /// Run with a fresh [`SpanRecorder`] attached and write the Chrome
+    /// `traceEvents` JSON text ([`chrome_trace::export`]) of every span.
+    pub(crate) fn chrome_trace(&self) -> Result<String, CoreError> {
         let (_, recorder) = self.run_observed(|_| SpanRecorder::new(), |_, recorder| recorder)?;
         let node_of_gpu: Vec<usize> = (0..self.cluster.num_gpus())
             .map(|g| self.cluster.node_of(GpuId(g as u32)).index())
             .collect();
-        Ok(chrome_trace::export(&recorder, &node_of_gpu))
+        Ok(
+            serde_json::to_string(&chrome_trace::export(&recorder, &node_of_gpu))
+                .expect("trace serializes"),
+        )
     }
 
     /// Resolve partition, placement and device hints, then fetch the

@@ -388,8 +388,9 @@ struct Job {
     state: Mutex<JobState>,
     cancel: Arc<AtomicBool>,
     sink: Arc<JobSink>,
-    /// The final result document (or `{"error": ...}` on failure).
-    result: Mutex<Option<Value>>,
+    /// The final result document's text (or `{"error": ...}` on failure),
+    /// printed once when the job settles.
+    result: Mutex<Option<Arc<str>>>,
 }
 
 impl Job {
@@ -569,7 +570,8 @@ fn job_worker(state: &Arc<ServerState>) {
         let Some(job) = state.job(id) else { continue };
         *job.state.lock().expect("job poisoned") = JobState::Running;
         let (final_state, doc) = settle_job(|| run_job(state, &job));
-        *job.result.lock().expect("job poisoned") = Some(doc);
+        let text = serde_json::to_string(&doc).expect("result serializes");
+        *job.result.lock().expect("job poisoned") = Some(text.into());
         *job.state.lock().expect("job poisoned") = final_state;
         // Registered as finished before its stream ends, so a client that
         // has read a stream to its end sees the registry that follows it.
@@ -857,10 +859,14 @@ fn handle_connection(mut conn: TcpStream, state: &Arc<ServerState>) -> Result<()
             };
             match (method, rest) {
                 ("GET", []) => respond_json(&mut conn, 200, &job.status()),
-                ("GET", ["result"]) => match &*job.result.lock().expect("job poisoned") {
-                    Some(doc) => respond_json(&mut conn, 200, doc),
-                    None => respond_json(&mut conn, 404, &json!({ "error": "not finished" })),
-                },
+                ("GET", ["result"]) => {
+                    // Written after the lock is released.
+                    let text = job.result.lock().expect("job poisoned").clone();
+                    match text {
+                        Some(text) => respond(&mut conn, 200, "application/json", &text),
+                        None => respond_json(&mut conn, 404, &json!({ "error": "not finished" })),
+                    }
+                }
                 ("POST", ["cancel"]) => {
                     job.cancel.store(true, Ordering::SeqCst);
                     respond_json(&mut conn, 200, &job.status());
@@ -972,8 +978,7 @@ fn perfetto_for_point(req: &JobRequest, index: usize) -> Result<String, CoreErro
             "point {index} outside the job's grid"
         )));
     };
-    let events = builder.build()?.chrome_trace()?;
-    Ok(serde_json::to_string(&events).expect("trace serializes"))
+    builder.build()?.chrome_trace()
 }
 
 /// Minimal std-only HTTP client for tests, examples and CI smokes: one

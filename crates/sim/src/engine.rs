@@ -222,28 +222,23 @@ impl SharedPlans {
 /// numbers; whether its GPUs exist is a question of the cluster, answered
 /// by [`SharedPlans::joins_gpus_within`].
 impl serde::Serialize for SharedPlans {
-    fn serialize_value(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert(
-            "n",
-            serde::Value::Number(serde::Number::from_u64(self.plans.len() as u64)),
-        );
+    fn write_json(&self, out: &mut String) {
+        // Packing the flows fills the float table, which is written first.
         let mut floats = FloatTable::default();
-        let built: Vec<serde::Value> = self
+        let built: Vec<(usize, String)> = self
             .plans
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.get().map(|plan| (i, plan)))
-            .map(|(i, plan)| {
-                serde::Value::Array(vec![
-                    serde::Value::Number(serde::Number::from_u64(i as u64)),
-                    serde::Value::String(pack_flows(&plan.flows, &mut floats)),
-                ])
+            .filter_map(|(i, slot)| {
+                slot.get()
+                    .map(|plan| (i, pack_flows(&plan.flows, &mut floats)))
             })
             .collect();
-        map.insert("floats", serde::Value::String(floats.to_text()));
-        map.insert("built", serde::Value::Array(built));
-        serde::Value::Object(map)
+        serde::ObjectWriter::new(out)
+            .field("n", self.plans.len())
+            .field("floats", floats.to_text())
+            .field("built", built)
+            .end();
     }
 }
 

@@ -6,134 +6,205 @@
 //! network flows of each collective, and `"C"` counter tracks for per-GPU
 //! board power. Timestamps are microseconds of simulated time.
 
-use serde_json::{json, Value};
+use serde::{ObjectWriter, Serialize};
 
 use crate::spans::SpanRecorder;
 
 const US_PER_S: f64 = 1e6;
 
-/// Export a recorder's streams as a Chrome `traceEvents` JSON value.
+/// The thread id of the "faults" pseudo-thread on a node's process.
+const FAULT_TID: u32 = 1_000_000;
+
+/// A recorder's streams as a Chrome `traceEvents` document: a view that
+/// writes each event straight into the output text when serialized.
+#[derive(Debug, Clone, Copy)]
+pub struct ChromeTrace<'a> {
+    rec: &'a SpanRecorder,
+    node_of_gpu: &'a [usize],
+}
+
+/// Export a recorder's streams as a Chrome `traceEvents` JSON document.
 ///
 /// `node_of_gpu[g]` maps a GPU index to its node (process). Ranks whose GPU
 /// falls outside the map land on a catch-all process `0`. Serialize the
-/// returned value with `serde_json::to_string` and load the file at
+/// returned view with `serde_json::to_string` and load the file at
 /// <https://ui.perfetto.dev>.
-pub fn export(rec: &SpanRecorder, node_of_gpu: &[usize]) -> Value {
-    let node_of = |gpu: u32| -> usize { node_of_gpu.get(gpu as usize).copied().unwrap_or(0) };
-    let mut events: Vec<Value> = Vec::new();
+pub fn export<'a>(rec: &'a SpanRecorder, node_of_gpu: &'a [usize]) -> ChromeTrace<'a> {
+    ChromeTrace { rec, node_of_gpu }
+}
 
-    // Process (node) and thread (rank) naming metadata.
-    let mut nodes: Vec<usize> = (0..rec.world())
-        .filter_map(|r| rec.gpu_of_rank(r))
-        .map(node_of)
-        .collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    for node in nodes {
-        events.push(json!({
-            "ph": "M", "name": "process_name", "pid": node, "tid": 0,
-            "args": { "name": format!("node{node}") },
-        }));
+/// `{"key":value}`, an event's `args`.
+struct Arg<T>(&'static str, T);
+
+impl<T: Serialize> Serialize for Arg<T> {
+    fn write_json(&self, out: &mut String) {
+        ObjectWriter::new(out).field(self.0, &self.1).end();
     }
-    // gpu -> rank, for pointing flow arrows at rank tracks.
-    let mut rank_of_gpu: Vec<Option<(usize, u32)>> = vec![None; node_of_gpu.len().max(1)];
-    for rank in 0..rec.world() {
-        let Some(gpu) = rec.gpu_of_rank(rank) else {
-            continue;
-        };
-        let node = node_of(gpu);
-        if let Some(slot) = rank_of_gpu.get_mut(gpu as usize) {
-            slot.get_or_insert((node, rank as u32));
+}
+
+/// The `traceEvents` array being written: opens each event after a comma
+/// but the first.
+struct Events<'o> {
+    out: &'o mut String,
+    any: bool,
+}
+
+impl Events<'_> {
+    /// Open the next event, with its `ph` and `name`.
+    fn event(&mut self, ph: &str, name: impl Serialize) -> ObjectWriter<'_> {
+        if std::mem::replace(&mut self.any, true) {
+            self.out.push(',');
         }
-        events.push(json!({
-            "ph": "M", "name": "thread_name", "pid": node, "tid": rank,
-            "args": { "name": format!("rank{rank} (gpu{gpu})") },
-        }));
-        events.push(json!({
-            "ph": "M", "name": "thread_sort_index", "pid": node, "tid": rank,
-            "args": { "sort_index": rank },
-        }));
+        ObjectWriter::new(self.out)
+            .field("ph", ph)
+            .field("name", name)
+    }
+}
+
+impl ChromeTrace<'_> {
+    fn node_of(&self, gpu: u32) -> usize {
+        self.node_of_gpu.get(gpu as usize).copied().unwrap_or(0)
     }
 
-    // Spans: "X" complete events on the rank's track.
-    for rank in 0..rec.world() {
-        let Some(gpu) = rec.gpu_of_rank(rank) else {
-            continue;
-        };
-        let node = node_of(gpu);
-        for span in rec.spans(rank) {
-            let cat = if span.kind.is_collective() {
-                "collective"
-            } else {
-                "compute"
+    fn write_events(&self, ev: &mut Events<'_>) {
+        let rec = self.rec;
+
+        // Process (node) and thread (rank) naming metadata.
+        let mut nodes: Vec<usize> = (0..rec.world())
+            .filter_map(|r| rec.gpu_of_rank(r))
+            .map(|gpu| self.node_of(gpu))
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        for node in nodes {
+            ev.event("M", "process_name")
+                .field("pid", node)
+                .field("tid", 0)
+                .field("args", Arg("name", format!("node{node}")))
+                .end();
+        }
+        // gpu -> rank, for pointing flow arrows at rank tracks.
+        let mut rank_of_gpu: Vec<Option<(usize, u32)>> = vec![None; self.node_of_gpu.len().max(1)];
+        for rank in 0..rec.world() {
+            let Some(gpu) = rec.gpu_of_rank(rank) else {
+                continue;
             };
-            events.push(json!({
-                "ph": "X", "name": span.kind.label(), "cat": cat,
-                "pid": node, "tid": rank,
-                "ts": span.t0_s * US_PER_S, "dur": span.dur_s() * US_PER_S,
-                "args": { "iteration": span.iteration },
-            }));
+            let node = self.node_of(gpu);
+            if let Some(slot) = rank_of_gpu.get_mut(gpu as usize) {
+                slot.get_or_insert((node, rank as u32));
+            }
+            ev.event("M", "thread_name")
+                .field("pid", node)
+                .field("tid", rank)
+                .field("args", Arg("name", format!("rank{rank} (gpu{gpu})")))
+                .end();
+            ev.event("M", "thread_sort_index")
+                .field("pid", node)
+                .field("tid", rank)
+                .field("args", Arg("sort_index", rank))
+                .end();
+        }
+
+        // Spans: "X" complete events on the rank's track.
+        for rank in 0..rec.world() {
+            let Some(gpu) = rec.gpu_of_rank(rank) else {
+                continue;
+            };
+            let node = self.node_of(gpu);
+            for span in rec.spans(rank) {
+                let cat = if span.kind.is_collective() {
+                    "collective"
+                } else {
+                    "compute"
+                };
+                ev.event("X", span.kind.label())
+                    .field("cat", cat)
+                    .field("pid", node)
+                    .field("tid", rank)
+                    .field("ts", span.t0_s * US_PER_S)
+                    .field("dur", span.dur_s() * US_PER_S)
+                    .field("args", Arg("iteration", span.iteration))
+                    .end();
+            }
+        }
+
+        // Flow arrows: "s" on the source rank's track at launch, "f" on the
+        // destination rank's track at retirement. Ids are unique per flow.
+        let lookup =
+            |gpu: u32| -> Option<(usize, u32)> { rank_of_gpu.get(gpu as usize).copied().flatten() };
+        for (id, flow) in rec.flows().iter().enumerate() {
+            let (Some((src_node, src_rank)), Some((dst_node, dst_rank))) =
+                (lookup(flow.src_gpu), lookup(flow.dst_gpu))
+            else {
+                continue;
+            };
+            let name = format!("c{}.i{}", flow.coll, flow.iteration);
+            ev.event("s", &name)
+                .field("cat", "flow")
+                .field("id", id)
+                .field("pid", src_node)
+                .field("tid", src_rank)
+                .field("ts", flow.t0_s * US_PER_S)
+                .end();
+            ev.event("f", &name)
+                .field("cat", "flow")
+                .field("id", id)
+                .field("bp", "e")
+                .field("pid", dst_node)
+                .field("tid", dst_rank)
+                .field("ts", flow.t1_s * US_PER_S)
+                .end();
+        }
+
+        // Injected faults: "X" events on a dedicated "faults" pseudo-thread
+        // of the target GPU's node (cluster-wide faults land on node 0), so
+        // outages render as shaded windows above the rank tracks.
+        let mut fault_nodes: Vec<usize> = Vec::new();
+        for fs in rec.fault_spans() {
+            let node = if fs.target == u32::MAX {
+                0
+            } else {
+                self.node_of(fs.target)
+            };
+            if !fault_nodes.contains(&node) {
+                fault_nodes.push(node);
+                ev.event("M", "thread_name")
+                    .field("pid", node)
+                    .field("tid", FAULT_TID)
+                    .field("args", Arg("name", "faults"))
+                    .end();
+            }
+            let dur = (fs.t1_s - fs.t0_s).max(0.0);
+            ev.event("X", format!("{} #{}", fs.label, fs.fault))
+                .field("cat", "fault")
+                .field("pid", node)
+                .field("tid", FAULT_TID)
+                .field("ts", fs.t0_s * US_PER_S)
+                .field("dur", dur * US_PER_S)
+                .field("args", Arg("target", fs.target))
+                .end();
+        }
+
+        // Per-GPU board power as counter tracks on the GPU's node.
+        for tick in rec.power_ticks() {
+            ev.event("C", format!("power gpu{}", tick.gpu))
+                .field("pid", self.node_of(tick.gpu))
+                .field("tid", 0)
+                .field("ts", tick.t_s * US_PER_S)
+                .field("args", Arg("watts", tick.power_w))
+                .end();
         }
     }
+}
 
-    // Flow arrows: "s" on the source rank's track at launch, "f" on the
-    // destination rank's track at retirement. Ids are unique per flow.
-    let lookup =
-        |gpu: u32| -> Option<(usize, u32)> { rank_of_gpu.get(gpu as usize).copied().flatten() };
-    for (id, flow) in rec.flows().iter().enumerate() {
-        let (Some((src_node, src_rank)), Some((dst_node, dst_rank))) =
-            (lookup(flow.src_gpu), lookup(flow.dst_gpu))
-        else {
-            continue;
-        };
-        let name = format!("c{}.i{}", flow.coll, flow.iteration);
-        events.push(json!({
-            "ph": "s", "name": name.clone(), "cat": "flow", "id": id,
-            "pid": src_node, "tid": src_rank, "ts": flow.t0_s * US_PER_S,
-        }));
-        events.push(json!({
-            "ph": "f", "name": name, "cat": "flow", "id": id, "bp": "e",
-            "pid": dst_node, "tid": dst_rank, "ts": flow.t1_s * US_PER_S,
-        }));
+/// `{"traceEvents":[..],"displayTimeUnit":"ms"}`, each event written in
+/// place: no event is built as a value first.
+impl Serialize for ChromeTrace<'_> {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(r#"{"traceEvents":["#);
+        self.write_events(&mut Events { out, any: false });
+        out.push_str(r#"],"displayTimeUnit":"ms"}"#);
     }
-
-    // Injected faults: "X" events on a dedicated "faults" pseudo-thread of
-    // the target GPU's node (cluster-wide faults land on node 0), so
-    // outages render as shaded windows above the rank tracks.
-    const FAULT_TID: u32 = 1_000_000;
-    let mut fault_nodes: Vec<usize> = Vec::new();
-    for fs in rec.fault_spans() {
-        let node = if fs.target == u32::MAX {
-            0
-        } else {
-            node_of(fs.target)
-        };
-        if !fault_nodes.contains(&node) {
-            fault_nodes.push(node);
-            events.push(json!({
-                "ph": "M", "name": "thread_name", "pid": node, "tid": FAULT_TID,
-                "args": { "name": "faults" },
-            }));
-        }
-        let dur = (fs.t1_s - fs.t0_s).max(0.0);
-        events.push(json!({
-            "ph": "X", "name": format!("{} #{}", fs.label, fs.fault), "cat": "fault",
-            "pid": node, "tid": FAULT_TID,
-            "ts": fs.t0_s * US_PER_S, "dur": dur * US_PER_S,
-            "args": { "target": fs.target },
-        }));
-    }
-
-    // Per-GPU board power as counter tracks on the GPU's node.
-    for tick in rec.power_ticks() {
-        events.push(json!({
-            "ph": "C", "name": format!("power gpu{}", tick.gpu),
-            "pid": node_of(tick.gpu), "tid": 0, "ts": tick.t_s * US_PER_S,
-            "args": { "watts": tick.power_w },
-        }));
-    }
-
-    json!({ "traceEvents": events, "displayTimeUnit": "ms" })
 }
 
 #[cfg(test)]
@@ -141,6 +212,7 @@ mod tests {
     use super::*;
     use crate::spans::SpanKind;
     use charllm_trace::ComputeKind;
+    use serde_json::Value;
 
     #[test]
     fn export_names_processes_and_threads() {

@@ -8,7 +8,7 @@
 //! temperature moves). A GPU's series are [`Series`] views down its column
 //! of the planes its frames name.
 
-use serde::{Deserialize, Error, Map, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::timeseries::{Series, TimeSeries};
 
@@ -287,16 +287,28 @@ impl PartialEq for TelemetryStore {
     }
 }
 
+/// The shared clock is printed once and copied into every sampled GPU's
+/// series; an unsampled GPU's are `{"t":[],"v":[]}`.
 impl Serialize for TelemetryStore {
-    fn serialize_value(&self) -> Value {
-        let mut obj = Map::new();
+    fn write_json(&self, out: &mut String) {
+        let clock = serde_json::to_string(&self.t).expect("clock serializes");
+        out.push('{');
         for (f, name) in FIELDS.iter().enumerate() {
-            let per_gpu = (0..self.num_gpus())
-                .map(|g| self.series(g, f).serialize_value())
-                .collect();
-            obj.insert(*name, Value::Array(per_gpu));
+            if f > 0 {
+                out.push(',');
+            }
+            name.write_json(out);
+            out.push_str(":[");
+            for g in 0..self.num_gpus() {
+                if g > 0 {
+                    out.push(',');
+                }
+                let t = if self.is_sampled(g) { &clock } else { "[]" };
+                self.series(g, f).write_json_on(t, out);
+            }
+            out.push(']');
         }
-        Value::Object(obj)
+        out.push('}');
     }
 }
 
@@ -364,6 +376,7 @@ impl Deserialize for TelemetryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Map;
 
     fn sample(p: f64) -> GpuSample {
         GpuSample {
@@ -552,6 +565,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use serde::Map;
 
     /// A small pool, so planes repeat: both zeros and two NaN payloads,
     /// which must stay apart.

@@ -1,7 +1,7 @@
 //! Sampled time series: the owned [`TimeSeries`] and the borrowed
 //! [`Series`] view that every reduction runs on.
 
-use serde::{Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// A time-ordered series of `(t, value)` samples.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -226,16 +226,30 @@ impl PartialEq for Series<'_> {
     }
 }
 
+impl Series<'_> {
+    /// Append `{"t":clock,"v":[..]}`, where `clock` is the text of this
+    /// series' timestamps (a store prints its shared clock once).
+    pub(crate) fn write_json_on(&self, clock: &str, out: &mut String) {
+        out.push_str(r#"{"t":"#);
+        out.push_str(clock);
+        out.push_str(r#","v":["#);
+        for (i, v) in self.values().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push_str("]}");
+    }
+}
+
 /// The same `{"t": [..], "v": [..]}` object a [`TimeSeries`] serializes to.
 impl Serialize for Series<'_> {
-    fn serialize_value(&self) -> Value {
-        let mut obj = Map::new();
-        obj.insert("t", self.t.serialize_value());
-        obj.insert(
-            "v",
-            Value::Array(self.values().map(|v| v.serialize_value()).collect()),
+    fn write_json(&self, out: &mut String) {
+        self.write_json_on(
+            &serde_json::to_string(self.t).expect("times serialize"),
+            out,
         );
-        Value::Object(obj)
     }
 }
 

@@ -274,22 +274,20 @@ fn unpack_collectives(text: &str) -> Result<Vec<CollectiveInstance>, serde::Erro
 }
 
 impl Serialize for ExecutionTrace {
-    fn serialize_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut String) {
+        // Packing the steps fills the float table, which is written first.
         let mut floats = FloatTable::default();
-        let steps: Vec<serde::Value> = self
+        let steps: Vec<String> = self
             .steps
             .iter()
-            .map(|rank| serde::Value::String(pack_steps(rank, &mut floats)))
+            .map(|rank| pack_steps(rank, &mut floats))
             .collect();
-        let mut map = serde::Map::new();
-        map.insert("floats", serde::Value::String(floats.to_text()));
-        map.insert("steps", serde::Value::Array(steps));
-        map.insert(
-            "colls",
-            serde::Value::String(pack_collectives(&self.collectives)),
-        );
-        map.insert("meta", self.meta.serialize_value());
-        serde::Value::Object(map)
+        serde::ObjectWriter::new(out)
+            .field("floats", floats.to_text())
+            .field("steps", steps)
+            .field("colls", pack_collectives(&self.collectives))
+            .field("meta", &self.meta)
+            .end();
     }
 }
 

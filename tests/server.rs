@@ -577,3 +577,27 @@ fn finished_jobs_past_the_cap_are_dropped_oldest_first() {
     );
     server.shutdown();
 }
+
+#[test]
+fn a_deeply_nested_body_is_a_bad_request_not_a_crash() {
+    let server = SimServer::bind(
+        "127.0.0.1:0",
+        Arc::new(SimCache::new()),
+        ServerConfig {
+            job_workers: 1,
+            sweep_workers: 1,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    // 100 KB, under the body cap: one parser recursion per bracket would
+    // overflow the connection thread's stack and abort the process.
+    for body in ["[".repeat(100_000), r#"{"a":"#.repeat(20_000)] {
+        let (status, resp) = http_request(addr, "POST", "/jobs", Some(&body)).unwrap();
+        assert_eq!(status, 400, "{resp}");
+    }
+    let (status, list) = http_request(addr, "GET", "/jobs", None).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(list, r#"{"jobs":[]}"#);
+    server.shutdown();
+}
