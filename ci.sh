@@ -12,8 +12,10 @@ cargo test -q
 echo "==> cargo test --workspace -q (crate unit tests)"
 cargo test --workspace --exclude charllm-ppt -q
 
+# perfbench/Cargo.lock is committed: `--locked` fails on a new dependency
+# edge between the path crates instead of rewriting the lock file.
 echo "==> cargo test (perfbench, its own workspace)"
-cargo test --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -25,7 +27,7 @@ echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy -- -D warnings (perfbench, its own workspace)"
-cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
