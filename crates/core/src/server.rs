@@ -860,7 +860,8 @@ fn handle_connection(mut conn: TcpStream, state: &Arc<ServerState>) -> Result<()
             match (method, rest) {
                 ("GET", []) => respond_json(&mut conn, 200, &job.status()),
                 ("GET", ["result"]) => {
-                    // Written after the lock is released.
+                    // The guard drops with this statement, so a slow client
+                    // does not hold the job's lock.
                     let text = job.result.lock().expect("job poisoned").clone();
                     match text {
                         Some(text) => respond(&mut conn, 200, "application/json", &text),
