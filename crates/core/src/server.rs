@@ -1036,18 +1036,20 @@ mod tests {
             (first, second)
         });
         let ((state, doc), (next_state, next_doc)) = worker.join().expect("worker survives");
+        let text = |doc| serde_json::to_string(&doc).unwrap();
         assert_eq!(state, JobState::Failed);
-        assert_eq!(
-            doc.get("error").and_then(Value::as_str),
-            Some("job panicked: point 3 exploded")
-        );
+        assert_eq!(text(doc), r#"{"error":"job panicked: point 3 exploded"}"#);
         assert_eq!(next_state, JobState::Done);
-        assert_eq!(next_doc.get("kind").and_then(Value::as_str), Some("sweep"));
+        assert_eq!(text(next_doc), r#"{"kind":"sweep"}"#);
         let (state, doc) = settle_job(|| panic!("{} of {}", 2, 7));
         assert_eq!(state, JobState::Failed);
+        assert_eq!(text(doc), r#"{"error":"job panicked: 2 of 7"}"#);
+        // A body that returns an error settles with the error's text.
+        let (state, doc) = settle_job(|| Err(CoreError::Incomplete("no \"cluster\"".into())));
+        assert_eq!(state, JobState::Failed);
         assert_eq!(
-            doc.get("error").and_then(Value::as_str),
-            Some("job panicked: 2 of 7")
+            text(doc),
+            r#"{"error":"incomplete experiment: no \"cluster\""}"#
         );
     }
 

@@ -450,20 +450,43 @@ fn disk_tier_counters_reconcile_across_all_three_read_paths() {
 
 #[test]
 fn stream_without_hub_carries_null_metrics() {
-    let buf = SharedBuf::default();
-    let outcomes = small_sweep(vec![spec("TP2-PP2")])
-        .workers(1)
-        .stream(Arc::new(ProgressStream::new(buf.clone())))
-        .run_outcomes();
-    assert_eq!(outcomes.len(), 1);
-    let events: Vec<ProgressEvent> = buf
-        .lines()
-        .iter()
-        .map(|l| ProgressEvent::from_json_line(l).unwrap())
-        .collect();
-    assert_eq!(events.len(), 2);
-    assert!(
-        events.iter().all(|e| e.metrics == serde_json::Value::Null),
-        "no hub => null metrics payloads, not empty snapshots"
-    );
+    // A plain one-point sweep, and a strict sweep whose first point fails.
+    let sweeps = [
+        (small_sweep(vec![spec("TP2-PP2")]), false),
+        (
+            small_sweep(vec![bad_spec(), spec("TP2-PP2")]).strict(),
+            true,
+        ),
+    ];
+    for (sweep, first_fails) in sweeps {
+        let buf = SharedBuf::default();
+        let outcomes = sweep
+            .workers(1)
+            .stream(Arc::new(ProgressStream::new(buf.clone())))
+            .run_outcomes();
+        let events: Vec<ProgressEvent> = buf
+            .lines()
+            .iter()
+            .map(|l| ProgressEvent::from_json_line(l).unwrap())
+            .collect();
+        assert_eq!(events.len(), outcomes.len() + 1, "a point each + sweep_end");
+        assert!(
+            events.iter().all(|e| e.metrics == serde_json::Value::Null),
+            "no hub => null metrics payloads, not empty snapshots"
+        );
+        let end = events.last().unwrap();
+        assert_eq!(end.event, "sweep_end");
+        assert_eq!(
+            end.completed + end.skipped + end.failed,
+            outcomes.len(),
+            "terminal event tallies every point"
+        );
+        if first_fails {
+            assert!(matches!(outcomes[0], SweepOutcome::Failed { .. }));
+            assert_eq!(events[0].event, "point");
+            assert_eq!(events[0].outcome, "failed");
+            assert_eq!(events[0].failed, 1);
+            assert_eq!((end.completed, end.failed), (1, 1));
+        }
+    }
 }

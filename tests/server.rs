@@ -17,7 +17,7 @@ use charllm::prelude::*;
 use charllm::server::{http_request, MAX_CONNECTIONS, MAX_FINISHED_JOBS, MAX_QUEUED_JOBS};
 use charllm_hw::GpuId;
 use charllm_parallel::{Placement, StagePartition};
-use charllm_sim::Simulator;
+use charllm_sim::{fnv1a, Simulator};
 use charllm_telemetry::{chrome_trace, SpanRecorder};
 use charllm_trace::{lower_train, DeviceHints};
 
@@ -599,5 +599,64 @@ fn a_deeply_nested_body_is_a_bad_request_not_a_crash() {
     let (status, list) = http_request(addr, "GET", "/jobs", None).unwrap();
     assert_eq!(status, 200);
     assert_eq!(list, r#"{"jobs":[]}"#);
+    server.shutdown();
+}
+
+/// The `/result` text of a finished sweep job (one completed and one
+/// skipped point) and of a search job, byte for byte: fields in their
+/// documented order, floats as the engine computed them.
+#[test]
+fn result_documents_are_pinned() {
+    let server = SimServer::bind(
+        "127.0.0.1:0",
+        Arc::new(SimCache::new()),
+        ServerConfig {
+            job_workers: 1,
+            sweep_workers: 1,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let result_of = |body: &str| {
+        let (status, resp) = http_request(addr, "POST", "/jobs", Some(body)).unwrap();
+        assert_eq!(status, 202, "{resp}");
+        let id = get_u64(&serde_json::from_str(&resp).unwrap(), "job");
+        // The stream's read returns once the job has finished.
+        http_request(addr, "GET", &format!("/jobs/{id}/stream"), None).unwrap();
+        let (status, result) =
+            http_request(addr, "GET", &format!("/jobs/{id}/result"), None).unwrap();
+        assert_eq!(status, 200);
+        result
+    };
+
+    let sweep = result_of(
+        r#"{"cluster": "single_hgx_node", "global_batch": 4, "specs": ["TP2-PP2"],
+            "microbatches": [1, 3], "workers": 1}"#,
+    );
+    assert_eq!(
+        sweep,
+        concat!(
+            r#"{"kind":"sweep","total":2,"completed":1,"skipped":1,"failed":0,"#,
+            r#""cache":{"lowered_hits":0,"lowered_misses":1,"plan_hits":0,"plan_misses":1,"#,
+            r#""lowered_disk_hits":0,"lowered_disk_misses":0,"plan_disk_hits":0,"plan_disk_misses":0,"#,
+            r#""lowered_evictions":0,"plan_evictions":0,"bytes_written":0},"#,
+            r#""points":[{"index":0,"point":"TP2-PP2 Base mb1","outcome":"completed","reason":"","#,
+            r#""step_time_s":0.31313777712381274,"tokens_per_s":26161.008343496458,"#,
+            r#""energy_per_step_j":1174.313824854711},"#,
+            r#"{"index":1,"point":"TP2-PP2 Base mb3","outcome":"skipped","#,
+            r#""reason":"invalid training job: global batch 4 not divisible by dp 2 x microbatch 3","#,
+            r#""step_time_s":0,"tokens_per_s":0,"energy_per_step_j":0}]}"#,
+        )
+    );
+
+    let search = result_of(
+        r#"{"kind": "search", "cluster": "single_hgx_node", "global_batch": 4,
+            "finalists": 1, "workers": 1}"#,
+    );
+    assert_eq!(
+        (search.len(), format!("{:#018x}", fnv1a(search.as_bytes()))),
+        (1120, "0xcbdd15d969a9630b".to_string()),
+        "{search}"
+    );
     server.shutdown();
 }
