@@ -316,7 +316,7 @@ impl DiskTier {
     fn load<A: Artifact>(&self, key: &str) -> Option<A> {
         let family = A::FAMILY.name();
         let text = std::fs::read_to_string(self.path(family, key)).ok()?;
-        let mut entry: Value = serde_json::from_str(&text).ok()?;
+        let mut entry = serde::parse(&text).ok()?;
         let tag = entry
             .get("v")
             .and_then(Value::as_number)

@@ -45,7 +45,6 @@ pub struct Experiment {
     cache: Option<Arc<SimCache>>,
     faults: Option<FaultPlan>,
     metrics: Option<MetricsShard>,
-    self_profile: bool,
 }
 
 impl Experiment {
@@ -153,12 +152,10 @@ impl Experiment {
         finish: impl FnOnce(&mut SimResult, O) -> T,
     ) -> Result<(RunReport, T), CoreError> {
         let shard = self.metrics.as_ref();
-        // Host-side self-profiling: four `Instant::now` calls per run, so
-        // the timer runs whenever anything will read it (`self_profile`
-        // puts the timings on the report; an attached shard feeds the
-        // `sim_stage_seconds` histogram).
-        let mut timer = (self.self_profile || shard.is_some()).then(StageTimer::start);
-        let mut mark = |stage: &str| {
+        // Host-side stage walls feed an attached shard's
+        // `sim_stage_seconds` histogram; without one nothing reads them.
+        let mut timer = shard.map(|_| StageTimer::start());
+        let mut mark = |stage: &'static str| {
             if let Some(t) = &mut timer {
                 t.mark(stage);
             }
@@ -219,14 +216,8 @@ impl Experiment {
         let mut report = self.report(result, &placement);
         report.cache = cache_stats;
         mark("report");
-        if let Some(t) = timer {
-            let timings = t.finish();
-            if let Some(s) = shard {
-                timings.publish(s);
-            }
-            if self.self_profile {
-                report.stages = Some(timings);
-            }
+        if let (Some(t), Some(s)) = (timer, shard) {
+            t.publish(s);
         }
         Ok((report, finished))
     }
@@ -284,7 +275,6 @@ impl Experiment {
             mean_throttle,
             max_throttle,
             cache: None,
-            stages: None,
             sim,
         }
     }
@@ -320,7 +310,6 @@ pub struct ExperimentBuilder {
     cache: Option<Arc<SimCache>>,
     faults: Option<FaultPlan>,
     metrics: Option<MetricsShard>,
-    self_profile: bool,
 }
 
 impl ExperimentBuilder {
@@ -431,15 +420,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Record host-side wall time per pipeline stage (`lower`,
-    /// `plan_setup`, `event_loop`, `report`) into
-    /// [`RunReport::stages`](crate::RunReport::stages). Off by default so
-    /// reports compare equal across profiled and unprofiled runs.
-    pub fn self_profile(mut self, on: bool) -> Self {
-        self.self_profile = on;
-        self
-    }
-
     /// Finalize into an [`Experiment`].
     ///
     /// # Errors
@@ -469,7 +449,6 @@ impl ExperimentBuilder {
             cache: self.cache,
             faults: self.faults,
             metrics: self.metrics,
-            self_profile: self.self_profile,
         })
     }
 

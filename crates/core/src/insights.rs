@@ -163,11 +163,6 @@ impl CrossoverPoint {
     pub fn scale_up_wins_perf(&self) -> bool {
         self.scale_up_tokens_per_s > self.scale_out_tokens_per_s
     }
-
-    /// Whether the scale-up system wins on energy efficiency here.
-    pub fn scale_up_wins_efficiency(&self) -> bool {
-        self.scale_up_tokens_per_joule > self.scale_out_tokens_per_joule
-    }
 }
 
 /// Pair up reports from a scale-up and a scale-out cluster by
@@ -302,7 +297,6 @@ mod tests {
             mean_throttle: 0.0,
             max_throttle: 0.0,
             cache: None,
-            stages: None,
             sim,
         };
         serde_json::to_string(&r).unwrap()

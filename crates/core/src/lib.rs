@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::report::RunReport;
     pub use crate::server::{ServerConfig, SimServer};
     pub use crate::stream::{ProgressEvent, ProgressStream};
-    pub use crate::sweep::{Sweep, SweepOutcome, SweepProgress};
+    pub use crate::sweep::{Sweep, SweepOutcome};
     pub use charllm_hw::presets::{
         hgx_h100_cluster, hgx_h200_cluster, mi250_cluster, single_gpu_per_node_cluster,
     };

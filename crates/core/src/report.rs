@@ -57,13 +57,6 @@ pub struct RunReport {
     /// for this run (`None` when the experiment ran uncached).
     pub cache: Option<crate::CacheStats>,
 
-    /// Host-side wall time per pipeline stage (`lower`, `plan_setup`,
-    /// `event_loop`, `report`), recorded only when the experiment opted in
-    /// via [`self_profile`](crate::ExperimentBuilder::self_profile).
-    /// `None` by default so reports stay comparable across runs that did
-    /// and did not profile (stage walls are host noise, not sim output).
-    pub stages: Option<charllm_telemetry::StageTimings>,
-
     /// Full simulation result (kernel breakdowns, traffic, telemetry).
     pub sim: SimResult,
 }
@@ -189,7 +182,6 @@ mod tests {
             mean_throttle: 0.12,
             max_throttle: 0.4,
             cache: None,
-            stages: None,
             sim: charllm_sim::SimResult {
                 step_time_s: 10.0,
                 iteration_times_s: vec![10.0],

@@ -72,6 +72,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use serde::{ObjectWriter, Serialize};
 use serde_json::{json, Map, Value};
 
 use charllm_hw::Cluster;
@@ -569,8 +570,7 @@ fn job_worker(state: &Arc<ServerState>) {
         };
         let Some(job) = state.job(id) else { continue };
         *job.state.lock().expect("job poisoned") = JobState::Running;
-        let (final_state, doc) = settle_job(|| run_job(state, &job));
-        let text = serde_json::to_string(&doc).expect("result serializes");
+        let (final_state, text) = settle_job(|| run_job(state, &job));
         *job.result.lock().expect("job poisoned") = Some(text.into());
         *job.state.lock().expect("job poisoned") = final_state;
         // Registered as finished before its stream ends, so a client that
@@ -588,31 +588,45 @@ fn job_worker(state: &Arc<ServerState>) {
     }
 }
 
-/// Run a job body to its final state and result document. A panic inside
-/// the body becomes a `failed` job carrying the panic message, so the job
-/// never stays `running` and the worker thread survives to serve the
-/// queue.
-fn settle_job(body: impl FnOnce() -> Result<Value, CoreError>) -> (JobState, Value) {
+/// Run a job body to its final state and result document's text. A panic
+/// inside the body becomes a `failed` job carrying the panic message, so
+/// the job never stays `running` and the worker thread survives to serve
+/// the queue.
+fn settle_job(body: impl FnOnce() -> Result<String, CoreError>) -> (JobState, String) {
+    let error = |msg: &str| {
+        let mut doc = String::new();
+        ObjectWriter::new(&mut doc).field("error", msg).end();
+        doc
+    };
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
         Ok(Ok(doc)) => (JobState::Done, doc),
-        Ok(Err(e)) => (JobState::Failed, json!({ "error": e.to_string() })),
+        Ok(Err(e)) => (JobState::Failed, error(&e.to_string())),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            (
-                JobState::Failed,
-                json!({ "error": format!("job panicked: {msg}") }),
-            )
+            (JobState::Failed, error(&format!("job panicked: {msg}")))
         }
     }
 }
 
-/// Execute one job against the shared cache and produce its result
+/// One ranked configuration in a search job's result document.
+#[derive(Serialize)]
+struct CandidateSummary {
+    spec: String,
+    analytic_tokens_per_s: f64,
+    /// Simulated throughput; 0 for a candidate that was only screened.
+    tokens_per_s: f64,
+    tokens_per_joule: f64,
+    simulated: bool,
+}
+
+/// Execute one job against the shared cache and write its result
 /// document.
-fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) -> Result<Value, CoreError> {
+fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) -> Result<String, CoreError> {
+    let mut doc = String::new();
     let sweep = match &job.request {
         JobRequest::Sweep(sweep) => sweep,
         JobRequest::Search {
@@ -626,19 +640,21 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) -> Result<Value, CoreError>
             // synced its publications yet; persist them too, best-effort
             // like every run's own sync.
             state.cache.sync_disk_best_effort();
-            let candidates: Vec<Value> = ranked
+            let candidates: Vec<CandidateSummary> = ranked
                 .iter()
-                .map(|c| {
-                    json!({
-                        "spec": c.spec.label(),
-                        "analytic_tokens_per_s": c.analytic.tokens_per_s,
-                        "tokens_per_s": c.report.as_ref().map_or(0.0, |r| r.tokens_per_s),
-                        "tokens_per_joule": c.report.as_ref().map_or(0.0, |r| r.tokens_per_joule),
-                        "simulated": c.report.is_some(),
-                    })
+                .map(|c| CandidateSummary {
+                    spec: c.spec.label(),
+                    analytic_tokens_per_s: c.analytic.tokens_per_s,
+                    tokens_per_s: c.report.as_ref().map_or(0.0, |r| r.tokens_per_s),
+                    tokens_per_joule: c.report.as_ref().map_or(0.0, |r| r.tokens_per_joule),
+                    simulated: c.report.is_some(),
                 })
                 .collect();
-            return Ok(json!({ "kind": "search", "candidates": candidates }));
+            ObjectWriter::new(&mut doc)
+                .field("kind", "search")
+                .field("candidates", candidates)
+                .end();
+            return Ok(doc);
         }
     };
     // Per-job hub, made per run so a finished job keeps no registry:
@@ -652,15 +668,16 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) -> Result<Value, CoreError>
         .fold(CacheStats::default(), |total, stats| total.add(&stats));
     let points: Vec<PointSummary> = outcomes.iter().map(PointSummary::of).collect();
     let count = |outcome: &str| points.iter().filter(|p| p.outcome == outcome).count();
-    Ok(json!({
-        "kind": "sweep",
-        "total": points.len(),
-        "completed": count("completed"),
-        "skipped": count("skipped"),
-        "failed": count("failed"),
-        "cache": cache,
-        "points": points,
-    }))
+    ObjectWriter::new(&mut doc)
+        .field("kind", "sweep")
+        .field("total", points.len())
+        .field("completed", count("completed"))
+        .field("skipped", count("skipped"))
+        .field("failed", count("failed"))
+        .field("cache", cache)
+        .field("points", &points)
+        .end();
+    Ok(doc)
 }
 
 /// Accept loop: one thread per connection (connections are few and
@@ -773,7 +790,7 @@ fn read_request(conn: &mut TcpStream) -> Result<Option<Request>, CoreError> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     let body = match std::str::from_utf8(&body) {
-        Ok(text) if !text.is_empty() => serde_json::from_str(text).unwrap_or(Value::Null),
+        Ok(text) if !text.is_empty() => serde::parse(text).unwrap_or(Value::Null),
         _ => Value::Null,
     };
     Ok(Some(Request { method, path, body }))
@@ -1032,25 +1049,21 @@ mod tests {
         // thread must go on to run the next job.
         let worker = std::thread::spawn(|| {
             let first = settle_job(|| panic!("point 3 exploded"));
-            let second = settle_job(|| Ok(json!({ "kind": "sweep" })));
+            let second = settle_job(|| Ok(r#"{"kind":"sweep"}"#.to_string()));
             (first, second)
         });
         let ((state, doc), (next_state, next_doc)) = worker.join().expect("worker survives");
-        let text = |doc| serde_json::to_string(&doc).unwrap();
         assert_eq!(state, JobState::Failed);
-        assert_eq!(text(doc), r#"{"error":"job panicked: point 3 exploded"}"#);
+        assert_eq!(doc, r#"{"error":"job panicked: point 3 exploded"}"#);
         assert_eq!(next_state, JobState::Done);
-        assert_eq!(text(next_doc), r#"{"kind":"sweep"}"#);
+        assert_eq!(next_doc, r#"{"kind":"sweep"}"#);
         let (state, doc) = settle_job(|| panic!("{} of {}", 2, 7));
         assert_eq!(state, JobState::Failed);
-        assert_eq!(text(doc), r#"{"error":"job panicked: 2 of 7"}"#);
+        assert_eq!(doc, r#"{"error":"job panicked: 2 of 7"}"#);
         // A body that returns an error settles with the error's text.
         let (state, doc) = settle_job(|| Err(CoreError::Incomplete("no \"cluster\"".into())));
         assert_eq!(state, JobState::Failed);
-        assert_eq!(
-            text(doc),
-            r#"{"error":"incomplete experiment: no \"cluster\""}"#
-        );
+        assert_eq!(doc, r#"{"error":"incomplete experiment: no \"cluster\""}"#);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Structured JSONL progress streaming for sweeps.
 //!
-//! [`Sweep::stream`](crate::sweep::Sweep::stream) upgrades the free-form
-//! [`on_progress`](crate::sweep::Sweep::on_progress) callback into a
-//! machine-readable channel: one [`ProgressEvent`] per sweep point,
+//! [`Sweep::stream`](crate::sweep::Sweep::stream) is the sweep's live
+//! progress channel: one [`ProgressEvent`] per sweep point,
 //! serialized as a single JSON line, emitted in **enumeration order** (the
 //! sweep buffers out-of-order completions from parallel workers), followed
 //! by one `sweep_end` event carrying the final

@@ -9,8 +9,8 @@
 //!
 //! Infeasible points are expected when sweeping broadly; they surface as
 //! structured [`SweepOutcome::Skipped`] values from
-//! [`Sweep::run_outcomes`] (and through the [`Sweep::on_progress`]
-//! callback) rather than as stderr noise.
+//! [`Sweep::run_outcomes`] (and as `point` events on the
+//! [`Sweep::stream`]) rather than as stderr noise.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -32,10 +32,6 @@ use crate::executor::Executor;
 use crate::experiment::{Experiment, ExperimentBuilder};
 use crate::report::RunReport;
 use crate::stream::{PointSummary, ProgressEvent, ProgressStream};
-
-/// Progress callback: called once per completed point, from whichever
-/// worker thread finished it.
-type ProgressFn = dyn Fn(&SweepProgress<'_>) + Send + Sync;
 
 /// One point of a sweep's cartesian grid, in enumeration order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,18 +110,6 @@ impl SweepOutcome {
     }
 }
 
-/// A progress notification: one point finished.
-#[derive(Debug)]
-pub struct SweepProgress<'a> {
-    /// Points finished so far, including this one. Counts completion
-    /// order, which under a parallel executor differs from point order.
-    pub completed: usize,
-    /// Total points in the sweep.
-    pub total: usize,
-    /// The finished point's outcome.
-    pub outcome: &'a SweepOutcome,
-}
-
 /// Sweep-level metric handles, registered on the hub's shard 0.
 struct SweepCounters {
     completed: Counter,
@@ -155,8 +139,8 @@ impl SweepCounters {
     }
 }
 
-/// Shared finish-side state: outcome tallies, the progress-callback lock,
-/// and the stream's in-order emission buffer.
+/// Shared finish-side state: outcome tallies and the stream's in-order
+/// emission buffer.
 #[derive(Default)]
 struct EmitState {
     completed: usize,
@@ -173,15 +157,14 @@ struct EmitState {
 /// microbatch sizes for one model on one cluster.
 #[derive(Clone)]
 pub struct Sweep {
-    /// What every point shares: cluster, simulator configuration, cache,
-    /// faults and self-profiling. A point adds its job and spec.
+    /// What every point shares: cluster, simulator configuration, cache
+    /// and faults. A point adds its job and spec.
     base: ExperimentBuilder,
     specs: Vec<ParallelismSpec>,
     jobs_per_spec: Vec<TrainJob>,
     microbatches: Vec<usize>,
     skip_failures: bool,
     workers: usize,
-    progress: Option<Arc<ProgressFn>>,
     metrics: Option<Arc<MetricsHub>>,
     stream: Option<Arc<ProgressStream>>,
     cancel: Option<Arc<AtomicBool>>,
@@ -196,7 +179,6 @@ impl fmt::Debug for Sweep {
             .field("microbatches", &self.microbatches)
             .field("skip_failures", &self.skip_failures)
             .field("workers", &self.workers)
-            .field("progress", &self.progress.is_some())
             .field("metrics", &self.metrics.is_some())
             .field("stream", &self.stream.is_some())
             .field("cancel", &self.cancel.is_some())
@@ -218,7 +200,6 @@ impl Sweep {
             microbatches: vec![1],
             skip_failures: true,
             workers: 0,
-            progress: None,
             metrics: None,
             stream: None,
             cancel: None,
@@ -276,27 +257,6 @@ impl Sweep {
         self
     }
 
-    /// Observe each point as it finishes.
-    ///
-    /// The contract, identical for every worker count (pinned by test):
-    /// the callback runs on whichever worker thread completed the point
-    /// (hence `Send + Sync`), once per point, in **completion order** —
-    /// which under `workers > 1` differs from point order; consume
-    /// [`Sweep::stream`] instead if you need enumeration order.
-    /// Invocations are serialized under an internal lock, and
-    /// [`SweepProgress::completed`] is strictly increasing `1..=total`
-    /// across them (completed counts every outcome:
-    /// [`SweepOutcome::Skipped`] and [`SweepOutcome::Failed`] points
-    /// report progress too). `completed`/`total` are therefore directly
-    /// usable as a progress meter.
-    pub fn on_progress(
-        mut self,
-        callback: impl Fn(&SweepProgress<'_>) + Send + Sync + 'static,
-    ) -> Self {
-        self.progress = Some(Arc::new(callback));
-        self
-    }
-
     /// Publish live metrics to `hub` while the sweep runs: sweep-level
     /// reconciliation counters (`sweep_points_{completed,skipped,failed}_total`,
     /// `sweep_energy_per_step_mj_total` in exact millijoules), live
@@ -320,21 +280,13 @@ impl Sweep {
         self
     }
 
-    /// Record host-side per-stage wall times on every point's report
-    /// ([`RunReport::stages`]); off by default so reports stay comparable
-    /// across runs.
-    pub fn self_profile(mut self, on: bool) -> Self {
-        self.base = self.base.self_profile(on);
-        self
-    }
-
     /// Cooperative cancellation: once `flag` becomes true, points that
     /// have not started yet finish as [`SweepOutcome::Skipped`] with
     /// reason `"canceled"` (in-flight points run to completion — the
     /// engine has no preemption point). Canceled points still flow
-    /// through the progress callback and the stream, so a consumer sees
-    /// every index plus the terminal `sweep_end` event and can tell a
-    /// canceled sweep from a truncated stream.
+    /// through the outcomes and the stream, so a consumer sees every
+    /// index plus the terminal `sweep_end` event and can tell a canceled
+    /// sweep from a truncated stream.
     pub fn cancel_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.cancel = Some(flag);
         self
@@ -503,8 +455,8 @@ impl Sweep {
     }
 
     /// Finish-side bookkeeping for one point, under the emit lock: tallies,
-    /// hub counters, the progress callback (completion order), and in-order
-    /// stream emission (enumeration order, buffering gaps).
+    /// hub counters, and in-order stream emission (enumeration order,
+    /// buffering gaps).
     fn note_finished(
         &self,
         emit: &Mutex<EmitState>,
@@ -543,13 +495,6 @@ impl Sweep {
         if let Some(c) = counters {
             c.elapsed_s.set(elapsed);
             c.eta_s.set(eta);
-        }
-        if let Some(callback) = &self.progress {
-            callback(&SweepProgress {
-                completed: finished,
-                total,
-                outcome,
-            });
         }
         let Some(stream) = &self.stream else { return };
         st.pending
@@ -602,7 +547,7 @@ impl Sweep {
     /// In strict mode, the failure at the earliest point (in enumeration
     /// order, independent of worker scheduling) aborts the sweep;
     /// otherwise failing points are skipped (observe them via
-    /// [`Sweep::run_outcomes`] or [`Sweep::on_progress`]).
+    /// [`Sweep::run_outcomes`] or [`Sweep::stream`]).
     pub fn run(&self) -> Result<Vec<RunReport>, CoreError> {
         let mut reports = Vec::new();
         for outcome in self.run_outcomes() {
@@ -813,28 +758,6 @@ mod tests {
             serial, parallel,
             "multi-worker run must match workers(1) exactly"
         );
-    }
-
-    #[test]
-    fn progress_callback_sees_every_point() {
-        use std::sync::Mutex;
-        let seen: Arc<Mutex<Vec<(usize, usize, bool)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let outcomes = small_sweep(mixed_specs())
-            .workers(2)
-            .on_progress(move |p| {
-                sink.lock()
-                    .unwrap()
-                    .push((p.completed, p.total, p.outcome.is_skipped()));
-            })
-            .run_outcomes();
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), outcomes.len());
-        assert!(seen.iter().all(|&(_, total, _)| total == 2));
-        let mut counts: Vec<usize> = seen.iter().map(|&(c, _, _)| c).collect();
-        counts.sort_unstable();
-        assert_eq!(counts, vec![1, 2], "completed counts each point once");
-        assert_eq!(seen.iter().filter(|&&(_, _, skipped)| skipped).count(), 1);
     }
 
     #[test]

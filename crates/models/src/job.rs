@@ -109,12 +109,6 @@ impl TrainJob {
         self
     }
 
-    /// Builder-style: set the sequence length.
-    pub fn with_seq_len(mut self, seq_len: usize) -> Self {
-        self.seq_len = seq_len;
-        self
-    }
-
     /// Builder-style: set the global batch size.
     pub fn with_global_batch(mut self, global_batch: usize) -> Self {
         self.global_batch = global_batch;

@@ -11,20 +11,6 @@ use std::collections::BTreeMap;
 
 use charllm_hw::{Cluster, GpuId, NodeId};
 
-/// Group the GPUs of a collective by node, preserving order.
-pub(crate) fn by_node(gpus: &[GpuId], cluster: &Cluster) -> BTreeMap<NodeId, Vec<GpuId>> {
-    let mut map: BTreeMap<NodeId, Vec<GpuId>> = BTreeMap::new();
-    for &g in gpus {
-        map.entry(cluster.node_of(g)).or_default().push(g);
-    }
-    map
-}
-
-/// First member of each node a group touches, in node order.
-pub fn node_leaders(gpus: &[GpuId], cluster: &Cluster) -> Vec<GpuId> {
-    by_node(gpus, cluster).values().map(|v| v[0]).collect()
-}
-
 /// Whether `b` is a translated copy of `a`: same length, pairwise equal
 /// node-local slots, and a consistent *injective* node mapping (two GPUs on
 /// one node in `a` land on one common node in `b`, and distinct `a`-nodes
@@ -56,14 +42,6 @@ pub fn translated_copy(a: &[GpuId], b: &[GpuId], cluster: &Cluster) -> bool {
 mod tests {
     use super::*;
     use charllm_hw::presets;
-
-    #[test]
-    fn leaders_one_per_node() {
-        let c = presets::hgx_h200_cluster();
-        let group: Vec<GpuId> = (0..4).map(GpuId).chain((8..12).map(GpuId)).collect();
-        let leaders = node_leaders(&group, &c);
-        assert_eq!(leaders, vec![GpuId(0), GpuId(8)]);
-    }
 
     #[test]
     fn translated_copy_accepts_shifted_replica() {

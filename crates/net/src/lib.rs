@@ -21,7 +21,6 @@ pub mod collectives;
 pub mod flow;
 pub mod folding;
 pub mod health;
-pub mod hierarchical;
 pub mod projection;
 
 pub use chunking::ChunkingPolicy;

@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn large_dp_at_100g_loses_close_to_an_order_of_magnitude() {
         // Paper: "strong scaling dropping by up to 9.7x compared to the
-        // ideal case" at 100 Gbps and 8K GPUs. With a hierarchical
+        // ideal case" at 100 Gbps and 8K GPUs. With a two-level
         // AllReduce (one inter-node ring per node) the loss lands in the
         // same order of magnitude.
         let p = project_dp_scaling(&base(), &[256], &LinkSpec::ib_100g(), 1)[0];

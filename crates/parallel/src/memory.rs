@@ -83,11 +83,6 @@ impl StagePartition {
         self.layers_per_stage[stage]
     }
 
-    /// Maximum layers held by any stage.
-    pub fn max_layers(&self) -> usize {
-        self.layers_per_stage.iter().copied().max().unwrap_or(0)
-    }
-
     /// Relative imbalance: `(max - min) / mean` (the paper cites 10 % for a
     /// 19/21 split and 18 % for 11/13).
     pub fn imbalance(&self) -> f64 {

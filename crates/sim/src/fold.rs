@@ -307,7 +307,7 @@ pub fn run_folded(
     expand(&mut result, &map, opts);
     timer.mark("fold_expand");
     if let Some(s) = shard {
-        timer.finish().publish(s);
+        timer.publish(s);
     }
     Ok((result, stats))
 }

@@ -3,8 +3,7 @@
 //! The Rust stand-in for the paper's Zeus + NVML/AMD-SMI pipeline: sampled
 //! per-GPU time series (power, temperature, clock, utilization, PCIe
 //! traffic), aggregation into the per-configuration summary metrics the
-//! figures plot, row-normalized heatmaps (Figs. 5, 17, 18), and CSV export
-//! matching the artifact's output format.
+//! figures plot, and row-normalized heatmaps (Figs. 5, 17, 18).
 //!
 //! The [`spans`] / [`phase`] / [`chrome_trace`] modules form the execution
 //! tracing half (the Chakra-trace analogue): per-rank span streams recorded
@@ -16,7 +15,6 @@
 
 pub mod aggregate;
 pub mod chrome_trace;
-pub mod csv;
 pub mod heatmap;
 pub mod metrics;
 pub mod phase;
@@ -24,11 +22,10 @@ pub mod spans;
 pub mod store;
 pub mod timeseries;
 
-pub use aggregate::SeriesSummary;
 pub use heatmap::Heatmap;
 pub use metrics::{
     Counter, Gauge, Histogram, MetricId, MetricKind, MetricValue, MetricsHub, MetricsShard,
-    MetricsSnapshot, StageTimer, StageTiming, StageTimings,
+    MetricsSnapshot, StageTimer,
 };
 pub use phase::{Phase, PhaseBreakdown, Profile, SpanTotal};
 pub use spans::{FaultSpan, FlowSpan, PowerTick, Span, SpanKind, SpanRecorder};

@@ -40,7 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
 use serde_json::{Map, Number, Value};
 
 /// Convert a non-negative quantity to micro-unit fixed point (`1.0` →
@@ -742,63 +741,18 @@ fn escape_label(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// One named stage's wall time, from a [`StageTimer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageTiming {
-    /// Stage name (`lower`, `plan_setup`, `event_loop`, `fold_expand`,
-    /// `report`).
-    pub stage: String,
-    /// Host wall-clock seconds spent in the stage.
-    pub seconds: f64,
-}
-
-/// Host-side self-profile of one run: the wall time of each pipeline
-/// stage, in execution order. Attached to a run report when self-profiling
-/// is on.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct StageTimings {
-    /// Stages in execution order.
-    pub stages: Vec<StageTiming>,
-}
-
-impl StageTimings {
-    /// Wall seconds of `stage` (0.0 when absent).
-    pub fn seconds(&self, stage: &str) -> f64 {
-        self.stages
-            .iter()
-            .find(|s| s.stage == stage)
-            .map_or(0.0, |s| s.seconds)
-    }
-
-    /// Total wall seconds across stages.
-    pub fn total_seconds(&self) -> f64 {
-        self.stages.iter().map(|s| s.seconds).sum()
-    }
-
-    /// Observe every stage into `shard`'s `sim_stage_seconds` histogram,
-    /// one series per stage name.
-    pub fn publish(&self, shard: &MetricsShard) {
-        for st in &self.stages {
-            shard
-                .histogram(
-                    "sim_stage_seconds",
-                    &[("stage", &st.stage)],
-                    STAGE_SECONDS_BOUNDS,
-                )
-                .observe(st.seconds);
-        }
-    }
-}
-
 /// Histogram bounds (seconds) shared by every `sim_stage_seconds` series.
 pub const STAGE_SECONDS_BOUNDS: &[f64] = &[0.001, 0.01, 0.1, 1.0, 10.0, 100.0];
 
 /// Wall-clock stage timer: call [`StageTimer::mark`] at each stage
 /// boundary; each mark closes the stage that began at the previous one.
+/// [`StageTimer::publish`] hands the marks to a shard once the run has
+/// succeeded, so a failed run publishes no partial stages.
 #[derive(Debug)]
 pub struct StageTimer {
     last: Instant,
-    timings: StageTimings,
+    /// Closed stages in execution order: name and wall seconds.
+    marks: Vec<(&'static str, f64)>,
 }
 
 impl StageTimer {
@@ -806,26 +760,31 @@ impl StageTimer {
     pub fn start() -> Self {
         StageTimer {
             last: Instant::now(),
-            timings: StageTimings::default(),
+            marks: Vec::new(),
         }
     }
 
-    /// Close the stage named `stage` (running since the previous mark or
-    /// [`StageTimer::start`]) and return its duration in seconds.
-    pub fn mark(&mut self, stage: &str) -> f64 {
+    /// Close the stage named `stage`, running since the previous mark or
+    /// [`StageTimer::start`].
+    pub fn mark(&mut self, stage: &'static str) {
         let now = Instant::now();
-        let seconds = now.duration_since(self.last).as_secs_f64();
+        self.marks
+            .push((stage, now.duration_since(self.last).as_secs_f64()));
         self.last = now;
-        self.timings.stages.push(StageTiming {
-            stage: stage.to_string(),
-            seconds,
-        });
-        seconds
     }
 
-    /// Finish and return the recorded timings.
-    pub fn finish(self) -> StageTimings {
-        self.timings
+    /// Observe every closed stage into `shard`'s `sim_stage_seconds`
+    /// histogram, one series per stage name.
+    pub fn publish(self, shard: &MetricsShard) {
+        for (stage, seconds) in self.marks {
+            shard
+                .histogram(
+                    "sim_stage_seconds",
+                    &[("stage", stage)],
+                    STAGE_SECONDS_BOUNDS,
+                )
+                .observe(seconds);
+        }
     }
 }
 
@@ -936,13 +895,26 @@ mod tests {
 
     #[test]
     fn stage_timer_records_marks_in_order() {
+        let hub = MetricsHub::new(1);
         let mut t = StageTimer::start();
         t.mark("first");
+        std::thread::sleep(std::time::Duration::from_millis(2));
         t.mark("second");
-        let timings = t.finish();
-        assert_eq!(timings.stages.len(), 2);
-        assert_eq!(timings.stages[0].stage, "first");
-        assert!(timings.total_seconds() >= 0.0);
-        assert_eq!(timings.seconds("missing"), 0.0);
+        t.publish(&hub.shard(0));
+        let snap = hub.snapshot();
+        let stage = |name: &str| match snap.get("sim_stage_seconds", &[("stage", name)]) {
+            Some(MetricValue::Histogram {
+                count, sum_micros, ..
+            }) => (*count, *sum_micros),
+            other => panic!("stage {name}: {other:?}"),
+        };
+        let (first, second) = (stage("first"), stage("second"));
+        assert_eq!((first.0, second.0), (1, 1), "one observation per mark");
+        // Each mark closes the stage since the previous one: the sleep
+        // lands in the second stage only.
+        assert!(second.1 >= 2_000, "second stage {}us", second.1);
+        assert!(snap
+            .get("sim_stage_seconds", &[("stage", "missing")])
+            .is_none());
     }
 }

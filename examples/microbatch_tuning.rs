@@ -25,16 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for label in ["TP8-FSDP4", "TP8-PP4", "TP2-PP16"] {
         let spec = ParallelismSpec::parse(label, cluster.num_gpus())?;
-        let reports = Sweep::new(Arc::clone(&cluster), job.clone(), vec![spec])
+        let outcomes = Sweep::new(Arc::clone(&cluster), job.clone(), vec![spec])
             .with_microbatches(MICROBATCH_SWEEP.to_vec())
             .with_cache(Arc::clone(&cache))
             .workers(0)
-            .on_progress(|p| {
-                if let SweepOutcome::Skipped { point, reason } = p.outcome {
-                    println!("  [{}/{}] skipping {point}: {reason}", p.completed, p.total);
-                }
-            })
-            .run()?;
+            .run_outcomes();
+        for outcome in &outcomes {
+            if let SweepOutcome::Skipped { point, reason } = outcome {
+                let (n, total) = (point.index + 1, outcomes.len());
+                println!("  [{n}/{total}] skipping {point}: {reason}");
+            }
+        }
+        let reports: Vec<&RunReport> = outcomes.iter().filter_map(SweepOutcome::report).collect();
         println!("== {label} ==");
         println!(
             "  {:<4} {:>10} {:>10} {:>9} {:>9} {:>9}",

@@ -186,79 +186,6 @@ fn engine_gauges_populate_under_enabled_hub() {
 }
 
 #[test]
-fn self_profiled_reports_carry_stage_timings() {
-    let build = |profile: bool| {
-        Experiment::builder()
-            .cluster(single_hgx_node())
-            .job(TrainJob::pretrain(gpt3_13b()).with_global_batch(4))
-            .parallelism("TP2-PP2")
-            .unwrap()
-            .sim_config(SimConfig::fast())
-            .self_profile(profile)
-            .run()
-            .unwrap()
-    };
-    let plain = build(false);
-    assert!(plain.stages.is_none(), "off by default");
-    let profiled = build(true);
-    let stages = profiled.stages.expect("opted in");
-    let names: Vec<&str> = stages.stages.iter().map(|s| s.stage.as_str()).collect();
-    assert_eq!(names, ["lower", "plan_setup", "event_loop", "report"]);
-    assert!(stages.total_seconds() > 0.0);
-    assert!(stages.seconds("event_loop") > 0.0);
-    // The sim results themselves stay identical; only the report metadata
-    // differs, so profiled runs remain comparable with unprofiled ones.
-    assert_eq!(
-        serde_json::to_string(&plain.sim).unwrap(),
-        serde_json::to_string(&profiled.sim).unwrap()
-    );
-}
-
-#[test]
-fn progress_callbacks_are_serialized_and_monotone() {
-    // 3 specs x 2 microbatches = 6 points; the PP16 spec skips.
-    let specs = vec![bad_spec(), spec("TP2-PP2"), spec("TP4-PP2")];
-    let seen: Arc<Mutex<Vec<(usize, bool)>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&seen);
-    let outcomes = small_sweep(specs)
-        .with_microbatches(vec![1, 2])
-        .workers(4)
-        .on_progress(move |p| {
-            sink.lock()
-                .unwrap()
-                .push((p.completed, p.outcome.is_skipped()));
-        })
-        .run_outcomes();
-    let seen = seen.lock().unwrap();
-    assert_eq!(seen.len(), outcomes.len());
-    let counts: Vec<usize> = seen.iter().map(|&(c, _)| c).collect();
-    assert_eq!(
-        counts,
-        (1..=outcomes.len()).collect::<Vec<_>>(),
-        "completed is strictly increasing under workers(4): callbacks are \
-         serialized, each point reported exactly once"
-    );
-    assert_eq!(
-        seen.iter().filter(|&&(_, s)| s).count(),
-        2,
-        "skips report too"
-    );
-}
-
-#[test]
-fn failed_outcomes_report_progress_in_strict_mode() {
-    let seen: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&seen);
-    let outcomes = small_sweep(vec![bad_spec(), spec("TP2-PP2")])
-        .strict()
-        .workers(2)
-        .on_progress(move |p| sink.lock().unwrap().push(p.completed))
-        .run_outcomes();
-    assert!(matches!(outcomes[0], SweepOutcome::Failed { .. }));
-    assert_eq!(*seen.lock().unwrap(), vec![1, 2]);
-}
-
-#[test]
 fn streamed_sweep_reconciles_exactly_with_summed_reports() {
     // 4 specs x 2 variants x 4 microbatches = 32 points, parallel workers.
     let job = TrainJob::pretrain(gpt3_13b()).with_global_batch(8);
