@@ -118,7 +118,10 @@ impl Experiment {
                 cached: None,
             });
         };
-        let mut key = SimCache::lowered_key(
+        // The fault plan stays out of the key: faults perturb neither the
+        // lowered trace nor the collective plans, so every point of an MTBF
+        // sweep shares one trace and one plan set.
+        let key = SimCache::lowered_key(
             &self.job,
             &self.spec,
             self.schedule,
@@ -126,15 +129,6 @@ impl Experiment {
             &hints,
             self.inference.as_ref(),
         );
-        // The fault plan participates in the cache key. This is
-        // conservative — faults perturb neither the lowered trace nor the
-        // collective plans — but it keeps the key an exact content hash of
-        // everything that shapes the run, and repeated points of an MTBF
-        // sweep (same plan) still hit.
-        if let Some(plan) = &self.faults {
-            key.push('|');
-            key.push_str(&serde_json::to_string(plan).expect("fault plan serializes"));
-        }
         let (lowered, hit) = cache.lowered(&key, lower)?;
         Ok(Lowering {
             placement,

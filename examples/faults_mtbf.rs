@@ -4,9 +4,11 @@
 //! fleet-level failure rate of independent GPUs) with checkpoint/restart
 //! recovery, and reports goodput, restart counts, energy wasted per failure
 //! and downtime next to the fault-free baseline. Each scenario goes through
-//! [`Sweep`] with one shared [`SimCache`]; the second pass over the same
-//! scenarios is served entirely from cache (fault schedules participate in
-//! the memoization key).
+//! [`Sweep`] with one shared [`SimCache`]. Faults change neither the lowered
+//! trace nor the collective plans, so the fault plan stays out of the cache
+//! key: each cluster lowers its trace and builds its plans once, for the
+//! fault-free baseline, and every MTBF scenario after it, in both passes,
+//! is served from cache.
 //!
 //! ```sh
 //! cargo run --release --example faults_mtbf

@@ -486,15 +486,41 @@ fn mtbf_sweep_hits_shared_cache_on_repeated_points() {
         serde_json::to_string(&second[0].sim).unwrap(),
         "cache reuse must not change faulted results"
     );
-    // A different MTBF is a different scenario: the fault plan participates
-    // in the key, so it must miss instead of serving a stale schedule.
-    let other = FaultPlan::periodic_fail_stops(8.0, cluster.num_gpus() as u32, 10.0).with_recovery(
+    // A different MTBF perturbs neither the trace nor the plans: it hits
+    // both, and its result is byte-equal to a cold uncached run of it.
+    let other = FaultPlan::periodic_fail_stops(1.0, cluster.num_gpus() as u32, 10.0).with_recovery(
         RecoveryPolicy::CheckpointRestart {
             checkpoint_interval_s: 1.0,
             restart_latency_s: 0.2,
         },
     );
-    let third = sweep(other);
+    let third = sweep(other.clone());
     let stats = third[0].cache.unwrap();
-    assert_eq!(stats.lowered_misses, 1, "different fault plan must miss");
+    assert_eq!(
+        (stats.lowered_hits, stats.plan_hits),
+        (1, 1),
+        "a different fault plan shares the trace and the plan set"
+    );
+    let cold = Experiment::builder()
+        .cluster(Arc::clone(&cluster))
+        .job(job.clone())
+        .spec(spec)
+        .sim_config(SimConfig::fast())
+        .faults(other)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert!(cold.cache.is_none(), "the cold run is uncached");
+    assert!(
+        third[0].sim.restarts > first[0].sim.restarts,
+        "the shorter MTBF must restart more: {} vs {}",
+        third[0].sim.restarts,
+        first[0].sim.restarts
+    );
+    assert_eq!(
+        serde_json::to_string(&third[0].sim).unwrap(),
+        serde_json::to_string(&cold.sim).unwrap(),
+        "a cached trace and plan set must not change a new plan's result"
+    );
 }
