@@ -60,12 +60,6 @@ pub fn single_gpu_per_node_cluster(nodes: usize) -> Cluster {
     .expect("preset cluster is statically valid")
 }
 
-/// An H200 cluster with the NIC line rate replaced (e.g. 800 Gbps for the
-/// §7.1 bandwidth scaling projection).
-pub fn hgx_h200_with_ib_gbps(nodes: usize, gbps: f64) -> Cluster {
-    hgx_h200_with_nodes(nodes).with_nic(LinkSpec::ib_gbps(gbps))
-}
-
 /// An HGX H100 SuperPOD-style cluster: `nodes` HGX nodes under a two-tier
 /// rail-optimized switch fabric with `rails` leaf switches (rails must
 /// divide the 8 GPUs per node; 8 is the DGX SuperPOD layout, one rail per
@@ -133,17 +127,6 @@ mod tests {
         let c = single_gpu_per_node_cluster(4);
         assert_eq!(c.num_gpus(), 4);
         assert_eq!(c.gpus_per_node(), 1);
-    }
-
-    #[test]
-    fn ib_override_applies() {
-        let c = hgx_h200_with_ib_gbps(4, 800.0);
-        let nic = c
-            .links()
-            .find(|(_, s)| s.class == LinkClass::Nic)
-            .map(|(_, s)| s.bw_gbps)
-            .unwrap();
-        assert_eq!(nic, 100.0);
     }
 
     #[test]

@@ -126,16 +126,6 @@ impl RankGrid {
             .filter(|&r| self.coords(r).pp == stage)
             .collect()
     }
-
-    /// Whether this rank executes the first pipeline stage (embedding).
-    pub fn is_first_stage(&self, rank: usize) -> bool {
-        self.coords(rank).pp == 0
-    }
-
-    /// Whether this rank executes the last pipeline stage (LM head / loss).
-    pub fn is_last_stage(&self, rank: usize) -> bool {
-        self.coords(rank).pp == self.spec.pp - 1
-    }
 }
 
 #[cfg(test)]
@@ -230,8 +220,7 @@ mod tests {
         let stage0 = g.ranks_at_stage(0);
         assert_eq!(stage0.len(), 4);
         for r in stage0 {
-            assert!(g.is_first_stage(r));
-            assert!(!g.is_last_stage(r));
+            assert_eq!(g.coords(r).pp, 0);
         }
         assert_eq!(g.ranks_at_stage(3).len(), 4);
     }

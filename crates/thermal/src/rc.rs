@@ -78,11 +78,6 @@ impl ThermalSpec {
         let target = self.steady_state_c(power_w, inlet_c, cooling_factor);
         target + (temp_c - target) * decay
     }
-
-    /// The thermal time constant (seconds) at nominal cooling.
-    pub fn time_constant_s(&self) -> f64 {
-        self.r_c_per_w * self.c_j_per_c
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +136,9 @@ mod tests {
     #[test]
     fn time_constant_is_tens_of_seconds() {
         for m in [GpuModel::H100, GpuModel::H200, GpuModel::Mi250Gcd] {
-            let tau = ThermalSpec::for_model(m).time_constant_s();
+            // The time constant at nominal cooling, R·C.
+            let s = ThermalSpec::for_model(m);
+            let tau = s.r_c_per_w * s.c_j_per_c;
             assert!((10.0..120.0).contains(&tau), "{m}: tau = {tau}");
         }
     }
