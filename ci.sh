@@ -137,6 +137,29 @@ echo "$out" | grep -Eq "^perfetto trace for point 0: [1-9][0-9]* events" || {
     exit 1
 }
 
+echo "==> result diff smoke (result_diff example)"
+dir="$(mktemp -d)"
+printf '%s' '{"step_time_s":0.5,"restarts":1,"telemetry":{"power_w":[{"t":[0,0.05],"v":[300.5,301.25]}]}}' \
+    >"$dir/parent.json"
+sed 's/301.25/301.5/' "$dir/parent.json" >"$dir/change.json"
+cargo run --release --quiet --example result_diff -- "$dir/parent.json" "$dir/parent.json" \
+    | tail -n 1 | grep "^result: within tolerance$" || {
+    echo "FAIL: result_diff did not pass two identical results" >&2
+    exit 1
+}
+status=0
+out="$(cargo run --release --quiet --example result_diff -- "$dir/change.json" "$dir/parent.json")" ||
+    status=$?
+rm -r "$dir"
+echo "$out" | grep -F '| `telemetry.power_w[*].v[*]` |' | grep -F '| NO |' || {
+    echo "FAIL: result_diff did not name the planted change" >&2
+    exit 1
+}
+[ "$status" -eq 1 ] || {
+    echo "FAIL: result_diff exited $status on a planted change, not 1" >&2
+    exit 1
+}
+
 echo "==> perfbench output checks (all workloads, 1 s each, untraced)"
 out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload all --seconds 1 --trace 0)"

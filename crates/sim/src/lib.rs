@@ -30,6 +30,7 @@ pub mod analytic;
 pub mod arena;
 mod calendar;
 pub mod config;
+pub mod diff;
 pub mod engine;
 pub mod error;
 pub mod fault;
