@@ -13,6 +13,7 @@ use charllm_hw::{presets, Cluster, GpuId, GpuModel, NodeId, NodeLayout};
 use charllm_models::{presets as models, TrainJob};
 use charllm_net::{lower_collective, ChunkingPolicy, CollectiveKind};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, StagePartition};
+use charllm_sim::diff;
 use charllm_sim::fold::{self, FoldOptions};
 use charllm_sim::reference::ReferenceSimulator;
 use charllm_sim::{fnv1a, FaultPlan, RecoveryPolicy, SimConfig, SimResult, Simulator};
@@ -36,12 +37,28 @@ fn gpt3_trace(cluster: &Cluster, global_batch: usize) -> ExecutionTrace {
         .trace
 }
 
-/// Run both engines on the same inputs and return their serialized results.
-fn both_engines_json(
-    cluster: &Cluster,
-    trace: &ExecutionTrace,
-    cfg: SimConfig,
-) -> (String, String) {
+/// Assert two serialized results are byte-equal. On failure, name the first
+/// field paths that differ ([`diff`]) instead of printing both texts.
+fn assert_same_bytes(new: &str, reference: &str, what: &str) {
+    if new == reference {
+        return;
+    }
+    let d = diff::texts(new, reference).expect("serialized results parse");
+    let fields: Vec<&str> = d.differing_paths().take(8).collect();
+    let at = new
+        .bytes()
+        .zip(reference.bytes())
+        .position(|(a, b)| a != b)
+        .unwrap_or(new.len().min(reference.len()));
+    panic!(
+        "{what}: results differ from byte {at} ({} vs {} bytes); first differing fields: {fields:?}",
+        new.len(),
+        reference.len()
+    );
+}
+
+/// Run both engines on the same inputs and assert byte-equal results.
+fn assert_engines_agree(cluster: &Cluster, trace: &ExecutionTrace, cfg: SimConfig, what: &str) {
     let placement = Placement::identity(cluster, trace.world()).unwrap();
     let new = Simulator::new(cluster, &placement, trace, cfg)
         .unwrap()
@@ -51,10 +68,11 @@ fn both_engines_json(
         .unwrap()
         .run()
         .unwrap();
-    (
-        serde_json::to_string(&new).unwrap(),
-        serde_json::to_string(&reference).unwrap(),
-    )
+    assert_same_bytes(
+        &serde_json::to_string(&new).unwrap(),
+        &serde_json::to_string(&reference).unwrap(),
+        what,
+    );
 }
 
 #[test]
@@ -66,10 +84,11 @@ fn golden_equality_on_lowered_training_step() {
     let mut cfg = SimConfig::fast();
     cfg.iterations = 3;
     cfg.warmup_iterations = 1;
-    let (new, reference) = both_engines_json(&cluster, &trace, cfg);
-    assert_eq!(
-        new, reference,
-        "event-driven engine diverged from reference"
+    assert_engines_agree(
+        &cluster,
+        &trace,
+        cfg,
+        "event-driven engine diverged from reference",
     );
 }
 
@@ -90,10 +109,11 @@ fn golden_equality_on_moe_expert_parallel_workload() {
     let mut cfg = SimConfig::fast();
     cfg.iterations = 2;
     cfg.warmup_iterations = 1;
-    let (new, reference) = both_engines_json(&cluster, &trace, cfg);
-    assert_eq!(
-        new, reference,
-        "event-driven engine diverged from reference on MoE/EP workload"
+    assert_engines_agree(
+        &cluster,
+        &trace,
+        cfg,
+        "event-driven engine diverged from reference on MoE/EP workload",
     );
 }
 
@@ -127,10 +147,10 @@ fn golden_equality_with_forced_heap_scheduler() {
         stats.cal_exact_removals > 0,
         "completing entries must leave the calendar at their retire site"
     );
-    assert_eq!(
-        serde_json::to_string(&new).unwrap(),
-        serde_json::to_string(&reference).unwrap(),
-        "calendar scheduler diverged from reference"
+    assert_same_bytes(
+        &serde_json::to_string(&new).unwrap(),
+        &serde_json::to_string(&reference).unwrap(),
+        "calendar scheduler diverged from reference",
     );
 }
 
@@ -140,8 +160,12 @@ fn golden_equality_with_thermal_feedback_disabled() {
     let trace = gpt3_trace(&cluster, 8);
     let mut cfg = SimConfig::fast();
     cfg.thermal_feedback = false;
-    let (new, reference) = both_engines_json(&cluster, &trace, cfg);
-    assert_eq!(new, reference);
+    assert_engines_agree(
+        &cluster,
+        &trace,
+        cfg,
+        "engine diverged without thermal feedback",
+    );
 }
 
 #[test]
@@ -152,13 +176,12 @@ fn golden_equality_across_nic_routes() {
     let trace = gpt3_trace(&one_node_cluster(), 8);
     let mut cfg = SimConfig::fast();
     cfg.thermal_feedback = false;
-    let (new, reference) = both_engines_json(&spread, &trace, cfg);
-    assert_eq!(new, reference);
+    assert_engines_agree(&spread, &trace, cfg, "engine diverged across NIC routes");
 }
 
 /// GPT-3 13B under TP4-PP2 (data parallel over the rest) on `cluster`, two
-/// iterations: both engines' serialized results.
-fn tp4_pp2_both_engines(cluster: &Cluster) -> (String, String) {
+/// iterations: assert both engines' results are byte-equal.
+fn assert_tp4_pp2_engines_agree(cluster: &Cluster, what: &str) {
     let job = TrainJob::pretrain(models::gpt3_13b()).with_global_batch(16);
     let spec = ParallelismSpec::parse("TP4-PP2", cluster.num_gpus()).unwrap();
     let partition = StagePartition::even(40, 2).unwrap();
@@ -168,7 +191,7 @@ fn tp4_pp2_both_engines(cluster: &Cluster) -> (String, String) {
         .trace;
     let mut cfg = SimConfig::fast();
     cfg.iterations = 2;
-    both_engines_json(cluster, &trace, cfg)
+    assert_engines_agree(cluster, &trace, cfg, what);
 }
 
 #[test]
@@ -176,17 +199,18 @@ fn golden_equality_on_mi250_package_and_port_charges() {
     // MI250 GCDs share a package bus (charged to both endpoints) and reach
     // other packages through xGMI ports: the charge rules no HGX preset
     // exercises.
-    let (new, reference) = tp4_pp2_both_engines(&presets::mi250_cluster());
-    assert_eq!(new, reference, "engine diverged from reference on MI250");
+    assert_tp4_pp2_engines_agree(
+        &presets::mi250_cluster(),
+        "engine diverged from reference on MI250",
+    );
 }
 
 #[test]
 fn golden_equality_on_rail_superpod_switch_routes() {
     // Leaf and spine tiers give the longest routes any preset builds.
-    let (new, reference) = tp4_pp2_both_engines(&presets::hgx_h100_superpod(2, 2));
-    assert_eq!(
-        new, reference,
-        "engine diverged from reference on the rail SuperPod"
+    assert_tp4_pp2_engines_agree(
+        &presets::hgx_h100_superpod(2, 2),
+        "engine diverged from reference on the rail SuperPod",
     );
 }
 
@@ -236,8 +260,12 @@ fn golden_equality_on_every_collective_kind() {
     });
     let mut cfg = SimConfig::fast();
     cfg.iterations = 2;
-    let (new, reference) = both_engines_json(&cluster, &trace, cfg);
-    assert_eq!(new, reference);
+    assert_engines_agree(
+        &cluster,
+        &trace,
+        cfg,
+        "engine diverged on the hand-built collectives",
+    );
 }
 
 #[test]
@@ -294,7 +322,7 @@ fn identical_configs_produce_byte_identical_results() {
             .unwrap();
         serde_json::to_string(&r).unwrap()
     };
-    assert_eq!(run(), run(), "same seed + config must be deterministic");
+    assert_same_bytes(&run(), &run(), "same seed + config must be deterministic");
 }
 
 /// Sum of payload bytes over the flows a collective actually launches
@@ -469,8 +497,9 @@ fn shared_plans_preserve_results_and_count_hits() {
         "every launch's first plan lookup is a shared hit"
     );
 
-    assert_eq!(serde_json::to_string(&first).unwrap(), baseline);
-    assert_eq!(serde_json::to_string(&second).unwrap(), baseline);
+    for (run, what) in [(first, "cold shared set"), (second, "warm shared set")] {
+        assert_same_bytes(&serde_json::to_string(&run).unwrap(), &baseline, what);
+    }
 }
 
 #[test]
@@ -592,38 +621,16 @@ fn golden_equality_inter_node_with_offset_sample_period() {
         .unwrap()
         .run()
         .unwrap();
-    assert_same_traffic_and_bytes(&cluster, &new, &reference);
-}
-
-fn assert_same_traffic_and_bytes(
-    cluster: &Cluster,
-    new: &charllm_sim::SimResult,
-    reference: &charllm_sim::SimResult,
-) {
     // The case must exercise what it claims: PCIe traffic in the matrix
     // and in the sampled per-window series, over many sample windows.
     let gpus = cluster.num_gpus();
     assert!((0..gpus).any(|g| new.traffic.pcie(g) > 0.0));
     assert!((0..gpus).any(|g| new.telemetry.pcie(g).values().any(|v| v > 0.0)));
     assert!(new.telemetry.pcie(0).len() > 10, "too few sample windows");
-    for g in 0..gpus {
-        let (a, b) = (new.telemetry.pcie(g), reference.telemetry.pcie(g));
-        assert_eq!(a.len(), b.len(), "gpu {g}: sample count");
-        for ((ta, va), (tb, vb)) in a.iter().zip(b.iter()) {
-            assert_eq!(ta.to_bits(), tb.to_bits(), "gpu {g}: sample time");
-            assert_eq!(va.to_bits(), vb.to_bits(), "gpu {g}: pcie_gbps at t={ta}");
-        }
-        for (x, y) in [
-            (new.traffic.pcie(g), reference.traffic.pcie(g)),
-            (new.traffic.fabric(g), reference.traffic.fabric(g)),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "gpu {g}: traffic matrix");
-        }
-    }
-    assert_eq!(
-        serde_json::to_string(new).unwrap(),
-        serde_json::to_string(reference).unwrap(),
-        "event-driven engine diverged from reference on the inter-node case"
+    assert_same_bytes(
+        &serde_json::to_string(&new).unwrap(),
+        &serde_json::to_string(&reference).unwrap(),
+        "event-driven engine diverged from reference on the inter-node case",
     );
 }
 

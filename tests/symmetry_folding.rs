@@ -2,17 +2,17 @@
 //!
 //! A folded run — representative dp == 0 replica simulated, results
 //! expanded — must be **metric-identical** to the unfolded engine on the
-//! same cluster/placement/workload: step time, throughput, per-rank kernel
-//! breakdowns, and per-GPU traffic/throttle/telemetry all equal to
-//! relative 1e-12 (a couple of ulp); cluster energy — an integral over
-//! every control tick — to 1e-10. Bit equality is deliberately
-//! not demanded: the unfolded engine's own replicas differ among
-//! themselves at the ulp level, because the flow list compacts with
-//! `swap_remove` and two concurrent flows touching one GPU accumulate into
-//! its f64 windows in history-dependent order — see
-//! [`assert_series_close`]. Folding reproduces replica 0 to that same
-//! noise floor (and is frequently bit-equal, e.g. the switchless 64-GPU
-//! case). Covered here across switchless HGX clusters, the rail-fabric
+//! same cluster/placement/workload, compared through [`diff`]: step time,
+//! throughput, per-rank kernel breakdowns, per-GPU traffic, throttle and
+//! occupancy, goodput and downtime equal to relative 1e-12 (a couple of
+//! ulp); energy — an integral over every control tick — to 1e-10;
+//! telemetry samples to `|a − b| / max(|b|, 1) < 1e-9` on identical
+//! sample clocks. Bit equality is deliberately not demanded: the unfolded
+//! engine's own replicas differ among themselves at the ulp level, because
+//! the flow list compacts with `swap_remove` and two concurrent flows
+//! touching one GPU accumulate into its f64 windows in history-dependent
+//! order. Folding reproduces replica 0 to that same noise floor (and is
+//! frequently bit-equal, e.g. the switchless 64-GPU case). Covered here across switchless HGX clusters, the rail-fabric
 //! SuperPod (exercising the switch-link load multiplier and full
 //! cross-replica rings), MoE expert parallelism, permuted-but-congruent
 //! placements, shared plan sets, and the rejection paths.
@@ -24,9 +24,10 @@ use proptest::prelude::*;
 use charllm_hw::{presets, Cluster, GpuId};
 use charllm_models::{presets as models, TrainJob};
 use charllm_parallel::{ParallelismSpec, PipelineSchedule, Placement, RankGrid, StagePartition};
+use charllm_sim::diff;
 use charllm_sim::fold::{self, FoldOptions};
 use charllm_sim::{SharedPlans, SimConfig, SimError, SimResult, Simulator};
-use charllm_telemetry::{MetricValue, MetricsHub, Series};
+use charllm_telemetry::{MetricValue, MetricsHub};
 use charllm_trace::{lower_train, lower_train_folded, DeviceHints};
 
 fn fold_cfg() -> SimConfig {
@@ -72,141 +73,6 @@ fn run_folded(
     result
 }
 
-/// Assert two telemetry series sample the same instants and agree to a
-/// relative 1e-9. Bit equality is deliberately not required: the engine's
-/// flow list compacts with `swap_remove`, so two concurrent flows touching
-/// one GPU can accumulate into its sampling window in either order — a
-/// one-ulp difference that already separates the *replicas of an unfolded
-/// run* from each other. Folding reproduces replica 0 to the same ulp.
-fn assert_series_close(a: Series<'_>, b: Series<'_>, what: &str) {
-    assert_eq!(a.times(), b.times(), "{what} sample times");
-    for (i, (x, y)) in a.values().zip(b.values()).enumerate() {
-        let rel = (x - y).abs() / y.abs().max(1.0);
-        assert!(rel < 1e-9, "{what}[{i}]: {x} vs {y} (rel {rel})");
-    }
-}
-
-/// Assert two scalars agree to relative 1e-12 — the folding noise floor
-/// (see [`assert_series_close`]: ulp-level accumulation-order differences
-/// feed thermals → frequency → kernel rates, so timing metrics can drift a
-/// couple of ulp from the unfolded run, never more).
-fn assert_close(x: f64, y: f64, what: &str) {
-    let rel = (x - y).abs() / y.abs().max(1e-300);
-    assert!(rel < 1e-12, "{what}: {x} vs {y} (rel {rel})");
-}
-
-/// Assert a folded run reproduces the unfolded one metric-for-metric.
-fn assert_metric_identical(folded: &SimResult, unfolded: &SimResult) {
-    use charllm_hw::LinkClass;
-    use charllm_trace::KernelClass;
-
-    assert_close(folded.step_time_s, unfolded.step_time_s, "step time");
-    assert_close(folded.tokens_per_s, unfolded.tokens_per_s, "tokens/s");
-    assert_eq!(
-        folded.iteration_times_s.len(),
-        unfolded.iteration_times_s.len(),
-        "iteration count"
-    );
-    for (i, (x, y)) in folded
-        .iteration_times_s
-        .iter()
-        .zip(&unfolded.iteration_times_s)
-        .enumerate()
-    {
-        assert_close(*x, *y, &format!("iteration time [{i}]"));
-    }
-    assert_close(folded.sim_time_s, unfolded.sim_time_s, "sim time");
-    assert_eq!(
-        folded.kernel_time.len(),
-        unfolded.kernel_time.len(),
-        "kernel rank count"
-    );
-    for (r, (f, u)) in folded
-        .kernel_time
-        .iter()
-        .zip(&unfolded.kernel_time)
-        .enumerate()
-    {
-        for class in KernelClass::all() {
-            assert_close(
-                f.get(class),
-                u.get(class),
-                &format!("kernel time rank {r} {class:?}"),
-            );
-        }
-    }
-    assert_eq!(
-        folded.traffic.num_gpus(),
-        unfolded.traffic.num_gpus(),
-        "traffic coverage"
-    );
-    for g in 0..unfolded.traffic.num_gpus() {
-        for class in [
-            LinkClass::NvLink,
-            LinkClass::XgmiPackage,
-            LinkClass::XgmiPort,
-            LinkClass::Pcie,
-            LinkClass::Nic,
-        ] {
-            assert_close(
-                folded.traffic.get(g, class),
-                unfolded.traffic.get(g, class),
-                &format!("traffic gpu {g} {class:?}"),
-            );
-        }
-    }
-    for (g, (x, y)) in folded
-        .throttle_ratio
-        .iter()
-        .zip(&unfolded.throttle_ratio)
-        .enumerate()
-    {
-        assert_close(*x, *y, &format!("throttle gpu {g}"));
-    }
-    for (g, (x, y)) in folded
-        .thermal_throttle_ratio
-        .iter()
-        .zip(&unfolded.thermal_throttle_ratio)
-        .enumerate()
-    {
-        assert_close(*x, *y, &format!("thermal throttle gpu {g}"));
-    }
-    for (g, (f, u)) in folded.occupancy.iter().zip(&unfolded.occupancy).enumerate() {
-        assert_close(f.occupancy, u.occupancy, &format!("occupancy gpu {g}"));
-        assert_close(f.warps, u.warps, &format!("warps gpu {g}"));
-        assert_close(
-            f.threadblocks,
-            u.threadblocks,
-            &format!("threadblocks gpu {g}"),
-        );
-    }
-    assert_eq!(
-        folded.telemetry.num_gpus(),
-        unfolded.telemetry.num_gpus(),
-        "telemetry coverage"
-    );
-    for g in 0..unfolded.telemetry.num_gpus() {
-        assert_series_close(
-            folded.telemetry.power(g),
-            unfolded.telemetry.power(g),
-            "power",
-        );
-        assert_series_close(folded.telemetry.temp(g), unfolded.telemetry.temp(g), "temp");
-        assert_series_close(folded.telemetry.freq(g), unfolded.telemetry.freq(g), "freq");
-        assert_series_close(folded.telemetry.util(g), unfolded.telemetry.util(g), "util");
-        assert_series_close(folded.telemetry.pcie(g), unfolded.telemetry.pcie(g), "pcie");
-    }
-    // Energy integrates power over every control tick, so the per-tick ulp
-    // noise accumulates linearly with simulated time — the loosest of the
-    // tolerances, still ten significant digits.
-    let rel =
-        (folded.energy_per_step_j - unfolded.energy_per_step_j).abs() / unfolded.energy_per_step_j;
-    assert!(rel < 1e-10, "energy relative error {rel}");
-    let rel =
-        (folded.tokens_per_joule - unfolded.tokens_per_joule).abs() / unfolded.tokens_per_joule;
-    assert!(rel < 1e-10, "tokens/J relative error {rel}");
-}
-
 fn golden(cluster: Cluster, job: TrainJob, spec: ParallelismSpec) {
     let placement = Placement::identity(&cluster, spec.world()).unwrap();
     let cfg = fold_cfg();
@@ -219,7 +85,10 @@ fn golden(cluster: Cluster, job: TrainJob, spec: ParallelismSpec) {
         &FoldOptions::default(),
     );
     let unfolded = run_unfolded(&cluster, &placement, &job, &spec, cfg);
-    assert_metric_identical(&folded, &unfolded);
+    // Every field of the serialized result, goodput, wasted energy,
+    // restarts and downtime included.
+    let d = diff::results(&folded, &unfolded);
+    assert!(d.passes(), "folded run differs from unfolded:\n{d}");
 }
 
 #[test]
@@ -304,7 +173,8 @@ fn permuted_congruent_placement_folds_exactly() {
     let cfg = fold_cfg();
     let folded = run_folded(&cluster, &placement, &job, &s, cfg, &FoldOptions::default());
     let unfolded = run_unfolded(&cluster, &placement, &job, &s, cfg);
-    assert_metric_identical(&folded, &unfolded);
+    let d = diff::results(&folded, &unfolded);
+    assert!(d.passes(), "folded run differs from unfolded:\n{d}");
 }
 
 #[test]
@@ -497,21 +367,25 @@ fn telemetry_expansion_is_optional_but_aggregates_agree() {
         compact.telemetry.peak_power_w()
     );
     // Means average the GPUs with samples, so they survive compaction too.
-    assert_close(
-        compact.telemetry.mean_power_w(),
-        expanded.telemetry.mean_power_w(),
-        "mean power",
-    );
-    assert_close(
-        compact.telemetry.mean_temp_c(),
-        expanded.telemetry.mean_temp_c(),
-        "mean temp",
-    );
-    assert_close(
-        compact.telemetry.mean_freq_mhz(),
-        expanded.telemetry.mean_freq_mhz(),
-        "mean freq",
-    );
+    for (what, c, e) in [
+        (
+            "mean power",
+            compact.telemetry.mean_power_w(),
+            expanded.telemetry.mean_power_w(),
+        ),
+        (
+            "mean temp",
+            compact.telemetry.mean_temp_c(),
+            expanded.telemetry.mean_temp_c(),
+        ),
+        (
+            "mean freq",
+            compact.telemetry.mean_freq_mhz(),
+            expanded.telemetry.mean_freq_mhz(),
+        ),
+    ] {
+        assert!(diff::SCALAR.admits(c, e), "{what}: {c} vs {e}");
+    }
     // But the compact store only carries series for stepped GPUs.
     let phantom = (8..16).find(|&g| !compact.telemetry.power(g).is_empty());
     assert_eq!(phantom, None, "phantom node series must stay empty");
