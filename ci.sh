@@ -61,8 +61,8 @@ echo "$out" | grep -Eq "cache after pass 2: lowered [1-9][0-9]* hits" || {
 }
 hashes="$(echo "$out" | sed -En 's/^ *result fnv1a ([0-9a-f]{16})$/\1/p' | tr '\n' ' ')"
 echo "result hashes:" $hashes
-pass="764419ad0b0cb41f 6d44430ee51f78ab 5d700951fc052a54 413526c17e6562ff \
-71e2904364493c29 ca763833586029b4 c3b6f8500036a479 2439c27a86d2f98b"
+pass="308f43caf8614741 88bf9dc4562a6fcd b9008a48a970d354 aa3440638fe4ec21 \
+15b9076b2b62e88b c57f2e27267ddfb4 9b1e2b2fd5051efb 0379fa992b101bad"
 [ "$hashes" = "$(echo $pass $pass) " ] || {
     echo "FAIL: an MTBF scenario's serialized SimResult changed" >&2
     exit 1
@@ -100,7 +100,7 @@ echo "plan builds per point:" $builds
 }
 hashes="$(echo "$out" | sed -En 's/^ *result fnv1a ([0-9a-f]{16})$/\1/p' | tr '\n' ' ')"
 echo "result hashes:" $hashes
-[ "$hashes" = "85c17369445cf583 8a9663523bbc9363 18832249cf9415ac b7511d32f8617634 " ] || {
+[ "$hashes" = "a8db931f1e32c075 c67e58ed9f749855 bbf8fc1bb585dbfc ada1f4b954077d34 " ] || {
     echo "FAIL: a 16k-GPU power-cap point's serialized SimResult changed" >&2
     exit 1
 }

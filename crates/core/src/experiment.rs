@@ -59,18 +59,16 @@ impl Experiment {
     ///
     /// Propagates configuration, lowering and simulation errors.
     pub fn run(&self) -> Result<RunReport, CoreError> {
-        let (report, ()) = if self.profiled {
+        let (mut report, profile) = if self.profiled {
             let iterations = self.sim.iterations;
             self.run_observed(
                 |trace| SpanRecorder::for_trace(trace, iterations),
-                |result, recorder| {
-                    result.profile =
-                        Some(phase::attribute(&recorder, result.sim_time_s, iterations));
-                },
+                |result, recorder| Some(phase::attribute(&recorder, result.sim_time_s, iterations)),
             )?
         } else {
-            self.run_observed(|_| NoopObserver, |_, _| ())?
+            self.run_observed(|_| NoopObserver, |_, _| None)?
         };
+        report.profile = profile;
         Ok(report)
     }
 
@@ -138,12 +136,12 @@ impl Experiment {
     }
 
     /// The one run path: lower, fetch plans, build the engine with the
-    /// observer `observe` makes for the trace, run it, let `finish` fold
-    /// the observer into the result, and report — timing each stage.
+    /// observer `observe` makes for the trace, run it, let `finish` read
+    /// the observer against the result, and report — timing each stage.
     fn run_observed<O: SimObserver, T>(
         &self,
         observe: impl FnOnce(&ExecutionTrace) -> O,
-        finish: impl FnOnce(&mut SimResult, O) -> T,
+        finish: impl FnOnce(&SimResult, O) -> T,
     ) -> Result<(RunReport, T), CoreError> {
         let shard = self.metrics.as_ref();
         // Host-side stage walls feed an attached shard's
@@ -193,8 +191,8 @@ impl Experiment {
             sim = sim.with_metrics(s);
         }
         mark("plan_setup");
-        let (mut result, observer) = sim.run_observed()?;
-        let finished = finish(&mut result, observer);
+        let (result, observer) = sim.run_observed()?;
+        let finished = finish(&result, observer);
         mark("event_loop");
         // Persist what this run added to the cache only now: the shared
         // plan set filled lazily *during* the simulation, so syncing any
@@ -269,6 +267,7 @@ impl Experiment {
             mean_throttle,
             max_throttle,
             cache: None,
+            profile: None,
             sim,
         }
     }
@@ -376,7 +375,7 @@ impl ExperimentBuilder {
     }
 
     /// Record span streams during the run and attach the phase/energy
-    /// attribution to `report.sim.profile` (default off; off costs nothing).
+    /// attribution to `report.profile` (default off; off costs nothing).
     pub fn profiled(mut self, profiled: bool) -> Self {
         self.profiled = profiled;
         self
@@ -518,7 +517,7 @@ mod tests {
             .profiled(true)
             .run()
             .unwrap();
-        let profile = report.sim.profile.as_ref().expect("profiled run");
+        let profile = report.profile.as_ref().expect("profiled run");
         assert_eq!(profile.world(), 8);
         assert!(!profile.top_spans.is_empty());
         // Per-rank phase time tiles the makespan.

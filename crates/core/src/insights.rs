@@ -273,7 +273,6 @@ mod tests {
             energy_wasted_j: 0.0,
             restarts: 0,
             fault_downtime_s: 0.0,
-            profile: None,
         };
         let r = RunReport {
             label: String::new(),
@@ -297,6 +296,7 @@ mod tests {
             mean_throttle: 0.0,
             max_throttle: 0.0,
             cache: None,
+            profile: None,
             sim,
         };
         serde_json::to_string(&r).unwrap()

@@ -57,6 +57,10 @@ pub struct RunReport {
     /// for this run (`None` when the experiment ran uncached).
     pub cache: Option<crate::CacheStats>,
 
+    /// Span-level phase and energy attribution; `None` unless the run was
+    /// profiled ([`ExperimentBuilder::profiled`](crate::ExperimentBuilder::profiled)).
+    pub profile: Option<Profile>,
+
     /// Full simulation result (kernel breakdowns, traffic, telemetry).
     pub sim: SimResult,
 }
@@ -103,7 +107,7 @@ impl RunReport {
     /// Render the run's phase attribution (per-phase table + top spans), or
     /// a one-line note when the run was not profiled.
     pub fn profile_summary(&self) -> String {
-        match &self.sim.profile {
+        match &self.profile {
             Some(profile) => format!("{}\n{}", phase_table(profile), top_spans_table(profile, 10)),
             None => "(no profile: run with profiling enabled)".to_string(),
         }
@@ -182,6 +186,7 @@ mod tests {
             mean_throttle: 0.12,
             max_throttle: 0.4,
             cache: None,
+            profile: None,
             sim: charllm_sim::SimResult {
                 step_time_s: 10.0,
                 iteration_times_s: vec![10.0],
@@ -199,7 +204,6 @@ mod tests {
                 energy_wasted_j: 0.0,
                 restarts: 0,
                 fault_downtime_s: 0.0,
-                profile: None,
             },
         }
     }

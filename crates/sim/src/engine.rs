@@ -2810,7 +2810,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             energy_wasted_j: energy_wasted,
             restarts,
             fault_downtime_s: downtime,
-            profile: None,
         };
         (result, obs)
     }

@@ -924,7 +924,6 @@ impl<'a, O: SimObserver> ReferenceSimulator<'a, O> {
             energy_wasted_j: 0.0,
             restarts: 0,
             fault_downtime_s: 0.0,
-            profile: None,
         };
         (result, obs)
     }

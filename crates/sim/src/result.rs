@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use charllm_hw::LinkClass;
-use charllm_telemetry::{Profile, TelemetryStore};
+use charllm_telemetry::TelemetryStore;
 use charllm_trace::KernelClass;
 
 /// Busy seconds per kernel class (one rank, measured iterations).
@@ -159,7 +159,11 @@ pub struct OccupancyStats {
     pub threadblocks: f64,
 }
 
-/// Everything a simulation run produces.
+/// Everything an engine computes in one run. Post-processing of a run, such
+/// as span-level phase and energy attribution
+/// ([`charllm_telemetry::phase::attribute`] over a recorded run), lives with
+/// whoever recorded the spans (`RunReport::profile` in the `charllm`
+/// crate).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimResult {
     /// Mean measured iteration (training-step) time, seconds.
@@ -198,10 +202,6 @@ pub struct SimResult {
     pub restarts: u64,
     /// Total simulated time lost to fault outages, seconds.
     pub fault_downtime_s: f64,
-    /// Span-level phase/energy attribution; `None` unless the run was
-    /// profiled (`ExperimentBuilder::profiled` in the `charllm` crate, or
-    /// [`charllm_telemetry::phase::attribute`] over a recorded run).
-    pub profile: Option<Profile>,
 }
 
 /// FNV-1a 64-bit over `bytes`. Its value is fixed by construction (unlike

@@ -959,56 +959,56 @@ fn serialized_results_are_pinned() {
         (
             "fail_stop_checkpoint_restart",
             pinned_fail_stop,
-            0xe0ff_e32b_18fd_ad2a,
-            74_490,
+            0x5497_e117_2f59_02ba,
+            74_475,
         ),
         (
             "long_restart",
             pinned_long_restart,
-            0xd1bc_642f_d755_04cf,
-            3_202_071,
+            0xc32a_f84c_979d_3291,
+            3_202_056,
         ),
         (
             "long_spare_swap",
             pinned_long_spare_swap,
-            0x472c_53ba_536a_1684,
-            3_164_493,
+            0xfc74_7a83_0ee2_8b64,
+            3_164_478,
         ),
         (
             "long_elastic_regrow",
             pinned_long_elastic_regrow,
-            0x8291_2237_ce37_de49,
-            5_519_013,
+            0x6dbc_50c1_ea3a_3dab,
+            5_518_998,
         ),
         (
             "long_restart_runaway",
             pinned_long_restart_runaway,
-            0x43bc_88d9_0e68_0b72,
-            3_200_051,
+            0xe03a_188c_1ea5_a5f2,
+            3_200_036,
         ),
         (
             "degrade_recover",
             pinned_degrade_recover,
-            0x16b8_514d_49bb_c02d,
-            932_377,
+            0xeeaf_f273_b61b_2cff,
+            932_362,
         ),
         (
             "gpu_power_cap",
             pinned_gpu_power_cap,
-            0xbaa9_5869_343f_2839,
-            16_727,
+            0xf12d_644a_e99c_3fbb,
+            16_712,
         ),
         (
             "node_power_cap",
             pinned_node_power_cap,
-            0xa25c_4583_8cd5_65ea,
-            18_797,
+            0xd89b_31bd_fb89_a47a,
+            18_782,
         ),
         (
             "compact_folded",
             pinned_compact_folded,
-            0x99d5_50d0_e0b2_7693,
-            134_855,
+            0x7ea9_4efc_dcfc_e565,
+            134_840,
         ),
     ];
     let (mut got, mut want) = (Vec::new(), Vec::new());
