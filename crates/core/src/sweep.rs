@@ -250,8 +250,9 @@ impl Sweep {
 
     /// Inject the same [`FaultPlan`] into every point of the sweep (e.g. an
     /// MTBF scenario evaluated across parallelism configurations). The plan
-    /// participates in the memoization key, so repeated points with the
-    /// same plan still hit a shared cache.
+    /// stays out of the memoization key, because faults change neither the
+    /// lowered trace nor the collective plans: points with any plan share
+    /// the cached trace and plan set.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.base = self.base.faults(plan);
         self
