@@ -99,7 +99,7 @@ pub const EXACT: Tolerance = Tolerance {
 const ENERGY_PATHS: [&str; 3] = ["energy_per_step_j", "tokens_per_joule", "energy_wasted_j"];
 
 /// The tolerance of a collapsed field path.
-pub fn tolerance_of(path: &str) -> Tolerance {
+fn tolerance_of(path: &str) -> Tolerance {
     if ENERGY_PATHS.contains(&path) {
         ENERGY
     } else if !path.starts_with("telemetry.") {
@@ -219,7 +219,7 @@ pub fn results(a: &SimResult, b: &SimResult) -> ResultDiff {
 }
 
 /// Compare two parsed JSON trees, `b` the reference.
-pub fn values(a: &Value, b: &Value) -> ResultDiff {
+fn values(a: &Value, b: &Value) -> ResultDiff {
     let mut walk = Walk::default();
     walk.value(&mut String::new(), a, b);
     ResultDiff {
@@ -233,8 +233,6 @@ struct Walk {
     fields: Vec<FieldDiff>,
     /// Row of each collapsed path.
     rows: HashMap<String, usize>,
-    /// The row the previous value landed in: array elements repeat it.
-    last: usize,
     structural: Vec<Structural>,
     /// The index of each `[*]` on the current path, outermost first.
     indices: Vec<usize>,
@@ -242,25 +240,23 @@ struct Walk {
 
 impl Walk {
     fn row(&mut self, path: &str) -> &mut FieldDiff {
-        if self.fields.get(self.last).is_none_or(|r| r.path != path) {
-            self.last = match self.rows.get(path) {
-                Some(&i) => i,
-                None => {
-                    self.rows.insert(path.to_string(), self.fields.len());
-                    self.fields.push(FieldDiff {
-                        path: path.to_string(),
-                        tolerance: tolerance_of(path),
-                        compared: 0,
-                        differing: 0,
-                        violations: 0,
-                        max_abs: 0.0,
-                        max_rel: 0.0,
-                    });
-                    self.fields.len() - 1
-                }
-            };
-        }
-        &mut self.fields[self.last]
+        let i = match self.rows.get(path) {
+            Some(&i) => i,
+            None => {
+                self.rows.insert(path.to_string(), self.fields.len());
+                self.fields.push(FieldDiff {
+                    path: path.to_string(),
+                    tolerance: tolerance_of(path),
+                    compared: 0,
+                    differing: 0,
+                    violations: 0,
+                    max_abs: 0.0,
+                    max_rel: 0.0,
+                });
+                self.fields.len() - 1
+            }
+        };
+        &mut self.fields[i]
     }
 
     fn structural(&mut self, path: &str, what: String) {
