@@ -458,12 +458,15 @@ fn mtbf_sweep_hits_shared_cache_on_repeated_points() {
     let job = TrainJob::pretrain(gpt3_13b()).with_global_batch(8);
     let spec = ParallelismSpec::parse("TP2-PP2", cluster.num_gpus()).unwrap();
     let cache = Arc::new(SimCache::new());
-    let plan = FaultPlan::periodic_fail_stops(16.0, cluster.num_gpus() as u32, 10.0).with_recovery(
-        RecoveryPolicy::CheckpointRestart {
-            checkpoint_interval_s: 1.0,
-            restart_latency_s: 0.2,
-        },
-    );
+    let mtbf = |mtbf_s: f64| {
+        FaultPlan::periodic_fail_stops(mtbf_s, cluster.num_gpus() as u32, 10.0).with_recovery(
+            RecoveryPolicy::CheckpointRestart {
+                checkpoint_interval_s: 1.0,
+                restart_latency_s: 0.2,
+            },
+        )
+    };
+    let plan = mtbf(2.0);
     let sweep = |p: FaultPlan| {
         Sweep::new(Arc::clone(&cluster), job.clone(), vec![spec])
             .with_sim_config(SimConfig::fast())
@@ -476,6 +479,7 @@ fn mtbf_sweep_hits_shared_cache_on_repeated_points() {
     let first = sweep(plan.clone());
     let stats = first[0].cache.unwrap();
     assert_eq!(stats.lowered_misses, 1, "cold cache lowers the trace");
+    assert!(first[0].sim.restarts > 0, "a fault fires inside the run");
     // The identical MTBF point again (a repeated sweep point): fully served.
     let second = sweep(plan);
     let stats = second[0].cache.unwrap();
@@ -488,12 +492,7 @@ fn mtbf_sweep_hits_shared_cache_on_repeated_points() {
     );
     // A different MTBF perturbs neither the trace nor the plans: it hits
     // both, and its result is byte-equal to a cold uncached run of it.
-    let other = FaultPlan::periodic_fail_stops(1.0, cluster.num_gpus() as u32, 10.0).with_recovery(
-        RecoveryPolicy::CheckpointRestart {
-            checkpoint_interval_s: 1.0,
-            restart_latency_s: 0.2,
-        },
-    );
+    let other = mtbf(1.0);
     let third = sweep(other.clone());
     let stats = third[0].cache.unwrap();
     assert_eq!(
