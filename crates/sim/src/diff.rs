@@ -143,7 +143,7 @@ pub struct Structural {
 
 /// The comparison of two results: one row per field path in document
 /// order, and every structural difference.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultDiff {
     /// One row per collapsed field path.
     pub fields: Vec<FieldDiff>,
